@@ -120,7 +120,7 @@ class Bathymetry:
         return 1.0 / self.hb
 
     @cached_property
-    def grad_b(self) -> list[np.ndarray]:
+    def grad_b(self) -> np.ndarray:
         """Twisted gradient of the raw profile b."""
         return grad_arr(self.grid, self.b.samples)
 
@@ -131,10 +131,6 @@ class Bathymetry:
     @property
     def is_flat(self) -> bool:
         return self.beta == 0.0 or not np.any(self.b.samples)
-
-    @property
-    def hb_field(self) -> Field:
-        return Field(self.grid, self.hb)
 
 
 def build_bathymetry(grid: Grid, profile: str, beta: float, params=None) -> Bathymetry:

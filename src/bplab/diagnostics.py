@@ -25,7 +25,7 @@ from .errors import (
     InsufficientSamplesError,
     NoShockError,
 )
-from .operators import _grad_stack, get_weighted_ops
+from .operators import get_weighted_ops
 from .spectral import (
     Field,
     Grid,
@@ -75,19 +75,13 @@ def energy_bp(zeta: Field, vbar: VecField, mu: float, bath: Bathymetry) -> float
 def _energy_EN_arr(
     grid: Grid, zeta: np.ndarray, V: Optional[np.ndarray], mu: float, N: float
 ) -> float:
+    # a stacked array's norm is the root of its rows' squared norms
     smu = np.sqrt(mu)
     out = sobolev_norm_arr(grid, zeta, N)
-    gz = _grad_stack(grid, zeta)
-    out += smu * np.sqrt(
-        sum(sobolev_norm_arr(grid, gz[j], N) ** 2 for j in range(grid.d))
-    )
+    out += smu * sobolev_norm_arr(grid, grad_arr(grid, zeta), N)
     if V is not None:
-        out += np.sqrt(sum(sobolev_norm_arr(grid, v, N) ** 2 for v in V))
-        gv2 = 0.0
-        for v in V:
-            gvi = _grad_stack(grid, v)
-            gv2 += sum(sobolev_norm_arr(grid, gvi[j], N) ** 2 for j in range(grid.d))
-        out += smu * np.sqrt(gv2)
+        out += sobolev_norm_arr(grid, V, N)
+        out += smu * sobolev_norm_arr(grid, grad_arr(grid, V), N)
     return float(out)
 
 
@@ -106,7 +100,7 @@ def _energy_theorem_arr(
 ) -> float:
     out = sobolev_norm_arr(grid, zeta, s) ** 2
     if V is not None:
-        out += sum(sobolev_norm_arr(grid, v, s) ** 2 for v in V)
+        out += sobolev_norm_arr(grid, V, s) ** 2
         out += mu * sobolev_norm_arr(grid, div_arr(grid, V), s) ** 2
     return float(out)
 
@@ -134,12 +128,6 @@ class DiagnosticsRecord:
     sup_U: float
     sup_gradU: float
     mode_amplitudes: Optional[np.ndarray] = None
-
-    @property
-    def is_finite(self) -> bool:
-        vals = [self.time, self.EN, self.E_bp, self.E_thm, self.sup_U, self.sup_gradU]
-        core = all(np.isfinite(v) or np.isnan(v) for v in vals)
-        return core
 
 
 def build_records(

@@ -39,11 +39,10 @@ from .errors import DryStateError, RegimeWarning
 from .operators import (
     OperatorHandle,
     _flat_inverse,
-    _grad_stack,
     build_handle,
     get_weighted_ops,
 )
-from .spectral import Field, Grid, VecField, trunc_arr
+from .spectral import Field, Grid, VecField, grad_arr, trunc_arr
 
 __all__ = [
     "MODELS",
@@ -165,6 +164,11 @@ def _identity(a: np.ndarray) -> np.ndarray:
 
 def _moll_spec(grid: Grid, delta: float, power: int) -> np.ndarray:
     return (1.0 + delta * grid.k2gamma) ** power
+
+
+def _div_trunc(g: Grid, flux: np.ndarray) -> np.ndarray:
+    """div of the 2/3-projected flux, fused into one inverse transform."""
+    return g.irfft(g.dealias_mask * (g.ik_stack * g.rfft(flux)).sum(axis=0))
 
 
 def _make_linear_flat_rhs(
@@ -294,21 +298,8 @@ def make_rhs(
 
     def _advect(spec: np.ndarray, Vt: np.ndarray) -> np.ndarray:
         """Dealiased (V.grad)V from the state's spectrum; (d, shape) out."""
-        rows = []
-        for i in range(g.d):
-            acc = Vt[0] * g.irfft(mask * (ik[0] * spec[1 + i]))
-            for j in range(1, g.d):
-                acc = acc + Vt[j] * g.irfft(mask * (ik[j] * spec[1 + i]))
-            rows.append(acc)
-        return g.irfft(mask * g.rfft(np.stack(rows)))
-
-    def _div_trunc(flux: np.ndarray) -> np.ndarray:
-        """div of the 2/3-projected flux, fused into one inverse transform."""
-        fspec = g.rfft(flux)
-        acc = ik[0] * fspec[0]
-        for j in range(1, g.d):
-            acc = acc + ik[j] * fspec[j]
-        return g.irfft(mask * acc)
+        jac = g.irfft(mask * g.ik_stack * spec[1:, None])  # jac[i, j] = T d_j V_i
+        return g.irfft(mask * g.rfft((Vt * jac).sum(axis=1)))
 
     def _moll_rows(rows: np.ndarray, mspec: np.ndarray) -> np.ndarray:
         return g.irfft(mspec * g.rfft(rows))
@@ -325,7 +316,7 @@ def make_rhs(
             Ut = g.irfft(mask * spec)
             Vt = Ut[1:]
             ht = hbt + eps * Ut[0]
-            dz = -_div_trunc(ht * Vt)
+            dz = -_div_trunc(g, ht * Vt)
             w = g.irfft(np.stack([ik[j] * spec[0] for j in range(g.d)]))
             if eps != 0.0:
                 w = w + eps * _advect(spec, Vt)
@@ -359,18 +350,14 @@ def make_rhs(
         spec = g.rfft(U)
         Ut = g.irfft(mask * spec)
         Vt = Ut[1:]
-        div_part = inv_hb * _div_trunc(hbt * Vt)
+        div_part = inv_hb * _div_trunc(g, hbt * Vt)
         if eps != 0.0:
-            gqt = g.irfft(np.stack([mask * (ik[j] * spec[0]) for j in range(g.d)]))
-            advq = Vt[0] * gqt[0]
-            for j in range(1, g.d):
-                advq = advq + Vt[j] * gqt[j]
+            advq = (Vt * g.irfft(mask * g.ik_stack * spec[0])).sum(axis=0)
             dq = -adv_coef * g.irfft(mask * g.rfft(advq)) - lam * div_part
         else:
             dq = -lam * div_part
         zeta = q_to_zeta_arr(q, eps, bath)
-        gz = _grad_stack(g, zeta)
-        w = lam * ops.w_hba(gz, mu)
+        w = lam * ops.w_hba(grad_arr(g, zeta), mu)
         if eps != 0.0:
             w = w + adv_coef * hb * _advect(spec, Vt)
         if delta > 0:
@@ -473,7 +460,6 @@ def time_derivative_stack(
     eps = params.eps
     mu = params.mu
     mask = g.dealias_mask
-    ik = g.ik
     ops = get_weighted_ops(bath)
     hb = bath.hb
     inv_hb = bath.inv_hb
@@ -486,43 +472,25 @@ def time_derivative_stack(
     if state.velocity is None:
         raise ValueError("mbp state needs a velocity")
 
-    def _div_trunc(flux: np.ndarray) -> np.ndarray:
-        fspec = g.rfft(flux)
-        acc = ik[0] * fspec[0]
-        for j in range(1, g.d):
-            acc = acc + ik[j] * fspec[j]
-        return g.irfft(mask * acc)
-
     def _vel_caches(V: np.ndarray):
         """Band-limited V and the projected Jacobian T(d_j V_i)."""
         spec = g.rfft(V)
-        Vt = g.irfft(mask * spec)
-        jac = g.irfft(
-            np.stack(
-                [[mask * (ik[j] * spec[i]) for j in range(g.d)] for i in range(g.d)]
-            )
-        )
-        return Vt, jac
+        return g.irfft(mask * spec), g.irfft(mask * g.ik_stack * spec[:, None])
 
     def _gradq_cache(q: np.ndarray) -> np.ndarray:
-        spec = g.rfft(q)
-        return g.irfft(np.stack([mask * (ik[j] * spec) for j in range(g.d)]))
+        return g.irfft(mask * g.ik_stack * g.rfft(q))
 
     q_c = [state.primary.samples]
     V_c = [np.stack(state.velocity.arrays())]
     z_c = [q_to_zeta_arr(q_c[0], eps, bath)]
     e_c = [np.exp(eps * q_c[0])] if eps != 0.0 else None
 
-    Vt_c = []
-    jac_c = []
-    gqt_c = [_gradq_cache(q_c[0])]
     Vt0, jac0 = _vel_caches(V_c[0])
-    Vt_c.append(Vt0)
-    jac_c.append(jac0)
+    Vt_c, jac_c, gqt_c = [Vt0], [jac0], [_gradq_cache(q_c[0])]
 
     for m in range(k_max):
         # scalar equation coefficient
-        div_part = inv_hb * _div_trunc(hbt * Vt_c[m])
+        div_part = inv_hb * _div_trunc(g, hbt * Vt_c[m])
         if eps != 0.0:
             advq = np.zeros(g.shape)
             for a in range(m + 1):
@@ -535,7 +503,7 @@ def time_derivative_stack(
         q_c.append(dq_m / (m + 1))
 
         # velocity equation coefficient
-        w = ops.w_hba(_grad_stack(g, z_c[m]), mu)
+        w = ops.w_hba(grad_arr(g, z_c[m]), mu)
         if eps != 0.0:
             adv = np.zeros((g.d,) + g.shape)
             for a in range(m + 1):

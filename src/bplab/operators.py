@@ -15,6 +15,11 @@ tails: every 2/3-rule product T(a * Tx) appears in self-adjoint pairings,
 zero-order coefficient multiplies stay plain pointwise products, and the
 grad-div block of A uses plain h_b products so that solutions of
 h_b*A u = h_b*grad f are exact discrete gradients.
+
+The applies stay in rfft space between products: each one runs four
+stacked transforms (inputs forward, band-limited divergences back,
+coefficient products forward, output spectra back), and takes a leading
+batch axis, so dense_matrix assembles DENSE_BLOCK identity columns per call.
 """
 
 from __future__ import annotations
@@ -29,8 +34,14 @@ from .errors import NotSPDError, SizeLimitError, SolverDivergenceError
 from .spectral import (
     Grid,
     VecField,
+    div_arr,
+    grad_arr,
+    l2_norm_arr,
     lambda_arr,
+    perp_div_arr,
+    sobolev_norm_arr,
     trunc_arr,
+    xs_norm,
 )
 
 __all__ = [
@@ -54,81 +65,104 @@ KINDS = ("I_plus_muTb", "hb_B", "hb_A")
 SOLVER_DENSE_LIMIT = 1024  # unknowns at or below this get a Cholesky factorization
 CG_TOL = 1e-10
 CG_MAXITER = 500
+DENSE_BLOCK = 64  # identity columns per batched apply in dense_matrix
 
 
 # ---------------------------------------------------------------------------
-# stacked-array helpers ((d, *grid.shape) layout, FFTs batched over rows)
-
-
-def _grad_stack(grid: Grid, a: np.ndarray) -> np.ndarray:
-    spec = grid.rfft(a)
-    return grid.irfft(np.stack([ik * spec for ik in grid.ik]))
-
-
-def _div_stack(grid: Grid, V: np.ndarray) -> np.ndarray:
-    spec = grid.rfft(V)
-    acc = grid.ik[0] * spec[0]
-    for j in range(1, grid.d):
-        acc = acc + grid.ik[j] * spec[j]
-    return grid.irfft(acc)
-
-
-def _perp_grad_stack(grid: Grid, a: np.ndarray) -> np.ndarray:
-    spec = grid.rfft(a)
-    return grid.irfft(np.stack([-grid.ik[1] * spec, grid.ik[0] * spec]))
-
-
-def _perp_div_stack(grid: Grid, V: np.ndarray) -> np.ndarray:
-    spec = grid.rfft(V)
-    return grid.irfft(-grid.ik[1] * spec[0] + grid.ik[0] * spec[1])
+# fused array core ((..., d, *grid.shape) layout, batched over leading axes)
 
 
 class _WeightedOps:
     """Array-level cores of the weighted operators for one bathymetry.
 
     Caches the band-limited coefficient fields once. All methods take and
-    return stacked (d, *shape) arrays.
+    return stacked (..., d, *shape) arrays; leading axes are a batch.
+    Every apply runs four stacked transforms: the inputs forward, the
+    band-limited divergences and V back, their coefficient products
+    forward, and the assembled output spectra back.
     """
 
     def __init__(self, bath: Bathymetry):
-        self.grid = bath.grid
-        self.bath = bath
-        g = self.grid
+        self.grid = g = bath.grid
         self.hb = bath.hb
         self.inv_hb = bath.inv_hb
         self.beta = bath.beta
-        self.z = np.stack(bath.grad_b)
+        self.z = bath.grad_b
         self.hb3_t = trunc_arr(g, self.hb**3)
         self.u_t = trunc_arr(g, self.hb**2 * self.z)
         self.invhb_t = trunc_arr(g, self.inv_hb)
+        self.beta2_hbz = self.beta**2 * self.hb * self.z
+        self.mik = g.dealias_mask * g.ik_stack
+
+    def _parts(self, V: np.ndarray, tb: bool, phi: bool, perp: bool):
+        """Fused transforms behind every weighted apply.
+
+        Returns (T, G): T = h_b*Tb V in its symmetric divergence form, with
+        perp_grad(perp_div V) subtracted when perp (which needs tb) is set,
+        and G = grad phi(V) for phi(V) = T((1/h_b)_t * T D(h_b V)), the
+        grad-div block. A part not asked for is None. Tb's pairings are
+        realized exactly: (1/3)<T hb^3 TDv, TDw> + beta^2 <hb (z.v), (z.w)>
+        - (beta/2)[<u_t.Tv, TDw> + <u_t.Tw, TDv>]. The h_b products of phi
+        stay plain so h_b*A u = h_b*grad f forces u = grad(f + mu*phi(u))
+        exactly.
+        """
+        g = self.grid
+        d = g.d
+        out_shape = V.shape
+        V = V.reshape((-1, d) + g.shape)
+        mask, mik, beta = g.dealias_mask, self.mik, self.beta
+        twist = tb and beta != 0.0
+
+        ins = ([V] if tb else []) + ([self.hb * V] if phi else [])
+        spec = g.rfft(np.concatenate(ins, axis=1))
+        Vs, HVs = spec[:, :d], spec[:, -d:]
+
+        back = []
+        if tb:
+            back.append((mik * Vs).sum(axis=1, keepdims=True))
+            if twist:
+                back.append(mask * Vs)
+        if phi:
+            back.append((mik * HVs).sum(axis=1, keepdims=True))
+        nod = g.irfft(np.concatenate(back, axis=1))
+
+        prods = []
+        if tb:
+            dv_t = nod[:, :1]
+            prods.append(self.hb3_t * dv_t)
+            if twist:
+                prods.append((self.u_t * nod[:, 1 : 1 + d]).sum(axis=1, keepdims=True))
+                prods.append(self.u_t * dv_t)
+        if phi:
+            prods.append(self.invhb_t * nod[:, -1:])
+        P = g.rfft(np.concatenate(prods, axis=1))
+
+        outs = []
+        if tb:
+            t_s = mik * (-(1.0 / 3.0) * P[:, :1])
+            if twist:
+                t_s = t_s + 0.5 * beta * (mik * P[:, 1:2] - mask * P[:, 2 : 2 + d])
+            if perp:
+                pk = g.ik_perp
+                t_s = t_s - pk * (pk * Vs).sum(axis=1, keepdims=True)
+            outs.append(t_s)
+        if phi:
+            outs.append(mik * P[:, -1:])
+        res = g.irfft(np.concatenate(outs, axis=1))
+
+        T, G = res[:, :d], res[:, -d:]
+        if twist:
+            T = T + self.beta2_hbz * (self.z * V).sum(axis=1, keepdims=True)
+        T = T.reshape(out_shape) if tb else None
+        return T, G.reshape(out_shape) if phi else None
 
     def tb(self, V: np.ndarray) -> np.ndarray:
-        """h_b*Tb in its symmetric divergence form.
-
-        Pairings realized exactly:  (1/3)<T hb^3 TDv, TDw>
-        - (beta/2)[<u_t.Tv, TDw> + <u_t.Tw, TDv>] + beta^2 <hb (z.v), (z.w)>.
-        """
-        g = self.grid
-        dv_t = trunc_arr(g, _div_stack(g, V))
-        out = -(1.0 / 3.0) * _grad_stack(g, trunc_arr(g, self.hb3_t * dv_t))
-        if self.beta != 0.0:
-            V_t = trunc_arr(g, V)
-            udotv = (self.u_t * V_t).sum(axis=0)
-            out = out + 0.5 * self.beta * _grad_stack(g, trunc_arr(g, udotv))
-            out = out - 0.5 * self.beta * trunc_arr(g, self.u_t * dv_t)
-            zdotv = (self.z * V).sum(axis=0)
-            out = out + self.beta**2 * self.hb * self.z * zdotv
-        return out
+        """h_b*Tb in its symmetric divergence form."""
+        return self._parts(V, True, False, False)[0]
 
     def gradphi(self, V: np.ndarray) -> np.ndarray:
-        """grad of phi(V) = T((1/h_b)_t * T D(h_b V)), the grad-div block.
-
-        h_b products stay plain so h_b*A u = h_b*grad f forces
-        u = grad(f + mu*phi(u)) exactly, keeping solutions curl-free.
-        """
-        g = self.grid
-        phi = trunc_arr(g, self.invhb_t * trunc_arr(g, _div_stack(g, self.hb * V)))
-        return _grad_stack(g, phi)
+        """grad of phi(V) = T((1/h_b)_t * T D(h_b V)), the grad-div block."""
+        return self._parts(V, False, True, False)[1]
 
     def w_imutb(self, V: np.ndarray, mu: float) -> np.ndarray:
         """Weighted apply h_b(I + mu*Tb)V."""
@@ -140,10 +174,8 @@ class _WeightedOps:
 
     def w_hbb(self, V: np.ndarray, mu: float) -> np.ndarray:
         """Weighted apply h_b*B V; the perp block is a plain multiplier."""
-        out = self.hb * V + mu * (self.tb(V) - self.hb * self.gradphi(V))
-        if self.grid.d == 2:
-            out = out - mu * _perp_grad_stack(self.grid, _perp_div_stack(self.grid, V))
-        return out
+        T, G = self._parts(V, True, True, self.grid.d == 2)
+        return self.hb * V + mu * (T - self.hb * G)
 
     def weighted(self, kind: str, V: np.ndarray, mu: float) -> np.ndarray:
         if kind == "I_plus_muTb":
@@ -214,15 +246,20 @@ def _flat_inverse(grid: Grid, kind: str, mu: float):
 
 
 def dense_matrix(apply_fn, grid: Grid) -> np.ndarray:
-    """Materialize a stacked-vector linear map column by column."""
+    """Materialize a stacked-vector linear map, DENSE_BLOCK columns per call.
+
+    apply_fn must take a leading batch axis, (k, d, *shape) -> (k, d, *shape);
+    it is applied to blocks of identity columns. Blocks bound the scratch
+    memory of one call, which a whole identity at once would multiply.
+    """
     size = grid.d * grid.n**grid.d
-    shape = (grid.d,) + grid.shape
     M = np.empty((size, size))
-    e = np.zeros(size)
-    for i in range(size):
-        e[i] = 1.0
-        M[:, i] = np.asarray(apply_fn(e.reshape(shape))).ravel()
-        e[i] = 0.0
+    for start in range(0, size, DENSE_BLOCK):
+        k = min(DENSE_BLOCK, size - start)
+        E = np.zeros((k, size))
+        E[:, start : start + k] = np.eye(k)
+        out = np.asarray(apply_fn(E.reshape((k, grid.d) + grid.shape)))
+        M[:, start : start + k] = out.reshape(k, size).T
     return M
 
 
@@ -293,7 +330,6 @@ class OperatorHandle:
                 fac = scipy.linalg.cho_factor(W, lower=True)
             except scipy.linalg.LinAlgError as exc:
                 raise NotSPDError(f"{kind} weighted matrix not SPD: {exc}") from exc
-            self._cho = fac
             self._inv = scipy.linalg.cho_solve(fac, np.eye(self.size))
         else:
             self.strategy = "pcg"
@@ -401,12 +437,8 @@ def _gram_apply(grid: Grid, kind: str, mu: float, V: np.ndarray) -> np.ndarray:
     X^0 (|v|^2 + mu*|div v|^2) for I_plus_muTb and hb_A, H^1 for hb_B.
     """
     if kind == "hb_B":
-        return np.stack([lambda_arr(grid, row, 2.0) for row in V])
-    return V - mu * _grad_stack(grid, _div_stack(grid, V))
-
-
-def _random_stack(grid: Grid, rng: np.random.Generator) -> np.ndarray:
-    return rng.standard_normal((grid.d,) + grid.shape)
+        return lambda_arr(grid, V, 2.0)
+    return V - mu * grad_arr(grid, div_arr(grid, V))
 
 
 def coercivity_report(
@@ -433,8 +465,7 @@ def coercivity_report(
     quotients = []
     sym = 0.0
     for _ in range(trials):
-        v = _random_stack(grid, rng)
-        w = _random_stack(grid, rng)
+        v, w = rng.standard_normal((2, grid.d) + grid.shape)
         Wv = handle.apply_weighted_arrays(v)
         Ww = handle.apply_weighted_arrays(w)
         num = float(np.vdot(Wv, v).real)
@@ -476,8 +507,6 @@ def gradient_control_report(
     """
     if handle.kind != "hb_A":
         raise ValueError("gradient control audit requires an hb_A handle")
-    from .spectral import sobolev_norm_arr, xs_norm
-
     rng = rng or np.random.default_rng(0)
     grid = handle.grid
     mu = handle.mu
@@ -485,7 +514,7 @@ def gradient_control_report(
     for _ in range(trials):
         spec = grid.rfft(rng.standard_normal(grid.shape))
         g = grid.irfft(spec / (1.0 + grid.k2gamma) ** 2)
-        u = handle.solve_arrays(_grad_stack(grid, g))
+        u = handle.solve_arrays(grad_arr(grid, g))
         num = np.sqrt(mu) * xs_norm(VecField.from_arrays(grid, u), s, mu)
         den = sobolev_norm_arr(grid, g, s)
         ratios.append(float(num / den))
@@ -500,10 +529,8 @@ def perp_structure_residual(handle: OperatorHandle, f: np.ndarray) -> float:
     """
     if handle.kind != "hb_A":
         raise ValueError("perp structure audit requires an hb_A handle")
-    from .spectral import l2_norm_arr, sobolev_norm_arr
-
     grid = handle.grid
-    u = handle.solve_arrays(handle.ops.hb * _grad_stack(grid, f))
-    num = l2_norm_arr(grid, _perp_div_stack(grid, u)) if grid.d == 2 else 0.0
+    u = handle.solve_arrays(handle.ops.hb * grad_arr(grid, f))
+    num = l2_norm_arr(grid, perp_div_arr(grid, u)) if grid.d == 2 else 0.0
     den = np.sqrt(sum(sobolev_norm_arr(grid, row, 1.0) ** 2 for row in u))
     return float(num / den) if den > 0 else 0.0

@@ -131,6 +131,16 @@ class Grid:
         return [np.imag(m) for m in self.ik]
 
     @cached_property
+    def ik_stack(self) -> np.ndarray:
+        """The d multipliers ik stacked on a leading axis: (d, *rshape)."""
+        return np.stack(np.broadcast_arrays(*self.ik))
+
+    @cached_property
+    def ik_perp(self) -> np.ndarray:
+        """Rotated multipliers (-i*gamma*k2, i*k1) of perp_grad: (2, *rshape), d=2."""
+        return np.stack([-self.ik_stack[1], self.ik_stack[0]])
+
+    @cached_property
     def k2deriv(self) -> np.ndarray:
         """|k^gamma|^2 as realized by the derivative multipliers."""
         out = np.zeros(self.rshape)
@@ -231,30 +241,32 @@ def dprod(grid: Grid, a, b, a_clean: bool = False, b_clean: bool = False):
     return trunc_arr(grid, ta * tb)
 
 
-def grad_arr(grid: Grid, a: np.ndarray) -> list[np.ndarray]:
-    spec = grid.rfft(a)
-    return [grid.irfft(ik * spec) for ik in grid.ik]
+def grad_arr(grid: Grid, a: np.ndarray) -> np.ndarray:
+    """Twisted gradient: (..., *shape) -> (..., d, *shape), one transform pair."""
+    spec = np.expand_dims(grid.rfft(a), -(grid.d + 1))
+    return grid.irfft(grid.ik_stack * spec)
 
 
-def div_arr(grid: Grid, comps) -> np.ndarray:
-    acc = grid.ik[0] * grid.rfft(comps[0])
-    for ik, c in zip(grid.ik[1:], comps[1:]):
-        acc = acc + ik * grid.rfft(c)
-    return grid.irfft(acc)
+def div_arr(grid: Grid, V) -> np.ndarray:
+    """Twisted divergence, reducing axis -(d+1): (..., d, *shape) -> (..., *shape)."""
+    spec = grid.rfft(np.asarray(V))
+    return grid.irfft((grid.ik_stack * spec).sum(axis=-(grid.d + 1)))
 
 
-def perp_grad_arr(grid: Grid, a: np.ndarray) -> list[np.ndarray]:
+def perp_grad_arr(grid: Grid, a: np.ndarray) -> np.ndarray:
+    """Rotated gradient (..., *shape) -> (..., d, *shape); zero in d=1."""
     if grid.d == 1:
-        return [np.zeros_like(a)]
-    spec = grid.rfft(a)
-    return [grid.irfft(-grid.ik[1] * spec), grid.irfft(grid.ik[0] * spec)]
+        return np.zeros_like(np.expand_dims(a, -2))
+    spec = np.expand_dims(grid.rfft(a), -3)
+    return grid.irfft(grid.ik_perp * spec)
 
 
-def perp_div_arr(grid: Grid, comps) -> np.ndarray:
+def perp_div_arr(grid: Grid, V) -> np.ndarray:
+    """Rotated divergence, reducing axis -(d+1); zero in d=1."""
+    V = np.asarray(V)
     if grid.d == 1:
-        return np.zeros_like(comps[0])
-    spec = -grid.ik[1] * grid.rfft(comps[0]) + grid.ik[0] * grid.rfft(comps[1])
-    return grid.irfft(spec)
+        return np.zeros_like(V[..., 0, :])
+    return grid.irfft((grid.ik_perp * grid.rfft(V)).sum(axis=-3))
 
 
 def lambda_arr(grid: Grid, a: np.ndarray, s: float) -> np.ndarray:

@@ -2,9 +2,9 @@
 
 Everything here exists to cross-check the spectral fast paths, so the
 implementations deliberately avoid sharing code with them: matrices are
-materialized column by column through the public applies, derivatives come
-from centered stencils, and reference trajectories halve the step until
-they are trusted.
+materialized through the public applies, one block of identity columns per
+batched call, derivatives come from centered stencils, and reference
+trajectories halve the step until they are trusted.
 """
 
 from __future__ import annotations

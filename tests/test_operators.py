@@ -6,6 +6,7 @@ import pytest
 from bplab.bathymetry import build_bathymetry
 from bplab.operators import (
     OperatorHandle,
+    _gram_apply,
     apply_A,
     apply_B,
     apply_Tb,
@@ -21,10 +22,12 @@ from bplab.operators import (
 from bplab.spectral import (
     Grid,
     VecField,
+    div_arr,
     field_from_function,
-    grad_gamma,
-    inner,
-    perp_div,
+    grad_arr,
+    perp_div_arr,
+    perp_grad_arr,
+    trunc_arr,
 )
 from bplab.verification import assemble_dense, eig_extrema
 
@@ -250,9 +253,7 @@ class TestStructure:
         handle = build_handle("hb_A", 0.1, BUMP2)
         rng = np.random.default_rng(8)
         u = handle.solve_arrays(rng.standard_normal((2,) + G2.shape))
-        from bplab.operators import _perp_div_stack
-
-        assert np.max(np.abs(_perp_div_stack(G2, u))) > 1e-6
+        assert np.max(np.abs(perp_div_arr(G2, u))) > 1e-6
 
     def test_gradient_control_ratios_logged(self):
         handle = build_handle("hb_A", 0.1, BUMP1)
@@ -264,3 +265,87 @@ class TestStructure:
     def test_gradient_control_requires_hbA(self):
         with pytest.raises(ValueError):
             gradient_control_report(build_handle("hb_B", 0.1, BUMP1))
+
+
+# ---------------------------------------------------------------------------
+# fused, batched core against a plain reference built from the spectral helpers
+
+
+def _reference_weighted(kind, V, mu, bath):
+    """The weighted applies term by term, one truncation or derivative at a time."""
+    g, hb, beta = bath.grid, bath.hb, bath.beta
+    z = bath.grad_b
+    hb3_t = trunc_arr(g, hb**3)
+    u_t = trunc_arr(g, hb**2 * z)
+    invhb_t = trunc_arr(g, 1.0 / hb)
+
+    def tb(V):
+        dv_t = trunc_arr(g, div_arr(g, V))
+        out = -(1.0 / 3.0) * grad_arr(g, trunc_arr(g, hb3_t * dv_t))
+        udotv = (u_t * trunc_arr(g, V)).sum(axis=0)
+        out = out + 0.5 * beta * grad_arr(g, trunc_arr(g, udotv))
+        out = out - 0.5 * beta * trunc_arr(g, u_t * dv_t)
+        return out + beta**2 * hb * z * (z * V).sum(axis=0)
+
+    def gradphi(V):
+        return grad_arr(g, trunc_arr(g, invhb_t * trunc_arr(g, div_arr(g, hb * V))))
+
+    if kind == "I_plus_muTb":
+        return hb * V + mu * tb(V)
+    if kind == "hb_A":
+        return hb * (V - mu * gradphi(V))
+    out = hb * V + mu * (tb(V) - hb * gradphi(V))
+    return out - mu * perp_grad_arr(g, perp_div_arr(g, V))
+
+
+def _bump(grid, beta):
+    return build_bathymetry(
+        grid, "gaussian_bump", beta=beta, params={"height": 1.0, "width": 2 * np.pi / 8}
+    )
+
+
+def _rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+class TestFusedCore:
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    @pytest.mark.parametrize("grid", [G1, G2], ids=["d1", "d2"])
+    @pytest.mark.parametrize("kind", ["I_plus_muTb", "hb_B", "hb_A"])
+    def test_fused_apply_matches_reference(self, kind, grid, beta):
+        bath = _bump(grid, beta)
+        V = np.random.default_rng(11).standard_normal((grid.d,) + grid.shape)
+        got = build_handle(kind, 0.1, bath).apply_weighted_arrays(V)
+        assert _rel(got, _reference_weighted(kind, V, 0.1, bath)) <= 1e-13
+
+    @pytest.mark.parametrize("bath", [BUMP1, BUMP2], ids=["d1", "d2"])
+    @pytest.mark.parametrize("kind", ["I_plus_muTb", "hb_B", "hb_A"])
+    def test_batch_equals_single_applies(self, bath, kind):
+        handle = build_handle(kind, 0.1, bath)
+        grid = bath.grid
+        batch = np.random.default_rng(12).standard_normal((3, grid.d) + grid.shape)
+        got = handle.apply_weighted_arrays(batch)
+        assert got.shape == batch.shape
+        for k in range(3):
+            want = handle.apply_weighted_arrays(batch[k])
+            assert np.max(np.abs(got[k] - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("bath", [BUMP1, BUMP2], ids=["d1", "d2"])
+    @pytest.mark.parametrize("kind", ["I_plus_muTb", "hb_B", "hb_A", "gram_X0", "gram_H1"])
+    def test_blocked_dense_matches_column_assembly(self, bath, kind):
+        # G1 has 32 unknowns (one partial block), G2 has 512 (eight full blocks)
+        grid = bath.grid
+        M = assemble_dense(kind, 0.1, bath)
+        if kind.startswith("gram"):
+            gram_kind = "hb_A" if kind == "gram_X0" else "hb_B"
+            apply_fn = lambda V: _gram_apply(grid, gram_kind, 0.1, V)  # noqa: E731
+        else:
+            apply_fn = build_handle(kind, 0.1, bath).apply_weighted_arrays
+        size = M.shape[0]
+        cols = np.empty_like(M)
+        e = np.zeros(size)
+        for i in range(size):
+            e[i] = 1.0
+            cols[:, i] = apply_fn(e.reshape((grid.d,) + grid.shape)).ravel()
+            e[i] = 0.0
+        assert np.max(np.abs(M - cols)) <= 1e-14 * np.max(np.abs(cols))

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from bplab.bathymetry import build_bathymetry
+from bplab.diagnostics import build_records
 from bplab.errors import CFLWarning
-from bplab.models import ModelParams, ModelState, make_rhs
+from bplab.models import ModelParams, ModelState, build_handles, make_rhs
 from bplab.spectral import Field, Grid, VecField
 from bplab.timeloop import CFL_LIMITS, SCHEMES, StepperConfig, Trajectory, run, step
 from bplab.verification import reference_trajectory
@@ -270,3 +271,28 @@ def test_step_rejects_row_mismatch():
     bundle = make_rhs(params, FLAT1)
     with pytest.raises(ValueError):
         step(_mode_state(G1), bundle, StepperConfig(dt=1e-2, t_end=1.0))
+
+
+def test_pcg_time_loop_conserves_linear_bp_energy():
+    # d=2 n=32 over a bump has 2048 velocity unknowns, above the dense
+    # limit, so every velocity solve of the run goes through CG
+    g = Grid(d=2, n=32, L=8.0 * np.pi, gamma=0.8)
+    bath = build_bathymetry(g, "gaussian_bump", 0.5)
+    params = ModelParams(eps=0.0, mu=0.05, model="bp")
+    handles = build_handles(params, bath)
+    handle = handles["I_plus_muTb"]
+    assert handle.strategy == "pcg"
+
+    # a periodic gaussian hump at rest, on the bump's slope
+    r2 = sum(((x - 0.25 * g.L) % g.L - 0.5 * g.L) ** 2 for x in g.x)
+    zeta = 0.3 * np.exp(-0.5 * r2 / 9.0)
+    state = ModelState(Field(g, zeta), VecField.from_arrays(g, [np.zeros(g.shape)] * 2))
+    traj = run(state, params, bath, StepperConfig(dt=0.05, t_end=0.5), handles)
+    assert traj.termination == "completed" and traj.steps_taken == 10
+
+    e_bp = np.array([r.E_bp for r in build_records(traj, bath, N=3)])
+    assert np.abs(e_bp - e_bp[0]).max() / e_bp[0] <= 1e-6
+
+    rhs = np.random.default_rng(0).standard_normal((2,) + g.shape)
+    back = handle.apply_arrays(handle.solve_arrays(rhs))
+    assert np.abs(back - rhs).max() / np.abs(rhs).max() <= 1e-9
