@@ -32,8 +32,7 @@ from .spectral import (
     VecField,
     div_arr,
     grad_arr,
-    quad_inner_arr,
-    sobolev_norm_arr,
+    lambda_arr,
 )
 
 __all__ = [
@@ -54,35 +53,47 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # energies
+#
+# The array cores take a leading record axis: zeta is (R, *shape) and V is
+# (R, d, *shape), and each returns one value per record, so a whole
+# trajectory is evaluated with a few stacked transforms per chunk.
 
 
-def _energy_bp_arr(
+def _norms(grid: Grid, a: np.ndarray, s: float) -> np.ndarray:
+    """Per-record |a|_{H^s}; a record's trailing axes are one stacked norm."""
+    if s != 0:
+        a = lambda_arr(grid, a, s)
+    sq = (a * a).reshape(a.shape[0], -1).sum(axis=1)
+    return np.sqrt(sq * grid.dx**grid.d)
+
+
+def _energy_bp_batch(
     zeta: np.ndarray, V: np.ndarray, mu: float, bath: Bathymetry
-) -> float:
+) -> np.ndarray:
     g = bath.grid
-    ops = get_weighted_ops(bath)
-    wv = ops.w_imutb(V, mu)
-    kinetic = sum(quad_inner_arr(g, wv[j], V[j]) for j in range(g.d))
-    potential = quad_inner_arr(g, zeta, zeta)
-    return 0.5 * potential + 0.5 * kinetic
+    wv = get_weighted_ops(bath).w_imutb(V, mu)
+    kinetic = (wv * V).reshape(V.shape[0], -1).sum(axis=1)
+    potential = (zeta * zeta).reshape(zeta.shape[0], -1).sum(axis=1)
+    return 0.5 * (potential + kinetic) * g.dx**g.d
 
 
 def energy_bp(zeta: Field, vbar: VecField, mu: float, bath: Bathymetry) -> float:
     """Quadratic energy of the dispersive system; conserved on flat linear runs."""
-    return _energy_bp_arr(zeta.samples, np.stack(vbar.arrays()), mu, bath)
+    V = np.stack(vbar.arrays())
+    return float(_energy_bp_batch(zeta.samples[None], V[None], mu, bath)[0])
 
 
-def _energy_EN_arr(
+def _energy_EN_batch(
     grid: Grid, zeta: np.ndarray, V: Optional[np.ndarray], mu: float, N: float
-) -> float:
+) -> np.ndarray:
     # a stacked array's norm is the root of its rows' squared norms
     smu = np.sqrt(mu)
-    out = sobolev_norm_arr(grid, zeta, N)
-    out += smu * sobolev_norm_arr(grid, grad_arr(grid, zeta), N)
+    out = _norms(grid, zeta, N)
+    out += smu * _norms(grid, grad_arr(grid, zeta), N)
     if V is not None:
-        out += sobolev_norm_arr(grid, V, N)
-        out += smu * sobolev_norm_arr(grid, grad_arr(grid, V), N)
-    return float(out)
+        out += _norms(grid, V, N)
+        out += smu * _norms(grid, grad_arr(grid, V), N)
+    return out
 
 
 def energy_EN(
@@ -91,30 +102,32 @@ def energy_EN(
     """Layered H^N energy; the gradient blocks carry the sqrt(mu) weight."""
     if N < 0:
         raise ValueError("N must be nonnegative")
-    V = None if vbar is None else np.stack(vbar.arrays())
-    return _energy_EN_arr(zeta.grid, zeta.samples, V, mu, N)
+    V = None if vbar is None else np.stack(vbar.arrays())[None]
+    return float(_energy_EN_batch(zeta.grid, zeta.samples[None], V, mu, N)[0])
 
 
-def _energy_theorem_arr(
+def _energy_theorem_batch(
     grid: Grid, zeta: np.ndarray, V: Optional[np.ndarray], mu: float, s: float
-) -> float:
-    out = sobolev_norm_arr(grid, zeta, s) ** 2
+) -> np.ndarray:
+    out = _norms(grid, zeta, s) ** 2
     if V is not None:
-        out += sobolev_norm_arr(grid, V, s) ** 2
-        out += mu * sobolev_norm_arr(grid, div_arr(grid, V), s) ** 2
-    return float(out)
+        out += _norms(grid, V, s) ** 2
+        out += mu * _norms(grid, div_arr(grid, V), s) ** 2
+    return out
 
 
 def energy_theorem_E(
     zeta: Field, vbar: Optional[VecField], mu: float, s: float = 3.0
 ) -> float:
     """Squared state size |U|_{H^s}^2 + mu*|div V|_{H^s}^2 (no root taken)."""
-    V = None if vbar is None else np.stack(vbar.arrays())
-    return _energy_theorem_arr(zeta.grid, zeta.samples, V, mu, s)
+    V = None if vbar is None else np.stack(vbar.arrays())[None]
+    return float(_energy_theorem_batch(zeta.grid, zeta.samples[None], V, mu, s)[0])
 
 
 # ---------------------------------------------------------------------------
 # per-record assembly
+
+RECORD_CHUNK_POINTS = 1 << 14  # grid values per stacked chunk of build_records
 
 
 @dataclass(frozen=True)
@@ -137,7 +150,8 @@ def build_records(
 
     The log-variable scalar is converted to the surface before every
     energy; Burgers has no surface or velocity, so its E_bp is NaN and its
-    other energies use the profile alone.
+    other energies use the profile alone. Records are evaluated in stacked
+    chunks of about RECORD_CHUNK_POINTS grid values.
     """
     if s is None:
         s = N
@@ -145,24 +159,33 @@ def build_records(
     model = traj.params.model
     mu = traj.params.mu
     eps = traj.params.eps
-    out = []
-    for i, U in enumerate(traj.states):
-        scalar = U[0]
-        V = U[1:] if U.shape[0] > 1 else None
+    n_rec = len(traj.states)
+    if n_rec == 0:
+        return []
+    rows = traj.states[0].size
+    chunk = max(1, RECORD_CHUNK_POINTS // rows)
+    en, ethm, ebp = (np.empty(n_rec) for _ in range(3))
+    for lo in range(0, n_rec, chunk):
+        hi = min(lo + chunk, n_rec)
+        U = np.stack(traj.states[lo:hi])
+        scalar = U[:, 0]
+        V = U[:, 1:] if U.shape[1] > 1 else None
         if model == "mbp":
             scalar = q_to_zeta_arr(scalar, eps, bath)
-        en = _energy_EN_arr(g, scalar, V, mu, N)
-        ethm = _energy_theorem_arr(g, scalar, V, mu, s)
-        ebp = np.nan if V is None else _energy_bp_arr(scalar, V, mu, bath)
+        en[lo:hi] = _energy_EN_batch(g, scalar, V, mu, N)
+        ethm[lo:hi] = _energy_theorem_batch(g, scalar, V, mu, s)
+        ebp[lo:hi] = np.nan if V is None else _energy_bp_batch(scalar, V, mu, bath)
+    out = []
+    for i in range(n_rec):
         amps = None
         if traj.mode_history is not None:
             amps = np.abs(traj.mode_history[i])
         out.append(
             DiagnosticsRecord(
                 time=float(traj.times[i]),
-                EN=en,
-                E_bp=ebp,
-                E_thm=ethm,
+                EN=float(en[i]),
+                E_bp=float(ebp[i]),
+                E_thm=float(ethm[i]),
                 sup_U=float(traj.sup_u[i]),
                 sup_gradU=float(traj.sup_grad_u[i]),
                 mode_amplitudes=amps,
