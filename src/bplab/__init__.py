@@ -3,9 +3,12 @@
 Periodic pseudospectral discretizations of a shallow-water / Boussinesq-
 Peregrine model family, the elliptic operators their velocity equations
 invert, energy diagnostics, and a small scenario driver for reproducible
-experiments. The usual entry points:
+experiments. Grid functions are plain numpy arrays throughout; a model
+state is one stacked array U = (zeta or q, V) of shape (1 + d,
+*grid.shape), held with its grid and time by ModelState. The usual entry
+points:
 
-    from bplab import Grid, ModelParams, StepperConfig, run
+    from bplab import Grid, ModelParams, ModelState, StepperConfig, run
     bplab run --config configs/dispersion.yaml        (installed CLI)
 """
 
@@ -14,9 +17,9 @@ from .bathymetry import (
     Bathymetry,
     build_bathymetry,
     q_positivity_factor,
-    q_to_zeta,
+    q_to_zeta_arr,
     water_height,
-    zeta_to_q,
+    zeta_to_q_arr,
 )
 from .diagnostics import (
     DiagnosticsRecord,
@@ -59,7 +62,7 @@ from .scenarios import (
     load_config,
     run_scenario,
 )
-from .spectral import Field, Grid, VecField, inner, l2_norm, sobolev_norm
+from .spectral import Grid
 from .timeloop import CFL_LIMITS, TERMINATIONS, StepperConfig, Trajectory, run, step
 
 __version__ = "0.1.0"
@@ -73,7 +76,6 @@ __all__ = [
     "DiagnosticsRecord",
     "DryStateError",
     "ExperimentConfig",
-    "Field",
     "Grid",
     "InsufficientSamplesError",
     "KINDS",
@@ -93,7 +95,6 @@ __all__ = [
     "StepperConfig",
     "TERMINATIONS",
     "Trajectory",
-    "VecField",
     "build_bathymetry",
     "build_handle",
     "build_handles",
@@ -105,19 +106,16 @@ __all__ = [
     "energy_theorem_E",
     "estimate_order",
     "exact_dispersion",
-    "inner",
-    "l2_norm",
     "load_config",
     "make_rhs",
     "max_linear_frequency",
     "measure_dispersion",
     "q_positivity_factor",
-    "q_to_zeta",
+    "q_to_zeta_arr",
     "run",
     "run_scenario",
-    "sobolev_norm",
     "step",
     "water_height",
-    "zeta_to_q",
+    "zeta_to_q_arr",
     "__version__",
 ]

@@ -18,14 +18,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AdmissibilityWarning, LogDomainError, NonpositiveDepthError
-from .spectral import Field, Grid, VecField, grad_arr
+from .spectral import Grid, grad_arr
 
 __all__ = [
     "Bathymetry",
     "build_bathymetry",
     "water_height",
-    "zeta_to_q",
-    "q_to_zeta",
+    "zeta_to_q_arr",
+    "q_to_zeta_arr",
     "q_positivity_factor",
     "PROFILES",
 ]
@@ -89,19 +89,26 @@ PROFILES = {
 class Bathymetry:
     """Bottom profile b with its rest-height caches.
 
-    Stores h_b = 1 - beta*b, its twisted gradient, and the powers the
-    dispersive operators consume. Construction fails if min h_b <= 0.
+    b is copied on construction and frozen, because h_b and the weighted
+    operator cores are cached per Bathymetry object. Stores h_b = 1 - beta*b,
+    the twisted gradient of b, and the powers the dispersive operators
+    consume. Construction fails if min h_b <= 0.
     """
 
     grid: Grid
     beta: float
-    b: Field
+    b: np.ndarray
 
     def __post_init__(self):
         if self.beta < 0:
             raise ValueError("beta must be nonnegative")
-        if self.b.grid != self.grid:
-            raise ValueError("profile grid mismatch")
+        b = np.array(self.b, dtype=float, copy=True)
+        if b.shape != self.grid.shape:
+            raise ValueError(
+                f"profile shape {b.shape} does not match grid {self.grid.shape}"
+            )
+        b.setflags(write=False)
+        object.__setattr__(self, "b", b)
         if self.h_min <= 0.0:
             raise NonpositiveDepthError(
                 f"rest height min(1 - beta*b) = {self.h_min:.6g} is not positive"
@@ -109,7 +116,7 @@ class Bathymetry:
 
     @cached_property
     def hb(self) -> np.ndarray:
-        return 1.0 - self.beta * self.b.samples
+        return 1.0 - self.beta * self.b
 
     @cached_property
     def h_min(self) -> float:
@@ -122,34 +129,30 @@ class Bathymetry:
     @cached_property
     def grad_b(self) -> np.ndarray:
         """Twisted gradient of the raw profile b."""
-        return grad_arr(self.grid, self.b.samples)
-
-    @cached_property
-    def grad_hb(self) -> VecField:
-        return VecField.from_arrays(self.grid, [-self.beta * g for g in self.grad_b])
+        return grad_arr(self.grid, self.b)
 
     @property
     def is_flat(self) -> bool:
-        return self.beta == 0.0 or not np.any(self.b.samples)
+        return self.beta == 0.0 or not np.any(self.b)
 
 
 def build_bathymetry(grid: Grid, profile: str, beta: float, params=None) -> Bathymetry:
     """Construct a named bottom profile; raises NonpositiveDepthError if drowned."""
     if profile not in PROFILES:
         raise ValueError(f"unknown profile '{profile}', choose from {sorted(PROFILES)}")
-    b = Field(grid, PROFILES[profile](grid, dict(params or {})))
+    b = PROFILES[profile](grid, dict(params or {}))
     return Bathymetry(grid=grid, beta=beta, b=b)
 
 
-def water_height(zeta: Field, eps: float, bath: Bathymetry):
+def water_height(zeta: np.ndarray, eps: float, bath: Bathymetry):
     """Total column h = 1 + eps*zeta - beta*b.
 
     Never raises: returns (h, dry) where dry flags min h <= 0 so the caller
     decides whether that terminates a run.
     """
-    h = bath.hb + eps * zeta.samples
+    h = bath.hb + eps * zeta
     dry = bool(h.min() <= 0.0)
-    return Field(zeta.grid, h), dry
+    return h, dry
 
 
 def _check_admissibility(ratio_min: float) -> None:
@@ -167,6 +170,7 @@ def _check_admissibility(ratio_min: float) -> None:
 
 
 def zeta_to_q_arr(zeta: np.ndarray, eps: float, bath: Bathymetry) -> np.ndarray:
+    """Forward log variable q = log(1 + eps*zeta/h_b)/eps; zeta/h_b at eps=0."""
     x = eps * zeta * bath.inv_hb
     _check_admissibility(float(1.0 + x.min()))
     if eps == 0.0:
@@ -175,34 +179,24 @@ def zeta_to_q_arr(zeta: np.ndarray, eps: float, bath: Bathymetry) -> np.ndarray:
 
 
 def q_to_zeta_arr(q: np.ndarray, eps: float, bath: Bathymetry) -> np.ndarray:
+    """Inverse map zeta = h_b*(exp(eps*q) - 1)/eps; h_b*q at eps=0. Total."""
     if eps == 0.0:
         return bath.hb * q
     return bath.hb * np.expm1(eps * q) / eps
 
 
-def zeta_to_q(zeta: Field, eps: float, bath: Bathymetry) -> Field:
-    """Forward log variable q = log(1 + eps*zeta/h_b)/eps; zeta/h_b at eps=0."""
-    return Field(zeta.grid, zeta_to_q_arr(zeta.samples, eps, bath))
-
-
-def q_to_zeta(q: Field, eps: float, bath: Bathymetry) -> Field:
-    """Inverse map zeta = h_b*(exp(eps*q) - 1)/eps; h_b*q at eps=0. Total."""
-    return Field(q.grid, q_to_zeta_arr(q.samples, eps, bath))
-
-
-def q_positivity_factor(zeta: Field, eps: float, bath: Bathymetry) -> Field:
+def q_positivity_factor(zeta: np.ndarray, eps: float, bath: Bathymetry) -> np.ndarray:
     """Pointwise factor Q(zeta) with q = Q(zeta)*zeta.
 
     Closed form log1p(eps*zeta/h_b)/(eps*zeta), strictly positive on the
     admissible set; the eps*zeta -> 0 limit is 1/h_b.
     """
-    x = eps * zeta.samples * bath.inv_hb
+    x = eps * zeta * bath.inv_hb
     _check_admissibility(float(1.0 + x.min()))
     small = np.abs(x) < 1e-12
     safe = np.where(small, 1.0, x)
-    factor = np.where(
+    return np.where(
         small,
         bath.inv_hb * (1.0 - 0.5 * x),
         np.log1p(safe) / (safe * bath.hb),
     )
-    return Field(zeta.grid, factor)

@@ -8,8 +8,9 @@ numbers come out. The three energies written to run diagnostics are
                       + |V|_{H^N} + sqrt(mu)*|grad V|_{H^N}
     energy_theorem_E  |zeta|_{H^s}^2 + |V|_{H^s}^2 + mu*|div V|_{H^s}^2
 
-all on the surface/velocity pair; trajectories of the log-variable system
-are converted back to the surface before evaluation.
+all on the surface/velocity pair, given as arrays: zeta (*grid.shape)
+and V (d, *grid.shape). Trajectories of the log-variable system are
+converted back to the surface before evaluation.
 """
 
 from __future__ import annotations
@@ -26,14 +27,7 @@ from .errors import (
     NoShockError,
 )
 from .operators import get_weighted_ops
-from .spectral import (
-    Field,
-    Grid,
-    VecField,
-    div_arr,
-    grad_arr,
-    lambda_arr,
-)
+from .spectral import Grid, div_arr, grad_arr, lambda_arr
 
 __all__ = [
     "DiagnosticsRecord",
@@ -77,10 +71,9 @@ def _energy_bp_batch(
     return 0.5 * (potential + kinetic) * g.dx**g.d
 
 
-def energy_bp(zeta: Field, vbar: VecField, mu: float, bath: Bathymetry) -> float:
+def energy_bp(zeta: np.ndarray, V: np.ndarray, mu: float, bath: Bathymetry) -> float:
     """Quadratic energy of the dispersive system; conserved on flat linear runs."""
-    V = np.stack(vbar.arrays())
-    return float(_energy_bp_batch(zeta.samples[None], V[None], mu, bath)[0])
+    return float(_energy_bp_batch(zeta[None], V[None], mu, bath)[0])
 
 
 def _energy_EN_batch(
@@ -97,13 +90,13 @@ def _energy_EN_batch(
 
 
 def energy_EN(
-    zeta: Field, vbar: Optional[VecField], mu: float, N: float = 3.0
+    grid: Grid, zeta: np.ndarray, V: Optional[np.ndarray], mu: float, N: float = 3.0
 ) -> float:
     """Layered H^N energy; the gradient blocks carry the sqrt(mu) weight."""
     if N < 0:
         raise ValueError("N must be nonnegative")
-    V = None if vbar is None else np.stack(vbar.arrays())[None]
-    return float(_energy_EN_batch(zeta.grid, zeta.samples[None], V, mu, N)[0])
+    V = None if V is None else V[None]
+    return float(_energy_EN_batch(grid, zeta[None], V, mu, N)[0])
 
 
 def _energy_theorem_batch(
@@ -117,11 +110,11 @@ def _energy_theorem_batch(
 
 
 def energy_theorem_E(
-    zeta: Field, vbar: Optional[VecField], mu: float, s: float = 3.0
+    grid: Grid, zeta: np.ndarray, V: Optional[np.ndarray], mu: float, s: float = 3.0
 ) -> float:
     """Squared state size |U|_{H^s}^2 + mu*|div V|_{H^s}^2 (no root taken)."""
-    V = None if vbar is None else np.stack(vbar.arrays())[None]
-    return float(_energy_theorem_batch(zeta.grid, zeta.samples[None], V, mu, s)[0])
+    V = None if V is None else V[None]
+    return float(_energy_theorem_batch(grid, zeta[None], V, mu, s)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +286,11 @@ def estimate_order(pairs: Sequence) -> float:
 # gradient blow-up
 
 
-def burgers_shock_time(u0: Field, eps: float) -> float:
+def burgers_shock_time(grid: Grid, u0: np.ndarray, eps: float) -> float:
     """Characteristics-crossing time -1/(eps*min u0') of the transport flow."""
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    slope_min = float(grad_arr(u0.grid, u0.samples)[0].min())
+    slope_min = float(grad_arr(grid, u0)[0].min())
     if eps == 0.0 or slope_min >= 0.0:
         raise NoShockError(
             "no characteristics cross: eps = 0 or u0 is nondecreasing"

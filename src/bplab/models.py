@@ -2,7 +2,8 @@
 
 State is a stacked array U of shape (m, *grid.shape): row 0 is the primary
 scalar (surface zeta, log-depth q, or the Burgers profile u), rows 1..d the
-velocity. The systems, over depth h_b = 1 - beta*b and h = h_b + eps*zeta:
+velocity; ModelState holds one with its grid and time. The systems, over
+depth h_b = 1 - beta*b and h = h_b + eps*zeta:
 
     sw       d_t zeta = -div(h V)
              d_t V    = -grad zeta - eps (V.grad)V
@@ -34,15 +35,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bathymetry import Bathymetry, build_bathymetry, q_to_zeta_arr
+from .bathymetry import Bathymetry, q_to_zeta_arr
 from .errors import DryStateError, RegimeWarning
-from .operators import (
-    OperatorHandle,
-    _flat_inverse,
-    build_handle,
-    get_weighted_ops,
-)
-from .spectral import Field, Grid, VecField, grad_arr, trunc_arr
+from .operators import OperatorHandle, build_handle, get_weighted_ops
+from .spectral import Grid, grad_arr, trunc_arr
 
 __all__ = [
     "MODELS",
@@ -51,10 +47,6 @@ __all__ = [
     "RHSBundle",
     "build_handles",
     "make_rhs",
-    "rhs_shallow_water",
-    "rhs_boussinesq_peregrine",
-    "rhs_modified_bp",
-    "rhs_burgers",
     "time_derivative_stack",
     "max_linear_frequency",
 ]
@@ -95,29 +87,35 @@ class ModelParams:
             )
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ModelState:
-    """Primary scalar plus velocity at one instant (velocity None for burgers)."""
+    """The stacked state U at one instant.
 
-    primary: Field
-    velocity: Optional[VecField]
+    U is (1 + d, *grid.shape) for the water models (primary scalar, then
+    the velocity) and (1, *grid.shape) for burgers. It is copied on
+    construction and read-only.
+    """
+
+    grid: Grid
+    U: np.ndarray
     time: float = 0.0
 
-    @property
-    def grid(self) -> Grid:
-        return self.primary.grid
+    def __post_init__(self):
+        U = np.array(self.U, dtype=float, copy=True)
+        if U.shape[1:] != self.grid.shape or U.shape[0] not in (1, 1 + self.grid.d):
+            raise ValueError(
+                f"state shape {U.shape} is not 1 or {1 + self.grid.d} rows"
+                f" over grid {self.grid.shape}"
+            )
+        U.setflags(write=False)
+        object.__setattr__(self, "U", U)
 
     def stack(self) -> np.ndarray:
-        rows = [self.primary.samples]
-        if self.velocity is not None:
-            rows.extend(self.velocity.arrays())
-        return np.stack(rows)
+        return self.U
 
     @classmethod
     def from_stack(cls, grid: Grid, U: np.ndarray, time: float = 0.0) -> "ModelState":
-        primary = Field(grid, U[0])
-        vel = VecField.from_arrays(grid, U[1:]) if U.shape[0] > 1 else None
-        return cls(primary, vel, time)
+        return cls(grid, U, time)
 
 
 def state_rows(model: str, grid: Grid) -> int:
@@ -375,73 +373,17 @@ def make_rhs(
 
 
 # ---------------------------------------------------------------------------
-# Field-level single evaluations
-
-
-def _rhs_state(state: ModelState, bundle: RHSBundle) -> ModelState:
-    dU = bundle.nodal_rhs(state.stack())
-    return ModelState.from_stack(state.grid, dU, state.time)
-
-
-def rhs_shallow_water(
-    state: ModelState, params: ModelParams, bath: Bathymetry, delta: float = 0.0
-) -> ModelState:
-    """d_t(zeta, V) for the nondispersive system; raises DryStateError dry."""
-    if params.model != "sw":
-        raise ValueError("params.model must be 'sw'")
-    return _rhs_state(state, make_rhs(params, bath, delta))
-
-
-def rhs_boussinesq_peregrine(
-    state: ModelState,
-    params: ModelParams,
-    bath: Bathymetry,
-    handle: Optional[OperatorHandle] = None,
-    delta: float = 0.0,
-) -> ModelState:
-    """d_t(zeta, V) with the (I + mu*Tb) velocity solve."""
-    if params.model != "bp":
-        raise ValueError("params.model must be 'bp'")
-    handles = None if handle is None else {"I_plus_muTb": handle}
-    return _rhs_state(state, make_rhs(params, bath, delta, handles))
-
-
-def rhs_modified_bp(
-    state: ModelState,
-    params: ModelParams,
-    bath: Bathymetry,
-    handle: Optional[OperatorHandle] = None,
-    delta: float = 0.0,
-) -> ModelState:
-    """d_t(q, V) in log-depth variables with the h_b*B velocity solve."""
-    if params.model != "mbp":
-        raise ValueError("params.model must be 'mbp'")
-    handles = None if handle is None else {"hb_B": handle}
-    return _rhs_state(state, make_rhs(params, bath, delta, handles))
-
-
-def rhs_burgers(
-    state: ModelState, params: ModelParams, delta: float = 0.0
-) -> ModelState:
-    """d_t u = -eps u u_x on a d = 1 grid; velocity slot stays None."""
-    if params.model != "burgers":
-        raise ValueError("params.model must be 'burgers'")
-    bath = build_bathymetry(state.grid, "flat", 0.0)
-    return _rhs_state(state, make_rhs(params, bath, delta))
-
-
-# ---------------------------------------------------------------------------
 # iterated time derivatives of the mbp flow (Taylor-jet recurrences)
 
 
 def time_derivative_stack(
-    state: ModelState,
+    U: np.ndarray,
     params: ModelParams,
     bath: Bathymetry,
     k_max: int = 1,
     handles: Optional[dict] = None,
-) -> list[tuple[Field, VecField]]:
-    """u_k = (eps d_t)^k (q, V) for k = 0..k_max along the mbp flow.
+) -> list[np.ndarray]:
+    """Stacks u_k = (eps d_t)^k (q, V) for k = 0..k_max along the mbp flow.
 
     Works with Taylor coefficients c_j = (d_t^j u)/j! so products of series
     become Cauchy convolutions with no binomial bookkeeping; the surface
@@ -465,12 +407,11 @@ def time_derivative_stack(
     inv_hb = bath.inv_hb
     hbt = trunc_arr(g, hb)
 
+    if U.shape != (1 + g.d,) + g.shape:
+        raise ValueError(f"mbp state must be (1 + d, *grid.shape), got {U.shape}")
     handle = (handles or {}).get("hb_B")
     if handle is None:
         handle = build_handle("hb_B", mu, bath)
-
-    if state.velocity is None:
-        raise ValueError("mbp state needs a velocity")
 
     def _vel_caches(V: np.ndarray):
         """Band-limited V and the projected Jacobian T(d_j V_i)."""
@@ -480,8 +421,8 @@ def time_derivative_stack(
     def _gradq_cache(q: np.ndarray) -> np.ndarray:
         return g.irfft(mask * g.ik_stack * g.rfft(q))
 
-    q_c = [state.primary.samples]
-    V_c = [np.stack(state.velocity.arrays())]
+    q_c = [U[0]]
+    V_c = [U[1:]]
     z_c = [q_to_zeta_arr(q_c[0], eps, bath)]
     e_c = [np.exp(eps * q_c[0])] if eps != 0.0 else None
 
@@ -531,12 +472,7 @@ def time_derivative_stack(
     out = []
     for k in range(k_max + 1):
         scale = eps**k * math.factorial(k)
-        out.append(
-            (
-                Field(g, scale * q_c[k]),
-                VecField.from_arrays(g, scale * V_c[k]),
-            )
-        )
+        out.append(scale * np.concatenate([q_c[k][None], V_c[k]]))
     return out
 
 

@@ -30,10 +30,9 @@ import numpy as np
 import scipy.linalg
 
 from .bathymetry import Bathymetry
-from .errors import NotSPDError, SizeLimitError, SolverDivergenceError
+from .errors import NotSPDError, SolverDivergenceError
 from .spectral import (
     Grid,
-    VecField,
     div_arr,
     grad_arr,
     l2_norm_arr,
@@ -41,7 +40,6 @@ from .spectral import (
     perp_div_arr,
     sobolev_norm_arr,
     trunc_arr,
-    xs_norm,
 )
 
 __all__ = [
@@ -51,9 +49,6 @@ __all__ = [
     "apply_Tb",
     "apply_A",
     "apply_B",
-    "solve_I_plus_muTb",
-    "solve_hbB",
-    "solve_hbA",
     "coercivity_report",
     "gradient_control_report",
     "perp_structure_residual",
@@ -341,19 +336,27 @@ class OperatorHandle:
         """The symmetric positive form this handle factorizes."""
         return self.ops.weighted(self.kind, V, self.mu)
 
+    def _check_shape(self, V: np.ndarray) -> None:
+        # leading axes are a batch; the trailing ones must be one velocity field
+        if V.shape[-len(self._shape) :] != self._shape:
+            raise ValueError(
+                f"array shape {V.shape} does not end in (d, *grid.shape)"
+                f" = {self._shape}"
+            )
+
     def apply_arrays(self, V: np.ndarray) -> np.ndarray:
         """The equation-form operator matching solve_arrays."""
+        self._check_shape(V)
         W = self.apply_weighted_arrays(V)
         if self.kind == "I_plus_muTb":
             return self.ops.inv_hb * W
         return W
 
-    def apply(self, v: VecField) -> VecField:
-        return VecField.from_arrays(self.grid, self.apply_arrays(np.stack(v.arrays())))
-
     # -- solves -------------------------------------------------------------
 
     def solve_arrays(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve the equation form; see the class docstring for each kind."""
+        self._check_shape(rhs)
         y = self.ops.hb * rhs if self.kind == "I_plus_muTb" else rhs
         return self.solve_weighted_arrays(y)
 
@@ -371,60 +374,30 @@ class OperatorHandle:
             CG_MAXITER,
         )
 
-    def solve(self, rhs: VecField) -> VecField:
-        return VecField.from_arrays(self.grid, self.solve_arrays(np.stack(rhs.arrays())))
-
 
 def build_handle(kind: str, mu: float, bath: Bathymetry) -> OperatorHandle:
     return OperatorHandle(kind, mu, bath)
 
 
 # ---------------------------------------------------------------------------
-# public operator applications (Field level)
+# equation-form operator applications on (..., d, *grid.shape) arrays
 
 
-def apply_Tb(v: VecField, bath: Bathymetry) -> VecField:
+def apply_Tb(V: np.ndarray, bath: Bathymetry) -> np.ndarray:
     """Dispersive operator Tb; reduces to -(1/3) grad div on flat bottoms."""
     ops = get_weighted_ops(bath)
-    out = ops.inv_hb * ops.tb(np.stack(v.arrays()))
-    return VecField.from_arrays(v.grid, out)
+    return ops.inv_hb * ops.tb(V)
 
 
-def apply_A(v: VecField, mu: float, bath: Bathymetry) -> VecField:
+def apply_A(V: np.ndarray, mu: float, bath: Bathymetry) -> np.ndarray:
     """A v = v - mu*grad((1/h_b) div(h_b v)); identity at mu = 0."""
-    ops = get_weighted_ops(bath)
-    V = np.stack(v.arrays())
-    return VecField.from_arrays(v.grid, V - mu * ops.gradphi(V))
+    return V - mu * get_weighted_ops(bath).gradphi(V)
 
 
-def apply_B(v: VecField, mu: float, bath: Bathymetry) -> VecField:
+def apply_B(V: np.ndarray, mu: float, bath: Bathymetry) -> np.ndarray:
     """B = (1/h_b) * (weighted hb_B form); identity at mu = 0."""
     ops = get_weighted_ops(bath)
-    out = ops.inv_hb * ops.w_hbb(np.stack(v.arrays()), mu)
-    return VecField.from_arrays(v.grid, out)
-
-
-def _checked_solve(rhs: VecField, handle: OperatorHandle, kind: str) -> VecField:
-    if handle.kind != kind:
-        raise ValueError(f"handle kind {handle.kind!r}, expected {kind!r}")
-    if rhs.grid != handle.grid:
-        raise ValueError("rhs grid does not match handle grid")
-    return handle.solve(rhs)
-
-
-def solve_I_plus_muTb(rhs: VecField, handle: OperatorHandle) -> VecField:
-    """Solve (I + mu*Tb) x = rhs; at mu = 0 returns rhs."""
-    return _checked_solve(rhs, handle, "I_plus_muTb")
-
-
-def solve_hbB(rhs: VecField, handle: OperatorHandle) -> VecField:
-    """Solve h_b*B x = rhs."""
-    return _checked_solve(rhs, handle, "hb_B")
-
-
-def solve_hbA(rhs: VecField, handle: OperatorHandle) -> VecField:
-    """Solve h_b*A x = rhs; at mu = 0 this is pointwise division by h_b."""
-    return _checked_solve(rhs, handle, "hb_A")
+    return ops.inv_hb * ops.w_hbb(V, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +488,10 @@ def gradient_control_report(
         spec = grid.rfft(rng.standard_normal(grid.shape))
         g = grid.irfft(spec / (1.0 + grid.k2gamma) ** 2)
         u = handle.solve_arrays(grad_arr(grid, g))
-        num = np.sqrt(mu) * xs_norm(VecField.from_arrays(grid, u), s, mu)
+        # |u|_{X^s}^2 = |u|_{H^s}^2 + mu*|div u|_{H^s}^2
+        xs2 = sobolev_norm_arr(grid, u, s) ** 2
+        xs2 += mu * sobolev_norm_arr(grid, div_arr(grid, u), s) ** 2
+        num = np.sqrt(mu) * np.sqrt(xs2)
         den = sobolev_norm_arr(grid, g, s)
         ratios.append(float(num / den))
     return {"s": s, "mu": mu, "ratios": ratios, "max_ratio": max(ratios)}

@@ -23,7 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 import yaml
@@ -43,10 +43,10 @@ from .diagnostics import (
     exact_dispersion,
     measure_dispersion,
 )
-from .errors import BplabError, ConfigError
+from .errors import BplabError, ConfigError, NonpositiveDepthError
 from .models import MODELS, ModelParams, ModelState
 from .operators import KINDS, build_handle, coercivity_report
-from .spectral import Field, Grid, VecField, mollify_arr
+from .spectral import Grid, mollify_arr
 from .timeloop import StepperConfig, Trajectory, run
 from .verification import assemble_dense
 
@@ -170,6 +170,13 @@ def _length(val, src: str, key: str) -> float:
     raise _cfg_err(src, key, f"expected a number, got {type(val).__name__}")
 
 
+def _number(val, src: str, key: str, conv=float):
+    try:
+        return conv(val)
+    except (ValueError, TypeError):
+        raise _cfg_err(src, key, f"expected a number, got {val!r}") from None
+
+
 def _float_list(val, src: str, key: str) -> tuple:
     if not isinstance(val, (list, tuple)) or not val:
         raise _cfg_err(src, key, "expected a nonempty list of numbers")
@@ -188,7 +195,7 @@ def _mode_entry(val, d: int, src: str, key: str):
         return int(val)
     if not (isinstance(val, (list, tuple)) and len(val) == 2):
         raise _cfg_err(src, key, "d=2 mode indices are [k1, k2] pairs")
-    return (int(val[0]), int(val[1]))
+    return (_number(val[0], src, key, int), _number(val[1], src, key, int))
 
 
 _REQUIRED_SWEEPS = {
@@ -274,9 +281,9 @@ def load_config(
     mode = it.get("mode", 1 if grid.d == 1 else [1, 0])
     initial = InitialSpec(
         shape=shape,
-        amplitude=float(it.get("amplitude", 1e-3)),
+        amplitude=_number(it.get("amplitude", 1e-3), src, "initial.amplitude"),
         mode=(_mode_entry(mode, grid.d, src, "initial.mode"),),
-        width=float(it.get("width", 1.0)),
+        width=_number(it.get("width", 1.0), src, "initial.width"),
     )
     if shape == "burgers_sine" and grid.d != 1:
         raise _cfg_err(src, "initial.shape", "burgers_sine requires d=1")
@@ -313,7 +320,16 @@ def load_config(
     if scenario == "mollifier-study" and 0.0 not in sweep.get("delta", ()):
         raise _cfg_err(src, "sweep.delta", "must include 0.0 as the reference run")
 
-    sp = _sub(tree, "scenario_params", src, required=False)
+    sp = dict(_sub(tree, "scenario_params", src, required=False))
+    for key, conv in (("horizon_over_eps", float), ("trials", int)):
+        if key in sp:
+            sp[key] = _number(sp[key], src, f"scenario_params.{key}", conv)
+    if scenario == "operator-audit":
+        cases = sp.get("cases") or []
+        if not isinstance(cases, list):
+            raise _cfg_err(src, "scenario_params.cases", "expected a list of mappings")
+        for i, case in enumerate(cases):
+            _audit_case(case, params.mu, src, f"scenario_params.cases[{i}]")
 
     thresholds = dict(DEFAULT_THRESHOLDS[scenario])
     tt = _sub(tree, "thresholds", src, required=False)
@@ -358,7 +374,7 @@ def load_config(
         initial=initial,
         stepper=stepper,
         sweep=sweep,
-        scenario_params=dict(sp),
+        scenario_params=sp,
         thresholds=thresholds,
         out_dir=str(out_dir),
         snapshots=snapshots,
@@ -410,7 +426,7 @@ def build_initial_state(
     spec = config.initial
     if spec.shape == "burgers_sine":
         u0 = -spec.amplitude * np.sin(2.0 * np.pi * grid.x[0] / grid.L)
-        return ModelState(Field(grid, u0), None)
+        return ModelState(grid, u0[None])
 
     if spec.shape == "gaussian":
         zeta = _centered_gaussian(grid, spec.amplitude, spec.width)
@@ -424,10 +440,9 @@ def build_initial_state(
         scalar = zeta_to_q_arr(zeta, params.eps, bath)
     else:
         scalar = zeta
-    vel = VecField.from_arrays(grid, [np.zeros(grid.shape)] * grid.d)
     if params.model == "burgers":
-        return ModelState(Field(grid, scalar), None)
-    return ModelState(Field(grid, scalar), vel)
+        return ModelState(grid, scalar[None])
+    return ModelState(grid, np.stack([scalar] + [np.zeros(grid.shape)] * grid.d))
 
 
 # ---------------------------------------------------------------------------
@@ -438,9 +453,9 @@ def build_initial_state(
 class RunResult:
     tag: str
     values: dict
-    params: Optional[ModelParams] = None
     bath: Optional[Bathymetry] = None
     traj: Optional[Trajectory] = None
+    records: list = field(default_factory=list)
     error: Optional[str] = None
     runtime_s: float = 0.0
 
@@ -449,24 +464,34 @@ def _tagf(v: float) -> str:
     return f"{v:g}"
 
 
-def _run_many(specs, jobs: int) -> list:
-    """Execute (tag, values, thunk) triples on a bounded pool, in order."""
+def _run_many(specs, jobs: int, n_idx: float) -> list:
+    """Execute (tag, values, thunk) triples on a bounded pool, in order.
+
+    A thunk returns the RunResult fields it sets. Every trajectory then
+    gets its diagnostics records (H^n_idx energies) once, here, for both
+    the driver's grading and the CSV writer.
+    """
 
     def work(spec):
         tag, values, thunk = spec
         t0 = _time.perf_counter()
         res = RunResult(tag=tag, values=values)
         try:
-            res.params, res.bath, res.traj = thunk()
+            res = replace(res, **thunk())
         except BplabError as e:
             res.error = f"{type(e).__name__}: {e}"
         res.runtime_s = _time.perf_counter() - t0
         return res
 
     if jobs <= 1 or len(specs) <= 1:
-        return [work(s) for s in specs]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(work, specs))
+        results = [work(s) for s in specs]
+    else:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(work, specs))
+    for res in results:
+        if res.traj is not None:
+            res.records = build_records(res.traj, res.bath, N=n_idx)
+    return results
 
 
 def _sup_state_diff(a: np.ndarray, b: np.ndarray) -> float:
@@ -489,12 +514,12 @@ def _drive_dispersion(config: ExperimentConfig, jobs: int):
         def thunk():
             params = replace(config.params, eps=0.0, mu=mu)
             state0 = build_initial_state(config, config.grid, params, bath, modes=track)
-            return params, bath, run(state0, params, bath, config.stepper)
+            return dict(bath=bath, traj=run(state0, params, bath, config.stepper))
 
         return thunk
 
     specs = [(f"mu{_tagf(mu)}", {"mu": mu}, thunk_for(mu)) for mu in mus]
-    results = _run_many(specs, jobs)
+    results = _run_many(specs, jobs, config.thresholds["sobolev_index"])
 
     k0 = 2.0 * np.pi / config.grid.L
     gamma = config.grid.gamma
@@ -543,7 +568,7 @@ def _drive_consistency(config: ExperimentConfig, jobs: int):
         def thunk():
             params = ModelParams(eps=v, mu=v, model=model)
             state0 = build_initial_state(config, config.grid, params, bath)
-            return params, bath, run(state0, params, bath, config.stepper)
+            return dict(bath=bath, traj=run(state0, params, bath, config.stepper))
 
         return thunk
 
@@ -552,7 +577,7 @@ def _drive_consistency(config: ExperimentConfig, jobs: int):
         for v in values
         for model in ("sw", "bp", "mbp")
     ]
-    results = _run_many(specs, jobs)
+    results = _run_many(specs, jobs, config.thresholds["sobolev_index"])
 
     by_key = {res.tag: res for res in results}
     failures = [
@@ -599,16 +624,15 @@ def _drive_longtime(config: ExperimentConfig, jobs: int):
     """Horizons of length 1/eps; graded runs must keep E^N within bounds."""
     values = list(config.sweep["eps_mu"])
     contrast = list(config.sweep.get("contrast_eps_mu", ()))
-    horizon = float(config.scenario_params.get("horizon_over_eps", 1.0))
+    horizon = config.scenario_params.get("horizon_over_eps", 1.0)
     bath = config.build_bath()
-    n_idx = config.thresholds["sobolev_index"]
 
     def thunk_for(v):
         def thunk():
             params = ModelParams(eps=v, mu=v, model="mbp")
             stepper = replace(config.stepper, t_end=horizon / v)
             state0 = build_initial_state(config, config.grid, params, bath)
-            return params, bath, run(state0, params, bath, stepper)
+            return dict(bath=bath, traj=run(state0, params, bath, stepper))
 
         return thunk
 
@@ -616,7 +640,7 @@ def _drive_longtime(config: ExperimentConfig, jobs: int):
         (f"epsmu{_tagf(v)}", {"eps_mu": v, "contrast": v in contrast}, thunk_for(v))
         for v in values + contrast
     ]
-    results = _run_many(specs, jobs)
+    results = _run_many(specs, jobs, config.thresholds["sobolev_index"])
 
     rows, failures = [], []
     graded_ok, bounded = True, True
@@ -628,8 +652,7 @@ def _drive_longtime(config: ExperimentConfig, jobs: int):
             if not is_contrast:
                 graded_ok = False
             continue
-        recs = build_records(res.traj, bath, N=n_idx)
-        en = np.array([r.EN for r in recs])
+        en = np.array([r.EN for r in res.records])
         ratio = float(en.max() / en[0]) if en[0] > 0 else np.inf
         rows.append(
             {
@@ -664,12 +687,12 @@ def _drive_burgers(config: ExperimentConfig, jobs: int):
         def thunk():
             params = ModelParams(eps=eps, mu=0.0, model="burgers")
             state0 = build_initial_state(config, config.grid, params, bath)
-            return params, bath, run(state0, params, bath, config.stepper)
+            return dict(bath=bath, traj=run(state0, params, bath, config.stepper))
 
         return thunk
 
     specs = [(f"eps{_tagf(e)}", {"eps": e}, thunk_for(e)) for e in eps_list]
-    results = _run_many(specs, jobs)
+    results = _run_many(specs, jobs, config.thresholds["sobolev_index"])
 
     rows, failures, pairs = [], [], []
     all_match = True
@@ -678,8 +701,8 @@ def _drive_burgers(config: ExperimentConfig, jobs: int):
             failures.append(f"{res.tag}: {res.error}")
             all_match = False
             continue
-        state0 = build_initial_state(config, config.grid, res.params, bath)
-        predicted = burgers_shock_time(state0.primary, eps)
+        state0 = build_initial_state(config, config.grid, res.traj.params, bath)
+        predicted = burgers_shock_time(config.grid, state0.U[0], eps)
         if res.traj.termination != "blowup":
             failures.append(f"{res.tag}: expected blowup, got {res.traj.termination}")
             all_match = False
@@ -723,6 +746,41 @@ def _drive_burgers(config: ExperimentConfig, jobs: int):
     return results, tables, verdicts, failures
 
 
+AUDIT_CASE_KEYS = ("d", "n", "L", "gamma", "profile", "beta", "mu", "params")
+
+
+def _audit_case(case, default_mu: float, src: str, where: str):
+    """Grid, bottom and mu of one operator-audit case.
+
+    Raises ConfigError naming the offending key: a case must be a mapping
+    of known keys with an n, whose grid and bottom build.
+    """
+    if not isinstance(case, dict):
+        raise _cfg_err(src, where, "expected a mapping")
+    for key in case:
+        if key not in AUDIT_CASE_KEYS:
+            raise _cfg_err(src, f"{where}.{key}", f"unknown, choose from {AUDIT_CASE_KEYS}")
+    if "n" not in case:
+        raise _cfg_err(src, f"{where}.n", "missing")
+    try:
+        grid = Grid(
+            d=int(case.get("d", 1)),
+            n=int(case["n"]),
+            L=_length(case.get("L", 2 * np.pi), src, f"{where}.L"),
+            gamma=float(case.get("gamma", 1.0)),
+        )
+        bath = build_bathymetry(
+            grid, case.get("profile", "flat"), float(case.get("beta", 0.0)),
+            case.get("params"),
+        )
+        mu = float(case.get("mu", default_mu))
+        if mu < 0:
+            raise ValueError("mu must be nonnegative")
+    except (NonpositiveDepthError, ValueError, TypeError) as e:
+        raise _cfg_err(src, where, str(e)) from None
+    return grid, bath, mu
+
+
 def _drive_operator_audit(config: ExperimentConfig, jobs: int):
     """Symmetry / coercivity / inversion audit of the three weighted forms.
 
@@ -742,23 +800,14 @@ def _drive_operator_audit(config: ExperimentConfig, jobs: int):
                 "mu": config.params.mu,
             }
         ]
-    trials = int(config.scenario_params.get("trials", 8))
+    trials = config.scenario_params.get("trials", 8)
     rng_root = np.random.default_rng(config.seed)
     seeds = rng_root.integers(0, 2**63 - 1, size=len(cases))
 
-    def thunk_for(case, case_seed):
-        def compute():
-            grid = Grid(
-                d=int(case.get("d", 1)),
-                n=int(case["n"]),
-                L=_length(case.get("L", 2 * np.pi), "scenario_params.cases", "L"),
-                gamma=float(case.get("gamma", 1.0)),
-            )
-            bath = build_bathymetry(
-                grid, case.get("profile", "flat"), float(case.get("beta", 0.0)),
-                case.get("params"),
-            )
-            mu = float(case.get("mu", config.params.mu))
+    def thunk_for(i, case, case_seed):
+        def thunk():
+            where = f"scenario_params.cases[{i}]"
+            grid, bath, mu = _audit_case(case, config.params.mu, config.scenario, where)
             rng = np.random.default_rng(case_seed)
             out = []
             for kind in KINDS:
@@ -787,33 +836,17 @@ def _drive_operator_audit(config: ExperimentConfig, jobs: int):
                 rep["solve_residual"] = solve_resid
                 rep["dense_mismatch"] = dense_resid
                 out.append(rep)
-            return out
+            return {"values": {"case": dict(case), "reports": out}}
 
-        return compute
+        return thunk
 
-    rows, failures = [], []
-    tasks = [
-        (f"case{i}_d{c.get('d', 1)}_n{c['n']}", c, thunk_for(c, int(s)))
+    specs = [
+        (f"case{i}_d{c.get('d', 1)}_n{c['n']}", dict(c), thunk_for(i, c, int(s)))
         for i, (c, s) in enumerate(zip(cases, seeds))
     ]
+    results = _run_many(specs, jobs, config.thresholds["sobolev_index"])
 
-    def work(task):
-        tag, case, compute = task
-        t0 = _time.perf_counter()
-        res = RunResult(tag=tag, values=dict(case))
-        try:
-            res.values = {"case": dict(case), "reports": compute()}
-        except (BplabError, ValueError, KeyError) as e:
-            res.error = f"{type(e).__name__}: {e}"
-        res.runtime_s = _time.perf_counter() - t0
-        return res
-
-    if jobs <= 1 or len(tasks) <= 1:
-        results = [work(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(work, tasks))
-
+    rows, failures = [], []
     thr = config.thresholds
     sym_ok = coercive_ok = solve_ok = dense_ok = flat_ok = True
     saw_flat_identity = False
@@ -876,12 +909,12 @@ def _drive_mollifier(config: ExperimentConfig, jobs: int):
                 U0 = mollify_arr(config.grid, U0, delta, -1)
             state0 = ModelState.from_stack(config.grid, U0)
             stepper = replace(config.stepper, delta=delta)
-            return params, bath, run(state0, params, bath, stepper)
+            return dict(bath=bath, traj=run(state0, params, bath, stepper))
 
         return thunk
 
     specs = [(f"delta{_tagf(d)}", {"delta": d}, thunk_for(d)) for d in deltas]
-    results = _run_many(specs, jobs)
+    results = _run_many(specs, jobs, config.thresholds["sobolev_index"])
 
     failures = [
         f"{res.tag}: {res.error or res.traj.termination}"
@@ -1006,26 +1039,22 @@ def run_scenario(config: ExperimentConfig, jobs: int = 1) -> ScenarioResult:
 
     out_dir = Path(config.out_dir) / config.scenario
     out_dir.mkdir(parents=True, exist_ok=True)
-    n_idx = config.thresholds.get("sobolev_index", 3)
 
     runs_meta = []
     for res in results:
         run_dir = out_dir / res.tag
         run_dir.mkdir(parents=True, exist_ok=True)
-        records, track = [], ()
-        if res.traj is not None:
-            records = build_records(res.traj, res.bath, N=n_idx)
-            track = res.traj.config.track_modes
-        write_run_csv(run_dir / "diagnostics.csv", records, track)
+        track = res.traj.config.track_modes if res.traj is not None else ()
+        write_run_csv(run_dir / "diagnostics.csv", res.records, track)
         if res.traj is not None and config.snapshots != "none":
             if config.snapshots == "initial_final":
                 write_snapshot(
                     run_dir / "state_initial", res.traj.states[0],
-                    res.traj.grid, res.traj.times[0], res.params.model,
+                    res.traj.grid, res.traj.times[0], res.traj.params.model,
                 )
             write_snapshot(
                 run_dir / "state_final", res.traj.states[-1],
-                res.traj.grid, res.traj.times[-1], res.params.model,
+                res.traj.grid, res.traj.times[-1], res.traj.params.model,
             )
         meta = {"tag": res.tag, "error": res.error}
         if res.traj is not None:

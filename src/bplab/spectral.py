@@ -1,4 +1,4 @@
-"""Periodic pseudospectral core: grids, fields, multipliers, norms.
+"""Periodic pseudospectral core: grids, multipliers, norms.
 
 Everything lives on the torus [0, L)^d sampled at n points per axis.
 The anisotropic derivative stack is
@@ -6,9 +6,12 @@ The anisotropic derivative stack is
     grad_g f = (df/dx, g*df/dy)        d=2,  or  df/dx   d=1
     perp_g f = (-g*df/dy, df/dx)       d=2,  or  0       d=1
 
-with 0 < g <= 1 the transversality ratio carried by the grid. Derivatives
-and smoothing act as Fourier multipliers in rfft space; products of grid
-functions are dealiased with the 2/3 rule before they are differentiated.
+with 0 < g <= 1 the transversality ratio carried by the grid. A grid
+function is a plain array whose trailing axes are grid.shape; leading axes
+stack rows (a velocity's d components, a state's 1 + d rows) or a batch.
+Derivatives and smoothing act as Fourier multipliers in rfft space;
+products of grid functions are dealiased with the 2/3 rule before they are
+differentiated.
 """
 
 from __future__ import annotations
@@ -20,22 +23,16 @@ import numpy as np
 
 __all__ = [
     "Grid",
-    "Field",
-    "VecField",
-    "grad_gamma",
-    "div_gamma",
-    "perp_grad",
-    "perp_div",
-    "lambda_s",
-    "mollify",
-    "dealias",
-    "inner",
-    "l2_norm",
-    "sobolev_norm",
-    "xs_norm",
-    "field_from_function",
-    "zero_field",
-    "zero_vecfield",
+    "trunc_arr",
+    "dprod",
+    "grad_arr",
+    "div_arr",
+    "perp_grad_arr",
+    "perp_div_arr",
+    "lambda_arr",
+    "mollify_arr",
+    "l2_norm_arr",
+    "sobolev_norm_arr",
 ]
 
 
@@ -169,58 +166,8 @@ class Grid:
         return np.fft.irfftn(spec, s=self.shape, axes=(-2, -1))
 
 
-@dataclass(frozen=True, eq=False)
-class Field:
-    """Immutable scalar grid function (samples are frozen on construction)."""
-
-    grid: Grid
-    samples: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.samples, dtype=float, copy=True)
-        if arr.shape != self.grid.shape:
-            raise ValueError(
-                f"samples shape {arr.shape} does not match grid {self.grid.shape}"
-            )
-        arr.setflags(write=False)
-        object.__setattr__(self, "samples", arr)
-
-    @property
-    def is_finite(self) -> bool:
-        """NaN/Inf is a detectable corruption state, not an invariant."""
-        return bool(np.isfinite(self.samples).all())
-
-
-@dataclass(frozen=True, eq=False)
-class VecField:
-    """Velocity-like vector of d component fields on a shared grid."""
-
-    grid: Grid
-    components: tuple[Field, ...]
-
-    def __post_init__(self):
-        comps = tuple(self.components)
-        if len(comps) != self.grid.d:
-            raise ValueError(f"expected {self.grid.d} components, got {len(comps)}")
-        for c in comps:
-            if c.grid != self.grid:
-                raise ValueError("components must share the grid")
-        object.__setattr__(self, "components", comps)
-
-    @classmethod
-    def from_arrays(cls, grid: Grid, arrays) -> "VecField":
-        return cls(grid, tuple(Field(grid, a) for a in arrays))
-
-    def arrays(self) -> list[np.ndarray]:
-        return [c.samples for c in self.components]
-
-    @property
-    def is_finite(self) -> bool:
-        return all(c.is_finite for c in self.components)
-
-
 # ---------------------------------------------------------------------------
-# array-level primitives; the Field API below wraps these
+# array-level primitives
 
 
 def trunc_arr(grid: Grid, a: np.ndarray) -> np.ndarray:
@@ -285,11 +232,6 @@ def mollify_arr(grid: Grid, a: np.ndarray, delta: float, power: int) -> np.ndarr
     return grid.irfft(w * grid.rfft(a))
 
 
-def quad_inner_arr(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
-    """Trapezoidal (here: exact) L2 pairing dx^d * sum(a*b)."""
-    return float(np.sum(a * b)) * grid.dx**grid.d
-
-
 def l2_norm_arr(grid: Grid, a: np.ndarray) -> float:
     return float(np.sqrt(np.sum(a * a) * grid.dx**grid.d))
 
@@ -299,97 +241,3 @@ def sobolev_norm_arr(grid: Grid, a: np.ndarray, s: float) -> float:
     if s == 0:
         return l2_norm_arr(grid, a)
     return l2_norm_arr(grid, lambda_arr(grid, a, s))
-
-
-# ---------------------------------------------------------------------------
-# Field-level API
-
-
-def _unary(f: Field, arr_fn, *args) -> Field:
-    return Field(f.grid, arr_fn(f.grid, f.samples, *args))
-
-
-def grad_gamma(f: Field) -> VecField:
-    """Twisted gradient (d/dx, gamma*d/dy); plain d/dx in d=1."""
-    return VecField.from_arrays(f.grid, grad_arr(f.grid, f.samples))
-
-
-def div_gamma(v: VecField) -> Field:
-    """Twisted divergence, the negative adjoint of grad_gamma."""
-    return Field(v.grid, div_arr(v.grid, v.arrays()))
-
-
-def perp_grad(f: Field) -> VecField:
-    """Rotated gradient (-gamma*d/dy, d/dx); identically zero in d=1."""
-    return VecField.from_arrays(f.grid, perp_grad_arr(f.grid, f.samples))
-
-
-def perp_div(v: VecField) -> Field:
-    """Rotated divergence -gamma*d/dy v1 + d/dx v2; zero in d=1."""
-    return Field(v.grid, perp_div_arr(v.grid, v.arrays()))
-
-
-def dealias(f: Field) -> Field:
-    """2/3-rule band projection of a single field."""
-    return _unary(f, trunc_arr)
-
-
-def lambda_s(f, s: float):
-    """Apply (1 - Lap_gamma)^(s/2), componentwise on vector fields."""
-    if isinstance(f, VecField):
-        return VecField.from_arrays(
-            f.grid, [lambda_arr(f.grid, a, s) for a in f.arrays()]
-        )
-    return _unary(f, lambda_arr, s)
-
-
-def mollify(f, delta: float, power: int):
-    """Apply (1 - delta*Lap_gamma)^power, componentwise on vector fields."""
-    if isinstance(f, VecField):
-        return VecField.from_arrays(
-            f.grid, [mollify_arr(f.grid, a, delta, power) for a in f.arrays()]
-        )
-    return _unary(f, mollify_arr, delta, power)
-
-
-def inner(f, g) -> float:
-    """L2 pairing; vector fields sum over components."""
-    if isinstance(f, VecField) != isinstance(g, VecField):
-        raise TypeError("inner() requires two fields of the same kind")
-    if isinstance(f, VecField):
-        return sum(
-            quad_inner_arr(f.grid, a, b) for a, b in zip(f.arrays(), g.arrays())
-        )
-    return quad_inner_arr(f.grid, f.samples, g.samples)
-
-
-def l2_norm(f) -> float:
-    return float(np.sqrt(inner(f, f)))
-
-
-def sobolev_norm(f, s: float) -> float:
-    """H^s norm; vector fields take the root of the component sum of squares."""
-    if isinstance(f, VecField):
-        return float(
-            np.sqrt(sum(sobolev_norm_arr(f.grid, a, s) ** 2 for a in f.arrays()))
-        )
-    return sobolev_norm_arr(f.grid, f.samples, s)
-
-
-def xs_norm(v: VecField, s: float, mu: float) -> float:
-    """Divergence-weighted norm |v|_{H^s}^2 + mu*|div_gamma v|_{H^s}^2, rooted."""
-    base = sobolev_norm(v, s) ** 2
-    dv = div_arr(v.grid, v.arrays())
-    return float(np.sqrt(base + mu * sobolev_norm_arr(v.grid, dv, s) ** 2))
-
-
-def field_from_function(grid: Grid, fn) -> Field:
-    return Field(grid, fn(*grid.x))
-
-
-def zero_field(grid: Grid) -> Field:
-    return Field(grid, np.zeros(grid.shape))
-
-
-def zero_vecfield(grid: Grid) -> VecField:
-    return VecField.from_arrays(grid, [np.zeros(grid.shape)] * grid.d)

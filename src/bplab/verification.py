@@ -14,8 +14,8 @@ import scipy.linalg
 
 from .bathymetry import Bathymetry
 from .errors import NotSPDError, SizeLimitError
-from .operators import _gram_apply, dense_matrix, get_weighted_ops
-from .spectral import Field, Grid
+from .operators import KINDS, _gram_apply, dense_matrix, get_weighted_ops
+from .spectral import Grid
 
 __all__ = [
     "DENSE_SIZE_LIMIT",
@@ -28,7 +28,6 @@ __all__ = [
 
 DENSE_SIZE_LIMIT = 4096
 
-_WEIGHTED_KINDS = ("I_plus_muTb", "hb_B", "hb_A")
 _GRAM_KINDS = ("gram_X0", "gram_H1")
 
 
@@ -45,7 +44,7 @@ def assemble_dense(kind: str, mu: float, bath: Bathymetry) -> np.ndarray:
         raise SizeLimitError(f"dense assembly capped at {DENSE_SIZE_LIMIT}, got {size}")
     if kind == "identity":
         return np.eye(size)
-    if kind in _WEIGHTED_KINDS:
+    if kind in KINDS:
         ops = get_weighted_ops(bath)
         return dense_matrix(lambda V: ops.weighted(kind, V, mu), grid)
     if kind == "gram_X0":
@@ -79,14 +78,15 @@ _D1_4TH = (1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0)  # offsets -2,-1,1,
 _D2_4TH = (-1.0 / 12.0, 16.0 / 12.0, -30.0 / 12.0, 16.0 / 12.0, -1.0 / 12.0)
 
 
-def fd_derivative(f: Field, order: int = 1, axis: int = 0) -> Field:
+def fd_derivative(
+    grid: Grid, a: np.ndarray, order: int = 1, axis: int = 0
+) -> np.ndarray:
     """Periodic centered finite difference, 4th-order accurate.
 
-    order is the derivative order (1 or 2). Used as the independent check
-    on spectral derivatives, never in the solvers.
+    order is the derivative order (1 or 2) along grid axis `axis`. Used as
+    the independent check on spectral derivatives, never in the solvers.
     """
-    a = f.samples
-    h = f.grid.dx
+    h = grid.dx
     if order == 1:
         out = (
             _D1_4TH[0] * np.roll(a, 2, axis=axis)
@@ -104,16 +104,15 @@ def fd_derivative(f: Field, order: int = 1, axis: int = 0) -> Field:
         ) / h**2
     else:
         raise ValueError("order must be 1 or 2")
-    return Field(f.grid, out)
-
-
-def fd_gradient(f: Field) -> list[Field]:
-    """Twisted gradient from the stencil oracle (gamma on the second axis)."""
-    out = [fd_derivative(f, 1, axis=0)]
-    if f.grid.d == 2:
-        dy = fd_derivative(f, 1, axis=1)
-        out.append(Field(f.grid, f.grid.gamma * dy.samples))
     return out
+
+
+def fd_gradient(grid: Grid, a: np.ndarray) -> np.ndarray:
+    """Twisted gradient (d, *shape) from the stencil oracle (gamma on axis 1)."""
+    out = [fd_derivative(grid, a, 1, axis=0)]
+    if grid.d == 2:
+        out.append(grid.gamma * fd_derivative(grid, a, 1, axis=1))
+    return np.stack(out)
 
 
 def reference_trajectory(initial, rhs, t_end: float, dt_fine: float):

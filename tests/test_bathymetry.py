@@ -6,15 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bplab.bathymetry import (
-    Bathymetry,
     build_bathymetry,
     q_positivity_factor,
-    q_to_zeta,
+    q_to_zeta_arr,
     water_height,
-    zeta_to_q,
+    zeta_to_q_arr,
 )
 from bplab.errors import AdmissibilityWarning, LogDomainError, NonpositiveDepthError
-from bplab.spectral import Field, Grid, field_from_function
+from bplab.spectral import Grid, grad_arr
 
 G1 = Grid(d=1, n=64, L=2 * np.pi)
 
@@ -22,7 +21,7 @@ G1 = Grid(d=1, n=64, L=2 * np.pi)
 class TestProfiles:
     def test_flat_profile_is_zero(self):
         bath = build_bathymetry(G1, "flat", beta=0.5)
-        assert np.all(bath.b.samples == 0.0)
+        assert np.all(bath.b == 0.0)
         assert bath.h_min == 1.0
         assert bath.is_flat
 
@@ -39,7 +38,7 @@ class TestProfiles:
         bath = build_bathymetry(
             G1, "gaussian_bump", beta=0.5, params={"center": 0.0, "width": 0.7}
         )
-        b = bath.b.samples
+        b = bath.b
         assert abs(b[0] - max(b)) < 1e-12  # crest on the seam node
         assert abs(b[1] - b[-1]) < 1e-12  # symmetric across it
 
@@ -58,7 +57,7 @@ class TestProfiles:
 
     def test_grad_hb_is_minus_beta_grad_b(self):
         bath = build_bathymetry(G1, "sinusoidal", beta=0.3, params={"k": 2})
-        ghb = bath.grad_hb.components[0].samples
+        ghb = grad_arr(G1, bath.hb)[0]
         np.testing.assert_allclose(ghb, -0.3 * bath.grad_b[0], atol=1e-14)
 
     def test_unknown_profile(self):
@@ -69,19 +68,19 @@ class TestProfiles:
 class TestWaterHeight:
     def test_height_formula(self):
         bath = build_bathymetry(G1, "sinusoidal", beta=0.2)
-        zeta = field_from_function(G1, lambda x: 0.3 * np.cos(x))
+        zeta = 0.3 * np.cos(G1.x[0])
         h, dry = water_height(zeta, eps=0.1, bath=bath)
         np.testing.assert_allclose(
-            h.samples, 1.0 + 0.1 * zeta.samples - 0.2 * bath.b.samples, atol=1e-14
+            h, 1.0 + 0.1 * zeta - 0.2 * bath.b, atol=1e-14
         )
         assert not dry
 
     def test_dry_flagged_not_raised(self):
         bath = build_bathymetry(G1, "flat", beta=0.0)
-        zeta = Field(G1, np.full(G1.shape, -1.5))
+        zeta = np.full(G1.shape, -1.5)
         h, dry = water_height(zeta, eps=1.0, bath=bath)
         assert dry
-        assert h.samples.min() <= 0.0
+        assert h.min() <= 0.0
 
 
 def _admissible_zeta(rng, bath, eps):
@@ -98,9 +97,9 @@ class TestQTransform:
         # eps=0.1, zeta such that eps*zeta/h_b = 0.05 on a flat bottom:
         # q = log(1.05)/0.1, and back
         bath = build_bathymetry(G1, "flat", beta=0.0)
-        zeta = Field(G1, np.full(G1.shape, 0.5))
-        q = zeta_to_q(zeta, 0.1, bath)
-        np.testing.assert_allclose(q.samples, np.log(1.05) / 0.1, atol=1e-14)
+        zeta = np.full(G1.shape, 0.5)
+        q = zeta_to_q_arr(zeta, 0.1, bath)
+        np.testing.assert_allclose(q, np.log(1.05) / 0.1, atol=1e-14)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -112,55 +111,53 @@ class TestQTransform:
         bath = build_bathymetry(
             G1, "gaussian_bump", beta=0.4, params={"height": 1.0}
         )
-        zeta = Field(G1, _admissible_zeta(rng, bath, eps))
-        back = q_to_zeta(zeta_to_q(zeta, eps, bath), eps, bath)
-        scale = max(1.0, np.max(np.abs(zeta.samples)))
-        assert np.max(np.abs(back.samples - zeta.samples)) <= 1e-12 * scale
+        zeta = _admissible_zeta(rng, bath, eps)
+        back = q_to_zeta_arr(zeta_to_q_arr(zeta, eps, bath), eps, bath)
+        scale = max(1.0, np.max(np.abs(zeta)))
+        assert np.max(np.abs(back - zeta)) <= 1e-12 * scale
 
     def test_roundtrip_other_direction(self):
         rng = np.random.default_rng(11)
         bath = build_bathymetry(G1, "sinusoidal", beta=0.3)
-        q = Field(G1, 0.8 * rng.standard_normal(G1.shape))
-        back = zeta_to_q(q_to_zeta(q, 0.2, bath), 0.2, bath)
-        assert np.max(np.abs(back.samples - q.samples)) <= 1e-12
+        q = 0.8 * rng.standard_normal(G1.shape)
+        back = zeta_to_q_arr(q_to_zeta_arr(q, 0.2, bath), 0.2, bath)
+        assert np.max(np.abs(back - q)) <= 1e-12
 
     def test_eps_zero_limits(self):
         bath = build_bathymetry(G1, "gaussian_bump", beta=0.5)
         rng = np.random.default_rng(12)
-        zeta = Field(G1, rng.standard_normal(G1.shape))
-        q = zeta_to_q(zeta, 0.0, bath)
-        np.testing.assert_allclose(q.samples, zeta.samples / bath.hb, atol=1e-14)
-        np.testing.assert_allclose(
-            q_to_zeta(q, 0.0, bath).samples, zeta.samples, atol=1e-13
-        )
+        zeta = rng.standard_normal(G1.shape)
+        q = zeta_to_q_arr(zeta, 0.0, bath)
+        np.testing.assert_allclose(q, zeta / bath.hb, atol=1e-14)
+        np.testing.assert_allclose(q_to_zeta_arr(q, 0.0, bath), zeta, atol=1e-13)
 
     def test_log_domain_error(self):
         bath = build_bathymetry(G1, "flat", beta=0.0)
-        zeta = Field(G1, np.full(G1.shape, -2.0))
+        zeta = np.full(G1.shape, -2.0)
         with pytest.raises(LogDomainError):
-            zeta_to_q(zeta, 1.0, bath)
+            zeta_to_q_arr(zeta, 1.0, bath)
 
     def test_admissibility_warning_near_boundary(self):
         bath = build_bathymetry(G1, "flat", beta=0.0)
-        zeta = Field(G1, np.full(G1.shape, -0.95))
+        zeta = np.full(G1.shape, -0.95)
         with pytest.warns(AdmissibilityWarning):
-            zeta_to_q(zeta, 1.0, bath)
+            zeta_to_q_arr(zeta, 1.0, bath)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.05, 0.3]))
     def test_q_equals_positivity_factor_times_zeta(self, seed, eps):
         rng = np.random.default_rng(seed)
         bath = build_bathymetry(G1, "gaussian_bump", beta=0.4)
-        zeta = Field(G1, _admissible_zeta(rng, bath, eps))
-        q = zeta_to_q(zeta, eps, bath).samples
-        Q = q_positivity_factor(zeta, eps, bath).samples
+        zeta = _admissible_zeta(rng, bath, eps)
+        q = zeta_to_q_arr(zeta, eps, bath)
+        Q = q_positivity_factor(zeta, eps, bath)
         assert np.all(Q > 0.0)
-        assert np.max(np.abs(q - Q * zeta.samples)) <= 1e-12 * max(
+        assert np.max(np.abs(q - Q * zeta)) <= 1e-12 * max(
             1.0, np.max(np.abs(q))
         )
 
     def test_positivity_factor_eps_zero_is_inv_hb(self):
         bath = build_bathymetry(G1, "gaussian_bump", beta=0.6)
-        zeta = Field(G1, np.zeros(G1.shape))
-        Q = q_positivity_factor(zeta, 0.0, bath).samples
+        zeta = np.zeros(G1.shape)
+        Q = q_positivity_factor(zeta, 0.0, bath)
         np.testing.assert_allclose(Q, bath.inv_hb, atol=1e-13)

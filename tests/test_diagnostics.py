@@ -26,15 +26,7 @@ from bplab.errors import (
     NoShockError,
 )
 from bplab.models import ModelParams, ModelState
-from bplab.spectral import (
-    Field,
-    Grid,
-    VecField,
-    l2_norm,
-    sobolev_norm,
-    zero_field,
-    zero_vecfield,
-)
+from bplab.spectral import Grid, l2_norm_arr, sobolev_norm_arr
 from bplab.timeloop import StepperConfig, run
 
 G1 = Grid(1, 64, 2.0 * np.pi)
@@ -42,11 +34,13 @@ FLAT1 = build_bathymetry(G1, "flat", 0.0)
 BUMP1 = build_bathymetry(G1, "gaussian_bump", 0.5)
 
 
+ZERO = np.zeros(G1.shape)
+ZERO_V = np.zeros((1,) + G1.shape)
+
+
 def _mode_state(grid, k, zeta_amp=1.0, vel_amp=0.0):
     x = grid.x[0]
-    zeta = Field(grid, zeta_amp * np.cos(k * x))
-    vel = VecField.from_arrays(grid, [vel_amp * np.sin(k * x)])
-    return zeta, vel
+    return zeta_amp * np.cos(k * x), vel_amp * np.sin(k * x)[None]
 
 
 def _random_pair(grid, rng, amp=0.1):
@@ -54,7 +48,7 @@ def _random_pair(grid, rng, amp=0.1):
     spec = grid.rfft(U)
     lowpass = grid.k2gamma <= (6.0 * 2.0 * np.pi / grid.L) ** 2
     U = grid.irfft(spec * lowpass)
-    return Field(grid, U[0]), VecField.from_arrays(grid, U[1:])
+    return U[0], U[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +56,7 @@ def _random_pair(grid, rng, amp=0.1):
 
 
 def test_energy_bp_rest_is_zero():
-    assert energy_bp(zero_field(G1), zero_vecfield(G1), 0.3, FLAT1) == 0.0
+    assert energy_bp(ZERO, ZERO_V, 0.3, FLAT1) == 0.0
 
 
 def test_energy_bp_single_mode_closed_form():
@@ -77,7 +71,7 @@ def test_energy_bp_mu_zero_is_plain_quadratic():
     rng = np.random.default_rng(7)
     zeta, vel = _random_pair(G1, rng)
     got = energy_bp(zeta, vel, 0.0, FLAT1)
-    expected = 0.5 * l2_norm(zeta) ** 2 + 0.5 * l2_norm(vel) ** 2
+    expected = 0.5 * l2_norm_arr(G1, zeta) ** 2 + 0.5 * l2_norm_arr(G1, vel) ** 2
     assert abs(got - expected) < 1e-12
 
 
@@ -94,30 +88,30 @@ def test_energy_bp_positive_on_random_states():
 
 
 def test_energy_EN_zero_iff_rest():
-    assert energy_EN(zero_field(G1), zero_vecfield(G1), 0.2, 3) == 0.0
+    assert energy_EN(G1, ZERO, ZERO_V, 0.2, 3) == 0.0
     zeta, vel = _mode_state(G1, 1, zeta_amp=1e-9)
-    assert energy_EN(zeta, vel, 0.2, 3) > 0.0
+    assert energy_EN(G1, zeta, vel, 0.2, 3) > 0.0
 
 
 def test_energy_EN_rejects_negative_index():
     with pytest.raises(ValueError):
-        energy_EN(zero_field(G1), zero_vecfield(G1), 0.2, -1)
+        energy_EN(G1, ZERO, ZERO_V, 0.2, -1)
 
 
 def test_energy_EN_single_mode_closed_forms():
     # cos x on [0, 2pi): every H^N block of the k=1 mode is sqrt(1+1)^N*sqrt(pi)
-    zeta = Field(G1, np.cos(G1.x[0]))
-    got0 = energy_EN(zeta, None, 1.0, 0)
+    zeta = np.cos(G1.x[0])
+    got0 = energy_EN(G1, zeta, None, 1.0, 0)
     assert abs(got0 - 2.0 * np.sqrt(np.pi)) < 1e-12
-    got1 = energy_EN(zeta, None, 1.0, 1)
+    got1 = energy_EN(G1, zeta, None, 1.0, 1)
     assert abs(got1 - 2.0 * np.sqrt(2.0 * np.pi)) < 1e-12
 
 
 def test_energy_EN_mu_zero_drops_gradient_blocks():
     rng = np.random.default_rng(3)
     zeta, vel = _random_pair(G1, rng)
-    got = energy_EN(zeta, vel, 0.0, 2)
-    expected = sobolev_norm(zeta, 2) + sobolev_norm(vel, 2)
+    got = energy_EN(G1, zeta, vel, 0.0, 2)
+    expected = sobolev_norm_arr(G1, zeta, 2) + sobolev_norm_arr(G1, vel, 2)
     assert abs(got - expected) < 1e-12
 
 
@@ -126,7 +120,7 @@ def test_energy_EN_mu_zero_drops_gradient_blocks():
 
 
 def test_energy_theorem_rest_is_zero():
-    assert energy_theorem_E(zero_field(G1), zero_vecfield(G1), 0.4, 2) == 0.0
+    assert energy_theorem_E(G1, ZERO, ZERO_V, 0.4, 2) == 0.0
 
 
 def test_energy_theorem_single_mode_hand_value():
@@ -134,14 +128,14 @@ def test_energy_theorem_single_mode_hand_value():
     # 2*pi + 2*pi + 0.5 * 2*pi = 5*pi
     mu = 0.5
     zeta, vel = _mode_state(G1, 1, zeta_amp=1.0, vel_amp=1.0)
-    assert abs(energy_theorem_E(zeta, vel, mu, 1) - 5.0 * np.pi) < 1e-12
+    assert abs(energy_theorem_E(G1, zeta, vel, mu, 1) - 5.0 * np.pi) < 1e-12
 
 
 def test_energy_theorem_mu_zero_is_state_norm():
     rng = np.random.default_rng(11)
     zeta, vel = _random_pair(G1, rng)
-    got = energy_theorem_E(zeta, vel, 0.0, 3)
-    expected = sobolev_norm(zeta, 3) ** 2 + sobolev_norm(vel, 3) ** 2
+    got = energy_theorem_E(G1, zeta, vel, 0.0, 3)
+    expected = sobolev_norm_arr(G1, zeta, 3) ** 2 + sobolev_norm_arr(G1, vel, 3) ** 2
     assert abs(got - expected) < 1e-12 * max(1.0, expected)
 
 
@@ -150,12 +144,12 @@ def test_energy_theorem_mu_zero_is_state_norm():
 def test_energies_translation_invariant_flat(seed, shift):
     rng = np.random.default_rng(seed)
     zeta, vel = _random_pair(G1, rng)
-    zs = Field(G1, np.roll(zeta.samples, shift))
-    vs = VecField.from_arrays(G1, [np.roll(vel.components[0].samples, shift)])
+    zs = np.roll(zeta, shift, axis=-1)
+    vs = np.roll(vel, shift, axis=-1)
     for fn in (
         lambda z, v: energy_bp(z, v, 0.2, FLAT1),
-        lambda z, v: energy_EN(z, v, 0.2, 2),
-        lambda z, v: energy_theorem_E(z, v, 0.2, 2),
+        lambda z, v: energy_EN(G1, z, v, 0.2, 2),
+        lambda z, v: energy_theorem_E(G1, z, v, 0.2, 2),
     ):
         a, b = fn(zeta, vel), fn(zs, vs)
         assert abs(a - b) < 1e-10 * max(1.0, abs(a))
@@ -209,10 +203,7 @@ def _linear_bp_trajectory(k=2, mu=0.1, periods=5.0, n=64):
     bath = build_bathymetry(grid, "flat", 0.0)
     params = ModelParams(0.0, mu, "bp")
     x = grid.x[0]
-    state = ModelState(
-        Field(grid, 1e-3 * np.cos(k * x)),
-        VecField.from_arrays(grid, [np.zeros(grid.shape)]),
-    )
+    state = ModelState(grid, np.stack([1e-3 * np.cos(k * x), np.zeros(grid.shape)]))
     omega = exact_dispersion("bp", k, mu)
     t_end = periods * 2.0 * np.pi / omega
     cfg = StepperConfig(dt=1e-3, t_end=t_end, output_stride=10, track_modes=(k, 3))
@@ -264,16 +255,16 @@ def test_estimate_order_guards():
 
 
 def test_burgers_shock_time_sine():
-    u0 = Field(G1, -np.sin(G1.x[0]))
+    u0 = -np.sin(G1.x[0])
     for eps in (0.5, 0.1):
-        assert abs(burgers_shock_time(u0, eps) - 1.0 / eps) < 1e-10 / eps
+        assert abs(burgers_shock_time(G1, u0, eps) - 1.0 / eps) < 1e-10 / eps
 
 
 def test_burgers_shock_time_no_shock():
     with pytest.raises(NoShockError):
-        burgers_shock_time(Field(G1, np.full(G1.shape, 0.7)), 0.5)
+        burgers_shock_time(G1, np.full(G1.shape, 0.7), 0.5)
     with pytest.raises(NoShockError):
-        burgers_shock_time(Field(G1, -np.sin(G1.x[0])), 0.0)
+        burgers_shock_time(G1, -np.sin(G1.x[0]), 0.0)
 
 
 def test_detect_gradient_blowup_synthetic():
@@ -327,23 +318,20 @@ def test_build_records_mbp_reports_surface_energy():
     eps = 0.1
     zeta0 = 0.2 * np.cos(grid.x[0])
     q0 = zeta_to_q_arr(zeta0, eps, bath)
-    state = ModelState(
-        Field(grid, q0), VecField.from_arrays(grid, [np.zeros(grid.shape)])
-    )
+    state = ModelState(grid, np.stack([q0, np.zeros(grid.shape)]))
     params = ModelParams(eps, 0.1, "mbp")
     cfg = StepperConfig(dt=5e-3, t_end=0.05)
     traj = run(state, params, bath, cfg)
     recs = build_records(traj, bath)
-    zf = Field(grid, zeta0)
-    vf = VecField.from_arrays(grid, [np.zeros(grid.shape)])
-    assert abs(recs[0].E_bp - energy_bp(zf, vf, 0.1, bath)) < 1e-12
-    assert abs(recs[0].EN - energy_EN(zf, vf, 0.1, 3)) < 1e-12
+    vf = np.zeros((1,) + grid.shape)
+    assert abs(recs[0].E_bp - energy_bp(zeta0, vf, 0.1, bath)) < 1e-12
+    assert abs(recs[0].EN - energy_EN(grid, zeta0, vf, 0.1, 3)) < 1e-12
 
 
 def test_build_records_burgers_has_nan_ebp():
     grid = Grid(1, 64, 2.0 * np.pi)
     bath = build_bathymetry(grid, "flat", 0.0)
-    state = ModelState(Field(grid, -np.sin(grid.x[0])), None)
+    state = ModelState(grid, -np.sin(grid.x[0])[None])
     params = ModelParams(0.1, 0.0, "burgers")
     cfg = StepperConfig(dt=1e-2, t_end=0.1)
     traj = run(state, params, bath, cfg)

@@ -12,14 +12,10 @@ from bplab.models import (
     build_handles,
     make_rhs,
     max_linear_frequency,
-    rhs_boussinesq_peregrine,
-    rhs_burgers,
-    rhs_modified_bp,
-    rhs_shallow_water,
     time_derivative_stack,
 )
 from bplab.operators import build_handle, get_weighted_ops
-from bplab.spectral import Field, Grid, VecField, dprod, div_arr, grad_arr
+from bplab.spectral import Grid, dprod, div_arr, grad_arr
 from bplab.verification import reference_trajectory
 
 G1 = Grid(1, 64, 2.0 * np.pi)
@@ -30,15 +26,9 @@ BUMP1 = build_bathymetry(G1, "gaussian_bump", 0.5)
 BUMP2 = build_bathymetry(G2, "gaussian_bump", 0.5)
 
 
-def _state(grid, zeta, vel=None, model_rows=True):
-    v = (
-        VecField.from_arrays(grid, vel)
-        if vel is not None
-        else VecField.from_arrays(grid, [np.zeros(grid.shape)] * grid.d)
-    )
-    if not model_rows:
-        v = None
-    return ModelState(Field(grid, zeta), v)
+def _at_rest(grid, scalar):
+    """Stacked state: the given primary scalar and a zero velocity."""
+    return np.stack([scalar] + [np.zeros(grid.shape)] * grid.d)
 
 
 def _random_state(grid, rng, amp=0.1, rows=None):
@@ -113,11 +103,11 @@ def test_state_stack_round_trip():
     rng = np.random.default_rng(7)
     U = rng.standard_normal((3,) + G2.shape)
     st = ModelState.from_stack(G2, U, time=1.5)
-    assert st.velocity is not None
+    assert st.stack().shape == (3,) + G2.shape
     assert np.array_equal(st.stack(), U)
     assert st.time == 1.5
     u1 = ModelState.from_stack(G1, rng.standard_normal((1,) + G1.shape))
-    assert u1.velocity is None
+    assert u1.stack().shape == (1,) + G1.shape
 
 
 # ---------------------------------------------------------------------------
@@ -138,12 +128,11 @@ def test_rest_state_is_fixed_point(model):
 def test_burgers_closed_form():
     params = ModelParams(0.4, 0.0, "burgers")
     x = G1.x[0]
-    st = ModelState(Field(G1, np.sin(x)), None)
-    out = rhs_burgers(st, params)
+    out = make_rhs(params, FLAT1).nodal_rhs(np.sin(x)[None])
     # -eps*sin*cos = -(eps/2) sin(2x), fully resolved on the kept band
     expected = -0.2 * np.sin(2.0 * x)
-    assert np.abs(out.primary.samples - expected).max() < 1e-13
-    assert out.velocity is None
+    assert np.abs(out[0] - expected).max() < 1e-13
+    assert out.shape == (1,) + G1.shape  # no velocity rows
 
 
 # squared-frequency factors for a single kept mode, by hand:
@@ -285,45 +274,42 @@ def test_translation_equivariance_flat_nonlinear():
 def test_dry_state_raises():
     params = ModelParams(0.5, 0.2, "sw")
     zeta = np.full(G1.shape, -2.5)  # h = 1 + 0.5*(-2.5) < 0
-    st = _state(G1, zeta)
     with pytest.raises(DryStateError):
-        rhs_shallow_water(st, params, FLAT1)
+        make_rhs(params, FLAT1).nodal_rhs(_at_rest(G1, zeta))
 
 
 def test_mbp_never_dry():
     # the log variable keeps depth positive by construction
     params = ModelParams(0.5, 0.2, "mbp")
     q = np.full(G1.shape, -8.0)
-    st = _state(G1, q)
-    out = rhs_modified_bp(st, params, BUMP1)
-    assert out.primary.is_finite
+    out = make_rhs(params, BUMP1).nodal_rhs(_at_rest(G1, q))
+    assert np.isfinite(out[0]).all()
 
 
 def test_wrapper_model_mismatch():
-    st = _state(G1, np.zeros(G1.shape))
+    # a handle that factorizes another model's operator is rejected
+    bp, mbp = ModelParams(0.1, 0.1, "bp"), ModelParams(0.1, 0.1, "mbp")
     with pytest.raises(ValueError):
-        rhs_shallow_water(st, ModelParams(0.1, 0.1, "bp"), FLAT1)
+        make_rhs(bp, BUMP1, handles={"I_plus_muTb": build_handle("hb_B", 0.1, BUMP1)})
     with pytest.raises(ValueError):
-        rhs_boussinesq_peregrine(st, ModelParams(0.1, 0.1, "sw"), FLAT1)
+        make_rhs(mbp, BUMP1, handles={"hb_B": build_handle("I_plus_muTb", 0.1, BUMP1)})
 
 
 def test_wrapper_accepts_prebuilt_handle():
     rng = np.random.default_rng(21)
     U = _random_state(G1, rng, amp=0.03)
-    st = ModelState.from_stack(G1, U)
     params = ModelParams(0.2, 0.3, "bp")
     handle = build_handle("I_plus_muTb", 0.3, BUMP1)
-    a = rhs_boussinesq_peregrine(st, params, BUMP1, handle=handle)
-    b = rhs_boussinesq_peregrine(st, params, BUMP1)
-    assert np.abs(a.stack() - b.stack()).max() < 1e-13
+    a = make_rhs(params, BUMP1, handles={"I_plus_muTb": handle}).nodal_rhs(U)
+    b = make_rhs(params, BUMP1).nodal_rhs(U)
+    assert np.abs(a - b).max() < 1e-13
 
 
 def test_handle_mismatch_rejected():
-    st = _state(G1, np.zeros(G1.shape))
     params = ModelParams(0.2, 0.3, "bp")
     wrong = build_handle("I_plus_muTb", 0.5, BUMP1)  # different mu
     with pytest.raises(ValueError):
-        rhs_boussinesq_peregrine(st, params, BUMP1, handle=wrong)
+        make_rhs(params, BUMP1, handles={"I_plus_muTb": wrong})
 
 
 # ---------------------------------------------------------------------------
@@ -334,33 +320,31 @@ def _mbp_setup(eps=0.4, mu=0.4):
     rng = np.random.default_rng(17)
     params = ModelParams(eps, mu, "mbp")
     U = _random_state(G1, rng, amp=0.08)
-    state = ModelState.from_stack(G1, U)
-    return params, state, U
+    return params, U
 
 
 def test_jet_order_zero_is_state():
-    params, state, U = _mbp_setup()
-    stack = time_derivative_stack(state, params, BUMP1, k_max=0)
+    params, U = _mbp_setup()
+    stack = time_derivative_stack(U, params, BUMP1, k_max=0)
     assert len(stack) == 1
-    q0, v0 = stack[0]
-    assert np.array_equal(q0.samples, U[0])
-    assert np.array_equal(np.stack(v0.arrays()), U[1:])
+    assert np.array_equal(stack[0][0], U[0])
+    assert np.array_equal(stack[0][1:], U[1:])
 
 
 def test_jet_first_order_matches_rhs():
-    params, state, U = _mbp_setup()
-    stack = time_derivative_stack(state, params, BUMP1, k_max=1)
-    q1, v1 = stack[1]
+    params, U = _mbp_setup()
+    stack = time_derivative_stack(U, params, BUMP1, k_max=1)
+    u1 = stack[1]
     dU = make_rhs(params, BUMP1).nodal_rhs(U)
-    assert np.abs(q1.samples - params.eps * dU[0]).max() < 1e-13
-    assert np.abs(np.stack(v1.arrays()) - params.eps * dU[1:]).max() < 1e-13
+    assert np.abs(u1[0] - params.eps * dU[0]).max() < 1e-13
+    assert np.abs(u1[1:] - params.eps * dU[1:]).max() < 1e-13
 
 
 def test_jet_against_time_differences():
     """u_1 and u_2 against centered differences of a fine reference run."""
-    params, state, U = _mbp_setup()
+    params, U = _mbp_setup()
     eps = params.eps
-    stack = time_derivative_stack(state, params, BUMP1, k_max=2)
+    stack = time_derivative_stack(U, params, BUMP1, k_max=2)
     rhs = make_rhs(params, BUMP1).nodal_rhs
     dt = 2e-3
     up = reference_trajectory(U, rhs, dt, dt / 8.0)
@@ -368,8 +352,7 @@ def test_jet_against_time_differences():
     d1 = (up - um) / (2.0 * dt)
     d2 = (up - 2.0 * U + um) / dt**2
     # u_k = (eps*d_t)^k u, so u_1 = eps*d_t u and u_2 = eps^2 * d_t^2 u
-    u1 = np.concatenate([stack[1][0].samples[None], np.stack(stack[1][1].arrays())])
-    u2 = np.concatenate([stack[2][0].samples[None], np.stack(stack[2][1].arrays())])
+    u1, u2 = stack[1], stack[2]
     scale1 = np.abs(u1).max()
     scale2 = max(np.abs(u2).max(), 1e-3)
     assert np.abs(u1 - eps * d1).max() < 1e-4 * scale1
@@ -380,26 +363,27 @@ def test_jet_vanishes_for_linear_flow():
     # at eps = 0 the operator (eps*d_t)^k annihilates every k >= 1
     params = ModelParams(0.0, 0.4, "mbp")
     rng = np.random.default_rng(19)
-    state = ModelState.from_stack(G1, _random_state(G1, rng))
-    stack = time_derivative_stack(state, params, BUMP1, k_max=3)
+    stack = time_derivative_stack(_random_state(G1, rng), params, BUMP1, k_max=3)
     for k in (1, 2, 3):
-        assert np.abs(stack[k][0].samples).max() == 0.0
+        assert np.abs(stack[k][0]).max() == 0.0
 
 
 def test_jet_rescaled_flag_is_irrelevant():
-    params, state, _ = _mbp_setup()
+    params, U = _mbp_setup()
     resc = ModelParams(params.eps, params.mu, "mbp", rescaled_time=True)
-    a = time_derivative_stack(state, params, BUMP1, k_max=2)
-    b = time_derivative_stack(state, resc, BUMP1, k_max=2)
-    for (qa, va), (qb, vb) in zip(a, b):
-        assert np.array_equal(qa.samples, qb.samples)
-        assert np.array_equal(np.stack(va.arrays()), np.stack(vb.arrays()))
+    a = time_derivative_stack(U, params, BUMP1, k_max=2)
+    b = time_derivative_stack(U, resc, BUMP1, k_max=2)
+    for ua, ub in zip(a, b):
+        assert np.array_equal(ua[0], ub[0])
+        assert np.array_equal(ua[1:], ub[1:])
 
 
 def test_jet_requires_mbp():
-    st = _state(G1, np.zeros(G1.shape))
+    U = _at_rest(G1, np.zeros(G1.shape))
     with pytest.raises(ValueError):
-        time_derivative_stack(st, ModelParams(0.1, 0.1, "bp"), BUMP1)
+        time_derivative_stack(U, ModelParams(0.1, 0.1, "bp"), BUMP1)
+    with pytest.raises(ValueError):  # the mbp state carries a velocity
+        time_derivative_stack(U[:1], ModelParams(0.1, 0.1, "mbp"), BUMP1)
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +403,6 @@ def test_frequency_ordering():
 def test_frequency_advective_part():
     params = ModelParams(0.5, 0.0, "burgers")
     assert max_linear_frequency(params, G1) == 0.0
-    st = ModelState(Field(G1, 2.0 * np.ones(G1.shape)), None)
+    st = ModelState(G1, 2.0 * np.ones((1,) + G1.shape))
     kmax = float(np.sqrt(G1.k2deriv.max()))
     assert max_linear_frequency(params, G1, st) == pytest.approx(0.5 * 2.0 * kmax)

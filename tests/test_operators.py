@@ -5,25 +5,18 @@ import pytest
 
 from bplab.bathymetry import build_bathymetry
 from bplab.operators import (
-    OperatorHandle,
     _gram_apply,
     apply_A,
     apply_B,
     apply_Tb,
     build_handle,
     coercivity_report,
-    dense_matrix,
     gradient_control_report,
     perp_structure_residual,
-    solve_hbA,
-    solve_hbB,
-    solve_I_plus_muTb,
 )
 from bplab.spectral import (
     Grid,
-    VecField,
     div_arr,
-    field_from_function,
     grad_arr,
     perp_div_arr,
     perp_grad_arr,
@@ -45,20 +38,11 @@ BUMP2 = build_bathymetry(
 
 
 def rand_vec(grid, rng):
-    return VecField.from_arrays(
-        grid, [rng.standard_normal(grid.shape) for _ in range(grid.d)]
-    )
-
-
-def max_abs(v: VecField) -> float:
-    return max(np.max(np.abs(c.samples)) for c in v.components)
+    return rng.standard_normal((grid.d,) + grid.shape)
 
 
 def vec_from_mode(grid, k):
-    return VecField.from_arrays(
-        grid,
-        [np.sin(k * grid.x[0])] + [np.zeros(grid.shape)] * (grid.d - 1),
-    )
+    return np.stack([np.sin(k * grid.x[0])] + [np.zeros(grid.shape)] * (grid.d - 1))
 
 
 class TestFlatClosedForms:
@@ -66,7 +50,7 @@ class TestFlatClosedForms:
         # flat bottom: Tb v = -(1/3) grad div v, so sin(kx) -> (k^2/3) sin(kx)
         for k in (1, 3, 5):
             v = vec_from_mode(G1, k)
-            got = apply_Tb(v, FLAT1).components[0].samples
+            got = apply_Tb(v, FLAT1)[0]
             np.testing.assert_allclose(
                 got, (k**2 / 3.0) * np.sin(k * G1.x[0]), atol=1e-11
             )
@@ -76,24 +60,20 @@ class TestFlatClosedForms:
         for bath in (FLAT1, BUMP1, BUMP2):
             v = rand_vec(bath.grid, rng)
             for fn in (apply_A, apply_B):
-                out = fn(v, 0.0, bath)
-                for c_out, c_in in zip(out.components, v.components):
-                    np.testing.assert_allclose(
-                        c_out.samples, c_in.samples, atol=1e-13
-                    )
+                np.testing.assert_allclose(fn(v, 0.0, bath), v, atol=1e-13)
 
     def test_B_flat_symbol_d1(self):
         # flat d=1: B acts as 1 + mu k^2/3 + mu k^2 on a single mode
         mu, k = 0.2, 4
         v = vec_from_mode(G1, k)
-        got = apply_B(v, mu, FLAT1).components[0].samples
+        got = apply_B(v, mu, FLAT1)[0]
         want = (1.0 + mu * k**2 / 3.0 + mu * k**2) * np.sin(k * G1.x[0])
         np.testing.assert_allclose(got, want, atol=1e-11)
 
     def test_A_flat_symbol_d1(self):
         mu, k = 0.3, 3
         v = vec_from_mode(G1, k)
-        got = apply_A(v, mu, FLAT1).components[0].samples
+        got = apply_A(v, mu, FLAT1)[0]
         want = (1.0 + mu * k**2) * np.sin(k * G1.x[0])
         np.testing.assert_allclose(got, want, atol=1e-11)
 
@@ -156,7 +136,7 @@ class TestSolves:
         mu, k = 0.25, 5
         handle = build_handle("I_plus_muTb", mu, FLAT1)
         rhs = vec_from_mode(G1, k)
-        got = solve_I_plus_muTb(rhs, handle).components[0].samples
+        got = handle.solve_arrays(rhs)[0]
         np.testing.assert_allclose(
             got, np.sin(k * G1.x[0]) / (1.0 + mu * k**2 / 3.0), atol=1e-12
         )
@@ -165,16 +145,10 @@ class TestSolves:
         rng = np.random.default_rng(4)
         rhs = rand_vec(G1, rng)
         h1 = build_handle("I_plus_muTb", 0.0, BUMP1)
-        out = solve_I_plus_muTb(rhs, h1)
-        for c_out, c_in in zip(out.components, rhs.components):
-            np.testing.assert_allclose(c_out.samples, c_in.samples, atol=1e-11)
+        np.testing.assert_allclose(h1.solve_arrays(rhs), rhs, atol=1e-11)
         h2 = build_handle("hb_A", 0.0, BUMP1)
-        out2 = solve_hbA(rhs, h2)
-        np.testing.assert_allclose(
-            out2.components[0].samples,
-            rhs.components[0].samples / BUMP1.hb,
-            atol=1e-11,
-        )
+        out2 = h2.solve_arrays(rhs)
+        np.testing.assert_allclose(out2[0], rhs[0] / BUMP1.hb, atol=1e-11)
 
     @pytest.mark.parametrize("bath", [FLAT1, BUMP1, BUMP2], ids=["flat", "d1", "d2"])
     @pytest.mark.parametrize("kind", ["I_plus_muTb", "hb_B", "hb_A"])
@@ -201,12 +175,21 @@ class TestSolves:
         assert np.max(np.abs(back - rhs)) <= 1e-8 * np.max(np.abs(rhs))
 
     def test_handle_rejects_wrong_kind_or_grid(self):
-        handle = build_handle("hb_B", 0.1, BUMP1)
+        # arrays must end in (d, *grid.shape); leading axes are a batch
         rng = np.random.default_rng(7)
         with pytest.raises(ValueError):
-            solve_hbA(rand_vec(G1, rng), handle)
-        with pytest.raises(ValueError):
-            solve_hbB(rand_vec(G2, rng), handle)
+            build_handle("hb_X", 0.1, BUMP1)
+        for bath in (FLAT1, BUMP1):  # spectral and dense strategies
+            handle = build_handle("hb_B", 0.1, bath)
+            wrong = (rand_vec(G2, rng), np.zeros((2,) + G1.shape), np.zeros(G1.shape))
+            for bad in wrong:
+                with pytest.raises(ValueError):
+                    handle.solve_arrays(bad)
+                with pytest.raises(ValueError):
+                    handle.apply_arrays(bad)
+        batch = rng.standard_normal((3, 1) + G1.shape)
+        out = build_handle("hb_B", 0.1, FLAT1).solve_arrays(batch)
+        assert out.shape == batch.shape
 
 
 class TestCoercivity:
@@ -242,10 +225,9 @@ class TestStructure:
     def test_perp_structure_of_hbA_solutions(self):
         # u = (h_b A)^{-1}(h_b grad f) is a discrete gradient: perp_div u = 0
         handle = build_handle("hb_A", 0.1, BUMP2)
-        f = field_from_function(
-            G2, lambda x, y: np.sin(x) * np.cos(2 * y) + 0.3 * np.cos(x)
-        )
-        res = perp_structure_residual(handle, f.samples)
+        x, y = G2.x
+        f = np.sin(x) * np.cos(2 * y) + 0.3 * np.cos(x)
+        res = perp_structure_residual(handle, f)
         assert res <= 1e-10
 
     def test_perp_structure_random_rhs_fails_gracefully(self):

@@ -1,11 +1,12 @@
 """Config loading, initial states, artifact writers, and the CLI surface."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
-from bplab.bathymetry import build_bathymetry, zeta_to_q_arr
+from bplab.bathymetry import zeta_to_q_arr
 from bplab.cli import main
 from bplab.errors import ConfigError
 from bplab.models import ModelParams
@@ -55,6 +56,12 @@ scenario_params:
     - {d: 1, n: 16, L: 2pi, profile: gaussian_bump, beta: 0.4, mu: 0.1}
 """
 
+D2_DISPERSION = (
+    TINY_DISPERSION.replace("{d: 1, n: 64, L: 2pi}", "{d: 2, n: 16, L: 2pi}")
+    .replace("mode: 1}", "mode: [1, 0]}")
+    .replace("track_modes: [1]", "track_modes: [[1, 0]]")
+)
+
 
 # ---------------------------------------------------------------------------
 # config loading
@@ -88,6 +95,38 @@ def test_bad_grid_rejected(tmp_path):
     p = _write(tmp_path, TINY_DISPERSION.replace("n: 64", "n: 0"))
     with pytest.raises(ConfigError, match="grid"):
         load_config(p)
+
+
+def test_d2_mode_pairs_parse(tmp_path):
+    cfg = load_config(_write(tmp_path, D2_DISPERSION))
+    assert cfg.initial.mode == ((1, 0),)
+    assert cfg.stepper.track_modes == ((1, 0),)
+
+
+@pytest.mark.parametrize(
+    "text,key",
+    [
+        (TINY_DISPERSION.replace("amplitude: 1.0e-3", "amplitude: abc"), "initial.amplitude"),
+        (TINY_DISPERSION.replace("mode: 1}", "mode: 1, width: [1]}"), "initial.width"),
+        (D2_DISPERSION.replace("mode: [1, 0]", "mode: [a, 0]"), "initial.mode"),
+        (
+            D2_DISPERSION.replace("track_modes: [[1, 0]]", "track_modes: [[a, 0]]"),
+            "stepper.track_modes",
+        ),
+        (
+            TINY_DISPERSION + "scenario_params: {horizon_over_eps: soon}\n",
+            "scenario_params.horizon_over_eps",
+        ),
+        (TINY_DISPERSION + "scenario_params: {trials: many}\n", "scenario_params.trials"),
+    ],
+    ids=["amplitude", "width", "mode", "track_modes", "horizon_over_eps", "trials"],
+)
+def test_bad_value_rejected(tmp_path, capsys, text, key):
+    p = _write(tmp_path, text)
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        load_config(p)
+    assert main(["validate", "--config", str(p)]) == 2
+    assert "invalid:" in capsys.readouterr().err
 
 
 def test_missing_required_sweep(tmp_path):
@@ -166,17 +205,17 @@ def test_gaussian_initial_state(tmp_path):
     cfg = _cfg(tmp_path, text)
     bath = cfg.build_bath()
     state = build_initial_state(cfg, cfg.grid, cfg.params, bath)
-    z = state.primary.samples
+    z = state.U[0]
     assert abs(z.max() - 0.25) < 1e-12
     assert abs(cfg.grid.x[0][z.argmax()] - 0.5 * cfg.grid.L) < cfg.grid.L / 64
-    assert all(abs(c.samples).max() == 0.0 for c in state.velocity.components)
+    assert state.U.shape == (2,) + cfg.grid.shape and abs(state.U[1:]).max() == 0.0
 
 
 def test_single_mode_initial_state(tmp_path):
     cfg = _cfg(tmp_path, TINY_DISPERSION)
     state = build_initial_state(cfg, cfg.grid, cfg.params, cfg.build_bath())
     expect = 1e-3 * np.cos(cfg.grid.x[0])
-    assert abs(state.primary.samples - expect).max() < 1e-15
+    assert abs(state.U[0] - expect).max() < 1e-15
 
 
 def test_burgers_sine_initial_state(tmp_path):
@@ -190,9 +229,9 @@ sweep:
 """
     cfg = _cfg(tmp_path, text)
     state = build_initial_state(cfg, cfg.grid, cfg.params, cfg.build_bath())
-    assert state.velocity is None
+    assert state.U.shape == (1,) + cfg.grid.shape  # no velocity rows
     expect = -np.sin(cfg.grid.x[0])
-    assert abs(state.primary.samples - expect).max() < 1e-15
+    assert abs(state.U[0] - expect).max() < 1e-15
 
 
 def test_mbp_initial_state_is_log_variable(tmp_path):
@@ -210,7 +249,7 @@ sweep:
     state = build_initial_state(cfg, cfg.grid, cfg.params, bath)
     zeta = 0.2 * np.exp(-0.5 * ((cfg.grid.x[0] - np.pi) / 0.8) ** 2)
     expect = zeta_to_q_arr(zeta, 0.1, bath)
-    assert abs(state.primary.samples - expect).max() < 1e-14
+    assert abs(state.U[0] - expect).max() < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +343,28 @@ def test_run_scenario_snapshot_policies(tmp_path):
     cfg = load_config(_write(tmp_path, base % "none", "b.yaml"), out=str(tmp_path / "o2"))
     rdir = [p for p in run_scenario(cfg).out_dir.iterdir() if p.is_dir()][0]
     assert not list(rdir.glob("*.bin"))
+
+
+@pytest.mark.parametrize(
+    "case,key",
+    [
+        ("{d: 1, L: 2pi}", "scenario_params.cases[1].n"),
+        ("{n: 16, profil: gaussian_bump}", "scenario_params.cases[1].profil"),
+        ("{n: 12}", "scenario_params.cases[1]"),
+        ("{n: 16, profile: trench}", "scenario_params.cases[1]"),
+        ("{n: 16, profile: gaussian_bump, beta: 1.0}", "scenario_params.cases[1]"),
+        ("{n: 16, mu: -0.1}", "scenario_params.cases[1]"),
+        ("16", "scenario_params.cases[1]"),
+    ],
+    ids=["missing-n", "unknown-key", "bad-grid", "bad-profile", "drowned", "mu", "scalar"],
+)
+def test_bad_audit_case_rejected(tmp_path, case, key):
+    # a case is checked when the file loads, before any run starts
+    p = _write(tmp_path, TINY_AUDIT + f"    - {case}\n")
+    with pytest.raises(ConfigError, match=re.escape(key) + ": "):
+        load_config(p)
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_scenario_audit_runs_have_no_trajectory(tmp_path):

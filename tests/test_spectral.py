@@ -5,24 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bplab.bathymetry import Bathymetry, build_bathymetry
+from bplab.diagnostics import energy_theorem_E
+from bplab.models import ModelParams, ModelState
 from bplab.spectral import (
-    Field,
     Grid,
-    VecField,
-    dealias,
-    div_gamma,
-    field_from_function,
-    grad_gamma,
-    inner,
-    l2_norm,
-    lambda_s,
-    mollify,
-    perp_div,
-    perp_grad,
-    sobolev_norm,
-    xs_norm,
-    zero_vecfield,
+    div_arr,
+    grad_arr,
+    l2_norm_arr,
+    lambda_arr,
+    mollify_arr,
+    perp_div_arr,
+    perp_grad_arr,
+    sobolev_norm_arr,
+    trunc_arr,
 )
+from bplab.timeloop import StepperConfig, run
 
 
 def grid1(n=64, L=2 * np.pi):
@@ -34,13 +32,16 @@ def grid2(n=32, L=2 * np.pi, gamma=1.0):
 
 
 def random_field(grid, rng):
-    return Field(grid, rng.standard_normal(grid.shape))
+    return rng.standard_normal(grid.shape)
 
 
 def random_vec(grid, rng):
-    return VecField.from_arrays(
-        grid, [rng.standard_normal(grid.shape) for _ in range(grid.d)]
-    )
+    return rng.standard_normal((grid.d,) + grid.shape)
+
+
+def inner(grid, a, b):
+    """L2 pairing dx^d * sum(a*b); stacked rows sum over components."""
+    return float(np.sum(a * b)) * grid.dx**grid.d
 
 
 class TestGridValidation:
@@ -72,25 +73,25 @@ class TestDerivatives:
         # d/dx sin(kx) = k cos(kx), exact for band-limited data
         g = grid1()
         for k in (1, 3, 7):
-            f = field_from_function(g, lambda x: np.sin(k * x))
-            df = grad_gamma(f).components[0].samples
+            f = np.sin(k * g.x[0])
+            df = grad_arr(g, f)[0]
             np.testing.assert_allclose(df, k * np.cos(k * g.x[0]), atol=1e-12)
 
     def test_divergence_d1_equals_derivative(self):
         g = grid1()
         rng = np.random.default_rng(1)
         v = random_vec(g, rng)
-        dv = div_gamma(v).samples
-        df = grad_gamma(v.components[0]).components[0].samples
+        dv = div_arr(g, v)
+        df = grad_arr(g, v[0])[0]
         np.testing.assert_allclose(dv, df, atol=1e-12)
 
     def test_twisted_gradient_d2(self):
         # grad_g = (d/dx, g*d/dy) picks up gamma on the second axis only
         gamma = 0.5
         g = grid2(gamma=gamma)
-        f = field_from_function(g, lambda x, y: np.sin(2 * x) * np.cos(3 * y))
-        gx, gy = (c.samples for c in grad_gamma(f).components)
         X, Y = g.x
+        f = np.sin(2 * X) * np.cos(3 * Y)
+        gx, gy = grad_arr(g, f)
         np.testing.assert_allclose(gx, 2 * np.cos(2 * X) * np.cos(3 * Y), atol=1e-12)
         np.testing.assert_allclose(
             gy, -3 * gamma * np.sin(2 * X) * np.sin(3 * Y), atol=1e-12
@@ -100,15 +101,15 @@ class TestDerivatives:
         g = grid1()
         rng = np.random.default_rng(2)
         f = random_field(g, rng)
-        assert np.all(perp_grad(f).components[0].samples == 0.0)
-        assert np.all(perp_div(random_vec(g, rng)).samples == 0.0)
+        assert np.all(perp_grad_arr(g, f)[0] == 0.0)
+        assert np.all(perp_div_arr(g, random_vec(g, rng)) == 0.0)
 
     def test_perp_div_of_perp_grad_is_gamma2_laplacian(self):
         # perp_div(perp_grad f) = (g^2 dyy + dxx) f ... check against spectrum
         g = grid2(gamma=0.7)
-        f = field_from_function(g, lambda x, y: np.sin(3 * x) * np.sin(2 * y))
-        got = perp_div(perp_grad(f)).samples
-        want = -(3**2 + 0.7**2 * 2**2) * f.samples
+        f = np.sin(3 * g.x[0]) * np.sin(2 * g.x[1])
+        got = perp_div_arr(g, perp_grad_arr(g, f))
+        want = -(3**2 + 0.7**2 * 2**2) * f
         np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_perp_div_of_gradient_vanishes(self):
@@ -116,8 +117,8 @@ class TestDerivatives:
         g = grid2(gamma=0.6)
         rng = np.random.default_rng(3)
         f = random_field(g, rng)
-        res = perp_div(grad_gamma(f)).samples
-        assert np.max(np.abs(res)) < 1e-10 * max(1.0, np.max(np.abs(f.samples)))
+        res = perp_div_arr(g, grad_arr(g, f))
+        assert np.max(np.abs(res)) < 1e-10 * max(1.0, np.max(np.abs(f)))
 
 
 class TestAdjointness:
@@ -128,8 +129,8 @@ class TestAdjointness:
         rng = np.random.default_rng(seed)
         f = random_field(g, rng)
         v = random_vec(g, rng)
-        lhs = inner(grad_gamma(f), v)
-        rhs = -inner(f, div_gamma(v))
+        lhs = inner(g, grad_arr(g, f), v)
+        rhs = -inner(g, f, div_arr(g, v))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
     @settings(max_examples=20, deadline=None)
@@ -139,8 +140,8 @@ class TestAdjointness:
         rng = np.random.default_rng(seed)
         f = random_field(g, rng)
         v = random_vec(g, rng)
-        lhs = inner(grad_gamma(f), v)
-        rhs = -inner(f, div_gamma(v))
+        lhs = inner(g, grad_arr(g, f), v)
+        rhs = -inner(g, f, div_arr(g, v))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
     def test_perp_grad_perp_div_adjoint(self):
@@ -148,8 +149,8 @@ class TestAdjointness:
         rng = np.random.default_rng(7)
         f = random_field(g, rng)
         v = random_vec(g, rng)
-        lhs = inner(perp_grad(f), v)
-        rhs = -inner(f, perp_div(v))
+        lhs = inner(g, perp_grad_arr(g, f), v)
+        rhs = -inner(g, f, perp_div_arr(g, v))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
@@ -158,36 +159,35 @@ class TestMultipliers:
         g = grid1()
         rng = np.random.default_rng(4)
         f = random_field(g, rng)
-        np.testing.assert_allclose(lambda_s(f, 0.0).samples, f.samples, atol=1e-13)
+        np.testing.assert_allclose(lambda_arr(g, f, 0.0), f, atol=1e-13)
 
     def test_lambda_s_roundtrip(self):
         g = grid1()
         rng = np.random.default_rng(5)
         f = random_field(g, rng)
-        back = lambda_s(lambda_s(f, 2.0), -2.0).samples
-        np.testing.assert_allclose(back, f.samples, atol=1e-11)
+        back = lambda_arr(g, lambda_arr(g, f, 2.0), -2.0)
+        np.testing.assert_allclose(back, f, atol=1e-11)
 
     def test_mollify_closed_form_on_mode(self):
         # (1 - delta*Lap)^{-1} sin(kx) = sin(kx) / (1 + delta*k^2)
         g = grid1()
         delta, k = 0.1, 4
-        f = field_from_function(g, lambda x: np.sin(k * x))
-        got = mollify(f, delta, -1).samples
-        np.testing.assert_allclose(got, f.samples / (1 + delta * k**2), atol=1e-13)
+        f = np.sin(k * g.x[0])
+        got = mollify_arr(g, f, delta, -1)
+        np.testing.assert_allclose(got, f / (1 + delta * k**2), atol=1e-13)
 
     def test_mollify_inverse_pairs(self):
         g = grid2(n=16)
         rng = np.random.default_rng(6)
         f = random_field(g, rng)
         for p in (1, 2):
-            back = mollify(mollify(f, 0.05, p), 0.05, -p).samples
-            np.testing.assert_allclose(back, f.samples, atol=1e-12)
+            back = mollify_arr(g, mollify_arr(g, f, 0.05, p), 0.05, -p)
+            np.testing.assert_allclose(back, f, atol=1e-12)
 
     def test_mollify_rejects_bad_power(self):
         g = grid1()
-        f = zero_field_like(g)
         with pytest.raises(ValueError):
-            mollify(f, 0.1, 3)
+            mollify_arr(g, np.zeros(g.shape), 0.1, 3)
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -195,84 +195,105 @@ class TestMultipliers:
         g = grid1(n=32)
         rng = np.random.default_rng(seed)
         f = random_field(g, rng)
-        a = mollify(lambda_s(f, 1.5), 0.2, -1).samples
-        b = lambda_s(mollify(f, 0.2, -1), 1.5).samples
+        a = mollify_arr(g, lambda_arr(g, f, 1.5), 0.2, -1)
+        b = lambda_arr(g, mollify_arr(g, f, 0.2, -1), 1.5)
         assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(a)))
 
     def test_dealias_zeroes_top_third(self):
         g = grid1(n=64)
         # mode 30 sits above the 2/3 cutoff (64/3 = 21.3), mode 10 below
-        f = field_from_function(g, lambda x: np.sin(10 * x) + np.sin(30 * x))
-        got = dealias(f).samples
+        f = np.sin(10 * g.x[0]) + np.sin(30 * g.x[0])
+        got = trunc_arr(g, f)
         np.testing.assert_allclose(got, np.sin(10 * g.x[0]), atol=1e-12)
-
-
-def zero_field_like(g):
-    return Field(g, np.zeros(g.shape))
 
 
 class TestNorms:
     def test_l2_norm_of_sin_is_sqrt_pi(self):
         # |sin|_{L2(0,2pi)} = sqrt(pi); quadrature is exact for trig modes
         g = grid1(n=64, L=2 * np.pi)
-        f = field_from_function(g, lambda x: np.sin(x))
-        assert abs(sobolev_norm(f, 0.0) - np.sqrt(np.pi)) < 1e-12
-        assert abs(l2_norm(f) - np.sqrt(np.pi)) < 1e-12
+        f = np.sin(g.x[0])
+        assert abs(sobolev_norm_arr(g, f, 0.0) - np.sqrt(np.pi)) < 1e-12
+        assert abs(l2_norm_arr(g, f) - np.sqrt(np.pi)) < 1e-12
 
     def test_hs_norm_of_single_mode(self):
         # |sin(kx)|_{H^s}^2 = (1+k^2)^s * pi on [0, 2pi)
         g = grid1(n=64)
         for s in (1.0, 2.0, 3.0):
             for k in (1, 2, 5):
-                f = field_from_function(g, lambda x: np.sin(k * x))
+                f = np.sin(k * g.x[0])
                 want = np.sqrt((1 + k**2) ** s * np.pi)
-                assert abs(sobolev_norm(f, s) - want) < 1e-10 * want
+                assert abs(sobolev_norm_arr(g, f, s) - want) < 1e-10 * want
 
     def test_parseval_consistency(self):
         g = grid1()
         rng = np.random.default_rng(8)
         f = random_field(g, rng)
-        direct = l2_norm(f)
-        via_lambda = sobolev_norm(f, 0.0)
+        direct = np.sqrt(inner(g, f, f))
+        via_lambda = sobolev_norm_arr(g, f, 0.0)
         assert abs(direct - via_lambda) < 1e-12 * direct
+
+    # the X^s norm |v|_{H^s}^2 + mu*|div v|_{H^s}^2 is energy_theorem_E at zeta = 0
 
     def test_xs_norm_flat_limit(self):
         # mu = 0 collapses X^s onto plain (H^s)^d
         g = grid2(n=16)
         rng = np.random.default_rng(9)
         v = random_vec(g, rng)
-        assert abs(xs_norm(v, 1.0, 0.0) - sobolev_norm(v, 1.0)) < 1e-12
+        xs = np.sqrt(energy_theorem_E(g, np.zeros(g.shape), v, 0.0, 1.0))
+        hs = np.sqrt(sum(sobolev_norm_arr(g, row, 1.0) ** 2 for row in v))
+        assert abs(xs - hs) < 1e-12
 
     def test_xs_norm_single_mode(self):
         # v = (sin(kx), 0): div v = k cos(kx), |v|_{X^0}^2 = pi + mu k^2 pi
         g = grid2(n=32)
         k, mu = 2, 0.3
-        v = VecField.from_arrays(
-            g, [np.sin(k * g.x[0]), np.zeros(g.shape)]
-        )
+        v = np.stack([np.sin(k * g.x[0]), np.zeros(g.shape)])
         want = np.sqrt((1 + mu * k**2) * np.pi * 2 * np.pi)
-        assert abs(xs_norm(v, 0.0, mu) - want) < 1e-10 * want
+        xs = np.sqrt(energy_theorem_E(g, np.zeros(g.shape), v, mu, 0.0))
+        assert abs(xs - want) < 1e-10 * want
 
 
 class TestFieldTypes:
+    """The containers of grid functions: ModelState's stack and the bottom b."""
+
     def test_field_samples_frozen(self):
         g = grid1()
-        f = zero_field_like(g)
+        src = np.zeros((2,) + g.shape)
+        state = ModelState(g, src)
+        src[0, 0] = 1.0  # the state holds its own copy
+        assert state.U[0, 0] == 0.0
         with pytest.raises(ValueError):
-            f.samples[0] = 1.0
+            state.U[0, 0] = 1.0
+        bath = build_bathymetry(g, "flat", 0.0)
+        with pytest.raises(ValueError):
+            bath.b[0] = 1.0
 
     def test_field_shape_checked(self):
         g = grid1()
         with pytest.raises(ValueError):
-            Field(g, np.zeros(7))
+            ModelState(g, np.zeros((2, 7)))
+        with pytest.raises(ValueError):
+            ModelState(g, np.zeros(g.shape))
+        with pytest.raises(ValueError):
+            Bathymetry(g, 0.1, np.zeros(7))
 
     def test_vecfield_grid_consistency(self):
+        # a state has one row (burgers) or 1 + d rows, all on the state's grid
         g, h = grid1(), grid1(n=32)
         with pytest.raises(ValueError):
-            VecField(g, (zero_field_like(h),))
+            ModelState(g, np.zeros((2,) + h.shape))
+        with pytest.raises(ValueError):
+            ModelState(g, np.zeros((3,) + g.shape))
+        assert ModelState(g, np.zeros((1,) + g.shape)).stack().shape == (1,) + g.shape
 
     def test_corruption_is_detectable(self):
+        # NaN is a detectable corruption state: a run starting from it stops
         g = grid1()
-        f = Field(g, np.full(g.shape, np.nan))
-        assert not f.is_finite
-        assert zero_vecfield(g).is_finite
+        bath = build_bathymetry(g, "flat", 0.0)
+        U = np.zeros((2,) + g.shape)
+        cfg = StepperConfig(dt=1e-2, t_end=0.1)
+        params = ModelParams(0.0, 0.1, "bp")
+        assert run(ModelState(g, U), params, bath, cfg).termination == "completed"
+        U[0, 3] = np.nan
+        traj = run(ModelState(g, U), params, bath, cfg)
+        assert traj.termination == "blowup" and traj.steps_taken == 0

@@ -7,8 +7,8 @@ from bplab.bathymetry import build_bathymetry
 from bplab.diagnostics import build_records
 from bplab.errors import CFLWarning
 from bplab.models import ModelParams, ModelState, build_handles, make_rhs
-from bplab.spectral import Field, Grid, VecField
-from bplab.timeloop import CFL_LIMITS, SCHEMES, StepperConfig, Trajectory, run, step
+from bplab.spectral import Grid
+from bplab.timeloop import CFL_LIMITS, SCHEMES, StepperConfig, run, step
 from bplab.verification import reference_trajectory
 
 G1 = Grid(1, 64, 2.0 * np.pi)
@@ -19,10 +19,7 @@ BUMP1 = build_bathymetry(G1, "gaussian_bump", 0.4)
 def _mode_state(grid, k=2.0, amp=1.0):
     x = grid.x[0]
     zeta = amp * np.cos(k * x)
-    return ModelState(
-        Field(grid, zeta),
-        VecField.from_arrays(grid, [np.zeros(grid.shape)] * grid.d),
-    )
+    return ModelState(grid, np.stack([zeta] + [np.zeros(grid.shape)] * grid.d))
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +102,7 @@ def test_nonlinear_bump_run_completes():
     cfg = StepperConfig(dt=5e-3, t_end=0.5, output_stride=20)
     traj = run(state, params, BUMP1, cfg)
     assert traj.termination == "completed"
-    assert traj.final_state.primary.is_finite
+    assert np.isfinite(traj.final_state.stack()).all()
     assert traj.times[-1] == pytest.approx(0.5)
 
 
@@ -198,7 +195,7 @@ def test_burgers_gradient_blowup():
     grid = Grid(1, 256, 2.0 * np.pi)
     bath = build_bathymetry(grid, "flat", 0.0)
     params = ModelParams(1.0, 0.0, "burgers")
-    state = ModelState(Field(grid, np.sin(grid.x[0])), None)
+    state = ModelState(grid, np.sin(grid.x[0])[None])
     cfg = StepperConfig(dt=2e-3, t_end=1.5, output_stride=5, blowup_threshold=50.0)
     traj = run(state, params, bath, cfg)
     assert traj.termination == "blowup"
@@ -209,10 +206,7 @@ def test_burgers_gradient_blowup():
 
 def test_dry_termination():
     params = ModelParams(0.5, 0.0, "sw")
-    state = ModelState(
-        Field(G1, np.full(G1.shape, -2.5)),
-        VecField.from_arrays(G1, [np.zeros(G1.shape)]),
-    )
+    state = ModelState(G1, np.stack([np.full(G1.shape, -2.5), np.zeros(G1.shape)]))
     cfg = StepperConfig(dt=1e-2, t_end=0.1)
     traj = run(state, params, FLAT1, cfg)
     assert traj.termination == "dry"
@@ -245,10 +239,7 @@ def test_step_zero_rhs_only_moves_clock():
     # a rest state is a fixed point of every flow, so one step is a no-op
     params = ModelParams(0.3, 0.2, "bp")
     bundle = make_rhs(params, BUMP1)
-    state = ModelState(
-        Field(G1, np.zeros(G1.shape)),
-        VecField.from_arrays(G1, [np.zeros(G1.shape)]),
-    )
+    state = ModelState(G1, np.zeros((2,) + G1.shape))
     out = step(state, bundle, StepperConfig(dt=0.25, t_end=1.0))
     assert out.time == 0.25
     assert np.array_equal(out.stack(), state.stack())
@@ -286,7 +277,7 @@ def test_pcg_time_loop_conserves_linear_bp_energy():
     # a periodic gaussian hump at rest, on the bump's slope
     r2 = sum(((x - 0.25 * g.L) % g.L - 0.5 * g.L) ** 2 for x in g.x)
     zeta = 0.3 * np.exp(-0.5 * r2 / 9.0)
-    state = ModelState(Field(g, zeta), VecField.from_arrays(g, [np.zeros(g.shape)] * 2))
+    state = ModelState(g, np.stack([zeta, np.zeros(g.shape), np.zeros(g.shape)]))
     traj = run(state, params, bath, StepperConfig(dt=0.05, t_end=0.5), handles)
     assert traj.termination == "completed" and traj.steps_taken == 10
 

@@ -5,7 +5,8 @@ import pytest
 
 from bplab.bathymetry import build_bathymetry
 from bplab.errors import NotSPDError, SizeLimitError
-from bplab.spectral import Field, Grid, field_from_function, grad_gamma
+from bplab.diagnostics import energy_theorem_E
+from bplab.spectral import Grid, grad_arr
 from bplab.verification import (
     assemble_dense,
     eig_extrema,
@@ -21,31 +22,33 @@ class TestFiniteDifferences:
         errs = []
         for n in (32, 64, 128):
             g = Grid(d=1, n=n, L=2 * np.pi)
-            f = field_from_function(g, lambda x: np.sin(3 * x))
-            got = fd_derivative(f, 1).samples
+            f = np.sin(3 * g.x[0])
+            got = fd_derivative(g, f, 1)
             errs.append(np.max(np.abs(got - 3 * np.cos(3 * g.x[0]))))
         rates = [errs[i] / errs[i + 1] for i in range(2)]
         assert all(10.0 < r < 22.0 for r in rates)
 
     def test_fd_second_derivative(self):
         g = Grid(d=1, n=256, L=2 * np.pi)
-        f = field_from_function(g, lambda x: np.cos(2 * x))
-        got = fd_derivative(f, 2).samples
+        f = np.cos(2 * g.x[0])
+        got = fd_derivative(g, f, 2)
         assert np.max(np.abs(got + 4 * np.cos(2 * g.x[0]))) < 1e-4
 
     def test_fd_rejects_higher_order(self):
         g = Grid(d=1, n=32, L=2 * np.pi)
         with pytest.raises(ValueError):
-            fd_derivative(field_from_function(g, np.sin), 3)
+            fd_derivative(g, np.sin(g.x[0]), 3)
 
     def test_spectral_gradient_agrees_with_fd_oracle(self):
         # spectral derivative is the truth; the stencil converges to it at 4th order
         g = Grid(d=2, n=32, L=2 * np.pi, gamma=0.8)
-        f = field_from_function(g, lambda x, y: np.sin(x + 2 * y) * np.cos(x))
-        spec = grad_gamma(f)
-        fd = fd_gradient(f)
-        for a, b in zip(spec.components, fd):
-            assert np.max(np.abs(a.samples - b.samples)) < 5e-3
+        x, y = g.x
+        f = np.sin(x + 2 * y) * np.cos(x)
+        spec = grad_arr(g, f)
+        fd = fd_gradient(g, f)
+        assert fd.shape == spec.shape
+        for a, b in zip(spec, fd):
+            assert np.max(np.abs(a - b)) < 5e-3
 
 
 class TestEigExtrema:
@@ -83,8 +86,6 @@ class TestAssembleDense:
 
     def test_gram_X0_matches_norm(self):
         # v^T G v recovers |v|_2^2 + mu*|div v|_2^2 up to the dx quadrature weight
-        from bplab.spectral import VecField, xs_norm
-
         g = Grid(d=1, n=16, L=2 * np.pi)
         bath = build_bathymetry(g, "flat", beta=0.0)
         mu = 0.4
@@ -92,7 +93,7 @@ class TestAssembleDense:
         rng = np.random.default_rng(0)
         v = rng.standard_normal(g.shape)
         quad = float(v @ G @ v) * g.dx
-        want = xs_norm(VecField.from_arrays(g, [v]), 0.0, mu) ** 2
+        want = energy_theorem_E(g, np.zeros(g.shape), v[None], mu, 0.0)
         assert abs(quad - want) < 1e-10 * want
 
 
