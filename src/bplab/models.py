@@ -20,10 +20,11 @@ as (1 - delta*Lap_g)^{-1} Solve (1 - delta*Lap_g)^{-1} applied to the
 weighted residual. delta = 0 is the plain system.
 
 make_rhs returns a bundle carrying the flow plus an encode/decode pair for
-the integration coordinates. Linear flat-bottom systems (eps = 0, b = 0)
-integrate directly on rfft coefficients: the flow is then a handful of
-multiplier products per call, and since the change of basis is linear it
-commutes with Runge-Kutta stages exactly.
+the integration coordinates. Burgers and the linear flat-bottom systems
+(eps = 0, b = 0) integrate directly on rfft coefficients; since the change
+of basis is linear it commutes with Runge-Kutta stages exactly. A linear
+flat-bottom flow is a constant (1+d)x(1+d) block per mode, which the bundle
+carries so the stepper can apply whole steps as one matrix per mode.
 """
 
 from __future__ import annotations
@@ -128,8 +129,10 @@ class RHSBundle:
     """A flow dW/dt = fn(W) in integration coordinates W = encode(U).
 
     encode/decode are inverse linear maps between the nodal stack and the
-    coordinates the stepper advances (identity for nonlinear systems,
-    rfft/irfft for fused linear ones).
+    coordinates the stepper advances (identity for the nonlinear water
+    systems, rfft/irfft for burgers and the linear flat-bottom ones).
+    blocks, set only for linear flat-bottom flows, holds the per-mode
+    generators L_k, shape (*grid.rshape, 1+d, 1+d), with fn(W) = L W.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -140,6 +143,7 @@ class RHSBundle:
     delta: float = 0.0
     spectral_state: bool = False
     handles: dict = field(default_factory=dict)
+    blocks: Optional[np.ndarray] = None
 
     def nodal_rhs(self, U: np.ndarray) -> np.ndarray:
         """The flow evaluated in nodal coordinates, whatever the bundle uses."""
@@ -158,6 +162,11 @@ def build_handles(params: ModelParams, bath: Bathymetry) -> dict:
 
 def _identity(a: np.ndarray) -> np.ndarray:
     return a
+
+
+def apply_mode_blocks(blocks: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Per-mode block product: out[i, k] = sum_j blocks[k, i, j] * W[j, k]."""
+    return np.einsum("...ij,j...->i...", blocks, W)
 
 
 def _moll_spec(grid: Grid, delta: float, power: int) -> np.ndarray:
@@ -182,8 +191,8 @@ def _make_linear_flat_rhs(
         d s_hat   = sum_j cs[j] * V_hat[j]
         d V_hat_j = cv[j] * s_hat
 
-    precombined here so each evaluation is a handful of array products.
-    They reproduce the generic dealiased path mode by mode.
+    which fill the off-diagonal entries of one (1+d)x(1+d) block L_k per
+    mode. They reproduce the generic dealiased path mode by mode.
     """
     g = bath.grid
     mu = params.mu
@@ -209,19 +218,13 @@ def _make_linear_flat_rhs(
     else:
         m2 = 1.0
 
-    cs = [-(m2 * mask * ikj) for ikj in g.ik]
-    cv = [-(inv_ld * ikj) for ikj in g.ik]
+    blocks = np.zeros(g.rshape + (1 + g.d, 1 + g.d), dtype=complex)
+    for j, ikj in enumerate(g.ik):
+        blocks[..., 0, 1 + j] = -(m2 * mask * ikj)  # cs[j]
+        blocks[..., 1 + j, 0] = -(inv_ld * ikj)  # cv[j]
 
     def fn(W: np.ndarray) -> np.ndarray:
-        out = np.empty_like(W)
-        s = W[0]
-        acc = cs[0] * W[1]
-        for j in range(1, g.d):
-            acc += cs[j] * W[1 + j]
-        out[0] = acc
-        for j in range(g.d):
-            np.multiply(cv[j], s, out=out[1 + j])
-        return out
+        return apply_mode_blocks(blocks, W)
 
     return RHSBundle(
         fn=fn,
@@ -231,6 +234,7 @@ def _make_linear_flat_rhs(
         bath=bath,
         delta=delta,
         spectral_state=True,
+        blocks=blocks,
     )
 
 
@@ -276,17 +280,19 @@ def make_rhs(
             raise ValueError("supplied handle does not match model/grid/mu")
 
     if model == "burgers":
+        # on rfft coefficients: one stacked inverse transform gives T u and
+        # T u_x, one forward transform the product; the 2/3 projection,
+        # -eps and the mollifier fold into a single output coefficient
+        lift = np.stack([mask, mask * ik[0]])
+        coef = -eps * mask * (m2 if delta > 0 else 1.0)
 
-        def fn(U: np.ndarray) -> np.ndarray:
-            spec = g.rfft(U[0])
-            ut = g.irfft(mask * spec)
-            ux_t = g.irfft(mask * (ik[0] * spec))
-            dspec = -eps * mask * g.rfft(ut * ux_t)
-            if delta > 0:
-                dspec = m2 * dspec
-            return g.irfft(dspec)[None]
+        def fn(W: np.ndarray) -> np.ndarray:
+            ut, ux_t = g.irfft(lift * W)
+            return (coef * g.rfft(ut * ux_t))[None]
 
-        return RHSBundle(fn, _identity, _identity, params, bath, delta)
+        return RHSBundle(
+            fn, g.rfft, g.irfft, params, bath, delta, spectral_state=True
+        )
 
     ops = get_weighted_ops(bath)
     hb = bath.hb

@@ -365,7 +365,8 @@ class OperatorHandle:
         if self.strategy == "spectral":
             return self.grid.irfft(self._flat_inv(self.grid.rfft(y)))
         if self.strategy == "dense":
-            return (self._inv @ y.ravel()).reshape(self._shape)
+            # one matmul over the batch: columns are the flattened right-hand sides
+            return (self._inv @ y.reshape(-1, self.size).T).T.reshape(y.shape)
         return _pcg(
             lambda p: self.apply_weighted_arrays(p),
             lambda r: self.grid.irfft(self._precond_spec(self.grid.rfft(r))),

@@ -781,25 +781,32 @@ def _audit_case(case, default_mu: float, src: str, where: str):
     return grid, bath, mu
 
 
+def _audit_cases(config: ExperimentConfig) -> list:
+    """scenario_params.cases, or one case made of the config's own grid and bottom."""
+    cases = config.scenario_params.get("cases")
+    if cases:
+        return cases
+    return [
+        {
+            "d": config.grid.d,
+            "n": config.grid.n,
+            "L": config.grid.L,
+            "gamma": config.grid.gamma,
+            "profile": config.profile,
+            "beta": config.beta,
+            "params": dict(config.bath_params),
+            "mu": config.params.mu,
+        }
+    ]
+
+
 def _drive_operator_audit(config: ExperimentConfig, jobs: int):
     """Symmetry / coercivity / inversion audit of the three weighted forms.
 
     Cases come from scenario_params.cases; each case audits every kind on
     its own grid and bottom. No time stepping is involved.
     """
-    cases = config.scenario_params.get("cases")
-    if not cases:
-        cases = [
-            {
-                "d": config.grid.d,
-                "n": config.grid.n,
-                "L": config.grid.L,
-                "gamma": config.grid.gamma,
-                "profile": config.profile,
-                "beta": config.beta,
-                "mu": config.params.mu,
-            }
-        ]
+    cases = _audit_cases(config)
     trials = config.scenario_params.get("trials", 8)
     rng_root = np.random.default_rng(config.seed)
     seeds = rng_root.integers(0, 2**63 - 1, size=len(cases))

@@ -16,6 +16,7 @@ from bplab.models import (
 )
 from bplab.operators import build_handle, get_weighted_ops
 from bplab.spectral import Grid, dprod, div_arr, grad_arr
+from bplab.timeloop import StepperConfig, run
 from bplab.verification import reference_trajectory
 
 G1 = Grid(1, 64, 2.0 * np.pi)
@@ -133,6 +134,65 @@ def test_burgers_closed_form():
     expected = -0.2 * np.sin(2.0 * x)
     assert np.abs(out[0] - expected).max() < 1e-13
     assert out.shape == (1,) + G1.shape  # no velocity rows
+
+
+def _burgers_five_transform_rhs(grid, u, eps, delta):
+    """The nodal Burgers flow as rfft, irfft, irfft, rfft, irfft."""
+    mask = grid.dealias_mask
+    spec = grid.rfft(u)
+    ut = grid.irfft(mask * spec)
+    ux_t = grid.irfft(mask * (grid.ik[0] * spec))
+    dspec = -eps * mask * grid.rfft(ut * ux_t)
+    if delta > 0:
+        dspec = dspec / (1.0 + delta * grid.k2gamma) ** 2
+    return grid.irfft(dspec)
+
+
+@pytest.mark.parametrize("delta", [0.0, 2e-2])
+def test_burgers_matches_nodal_formula(delta):
+    # random grid data excites every mode, so both 2/3 projections matter
+    u = np.random.default_rng(21).standard_normal(G1.shape)
+    bundle = make_rhs(ModelParams(0.7, 0.0, "burgers"), FLAT1, delta=delta)
+    assert bundle.spectral_state
+    got = bundle.nodal_rhs(u[None])
+    expected = _burgers_five_transform_rhs(G1, u, 0.7, delta)
+    assert got.shape == (1,) + G1.shape
+    assert np.abs(got[0] - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def test_burgers_run_matches_nodal_reference():
+    # before the shock at t = 1/eps, rfft-coordinate stepping retraces the
+    # nodal RK4 loop over the same flow
+    eps, dt, t_end = 0.5, 1e-2, 0.5
+    params = ModelParams(eps, 0.0, "burgers")
+    u0 = np.sin(G1.x[0])[None]
+    traj = run(ModelState(G1, u0), params, FLAT1, StepperConfig(dt=dt, t_end=t_end))
+    assert traj.termination == "completed"
+    ref = reference_trajectory(u0, make_rhs(params, FLAT1).nodal_rhs, t_end, dt)
+    assert np.abs(traj.states[-1] - ref).max() <= 1e-12
+
+
+def test_burgers_fn_makes_two_transforms(monkeypatch):
+    # one stacked inverse transform and one forward transform per evaluation
+    calls = []
+
+    def counted(name):
+        transform = getattr(Grid, name)
+
+        def wrapper(self, a):
+            calls.append(name)
+            return transform(self, a)
+
+        return wrapper
+
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(Grid, name, counted(name))
+    bundle = make_rhs(ModelParams(0.5, 0.0, "burgers"), FLAT1, delta=1e-2)
+    W = bundle.encode(np.sin(G1.x[0])[None])
+    calls.clear()
+    for _ in range(3):
+        W = W + 1e-3 * bundle.fn(W)
+    assert calls == ["irfft", "rfft"] * 3
 
 
 # squared-frequency factors for a single kept mode, by hand:

@@ -192,6 +192,24 @@ class TestSolves:
         assert out.shape == batch.shape
 
 
+    @pytest.mark.parametrize(
+        "bath,batch",
+        [(FLAT1, (3,)), (BUMP1, (3,)), (BUMP2, (2,))],
+        ids=["spectral-d1", "dense-d1", "dense-d2"],
+    )
+    def test_batched_solve_matches_single_solves(self, bath, batch):
+        # leading axes are independent right-hand sides on every strategy
+        handle = build_handle("hb_B", 0.1, bath)
+        assert handle.strategy == ("spectral" if bath.is_flat else "dense")
+        g = bath.grid
+        rhs = np.random.default_rng(11).standard_normal(batch + (g.d,) + g.shape)
+        out = handle.solve_arrays(rhs)
+        assert out.shape == rhs.shape
+        for b in range(batch[0]):
+            single = handle.solve_arrays(rhs[b])
+            assert np.abs(out[b] - single).max() <= 1e-13 * np.abs(single).max()
+
+
 class TestCoercivity:
     def test_flat_mu_zero_quotient_is_one(self):
         # both the operator and the X^0 Gram collapse onto plain L2

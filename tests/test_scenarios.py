@@ -14,6 +14,8 @@ from bplab.scenarios import (
     ENV_OUT,
     SCENARIOS,
     TIMING_KEYS,
+    _audit_case,
+    _audit_cases,
     build_initial_state,
     load_config,
     run_scenario,
@@ -365,6 +367,22 @@ def test_bad_audit_case_rejected(tmp_path, case, key):
         load_config(p)
     assert main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
     assert not (tmp_path / "out").exists()
+
+
+def test_audit_fallback_case_keeps_bottom_params(tmp_path):
+    # without scenario_params.cases the audit runs on the configured bottom,
+    # a non-default bump width included
+    text = (
+        "scenario: operator-audit\n"
+        "grid: {d: 1, n: 32, L: 2pi}\n"
+        "model: {name: bp, eps: 0.1, mu: 0.1}\n"
+        "bathymetry: {profile: gaussian_bump, beta: 0.4, params: {width: 2.0}}\n"
+    )
+    cfg = load_config(_write(tmp_path, text))
+    (case,) = _audit_cases(cfg)
+    _, bath, mu = _audit_case(case, cfg.params.mu, cfg.scenario, "case")
+    assert mu == 0.1
+    assert np.array_equal(bath.b, cfg.build_bath().b)
 
 
 def test_run_scenario_audit_runs_have_no_trajectory(tmp_path):

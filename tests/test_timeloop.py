@@ -8,11 +8,21 @@ from bplab.diagnostics import build_records
 from bplab.errors import CFLWarning
 from bplab.models import ModelParams, ModelState, build_handles, make_rhs
 from bplab.spectral import Grid
-from bplab.timeloop import CFL_LIMITS, SCHEMES, StepperConfig, run, step
+from bplab.timeloop import (
+    CFL_LIMITS,
+    SCHEMES,
+    StepperConfig,
+    _rk2_step,
+    _rk4_step,
+    run,
+    step,
+)
 from bplab.verification import reference_trajectory
 
 G1 = Grid(1, 64, 2.0 * np.pi)
+G2 = Grid(2, 16, 2.0 * np.pi, gamma=0.7)
 FLAT1 = build_bathymetry(G1, "flat", 0.0)
+FLAT2 = build_bathymetry(G2, "flat", 0.0)
 BUMP1 = build_bathymetry(G1, "gaussian_bump", 0.4)
 
 
@@ -94,6 +104,121 @@ def test_matches_independent_reference_loop():
     traj = run(state, params, FLAT1, cfg)
     ref = reference_trajectory(state.stack(), bundle.nodal_rhs, 0.1, 5e-3)
     assert np.abs(traj.states[-1] - ref).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the exact per-mode propagator of linear flat runs against the stage loop
+
+
+def _random_state(grid, seed, amp=1.0):
+    """O(amp) data on every mode, the unresolved third of the band included."""
+    U = amp * np.random.default_rng(seed).standard_normal((1 + grid.d,) + grid.shape)
+    return ModelState(grid, U)
+
+
+def _stage_records(bundle, U0, scheme, dt, n_steps, stride):
+    """Explicit stage loop over bundle.fn: (step, W) at each record step."""
+    advance = {"rk4": _rk4_step, "rk2": _rk2_step}[scheme]
+    W = bundle.encode(U0)
+    out = [(0, W)]
+    for s in range(1, n_steps + 1):
+        W = advance(bundle.fn, W, dt)
+        if s % stride == 0 or s == n_steps:
+            out.append((s, W))
+    return out
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("delta", [0.0, 1e-2])
+@pytest.mark.parametrize("model", ["sw", "bp", "mbp"])
+@pytest.mark.parametrize("bath", [FLAT1, FLAT2], ids=["d1", "d2"])
+def test_propagator_matches_stage_loop(bath, model, delta, scheme):
+    g = bath.grid
+    params = ModelParams(0.0, 0.3, model)
+    state = _random_state(g, seed=5)
+    cfg = StepperConfig(
+        dt=1e-3, t_end=1.0, scheme=scheme, output_stride=250, delta=delta,
+        blowup_threshold=1e6,
+    )
+    traj = run(state, params, bath, cfg)
+    assert traj.termination == "completed" and traj.steps_taken == 1000
+    bundle = make_rhs(params, bath, delta)
+    ref = _stage_records(bundle, state.stack(), scheme, traj.dt, 1000, 250)
+    assert traj.n_records == len(ref) == 5
+    for got, (_, W) in zip(traj.states, ref):
+        assert np.abs(got - bundle.decode(W)).max() <= 1e-12 * np.abs(got).max()
+
+
+@pytest.mark.parametrize("bath", [FLAT1, FLAT2], ids=["d1", "d2"])
+def test_propagator_stride_remainder(bath):
+    # 1000 steps at stride 7: 142 full strides, then a remainder of 6
+    g = bath.grid
+    params = ModelParams(0.0, 0.4, "bp")
+    modes = (1, 3) if g.d == 1 else ((1, 0), (-2, 3))
+    cfg = StepperConfig(
+        dt=1e-3, t_end=1.0, output_stride=7, track_modes=modes, blowup_threshold=1e6
+    )
+    state = _random_state(g, seed=9)
+    traj = run(state, params, bath, cfg)
+    ref = _stage_records(make_rhs(params, bath), state.stack(), "rk4", traj.dt, 1000, 7)
+    assert traj.steps_taken == 1000
+    assert traj.n_records == len(ref) == 144
+    assert np.array_equal(traj.times, np.array([s for s, _ in ref]) * traj.dt)
+    idx = [(m,) if g.d == 1 else m for m in modes]
+    ref_modes = np.array([[W[0][ix] for ix in idx] for _, W in ref])
+    assert np.abs(traj.mode_history - ref_modes).max() <= 1e-12 * np.abs(ref_modes).max()
+    for got, (_, W) in zip(traj.states, ref):
+        assert np.abs(got - g.irfft(W)).max() <= 1e-12 * np.abs(got).max()
+
+
+def test_propagator_over_cfl_blowup_matches_stage_loop():
+    # dt*omega = 3.1 on the top kept mode lies past rk4's stability
+    # boundary 2.83, so that mode grows from 1e-6 to the threshold
+    params = ModelParams(0.0, 0.0, "sw")
+    kmax = float(np.sqrt((G1.k2deriv * G1.dealias_mask).max()))
+    dt = 3.1 / kmax
+    threshold = 10.0
+    state = ModelState(G1, 1e-6 * _random_state(G1, seed=13).stack())
+    cfg = StepperConfig(dt=dt, t_end=200 * dt, output_stride=3, blowup_threshold=threshold)
+    with pytest.warns(CFLWarning):
+        traj = run(state, params, FLAT1, cfg)
+    assert traj.termination == "blowup"
+
+    bundle = make_rhs(params, FLAT1)
+    expected = None
+    for s, W in _stage_records(bundle, state.stack(), "rk4", traj.dt, 200, 3):
+        sup = np.abs(bundle.decode(W)).max()
+        sup_grad = np.abs(G1.irfft(G1.ik_stack * W)).max()
+        if max(sup, sup_grad) > threshold:
+            expected = s
+            break
+    assert expected is not None and 10 < expected < 200
+    assert traj.steps_taken == expected
+    assert traj.termination_time == expected * traj.dt
+    assert traj.times[-1] == expected * traj.dt
+
+
+def test_linear_flat_run_never_calls_fn(monkeypatch):
+    # a linear flat run advances by propagator powers only
+    calls = []
+
+    def counting_make_rhs(*args, **kwargs):
+        bundle = make_rhs(*args, **kwargs)
+        fn = bundle.fn
+
+        def counted(W):
+            calls.append(1)
+            return fn(W)
+
+        bundle.fn = counted
+        return bundle
+
+    monkeypatch.setattr("bplab.timeloop.make_rhs", counting_make_rhs)
+    for bath in (FLAT1, FLAT2):
+        cfg = StepperConfig(dt=1e-2, t_end=1.0, output_stride=7, blowup_threshold=1e6)
+        traj = run(_random_state(bath.grid, seed=1), ModelParams(0.0, 0.2, "mbp"), bath, cfg)
+        assert traj.steps_taken == 100
+    assert calls == []
 
 
 def test_nonlinear_bump_run_completes():
