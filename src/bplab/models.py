@@ -19,27 +19,28 @@ multiplied by (1 - delta*Lap_g)^{-2}, and the velocity solve is sandwiched
 as (1 - delta*Lap_g)^{-1} Solve (1 - delta*Lap_g)^{-1} applied to the
 weighted residual. delta = 0 is the plain system.
 
-make_rhs returns a bundle carrying the flow plus an encode/decode pair for
-the integration coordinates. Burgers and the linear flat-bottom systems
-(eps = 0, b = 0) integrate directly on rfft coefficients; since the change
-of basis is linear it commutes with Runge-Kutta stages exactly. A linear
-flat-bottom flow is a constant (1+d)x(1+d) block per mode, which the bundle
-carries so the stepper can apply whole steps as one matrix per mode.
+make_rhs returns a bundle whose flow takes and returns rfft coefficients
+W = rfft(U). Every system steps on them and goes to nodes only for its
+pointwise products, through one stacked inverse transform of the factors
+it needs; the change of basis is linear, so it commutes with Runge-Kutta
+stages exactly. A linear flat-bottom flow (eps = 0, b = 0) is a constant
+(1+d)x(1+d) block per mode, which the bundle carries so the stepper can
+apply whole steps as one matrix per mode.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .bathymetry import Bathymetry, q_to_zeta_arr
 from .errors import DryStateError, RegimeWarning
-from .operators import OperatorHandle, build_handle, get_weighted_ops
-from .spectral import Grid, grad_arr, trunc_arr
+from .operators import OperatorHandle, _flat_symbols, build_handle, get_weighted_ops
+from .spectral import Grid, trunc_arr
 
 __all__ = [
     "MODELS",
@@ -126,30 +127,28 @@ def state_rows(model: str, grid: Grid) -> int:
 
 @dataclass
 class RHSBundle:
-    """A flow dW/dt = fn(W) in integration coordinates W = encode(U).
+    """A flow dW/dt = fn(W) on rfft coefficients W = encode(U) = rfft(U).
 
-    encode/decode are inverse linear maps between the nodal stack and the
-    coordinates the stepper advances (identity for the nonlinear water
-    systems, rfft/irfft for burgers and the linear flat-bottom ones).
-    blocks, set only for linear flat-bottom flows, holds the per-mode
-    generators L_k, shape (*grid.rshape, 1+d, 1+d), with fn(W) = L W.
+    Every flow steps on the coefficients and goes to nodes only for its
+    pointwise products; decode is the inverse transform. blocks, set only
+    for linear flat-bottom flows, holds the per-mode generators L_k, shape
+    (*grid.rshape, 1+d, 1+d), with fn(W) = L W.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
-    encode: Callable[[np.ndarray], np.ndarray]
-    decode: Callable[[np.ndarray], np.ndarray]
+    grid: Grid
     params: ModelParams
-    bath: Bathymetry
-    delta: float = 0.0
-    spectral_state: bool = False
-    handles: dict = field(default_factory=dict)
     blocks: Optional[np.ndarray] = None
 
+    def encode(self, U: np.ndarray) -> np.ndarray:
+        return self.grid.rfft(U)
+
+    def decode(self, W: np.ndarray) -> np.ndarray:
+        return self.grid.irfft(W)
+
     def nodal_rhs(self, U: np.ndarray) -> np.ndarray:
-        """The flow evaluated in nodal coordinates, whatever the bundle uses."""
-        if self.spectral_state:
-            return self.decode(self.fn(self.encode(U)))
-        return self.fn(U)
+        """The flow evaluated on a nodal stack."""
+        return self.decode(self.fn(self.encode(U)))
 
 
 def build_handles(params: ModelParams, bath: Bathymetry) -> dict:
@@ -160,8 +159,12 @@ def build_handles(params: ModelParams, bath: Bathymetry) -> dict:
     return {kind: build_handle(kind, params.mu, bath)}
 
 
-def _identity(a: np.ndarray) -> np.ndarray:
-    return a
+def _checked_handle(kind: str, mu: float, bath: Bathymetry, handles: Optional[dict]):
+    """The prebuilt handle of this kind from handles, or a new one."""
+    handle = (handles or {}).get(kind) or build_handle(kind, mu, bath)
+    if handle.kind != kind or handle.grid != bath.grid or handle.mu != mu:
+        raise ValueError("supplied handle does not match model/grid/mu")
+    return handle
 
 
 def apply_mode_blocks(blocks: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -169,13 +172,40 @@ def apply_mode_blocks(blocks: np.ndarray, W: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,j...->i...", blocks, W)
 
 
-def _moll_spec(grid: Grid, delta: float, power: int) -> np.ndarray:
-    return (1.0 + delta * grid.k2gamma) ** power
+def _mollifiers(grid: Grid, delta: float):
+    """Spectra m1, m2 of (1 - delta*Lap_g)^-1 and ^-2; plain ones at delta = 0."""
+    if delta == 0:
+        return 1.0, 1.0
+    return (1.0 + delta * grid.k2gamma) ** -1, (1.0 + delta * grid.k2gamma) ** -2
 
 
-def _div_trunc(g: Grid, flux: np.ndarray) -> np.ndarray:
-    """div of the 2/3-projected flux, fused into one inverse transform."""
-    return g.irfft(g.dealias_mask * (g.ik_stack * g.rfft(flux)).sum(axis=0))
+def _nodal_factors(g: Grid, W: np.ndarray, scalar: bool, gradq: bool, jac: bool):
+    """Nodal factors of a spectral state W = rfft(U), from one stacked irfft.
+
+    Returns (s, Ut, gqt, J): the nodal scalar U[0], the band-limited state
+    T U, the band-limited gradient T grad U[0], and the projected Jacobian
+    J[i, j] = T d_j V_i of the velocity rows. A factor not asked for is None.
+    """
+    d = g.d
+    mW = g.dealias_mask * W
+    parts = [W[:1]] * scalar + [mW] + [g.ik_stack * mW[0]] * gradq
+    if jac:
+        parts.append((g.ik_stack * mW[1:, None]).reshape((d * d,) + g.rshape))
+    nod = g.irfft(np.concatenate(parts))
+    s, Ut, gqt, J = np.split(nod, np.cumsum([scalar, 1 + d, d * gradq]))
+    J = J.reshape((d, d) + g.shape) if jac else None
+    return (s[0] if scalar else None), Ut, (gqt if gradq else None), J
+
+
+def _v_dot_grad(g: Grid, Vt: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """sum_j Vt_j F[..., j, :]: V.grad q for F = T grad q, (V.grad)V for F = J.
+
+    Leading axes of Vt are a batch matched by F's, which the Taylor-jet
+    recurrences sum over for their Cauchy products.
+    """
+    if F.ndim > Vt.ndim:  # the Jacobian's row axis i
+        Vt = np.expand_dims(Vt, Vt.ndim - g.d - 1)
+    return (Vt * F).sum(axis=-(g.d + 1))
 
 
 def _make_linear_flat_rhs(
@@ -185,8 +215,9 @@ def _make_linear_flat_rhs(
 
     Every product with h_b = 1 collapses, and the velocity equation's
     right-hand side is always a gradient, on which the weighted inverses
-    act mode by mode along the k direction. The whole flow is therefore
-    two fixed multiplier stacks
+    act mode by mode along the k direction, by the flat-bottom symbols ld
+    of the operators module. The whole flow is therefore two fixed
+    multiplier stacks
 
         d s_hat   = sum_j cs[j] * V_hat[j]
         d V_hat_j = cv[j] * s_hat
@@ -199,24 +230,17 @@ def _make_linear_flat_rhs(
     mask = g.dealias_mask
     model = params.model
 
+    inv_ld = np.ones_like(g.k2gamma)
     if model in ("bp", "mbp"):
-        if _HANDLE_KIND[model] == "I_plus_muTb":
-            inv_ld = 1.0 / (1.0 + (mu / 3.0) * g.k2deriv * mask)
-        else:  # hb_B
-            inv_ld = 1.0 / (1.0 + (4.0 * mu / 3.0) * g.k2deriv * mask)
-    else:
-        inv_ld = np.ones_like(g.k2gamma)
+        inv_ld = 1.0 / _flat_symbols(g, _HANDLE_KIND[model], mu)[0]
     if model == "mbp":
-        # h_b*A on a gradient field: symbol 1 + mu*mask*|k|^2 along it
-        inv_ld = inv_ld * (1.0 + mu * mask * g.k2deriv)
+        # h_b*A on a gradient field acts by its symbol along k
+        inv_ld = inv_ld * _flat_symbols(g, "hb_A", mu)[0]
 
-    if delta > 0:
-        # the velocity solve sandwich applies (1 + delta*k^2)^-1 twice,
-        # numerically the same factor as the squared scalar smoothing
-        m2 = _moll_spec(g, delta, -2)
-        inv_ld = inv_ld * m2
-    else:
-        m2 = 1.0
+    # the velocity solve sandwich applies (1 + delta*k^2)^-1 twice,
+    # numerically the same factor as the squared scalar smoothing
+    m2 = _mollifiers(g, delta)[1]
+    inv_ld = inv_ld * m2
 
     blocks = np.zeros(g.rshape + (1 + g.d, 1 + g.d), dtype=complex)
     for j, ikj in enumerate(g.ik):
@@ -226,16 +250,48 @@ def _make_linear_flat_rhs(
     def fn(W: np.ndarray) -> np.ndarray:
         return apply_mode_blocks(blocks, W)
 
-    return RHSBundle(
-        fn=fn,
-        encode=g.rfft,
-        decode=g.irfft,
-        params=params,
-        bath=bath,
-        delta=delta,
-        spectral_state=True,
-        blocks=blocks,
-    )
+    return RHSBundle(fn, g, params, blocks)
+
+
+def _mbp_flow(bath: Bathymetry, handle: OperatorHandle, lam: float, adv_coef: float,
+              delta: float = 0.0):
+    """The mbp tendency, on rfft coefficients, from its nodal factors.
+
+    tendency(Vt, zeta, advq, adv) takes the band-limited velocity, the
+    nodal surface and, unless eps = 0, the products V.grad q and (V.grad)V;
+    lam multiplies the non-advective terms and adv_coef the advective ones,
+    and delta > 0 adds the mollifier sandwich.
+    """
+    g = bath.grid
+    d = g.d
+    mask = g.dealias_mask
+    ik = g.ik_stack
+    ops = get_weighted_ops(bath)
+    hb = bath.hb
+    hbt = trunc_arr(g, hb)
+    m1, m2 = _mollifiers(g, delta)
+
+    def tendency(Vt, zeta, advq=None, adv=None):
+        nonlinear = advq is not None
+        rows = [hbt * Vt, zeta[None]] + ([advq[None], adv] if nonlinear else [])
+        P = g.rfft(np.concatenate(rows))
+        back = [(mask * (ik * P[:d]).sum(axis=0))[None], ik * P[d]]
+        if nonlinear:
+            back.append(mask * P[d + 2 :])
+        nod = g.irfft(np.concatenate(back))  # T div(h_b V), grad zeta, T adv
+        w = lam * ops.w_hba(nod[1 : 1 + d], handle.mu)
+        if nonlinear:
+            w = w + adv_coef * hb * nod[1 + d :]
+        if delta > 0:
+            w = g.irfft(m1 * g.rfft(w))
+        x = handle.solve_weighted_arrays(w)
+        R = g.rfft(np.concatenate([(bath.inv_hb * nod[0])[None], x]))
+        dq = -lam * R[0]
+        if nonlinear:
+            dq = dq - adv_coef * (mask * P[d + 1])
+        return np.concatenate([(m2 * dq)[None], -m1 * R[1:]])
+
+    return tendency
 
 
 def make_rhs(
@@ -252,130 +308,78 @@ def make_rhs(
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     g = bath.grid
-    model = params.model
-    eps = params.eps
-    mu = params.mu
+    eps, mu, model = params.eps, params.mu, params.model
 
-    if model == "burgers":
-        if g.d != 1:
-            raise ValueError("burgers runs on d = 1 grids only")
-        if params.rescaled_time:
-            raise ValueError("rescaled_time is an mbp option")
+    if model == "burgers" and g.d != 1:
+        raise ValueError("burgers runs on d = 1 grids only")
 
     if model != "burgers" and eps == 0.0 and bath.is_flat:
         return _make_linear_flat_rhs(params, bath, delta)
 
+    d = g.d
     mask = g.dealias_mask
-    ik = g.ik
-    m1 = _moll_spec(g, delta, -1) if delta > 0 else None
-    m2 = _moll_spec(g, delta, -2) if delta > 0 else None
+    ik = g.ik_stack
+    nonlinear = eps != 0.0
+    m1, m2 = _mollifiers(g, delta)
 
-    handle: Optional[OperatorHandle] = None
     kind = _HANDLE_KIND.get(model)
-    if kind is not None:
-        handle = (handles or {}).get(kind)
-        if handle is None:
-            handle = build_handle(kind, mu, bath)
-        if handle.kind != kind or handle.grid != g or handle.mu != mu:
-            raise ValueError("supplied handle does not match model/grid/mu")
+    handle = _checked_handle(kind, mu, bath, handles) if kind else None
 
     if model == "burgers":
-        # on rfft coefficients: one stacked inverse transform gives T u and
-        # T u_x, one forward transform the product; the 2/3 projection,
-        # -eps and the mollifier fold into a single output coefficient
-        lift = np.stack([mask, mask * ik[0]])
-        coef = -eps * mask * (m2 if delta > 0 else 1.0)
+        # one stacked inverse transform gives T u and T u_x, one forward
+        # transform the product; the 2/3 projection, -eps and the
+        # mollifier fold into a single output coefficient
+        lift = np.stack([mask, mask * g.ik[0]])
+        coef = -eps * mask * m2
 
         def fn(W: np.ndarray) -> np.ndarray:
             ut, ux_t = g.irfft(lift * W)
             return (coef * g.rfft(ut * ux_t))[None]
 
-        return RHSBundle(
-            fn, g.rfft, g.irfft, params, bath, delta, spectral_state=True
-        )
+        return RHSBundle(fn, g, params)
 
-    ops = get_weighted_ops(bath)
+    if model == "mbp":
+        # primary variable is q, surface recovered pointwise. In slow time
+        # tau = eps*t the advective terms keep coefficient one while
+        # everything else is divided by eps.
+        lam = 1.0 / eps if params.rescaled_time else 1.0
+        adv_coef = 1.0 if params.rescaled_time else eps
+        tendency = _mbp_flow(bath, handle, lam, adv_coef, delta)
+
+        def fn(W: np.ndarray) -> np.ndarray:
+            q, Ut, gqt, J = _nodal_factors(g, W, True, nonlinear, nonlinear)
+            Vt = Ut[1:]
+            advs = (_v_dot_grad(g, Vt, gqt), _v_dot_grad(g, Vt, J)) if nonlinear else ()
+            return tendency(Vt, q_to_zeta_arr(q, eps, bath), *advs)
+
+        return RHSBundle(fn, g, params)
+
     hb = bath.hb
-    inv_hb = bath.inv_hb
     hbt = trunc_arr(g, hb)
     hmin_static = bath.h_min
 
-    def _advect(spec: np.ndarray, Vt: np.ndarray) -> np.ndarray:
-        """Dealiased (V.grad)V from the state's spectrum; (d, shape) out."""
-        jac = g.irfft(mask * g.ik_stack * spec[1:, None])  # jac[i, j] = T d_j V_i
-        return g.irfft(mask * g.rfft((Vt * jac).sum(axis=1)))
-
-    def _moll_rows(rows: np.ndarray, mspec: np.ndarray) -> np.ndarray:
-        return g.irfft(mspec * g.rfft(rows))
-
-    if model in ("sw", "bp"):
-
-        def fn(U: np.ndarray) -> np.ndarray:
-            zeta = U[0]
-            if eps != 0.0 and hmin_static + eps * zeta.min() <= 0.0:
-                h = hb + eps * zeta
-                if h.min() <= 0.0:
-                    raise DryStateError("free surface reached the bottom")
-            spec = g.rfft(U)
-            Ut = g.irfft(mask * spec)
-            Vt = Ut[1:]
-            ht = hbt + eps * Ut[0]
-            dz = -_div_trunc(g, ht * Vt)
-            w = g.irfft(np.stack([ik[j] * spec[0] for j in range(g.d)]))
-            if eps != 0.0:
-                w = w + eps * _advect(spec, Vt)
-            if model == "sw":
-                if delta > 0:
-                    dz = _moll_rows(dz, m2)
-                    w = _moll_rows(w, m2)
-                dV = -w
-            else:
-                if delta > 0:
-                    dz = _moll_rows(dz, m2)
-                    x = handle.solve_weighted_arrays(_moll_rows(hb * w, m1))
-                    dV = -_moll_rows(x, m1)
-                else:
-                    dV = -handle.solve_arrays(w)
-            return np.concatenate([dz[None], dV], axis=0)
-
-        return RHSBundle(
-            fn, _identity, _identity, params, bath, delta,
-            handles={} if handle is None else {kind: handle},
-        )
-
-    # mbp: primary variable is q, surface recovered pointwise.
-    # In slow time tau = eps*t the advective terms keep coefficient one
-    # while everything else is divided by eps.
-    lam = 1.0 / eps if params.rescaled_time else 1.0
-    adv_coef = 1.0 if params.rescaled_time else eps
-
-    def fn(U: np.ndarray) -> np.ndarray:
-        q = U[0]
-        spec = g.rfft(U)
-        Ut = g.irfft(mask * spec)
+    def fn(W: np.ndarray) -> np.ndarray:
+        zeta, Ut, _, J = _nodal_factors(g, W, nonlinear, False, nonlinear)
+        if nonlinear and hmin_static + eps * zeta.min() <= 0.0:
+            if (hb + eps * zeta).min() <= 0.0:
+                raise DryStateError("free surface reached the bottom")
         Vt = Ut[1:]
-        div_part = inv_hb * _div_trunc(g, hbt * Vt)
-        if eps != 0.0:
-            advq = (Vt * g.irfft(mask * g.ik_stack * spec[0])).sum(axis=0)
-            dq = -adv_coef * g.irfft(mask * g.rfft(advq)) - lam * div_part
-        else:
-            dq = -lam * div_part
-        zeta = q_to_zeta_arr(q, eps, bath)
-        w = lam * ops.w_hba(grad_arr(g, zeta), mu)
-        if eps != 0.0:
-            w = w + adv_coef * hb * _advect(spec, Vt)
+        prods = [(hbt + eps * Ut[0]) * Vt]
+        if nonlinear:
+            prods.append(_v_dot_grad(g, Vt, J))
+        P = g.rfft(np.concatenate(prods))
+        dz = -m2 * (mask * (ik * P[:d]).sum(axis=0))
+        w = ik * W[0]
+        if nonlinear:
+            w = w + eps * (mask * P[d:])
+        if model == "sw":
+            return np.concatenate([dz[None], -m2 * w])
+        y = hb * g.irfft(w)  # the I_plus_muTb equation in its weighted form
         if delta > 0:
-            dq = _moll_rows(dq, m2)
-            x = handle.solve_weighted_arrays(_moll_rows(w, m1))
-            dV = -_moll_rows(x, m1)
-        else:
-            dV = -handle.solve_weighted_arrays(w)
-        return np.concatenate([dq[None], dV], axis=0)
+            y = g.irfft(m1 * g.rfft(y))
+        return np.concatenate([dz[None], -m1 * g.rfft(handle.solve_weighted_arrays(y))])
 
-    return RHSBundle(
-        fn, _identity, _identity, params, bath, delta,
-        handles={kind: handle},
-    )
+    return RHSBundle(fn, g, params)
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +399,10 @@ def time_derivative_stack(
     become Cauchy convolutions with no binomial bookkeeping; the surface
     jet rides along through zeta = h_b*(exp(eps*q) - 1)/eps, whose
     coefficients satisfy (m+1) e_{m+1} = eps*sum (j+1) q_{j+1} e_{m-j}.
-    Each product mirrors the dealiased arrangement of the flow itself, so
-    k = 1 equals eps times the plain right-hand side. The stack is the
-    same whether trajectories are run in physical or rescaled time, since
-    (eps d_t) is exactly d_tau.
+    Each coefficient goes through the flow's own tendency, with its
+    products replaced by their Cauchy sums, so k = 1 equals eps times the
+    plain right-hand side. The stack is the same whether trajectories are
+    run in physical or rescaled time, since (eps d_t) is exactly d_tau.
     """
     if params.model != "mbp":
         raise ValueError("time_derivative_stack is defined along the mbp flow")
@@ -406,79 +410,42 @@ def time_derivative_stack(
         raise ValueError("k_max must be nonnegative")
     g = bath.grid
     eps = params.eps
-    mu = params.mu
-    mask = g.dealias_mask
-    ops = get_weighted_ops(bath)
+    nonlinear = eps != 0.0
     hb = bath.hb
-    inv_hb = bath.inv_hb
-    hbt = trunc_arr(g, hb)
 
     if U.shape != (1 + g.d,) + g.shape:
         raise ValueError(f"mbp state must be (1 + d, *grid.shape), got {U.shape}")
-    handle = (handles or {}).get("hb_B")
-    if handle is None:
-        handle = build_handle("hb_B", mu, bath)
+    handle = _checked_handle("hb_B", params.mu, bath, handles)
+    tendency = _mbp_flow(bath, handle, 1.0, eps)
 
-    def _vel_caches(V: np.ndarray):
-        """Band-limited V and the projected Jacobian T(d_j V_i)."""
-        spec = g.rfft(V)
-        return g.irfft(mask * spec), g.irfft(mask * g.ik_stack * spec[:, None])
-
-    def _gradq_cache(q: np.ndarray) -> np.ndarray:
-        return g.irfft(mask * g.ik_stack * g.rfft(q))
-
-    q_c = [U[0]]
-    V_c = [U[1:]]
-    z_c = [q_to_zeta_arr(q_c[0], eps, bath)]
-    e_c = [np.exp(eps * q_c[0])] if eps != 0.0 else None
-
-    Vt0, jac0 = _vel_caches(V_c[0])
-    Vt_c, jac_c, gqt_c = [Vt0], [jac0], [_gradq_cache(q_c[0])]
+    # Taylor coefficients on rfft coefficients, with their nodal factors
+    # (Vt, T grad q, J) and the nodal q, surface and exp(eps*q) jets
+    W_c = [g.rfft(U)]
+    _, Ut, gqt, J = _nodal_factors(g, W_c[0], False, nonlinear, nonlinear)
+    F = [(Ut[1:], gqt, J)]
+    q_c, z_c, e_c = [U[0]], [q_to_zeta_arr(U[0], eps, bath)], [np.exp(eps * U[0])]
 
     for m in range(k_max):
-        # scalar equation coefficient
-        div_part = inv_hb * _div_trunc(g, hbt * Vt_c[m])
-        if eps != 0.0:
-            advq = np.zeros(g.shape)
-            for a in range(m + 1):
-                b = m - a
-                for j in range(g.d):
-                    advq = advq + Vt_c[a][j] * gqt_c[b][j]
-            dq_m = -eps * g.irfft(mask * g.rfft(advq)) - div_part
-        else:
-            dq_m = -div_part
-        q_c.append(dq_m / (m + 1))
-
-        # velocity equation coefficient
-        w = ops.w_hba(grad_arr(g, z_c[m]), mu)
-        if eps != 0.0:
-            adv = np.zeros((g.d,) + g.shape)
-            for a in range(m + 1):
-                b = m - a
-                for i in range(g.d):
-                    for j in range(g.d):
-                        adv[i] += Vt_c[a][j] * jac_c[b][i][j]
-            w = w + eps * hb * g.irfft(mask * g.rfft(adv))
-        V_c.append(-handle.solve_weighted_arrays(w) / (m + 1))
-
-        # extend the surface jet and the caches
-        if eps != 0.0:
-            acc = np.zeros(g.shape)
-            for j in range(1, m + 2):
-                acc = acc + j * q_c[j] * e_c[m + 1 - j]
+        advs = ()
+        if nonlinear:  # Cauchy sums over the pairs (a, m - a)
+            Vts = np.stack([f[0] for f in F])
+            advs = [_v_dot_grad(g, Vts, np.stack([f[i] for f in F[::-1]])).sum(axis=0)
+                    for i in (1, 2)]
+        W_c.append(tendency(F[m][0], z_c[m], *advs) / (m + 1))
+        q, Ut, gqt, J = _nodal_factors(g, W_c[-1], True, nonlinear, nonlinear)
+        q_c.append(q)
+        F.append((Ut[1:], gqt, J))
+        if nonlinear:
+            acc = sum(j * q_c[j] * e_c[m + 1 - j] for j in range(1, m + 2))
             e_c.append(eps * acc / (m + 1))
             z_c.append(hb * e_c[m + 1] / eps)
         else:
             z_c.append(hb * q_c[m + 1])
-        Vt_m1, jac_m1 = _vel_caches(V_c[m + 1])
-        Vt_c.append(Vt_m1)
-        jac_c.append(jac_m1)
-        gqt_c.append(_gradq_cache(q_c[m + 1]))
 
-    out = []
-    for k in range(k_max + 1):
-        scale = eps**k * math.factorial(k)
-        out.append(scale * np.concatenate([q_c[k][None], V_c[k]]))
+    out = [np.array(U, dtype=float)]
+    if k_max:
+        nodal = g.irfft(np.stack(W_c[1:]))
+        out += [eps**k * math.factorial(k) * nodal[k - 1] for k in range(1, k_max + 1)]
     return out
 
 

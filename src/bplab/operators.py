@@ -61,6 +61,7 @@ SOLVER_DENSE_LIMIT = 1024  # unknowns at or below this get a Cholesky factorizat
 CG_TOL = 1e-10
 CG_MAXITER = 500
 DENSE_BLOCK = 64  # identity columns per batched apply in dense_matrix
+DENSE_AUDIT_LIMIT = 4096  # unknowns at or below this get dense audit matrices
 
 
 # ---------------------------------------------------------------------------
@@ -197,44 +198,49 @@ def get_weighted_ops(bath: Bathymetry) -> _WeightedOps:
 # flat-bottom symbols: exact inverses, reused as the CG preconditioner
 
 
-def _flat_inverse(grid: Grid, kind: str, mu: float):
-    """Per-mode inverse of the flat-bottom weighted symbol.
+def _flat_symbols(grid: Grid, kind: str, mu: float):
+    """Flat-bottom weighted symbol of a kind along k and along k-perp.
 
-    Every kind has the form a*I + c_div k k^T + c_perp kp kp^T in each mode,
-    with k the effective (Nyquist-zeroed) twisted wavenumber, so the inverse
-    splits along the k / k-perp projectors. Matches the dealias masking of
-    the discrete operators exactly.
+    Every kind has the form ld k k^T/|k|^2 + lp kp kp^T/|k|^2 in each mode,
+    with k the effective (Nyquist-zeroed) twisted wavenumber; returns
+    (ld, lp), matching the dealias masking of the discrete operators.
     """
     k2 = grid.k2deriv
     m = grid.dealias_mask
     if kind == "I_plus_muTb":
-        ld = 1.0 + (mu / 3.0) * k2 * m
-        lp = np.ones_like(k2)
-    elif kind == "hb_A":
-        ld = 1.0 + mu * k2 * m
-        lp = np.ones_like(k2)
-    else:  # hb_B
-        ld = 1.0 + (4.0 * mu / 3.0) * k2 * m
-        lp = 1.0 + mu * k2
+        return 1.0 + (mu / 3.0) * k2 * m, np.ones_like(k2)
+    if kind == "hb_A":
+        return 1.0 + mu * k2 * m, np.ones_like(k2)
+    return 1.0 + (4.0 * mu / 3.0) * k2 * m, 1.0 + mu * k2  # hb_B
+
+
+def _flat_inverse(grid: Grid, kind: str, mu: float):
+    """Per-mode inverse of the flat-bottom weighted symbol.
+
+    The inverse splits along the k / k-perp projectors of _flat_symbols.
+    Leading axes of the spectrum are a batch.
+    """
+    ld, lp = _flat_symbols(grid, kind, mu)
+    inv_ld = 1.0 / ld
 
     if grid.d == 1:
-        inv = 1.0 / ld
 
         def apply_inv(spec):
-            return inv * spec
+            return inv_ld * spec
 
         return apply_inv
 
     kx, ky = grid.keff
+    k2 = grid.k2deriv
     k2safe = np.where(k2 == 0.0, 1.0, k2)
-    inv_ld = 1.0 / ld
     inv_lp = 1.0 / lp
     diff = inv_ld - inv_lp
 
     def apply_inv(spec):
-        kd = (kx * spec[0] + ky * spec[1]) / k2safe
+        sx, sy = spec[..., 0, :, :], spec[..., 1, :, :]
+        kd = (kx * sx + ky * sy) / k2safe
         return np.stack(
-            [inv_lp * spec[0] + diff * kd * kx, inv_lp * spec[1] + diff * kd * ky]
+            [inv_lp * sx + diff * kd * kx, inv_lp * sy + diff * kd * ky], axis=-3
         )
 
     return apply_inv
@@ -258,8 +264,19 @@ def dense_matrix(apply_fn, grid: Grid) -> np.ndarray:
     return M
 
 
-def _pcg(apply_w, precond, y: np.ndarray, tol: float, maxiter: int) -> np.ndarray:
-    """Preconditioned conjugate gradients on the weighted SPD operator."""
+def _pcg(apply_w, precond, y: np.ndarray, tol: float, maxiter: int, ndim: int):
+    """Preconditioned conjugate gradients on the weighted SPD operator.
+
+    The trailing ndim axes of y hold one right-hand side. Leading axes are a
+    batch, solved member by member so that each member stops on its own
+    relative residual: batch-wide inner products would stop a small member
+    far above tol.
+    """
+    if y.ndim > ndim:
+        x = np.empty_like(y)
+        for i, member in enumerate(y):
+            x[i] = _pcg(apply_w, precond, member, tol, maxiter, ndim)
+        return x
     norm_y = float(np.sqrt(np.vdot(y, y).real))
     if norm_y == 0.0:
         return np.zeros_like(y)
@@ -373,6 +390,7 @@ class OperatorHandle:
             y,
             CG_TOL,
             CG_MAXITER,
+            len(self._shape),
         )
 
 
@@ -421,7 +439,7 @@ def coercivity_report(
     """Rayleigh-quotient and symmetry audit of the weighted form.
 
     Quotients are <W v, v> / <G v, v> with G the kind's Gram operator.
-    Dense eigen-extrema are included when the operator fits the dense cap;
+    Dense eigen-extrema are included at DENSE_AUDIT_LIMIT unknowns or fewer;
     random-trial extrema and the worst relative symmetry residual are
     always included. Returns a JSON-friendly dict.
     """
@@ -455,7 +473,7 @@ def coercivity_report(
     report["trial_max_quotient"] = max(quotients)
     report["symmetry_residual"] = sym
 
-    if handle.size <= 4096:
+    if handle.size <= DENSE_AUDIT_LIMIT:
         W = dense_matrix(handle.apply_weighted_arrays, grid)
         G = dense_matrix(
             lambda V: _gram_apply(grid, handle.kind, handle.mu, V), grid

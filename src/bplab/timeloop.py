@@ -14,11 +14,13 @@ The requested dt is advisory: the actual step is t_end/n_steps with
 n_steps = round(t_end/dt), so runs always land on t_end exactly and the
 record times are exact multiples of the step.
 
-Linear flat-bottom runs carry constant per-mode blocks L_k, on which one
-step of the scheme is exactly W <- R(dt L_k) W with R its stability
-polynomial. Those runs advance from one record to the next by the cached
-power R(dt L)^n, n the output stride or the final remainder: the same
-scheme and the same records, without the stage evaluations in between.
+Every run steps on the rfft coefficients W = rfft(U) of its state and
+decodes them only at records. Linear flat-bottom runs carry constant
+per-mode blocks L_k, on which one step of the scheme is exactly
+W <- R(dt L_k) W with R its stability polynomial. Those runs advance from
+one record to the next by the cached power R(dt L)^n, n the output stride
+or the final remainder: the same scheme and the same records, without the
+stage evaluations in between.
 """
 
 from __future__ import annotations
@@ -235,34 +237,25 @@ def run(
     modes: list[np.ndarray] = []
     states: list[np.ndarray] = []
 
-    termination = "completed"
-    termination_time = config.t_end
+    termination, termination_time = "completed", config.t_end
 
     def record(s: int) -> bool:
         """Append a record at step s; True if the state is out of bounds."""
         t = s * dt
-        if bundle.spectral_state:
-            spec = W
-            U = bundle.decode(W)
-        else:
-            U = W
-            spec = g.rfft(U)
+        U = bundle.decode(W)
         su = float(np.abs(U).max()) if U.size else 0.0
-        sg = _sup_grad(g, spec)
+        sg = _sup_grad(g, W)
         times.append(t)
         sup_u.append(su)
         sup_grad_u.append(sg)
         states.append(np.array(U, copy=True))
         if mode_idx:
-            modes.append(np.array([spec[0][ix] for ix in mode_idx]))
+            modes.append(np.array([W[0][ix] for ix in mode_idx]))
         bad = not np.isfinite(su) or not np.isfinite(sg)
         return bad or max(su, sg) > config.blowup_threshold
 
     if record(0):
-        return _final(
-            g, params, config, dt, times, sup_u, sup_grad_u, modes, states,
-            "blowup", 0.0, 0,
-        )
+        termination, termination_time, n_steps = "blowup", 0.0, 0
 
     propagate = None
     if bundle.blocks is not None:
@@ -282,30 +275,17 @@ def run(
                     W = advance(bundle.fn, W, dt)
                     s += 1
         except DryStateError:
-            termination = "dry"
-            termination_time = (s + 1) * dt
+            termination, termination_time = "dry", (s + 1) * dt
             break
         except SolverDivergenceError:
-            termination = "solver_failure"
-            termination_time = (s + 1) * dt
+            termination, termination_time = "solver_failure", (s + 1) * dt
             break
         if record(s):
-            termination = "blowup"
-            termination_time = s * dt
+            termination, termination_time = "blowup", s * dt
             break
 
-    return _final(
-        g, params, config, dt, times, sup_u, sup_grad_u, modes, states,
-        termination, termination_time, s,
-    )
-
-
-def _final(
-    grid, params, config, dt, times, sup_u, sup_grad_u, modes, states,
-    termination, termination_time, steps_taken,
-) -> Trajectory:
     return Trajectory(
-        grid=grid,
+        grid=g,
         params=params,
         config=config,
         dt=dt,
@@ -316,5 +296,5 @@ def _final(
         states=states,
         termination=termination,
         termination_time=termination_time,
-        steps_taken=steps_taken,
+        steps_taken=s,
     )

@@ -14,6 +14,7 @@ import scipy.linalg
 
 from .bathymetry import Bathymetry
 from .errors import NotSPDError, SizeLimitError
+from .operators import DENSE_AUDIT_LIMIT as DENSE_SIZE_LIMIT
 from .operators import KINDS, _gram_apply, dense_matrix, get_weighted_ops
 from .spectral import Grid
 
@@ -25,8 +26,6 @@ __all__ = [
     "fd_gradient",
     "reference_trajectory",
 ]
-
-DENSE_SIZE_LIMIT = 4096
 
 _GRAM_KINDS = ("gram_X0", "gram_H1")
 

@@ -1,0 +1,63 @@
+"""The benchmark's tracer still finds every bplab name it wraps.
+
+perfbench/tracer.py rebinds bplab functions by identity and wraps the
+returned bundle's fn and handle's solves; a rename inside the package makes
+its install raise LookupError, which this test turns into a test failure.
+"""
+
+import importlib.util
+import time
+from pathlib import Path
+
+import numpy as np
+
+import bplab
+from bplab.bathymetry import build_bathymetry
+from bplab.models import ModelParams
+from bplab.spectral import Grid
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+MODULES = (
+    "bathymetry", "diagnostics", "models", "operators", "scenarios",
+    "spectral", "timeloop", "verification",
+)
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_on_package_and_restores():
+    tracer = _load_tracer()
+    modules = {name: getattr(bplab, name) for name in MODULES}
+    make_rhs, run = bplab.models.make_rhs, bplab.timeloop.run
+    rfft = Grid.rfft
+
+    g = Grid(1, 32, 2 * np.pi)
+    bath = build_bathymetry(g, "gaussian_bump", 0.5)
+    U = 0.1 * np.random.default_rng(0).standard_normal((2,) + g.shape)
+
+    patches = tracer.Patches()
+    spans = tracer.Tracer()
+    try:
+        tracer.RunMeter().install(patches, bplab.timeloop)
+        spans.install(patches, modules)
+        t0 = time.perf_counter()
+        bundle = bplab.models.make_rhs(ModelParams(0.2, 0.3, "bp"), bath)
+        out = bundle.fn(bundle.encode(U))
+        t1 = time.perf_counter()
+    finally:
+        patches.restore()
+
+    assert out.shape == (2,) + g.rshape
+    table = spans.table(t0, t1)
+    assert table.count("models.make_rhs") == 1
+    assert table.count("operators.build_handle") == 1
+    assert table.count("models.rhs") == 1
+    assert table.count("operators.solve.dense") == 1
+    assert table.count("spectral.rfft") > 0 and table.count("spectral.irfft") > 0
+    assert bplab.models.make_rhs is make_rhs and bplab.timeloop.run is run
+    assert Grid.rfft is rfft

@@ -15,7 +15,7 @@ from bplab.models import (
     time_derivative_stack,
 )
 from bplab.operators import build_handle, get_weighted_ops
-from bplab.spectral import Grid, dprod, div_arr, grad_arr
+from bplab.spectral import Grid, div_arr, dprod, grad_arr, mollify_arr, trunc_arr
 from bplab.timeloop import StepperConfig, run
 from bplab.verification import reference_trajectory
 
@@ -153,7 +153,7 @@ def test_burgers_matches_nodal_formula(delta):
     # random grid data excites every mode, so both 2/3 projections matter
     u = np.random.default_rng(21).standard_normal(G1.shape)
     bundle = make_rhs(ModelParams(0.7, 0.0, "burgers"), FLAT1, delta=delta)
-    assert bundle.spectral_state
+    assert np.array_equal(bundle.encode(u[None]), G1.rfft(u[None]))
     got = bundle.nodal_rhs(u[None])
     expected = _burgers_five_transform_rhs(G1, u, 0.7, delta)
     assert got.shape == (1,) + G1.shape
@@ -174,6 +174,80 @@ def test_burgers_run_matches_nodal_reference():
 
 def test_burgers_fn_makes_two_transforms(monkeypatch):
     # one stacked inverse transform and one forward transform per evaluation
+    calls = _count_transforms(monkeypatch)
+    bundle = make_rhs(ModelParams(0.5, 0.0, "burgers"), FLAT1, delta=1e-2)
+    W = bundle.encode(np.sin(G1.x[0])[None])
+    calls.clear()
+    for _ in range(3):
+        W = W + 1e-3 * bundle.fn(W)
+    assert calls == ["irfft", "rfft"] * 3
+
+
+def _nodal_reference_rhs(params, bath, delta, handle, U):
+    """The sw/bp/mbp flows written on nodal stacks, primitive by primitive.
+
+    Every product is dealiased by the 2/3 rule before it is differentiated
+    or solved for; delta > 0 smooths the scalar flow by m2 and sandwiches
+    the velocity solve as m1 Solve m1.
+    """
+    g = bath.grid
+    eps, mu = params.eps, params.mu
+    hb = bath.hb
+
+    def T(a):
+        return trunc_arr(g, a)
+
+    def moll(a, power):
+        return mollify_arr(g, a, delta, power) if delta > 0 else a
+
+    Vt = T(U[1:])
+    jac = T(grad_arr(g, Vt))  # jac[i, j] = T d_j V_i
+    adv = T((Vt[None] * jac).sum(axis=1))  # dealiased (V.grad)V
+    if params.model in ("sw", "bp"):
+        ht = T(hb) + eps * T(U[0])
+        dz = moll(-div_arr(g, T(ht * Vt)), -2)
+        w = grad_arr(g, U[0]) + eps * adv
+        if params.model == "sw":
+            dV = -moll(w, -2)
+        elif delta > 0:
+            dV = -moll(handle.solve_weighted_arrays(moll(hb * w, -1)), -1)
+        else:
+            dV = -handle.solve_arrays(w)
+        return np.concatenate([dz[None], dV])
+
+    lam = 1.0 / eps if params.rescaled_time else 1.0
+    adv_coef = 1.0 if params.rescaled_time else eps
+    q = U[0]
+    advq = T((Vt * T(grad_arr(g, q))).sum(axis=0))
+    div_part = bath.inv_hb * div_arr(g, T(T(hb) * Vt))
+    dq = moll(-adv_coef * advq - lam * div_part, -2)
+    zeta = q_to_zeta_arr(q, eps, bath)
+    w = lam * get_weighted_ops(bath).w_hba(grad_arr(g, zeta), mu) + adv_coef * hb * adv
+    dV = -moll(handle.solve_weighted_arrays(moll(w, -1)), -1)
+    return np.concatenate([dq[None], dV])
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-2])
+@pytest.mark.parametrize("bath", [BUMP1, BUMP2], ids=["d1", "d2"])
+@pytest.mark.parametrize(
+    "model,rescaled", [("sw", False), ("bp", False), ("mbp", False), ("mbp", True)],
+    ids=["sw", "bp", "mbp", "mbp-rescaled"],
+)
+def test_nonlinear_bump_matches_nodal_formula(model, rescaled, bath, delta):
+    # random data on every mode, so each 2/3 projection matters
+    g = bath.grid
+    params = ModelParams(0.3, 0.4, model, rescaled_time=rescaled)
+    U = 0.1 * np.random.default_rng(23).standard_normal((1 + g.d,) + g.shape)
+    handles = build_handles(params, bath)
+    bundle = make_rhs(params, bath, delta=delta, handles=handles)
+    got = bundle.nodal_rhs(U)
+    handle = next(iter(handles.values()), None)
+    expected = _nodal_reference_rhs(params, bath, delta, handle, U)
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def _count_transforms(monkeypatch):
+    """Record every Grid.rfft/irfft call by name."""
     calls = []
 
     def counted(name):
@@ -187,8 +261,15 @@ def test_burgers_fn_makes_two_transforms(monkeypatch):
 
     for name in ("rfft", "irfft"):
         monkeypatch.setattr(Grid, name, counted(name))
-    bundle = make_rhs(ModelParams(0.5, 0.0, "burgers"), FLAT1, delta=1e-2)
-    W = bundle.encode(np.sin(G1.x[0])[None])
+    return calls
+
+
+def test_sw_fn_makes_two_transforms(monkeypatch):
+    # nonlinear sw over a bump: one stacked irfft of the nodal factors and
+    # one rfft of the products; the mollifier is a spectral multiplier
+    calls = _count_transforms(monkeypatch)
+    bundle = make_rhs(ModelParams(0.3, 0.0, "sw"), BUMP1, delta=1e-2)
+    W = bundle.encode(_random_state(G1, np.random.default_rng(5)))
     calls.clear()
     for _ in range(3):
         W = W + 1e-3 * bundle.fn(W)
@@ -210,10 +291,10 @@ def test_burgers_fn_makes_two_transforms(monkeypatch):
 def test_linear_mode_squared_frequency_1d(model, mu, w2):
     params = ModelParams(0.0, mu, model)
     bundle = make_rhs(params, FLAT1)
-    assert bundle.spectral_state
     x = G1.x[0]
     U = np.zeros((2,) + G1.shape)
     U[0] = np.cos(2.0 * x)
+    assert np.array_equal(bundle.encode(U), G1.rfft(U))
     dd = bundle.nodal_rhs(bundle.nodal_rhs(U))
     assert np.abs(dd[0] + w2 * U[0]).max() < 1e-11 * max(1.0, w2)
 
@@ -436,6 +517,14 @@ def test_jet_rescaled_flag_is_irrelevant():
     for ua, ub in zip(a, b):
         assert np.array_equal(ua[0], ub[0])
         assert np.array_equal(ua[1:], ub[1:])
+
+
+def test_jet_rejects_mismatched_handle():
+    # as make_rhs does: a handle factorized for another mu is not used
+    params, U = _mbp_setup()
+    wrong = build_handle("hb_B", 0.1, BUMP1)
+    with pytest.raises(ValueError):
+        time_derivative_stack(U, params, BUMP1, k_max=1, handles={"hb_B": wrong})
 
 
 def test_jet_requires_mbp():

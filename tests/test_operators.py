@@ -5,6 +5,7 @@ import pytest
 
 from bplab.bathymetry import build_bathymetry
 from bplab.operators import (
+    CG_TOL,
     _gram_apply,
     apply_A,
     apply_B,
@@ -194,8 +195,8 @@ class TestSolves:
 
     @pytest.mark.parametrize(
         "bath,batch",
-        [(FLAT1, (3,)), (BUMP1, (3,)), (BUMP2, (2,))],
-        ids=["spectral-d1", "dense-d1", "dense-d2"],
+        [(FLAT1, (3,)), (FLAT2, (2,)), (BUMP1, (3,)), (BUMP2, (2,))],
+        ids=["spectral-d1", "spectral-d2", "dense-d1", "dense-d2"],
     )
     def test_batched_solve_matches_single_solves(self, bath, batch):
         # leading axes are independent right-hand sides on every strategy
@@ -208,6 +209,21 @@ class TestSolves:
         for b in range(batch[0]):
             single = handle.solve_arrays(rhs[b])
             assert np.abs(out[b] - single).max() <= 1e-13 * np.abs(single).max()
+
+    def test_batched_cg_stops_per_member(self):
+        # a member a million times smaller than the other must still reach
+        # CG_TOL on its own residual, as its single solve does
+        g = Grid(d=2, n=32, L=2 * np.pi)
+        handle = build_handle("hb_B", 0.1, build_bathymetry(g, "gaussian_bump", 0.5))
+        assert handle.strategy == "pcg"
+        y = np.random.default_rng(3).standard_normal((2, 2) + g.shape)
+        y[1] *= 1e-6
+        x = handle.solve_weighted_arrays(y)
+        for b in range(2):
+            res = handle.apply_weighted_arrays(x[b]) - y[b]
+            assert np.linalg.norm(res) <= CG_TOL * np.linalg.norm(y[b])
+            single = handle.solve_weighted_arrays(y[b])
+            assert np.abs(x[b] - single).max() <= 1e-8 * np.abs(single).max()
 
 
 class TestCoercivity:

@@ -94,14 +94,19 @@ def test_scheme_convergence_order(scheme, order):
     assert abs(rate - order) < 0.3
 
 
-def test_matches_independent_reference_loop():
+@pytest.mark.parametrize(
+    "model,eps,bath",
+    [("mbp", 0.0, FLAT1), ("bp", 0.2, BUMP1), ("mbp", 0.2, BUMP1)],
+    ids=["mbp-flat", "bp-bump", "mbp-bump"],
+)
+def test_matches_independent_reference_loop(model, eps, bath):
     """Spectral-coordinate stepping equals nodal RK4 step for step."""
-    params = ModelParams(0.0, 0.3, "mbp")
-    bundle = make_rhs(params, FLAT1)
-    assert bundle.spectral_state
+    params = ModelParams(eps, 0.3, model)
+    bundle = make_rhs(params, bath)
     state = _mode_state(G1, k=3.0, amp=0.2)
+    assert np.array_equal(bundle.encode(state.stack()), G1.rfft(state.stack()))
     cfg = StepperConfig(dt=5e-3, t_end=0.1)
-    traj = run(state, params, FLAT1, cfg)
+    traj = run(state, params, bath, cfg)
     ref = reference_trajectory(state.stack(), bundle.nodal_rhs, 0.1, 5e-3)
     assert np.abs(traj.states[-1] - ref).max() < 1e-12
 
