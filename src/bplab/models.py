@@ -25,7 +25,9 @@ pointwise products, through one stacked inverse transform of the factors
 it needs; the change of basis is linear, so it commutes with Runge-Kutta
 stages exactly. A linear flat-bottom flow (eps = 0, b = 0) is a constant
 (1+d)x(1+d) block per mode, which the bundle carries so the stepper can
-apply whole steps as one matrix per mode.
+apply whole steps as one matrix per mode. make_rhs reads those blocks off
+the same flow it builds for every other case, by probing it with one
+constant spectrum per state row, so each system is written once.
 """
 
 from __future__ import annotations
@@ -38,8 +40,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .bathymetry import Bathymetry, q_to_zeta_arr
+from .diagnostics import exact_dispersion
 from .errors import DryStateError, RegimeWarning
-from .operators import OperatorHandle, _flat_symbols, build_handle, get_weighted_ops
+from .operators import OperatorHandle, build_handle, get_weighted_ops
 from .spectral import Grid, trunc_arr
 
 __all__ = [
@@ -132,7 +135,8 @@ class RHSBundle:
     Every flow steps on the coefficients and goes to nodes only for its
     pointwise products; decode is the inverse transform. blocks, set only
     for linear flat-bottom flows, holds the per-mode generators L_k, shape
-    (*grid.rshape, 1+d, 1+d), with fn(W) = L W.
+    (*grid.rshape, 1+d, 1+d), probed from the general flow; fn(W) = L W
+    then applies them directly.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -172,6 +176,21 @@ def apply_mode_blocks(blocks: np.ndarray, W: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,j...->i...", blocks, W)
 
 
+def _probe_mode_blocks(fn, grid: Grid) -> np.ndarray:
+    """Per-mode blocks L_k of a linear flow that acts mode by mode.
+
+    Column j of every L_k is the flow of the spectrum holding 1 in row j of
+    every coefficient, so 1 + d evaluations give all blocks (the probing of
+    structured Jacobians: Curtis, Powell & Reid, IMA J. Appl. Math. 13, 1974).
+    A probe spans every mode at once, so it runs in extended precision: in
+    double, the roundoff of a dispersive flow's large high-mode terms reaches
+    the small low-mode entries (7e-12 of max|L_k| for mbp at n = 256).
+    """
+    probes = np.multiply.outer(np.eye(1 + grid.d), np.ones(grid.rshape, np.clongdouble))
+    blocks = np.stack([fn(e) for e in probes], axis=-1)
+    return np.moveaxis(blocks, 0, -2).astype(complex)
+
+
 def _mollifiers(grid: Grid, delta: float):
     """Spectra m1, m2 of (1 - delta*Lap_g)^-1 and ^-2; plain ones at delta = 0."""
     if delta == 0:
@@ -206,51 +225,6 @@ def _v_dot_grad(g: Grid, Vt: np.ndarray, F: np.ndarray) -> np.ndarray:
     if F.ndim > Vt.ndim:  # the Jacobian's row axis i
         Vt = np.expand_dims(Vt, Vt.ndim - g.d - 1)
     return (Vt * F).sum(axis=-(g.d + 1))
-
-
-def _make_linear_flat_rhs(
-    params: ModelParams, bath: Bathymetry, delta: float
-) -> RHSBundle:
-    """Fused spectral flow for eps = 0 over a flat bottom.
-
-    Every product with h_b = 1 collapses, and the velocity equation's
-    right-hand side is always a gradient, on which the weighted inverses
-    act mode by mode along the k direction, by the flat-bottom symbols ld
-    of the operators module. The whole flow is therefore two fixed
-    multiplier stacks
-
-        d s_hat   = sum_j cs[j] * V_hat[j]
-        d V_hat_j = cv[j] * s_hat
-
-    which fill the off-diagonal entries of one (1+d)x(1+d) block L_k per
-    mode. They reproduce the generic dealiased path mode by mode.
-    """
-    g = bath.grid
-    mu = params.mu
-    mask = g.dealias_mask
-    model = params.model
-
-    inv_ld = np.ones_like(g.k2gamma)
-    if model in ("bp", "mbp"):
-        inv_ld = 1.0 / _flat_symbols(g, _HANDLE_KIND[model], mu)[0]
-    if model == "mbp":
-        # h_b*A on a gradient field acts by its symbol along k
-        inv_ld = inv_ld * _flat_symbols(g, "hb_A", mu)[0]
-
-    # the velocity solve sandwich applies (1 + delta*k^2)^-1 twice,
-    # numerically the same factor as the squared scalar smoothing
-    m2 = _mollifiers(g, delta)[1]
-    inv_ld = inv_ld * m2
-
-    blocks = np.zeros(g.rshape + (1 + g.d, 1 + g.d), dtype=complex)
-    for j, ikj in enumerate(g.ik):
-        blocks[..., 0, 1 + j] = -(m2 * mask * ikj)  # cs[j]
-        blocks[..., 1 + j, 0] = -(inv_ld * ikj)  # cv[j]
-
-    def fn(W: np.ndarray) -> np.ndarray:
-        return apply_mode_blocks(blocks, W)
-
-    return RHSBundle(fn, g, params, blocks)
 
 
 def _mbp_flow(bath: Bathymetry, handle: OperatorHandle, lam: float, adv_coef: float,
@@ -313,9 +287,6 @@ def make_rhs(
     if model == "burgers" and g.d != 1:
         raise ValueError("burgers runs on d = 1 grids only")
 
-    if model != "burgers" and eps == 0.0 and bath.is_flat:
-        return _make_linear_flat_rhs(params, bath, delta)
-
     d = g.d
     mask = g.dealias_mask
     ik = g.ik_stack
@@ -352,34 +323,38 @@ def make_rhs(
             advs = (_v_dot_grad(g, Vt, gqt), _v_dot_grad(g, Vt, J)) if nonlinear else ()
             return tendency(Vt, q_to_zeta_arr(q, eps, bath), *advs)
 
+    else:
+        hb = bath.hb
+        hbt = trunc_arr(g, hb)
+        hmin_static = bath.h_min
+
+        def fn(W: np.ndarray) -> np.ndarray:
+            zeta, Ut, _, J = _nodal_factors(g, W, nonlinear, False, nonlinear)
+            if nonlinear and hmin_static + eps * zeta.min() <= 0.0:
+                if (hb + eps * zeta).min() <= 0.0:
+                    raise DryStateError("free surface reached the bottom")
+            Vt = Ut[1:]
+            prods = [(hbt + eps * Ut[0]) * Vt]
+            if nonlinear:
+                prods.append(_v_dot_grad(g, Vt, J))
+            P = g.rfft(np.concatenate(prods))
+            dz = -m2 * (mask * (ik * P[:d]).sum(axis=0))
+            w = ik * W[0]
+            if nonlinear:
+                w = w + eps * (mask * P[d:])
+            if model == "sw":
+                return np.concatenate([dz[None], -m2 * w])
+            y = hb * g.irfft(w)  # the I_plus_muTb equation in its weighted form
+            if delta > 0:
+                y = g.irfft(m1 * g.rfft(y))
+            x = handle.solve_weighted_arrays(y)
+            return np.concatenate([dz[None], -m1 * g.rfft(x)])
+
+    if nonlinear or not bath.is_flat:
         return RHSBundle(fn, g, params)
-
-    hb = bath.hb
-    hbt = trunc_arr(g, hb)
-    hmin_static = bath.h_min
-
-    def fn(W: np.ndarray) -> np.ndarray:
-        zeta, Ut, _, J = _nodal_factors(g, W, nonlinear, False, nonlinear)
-        if nonlinear and hmin_static + eps * zeta.min() <= 0.0:
-            if (hb + eps * zeta).min() <= 0.0:
-                raise DryStateError("free surface reached the bottom")
-        Vt = Ut[1:]
-        prods = [(hbt + eps * Ut[0]) * Vt]
-        if nonlinear:
-            prods.append(_v_dot_grad(g, Vt, J))
-        P = g.rfft(np.concatenate(prods))
-        dz = -m2 * (mask * (ik * P[:d]).sum(axis=0))
-        w = ik * W[0]
-        if nonlinear:
-            w = w + eps * (mask * P[d:])
-        if model == "sw":
-            return np.concatenate([dz[None], -m2 * w])
-        y = hb * g.irfft(w)  # the I_plus_muTb equation in its weighted form
-        if delta > 0:
-            y = g.irfft(m1 * g.rfft(y))
-        return np.concatenate([dz[None], -m1 * g.rfft(handle.solve_weighted_arrays(y))])
-
-    return RHSBundle(fn, g, params)
+    # eps = 0 over a flat bottom: the flow is linear and acts mode by mode
+    blocks = _probe_mode_blocks(fn, g)
+    return RHSBundle(lambda W: apply_mode_blocks(blocks, W), g, params, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -462,15 +437,9 @@ def max_linear_frequency(
     estimate eps*sup|V|*k_max on top of the dispersive branch.
     """
     kmax = float(np.sqrt(grid.k2deriv.max()))
-    mu = params.mu
-    if params.model == "sw":
-        lin = kmax
-    elif params.model == "bp":
-        lin = kmax / math.sqrt(1.0 + mu * kmax**2 / 3.0)
-    elif params.model == "mbp":
-        lin = kmax * math.sqrt((1.0 + mu * kmax**2) / (1.0 + 4.0 * mu * kmax**2 / 3.0))
-    else:
-        lin = 0.0
+    lin = 0.0
+    if params.model != "burgers":
+        lin = exact_dispersion(params.model, kmax, params.mu)
     if params.rescaled_time:
         lin = lin / params.eps
     adv = 0.0

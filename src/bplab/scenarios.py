@@ -47,7 +47,7 @@ from .errors import BplabError, ConfigError, NonpositiveDepthError
 from .models import MODELS, ModelParams, ModelState
 from .operators import KINDS, build_handle, coercivity_report
 from .spectral import Grid, mollify_arr
-from .timeloop import StepperConfig, Trajectory, run
+from .timeloop import StepperConfig, Trajectory, _check_modes, run
 from .verification import assemble_dense
 
 __all__ = [
@@ -296,6 +296,10 @@ def load_config(
         _mode_entry(m, grid.d, src, "stepper.track_modes") for m in track
     )
     try:
+        _check_modes(grid, track_modes)
+    except ValueError as e:
+        raise _cfg_err(src, "stepper.track_modes", str(e)) from None
+    try:
         stepper = StepperConfig(
             dt=float(st.get("dt", 1e-3)),
             t_end=float(st.get("t_end", 1.0)),
@@ -314,6 +318,15 @@ def load_config(
         if key not in SWEEP_KEYS:
             raise _cfg_err(src, f"sweep.{key}", f"unknown axis, choose from {SWEEP_KEYS}")
         sweep[key] = _float_list(val, src, f"sweep.{key}")
+    # a value's tag names its run and directory; contrast runs share eps_mu's
+    tags = set()
+    for key, vals in sweep.items():
+        axis = "eps_mu" if key == "contrast_eps_mu" else key
+        for v in vals:
+            if (axis, _tagf(v)) in tags:
+                reason = f"{v!r} repeats a run tag of sweep.{axis}"
+                raise _cfg_err(src, f"sweep.{key}", reason)
+            tags.add((axis, _tagf(v)))
     for key in _REQUIRED_SWEEPS.get(scenario, ()):
         if key not in sweep:
             raise _cfg_err(src, f"sweep.{key}", f"required by scenario {scenario!r}")
@@ -405,9 +418,7 @@ def _mode_cos(grid: Grid, amplitude: float, mode) -> np.ndarray:
         (k,) = mode if isinstance(mode, tuple) else (mode,)
         return amplitude * np.cos(k0 * k * grid.x[0])
     k1, k2 = mode
-    xx = grid.x[0].reshape(grid.n, 1)
-    yy = grid.x[1].reshape(1, grid.n)
-    return amplitude * np.cos(k0 * (k1 * xx + k2 * yy))
+    return amplitude * np.cos(k0 * (k1 * grid.x[0] + k2 * grid.x[1]))
 
 
 def build_initial_state(

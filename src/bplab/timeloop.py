@@ -167,14 +167,16 @@ def _propagator(blocks: np.ndarray, scheme: str, dt: float):
 
 
 def _sup_grad(grid: Grid, spec: np.ndarray) -> float:
-    """Largest twisted first derivative over every state row."""
-    out = 0.0
-    for ikj in grid.ik:
-        out = max(out, float(np.abs(grid.irfft(ikj * spec)).max()))
-    return out
+    """Largest twisted first derivative over every state row; NaN if any is."""
+    return float(np.abs(grid.irfft(grid.ik_stack[:, None] * spec)).max())
 
 
 def _check_modes(grid: Grid, track) -> list:
+    """rfft indices of tracked modes, given as signed wavenumbers.
+
+    d=1 modes are 0 <= k <= n/2; d=2 pairs (k1, k2) take -n/2 <= k1 < n/2,
+    whose negative values index the rfft rows from the end, and 0 <= k2 <= n/2.
+    """
     idx = []
     half = grid.n // 2
     for item in track:
@@ -185,8 +187,10 @@ def _check_modes(grid: Grid, track) -> list:
             idx.append((k,))
         else:
             k1, k2 = (int(item[0]), int(item[1]))
-            if not (-half <= k1 < grid.n and 0 <= k2 <= half):
-                raise ValueError(f"mode {(k1, k2)} outside rfft layout")
+            if not (-half <= k1 < half and 0 <= k2 <= half):
+                raise ValueError(
+                    f"mode {(k1, k2)} outside -n/2 <= k1 < n/2, 0 <= k2 <= n/2"
+                )
             idx.append((k1, k2))
     return idx
 

@@ -38,6 +38,7 @@ def test_tracer_installs_on_package_and_restores():
 
     g = Grid(1, 32, 2 * np.pi)
     bath = build_bathymetry(g, "gaussian_bump", 0.5)
+    flat = build_bathymetry(g, "flat", 0.0)
     U = 0.1 * np.random.default_rng(0).standard_normal((2,) + g.shape)
 
     patches = tracer.Patches()
@@ -48,16 +49,21 @@ def test_tracer_installs_on_package_and_restores():
         t0 = time.perf_counter()
         bundle = bplab.models.make_rhs(ModelParams(0.2, 0.3, "bp"), bath)
         out = bundle.fn(bundle.encode(U))
+        # a linear flat bundle probes its flow inside make_rhs, before the
+        # tracer wraps fn, so models.rhs keeps counting stepping calls only
+        linear = bplab.models.make_rhs(ModelParams(0.0, 0.3, "mbp"), flat)
         t1 = time.perf_counter()
     finally:
         patches.restore()
 
     assert out.shape == (2,) + g.rshape
     table = spans.table(t0, t1)
-    assert table.count("models.make_rhs") == 1
-    assert table.count("operators.build_handle") == 1
+    assert linear.blocks is not None
+    assert table.count("models.make_rhs") == 2
+    assert table.count("operators.build_handle") == 2
     assert table.count("models.rhs") == 1
     assert table.count("operators.solve.dense") == 1
+    assert table.count("operators.solve.spectral") == 2  # one probe per state row
     assert table.count("spectral.rfft") > 0 and table.count("spectral.irfft") > 0
     assert bplab.models.make_rhs is make_rhs and bplab.timeloop.run is run
     assert Grid.rfft is rfft

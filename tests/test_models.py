@@ -227,19 +227,32 @@ def _nodal_reference_rhs(params, bath, delta, handle, U):
     return np.concatenate([dq[None], dV])
 
 
-@pytest.mark.parametrize("delta", [0.0, 1e-2])
-@pytest.mark.parametrize("bath", [BUMP1, BUMP2], ids=["d1", "d2"])
-@pytest.mark.parametrize(
-    "model,rescaled", [("sw", False), ("bp", False), ("mbp", False), ("mbp", True)],
-    ids=["sw", "bp", "mbp", "mbp-rescaled"],
-)
-def test_nonlinear_bump_matches_nodal_formula(model, rescaled, bath, delta):
+# nonlinear flows over a bump, and linear flat-bottom ones, whose bundles
+# apply the blocks probed from the same flow; rescaled time needs eps > 0
+_FLOW_CASES = [
+    pytest.param(model, rescaled, bath, eps, delta, id=f"{mid}-{bid}-{delta}")
+    for delta in (0.0, 1e-2)
+    for bid, bath, eps in (
+        ("d1", BUMP1, 0.3), ("d2", BUMP2, 0.3),
+        ("flat-d1", FLAT1, 0.0), ("flat-d2", FLAT2, 0.0),
+    )
+    for mid, model, rescaled in (
+        ("sw", "sw", False), ("bp", "bp", False), ("mbp", "mbp", False),
+        ("mbp-rescaled", "mbp", True),
+    )
+    if eps or not rescaled
+]
+
+
+@pytest.mark.parametrize("model,rescaled,bath,eps,delta", _FLOW_CASES)
+def test_nonlinear_bump_matches_nodal_formula(model, rescaled, bath, eps, delta):
     # random data on every mode, so each 2/3 projection matters
     g = bath.grid
-    params = ModelParams(0.3, 0.4, model, rescaled_time=rescaled)
+    params = ModelParams(eps, 0.4, model, rescaled_time=rescaled)
     U = 0.1 * np.random.default_rng(23).standard_normal((1 + g.d,) + g.shape)
     handles = build_handles(params, bath)
     bundle = make_rhs(params, bath, delta=delta, handles=handles)
+    assert (bundle.blocks is not None) == (eps == 0.0)
     got = bundle.nodal_rhs(U)
     handle = next(iter(handles.values()), None)
     expected = _nodal_reference_rhs(params, bath, delta, handle, U)

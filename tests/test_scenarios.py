@@ -58,6 +58,14 @@ scenario_params:
     - {d: 1, n: 16, L: 2pi, profile: gaussian_bump, beta: 0.4, mu: 0.1}
 """
 
+TINY_LONGTIME = """\
+scenario: longtime
+grid: {d: 1, n: 16, L: 2pi}
+model: {name: mbp, eps: 0.1, mu: 0.1}
+sweep:
+  eps_mu: [0.02, 0.5]
+"""
+
 D2_DISPERSION = (
     TINY_DISPERSION.replace("{d: 1, n: 64, L: 2pi}", "{d: 2, n: 16, L: 2pi}")
     .replace("mode: 1}", "mode: [1, 0]}")
@@ -120,8 +128,19 @@ def test_d2_mode_pairs_parse(tmp_path):
             "scenario_params.horizon_over_eps",
         ),
         (TINY_DISPERSION + "scenario_params: {trials: many}\n", "scenario_params.trials"),
+        # the rfft row of wavenumber -1, which would be graded as wavenumber 15
+        (
+            D2_DISPERSION.replace("track_modes: [[1, 0]]", "track_modes: [[15, 0]]"),
+            "stepper.track_modes",
+        ),
+        (TINY_DISPERSION.replace("mu: [0.0]", "mu: [0.1, 0.0, 0.1]"), "sweep.mu"),
+        (TINY_DISPERSION.replace("mu: [0.0]", "mu: [0.1, 0.100000001]"), "sweep.mu"),
+        (TINY_LONGTIME + "  contrast_eps_mu: [0.5]\n", "sweep.contrast_eps_mu"),
     ],
-    ids=["amplitude", "width", "mode", "track_modes", "horizon_over_eps", "trials"],
+    ids=[
+        "amplitude", "width", "mode", "track_modes", "horizon_over_eps", "trials",
+        "track_modes_rfft_row", "sweep_repeat", "sweep_same_tag", "sweep_contrast_repeat",
+    ],
 )
 def test_bad_value_rejected(tmp_path, capsys, text, key):
     p = _write(tmp_path, text)
@@ -218,6 +237,14 @@ def test_single_mode_initial_state(tmp_path):
     state = build_initial_state(cfg, cfg.grid, cfg.params, cfg.build_bath())
     expect = 1e-3 * np.cos(cfg.grid.x[0])
     assert abs(state.U[0] - expect).max() < 1e-15
+    # d=2: the mode [k1, k2] is cos(k0*(k1*x + k2*y)) over the meshgrid nodes
+    text = D2_DISPERSION.replace("mode: [1, 0]}", "mode: [2, -1]}")
+    cfg = _cfg(tmp_path, text)
+    state = build_initial_state(cfg, cfg.grid, cfg.params, cfg.build_bath())
+    k0 = 2.0 * np.pi / cfg.grid.L
+    x, y = cfg.grid.x
+    assert state.U.shape == (3, 16, 16)
+    assert abs(state.U[0] - 1e-3 * np.cos(k0 * (2 * x - 1 * y))).max() < 1e-15
 
 
 def test_burgers_sine_initial_state(tmp_path):
@@ -331,6 +358,17 @@ def test_run_scenario_layout_and_verdicts(tmp_path):
     assert summary["runs"][0]["termination"] == "completed"
     assert summary["tables"]["dispersion"][0]["mode"] == 1
     assert "output" not in summary["parameters"]
+
+
+def test_d2_dispersion_grades_signed_modes(tmp_path):
+    # a single-mode d=2 start, and k1 = -1 read from the last rfft row
+    text = D2_DISPERSION.replace("track_modes: [[1, 0]]", "track_modes: [[-1, 0], [1, 1]]")
+    cfg = load_config(_write(tmp_path, text), out=str(tmp_path / "out"))
+    result = run_scenario(cfg, jobs=1)
+    assert result.passed
+    rows = result.summary["tables"]["dispersion"]
+    assert [row["mode"] for row in rows] == [[-1, 0], [1, 1]]
+    assert max(row["rel_err"] for row in rows) < 1e-4
 
 
 def test_run_scenario_snapshot_policies(tmp_path):

@@ -14,6 +14,7 @@ from bplab.timeloop import (
     StepperConfig,
     _rk2_step,
     _rk4_step,
+    _sup_grad,
     run,
     step,
 )
@@ -351,6 +352,26 @@ def test_initial_state_beyond_threshold():
     assert traj.termination == "blowup"
     assert traj.termination_time == 0.0
     assert traj.steps_taken == 0
+
+
+@pytest.mark.parametrize("bath", [FLAT1, FLAT2], ids=["d1", "d2"])
+def test_nan_node_reaches_both_monitors(bath):
+    # one NaN node in a linear bp run; Python's max(0.0, nan) would log 0.0
+    g = bath.grid
+    U = np.zeros((1 + g.d,) + g.shape)
+    U[0] = np.cos(g.x[0])
+    U[(0,) + (3,) * g.d] = np.nan
+    traj = run(ModelState(g, U), ModelParams(0.0, 0.4, "bp"), bath, StepperConfig(1e-2, 0.1))
+    assert traj.termination == "blowup" and traj.steps_taken == 0
+    assert np.isnan(traj.sup_u).all() and np.isnan(traj.sup_grad_u).all()
+
+
+def test_sup_grad_is_largest_derivative_over_rows_and_directions():
+    rng = np.random.default_rng(8)
+    U = rng.standard_normal((3,) + G2.shape)
+    W = G2.rfft(U)
+    expected = max(np.abs(G2.irfft(ikj * W)).max() for ikj in G2.ik)
+    assert _sup_grad(G2, W) == expected
 
 
 def test_cfl_warning():
