@@ -43,7 +43,7 @@ def main(argv=None) -> int:
     if args.command == "list-scenarios":
         width = max(len(name) for name in SCENARIOS)
         for name in sorted(SCENARIOS):
-            print(f"{name:<{width}}  {SCENARIOS[name][1]}")
+            print(f"{name:<{width}}  {SCENARIOS[name].about}")
         return 0
 
     if args.command == "validate":
@@ -52,10 +52,10 @@ def main(argv=None) -> int:
         except ConfigError as e:
             print(f"invalid: {e}", file=sys.stderr)
             return 2
-        n_runs = max(1, sum(len(v) for v in config.sweep.values()) or 1)
+        n_runs = len(SCENARIOS[config.scenario].runs(config))
         print(
             f"ok: scenario={config.scenario} grid=d{config.grid.d} n{config.grid.n}"
-            f" sweep_axes={sorted(config.sweep)} runs~{n_runs} seed={config.seed}"
+            f" sweep_axes={sorted(config.sweep)} runs={n_runs} seed={config.seed}"
         )
         return 0
 

@@ -136,18 +136,14 @@ class DiagnosticsRecord:
     mode_amplitudes: Optional[np.ndarray] = None
 
 
-def build_records(
-    traj, bath: Bathymetry, N: float = 3.0, s: Optional[float] = None
-) -> list:
-    """Energy/monitor records over a trajectory.
+def build_records(traj, bath: Bathymetry, N: float = 3.0) -> list:
+    """Energy/monitor records over a trajectory; E^N and E_thm both use index N.
 
     The log-variable scalar is converted to the surface before every
     energy; Burgers has no surface or velocity, so its E_bp is NaN and its
     other energies use the profile alone. Records are evaluated in stacked
     chunks of about RECORD_CHUNK_POINTS grid values.
     """
-    if s is None:
-        s = N
     g = traj.grid
     model = traj.params.model
     mu = traj.params.mu
@@ -166,7 +162,7 @@ def build_records(
         if model == "mbp":
             scalar = q_to_zeta_arr(scalar, eps, bath)
         en[lo:hi] = _energy_EN_batch(g, scalar, V, mu, N)
-        ethm[lo:hi] = _energy_theorem_batch(g, scalar, V, mu, s)
+        ethm[lo:hi] = _energy_theorem_batch(g, scalar, V, mu, N)
         ebp[lo:hi] = np.nan if V is None else _energy_bp_batch(scalar, V, mu, bath)
     out = []
     for i in range(n_rec):

@@ -1,8 +1,10 @@
-"""Experiment configurations, the six scenario drivers, and artifact writers.
+"""Experiment configurations, the six scenarios, their runner, and artifact writers.
 
-A scenario is a named study over one config file: it expands the sweep
-axes into runs, executes them on a bounded worker pool, grades the
-outcome against thresholds shipped with the presets, and writes
+A scenario is a named study over one config file. It declares its runs
+as data (RunSpec: tag, swept values, model parameters, stepper) and
+grades their results against thresholds shipped with the presets.
+run_scenario is the one place runs execute, on a bounded worker pool, and
+it writes
 
     <out>/<scenario>/<tag>/diagnostics.csv     per-run energy monitors
     <out>/<scenario>/<tag>/state_*.bin/.json   raw float64 snapshots
@@ -23,7 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import yaml
@@ -70,7 +72,12 @@ DEFAULT_OUT = "bplab_out"
 TIMING_KEYS = ("runtimes", "written_at")
 
 INITIAL_SHAPES = ("gaussian", "single_mode", "burgers_sine")
-SNAPSHOT_POLICIES = ("none", "final", "initial_final")
+# snapshot policy -> the (file stem, record index) pairs each run writes
+SNAPSHOT_POLICIES = {
+    "none": (),
+    "final": (("state_final", -1),),
+    "initial_final": (("state_initial", 0), ("state_final", -1)),
+}
 SWEEP_KEYS = ("eps", "mu", "eps_mu", "delta", "contrast_eps_mu")
 
 DEFAULT_THRESHOLDS = {
@@ -133,10 +140,8 @@ class ExperimentConfig:
     seed: int
     raw: dict = field(repr=False, default_factory=dict)
 
-    def build_bath(self, grid: Optional[Grid] = None) -> Bathymetry:
-        return build_bathymetry(
-            grid or self.grid, self.profile, self.beta, self.bath_params
-        )
+    def build_bath(self) -> Bathymetry:
+        return build_bathymetry(self.grid, self.profile, self.beta, self.bath_params)
 
 
 def _cfg_err(src: str, key: str, reason: str) -> ConfigError:
@@ -279,10 +284,14 @@ def load_config(
             src, "initial.shape", f"unknown {shape!r}, choose from {INITIAL_SHAPES}"
         )
     mode = it.get("mode", 1 if grid.d == 1 else [1, 0])
+    mode = _mode_entry(mode, grid.d, src, "initial.mode")
+    if np.abs(mode).max() > grid.n / 2:
+        reason = f"{mode} has a component with |k| > n/2 = {grid.n // 2}"
+        raise _cfg_err(src, "initial.mode", reason)
     initial = InitialSpec(
         shape=shape,
         amplitude=_number(it.get("amplitude", 1e-3), src, "initial.amplitude"),
-        mode=(_mode_entry(mode, grid.d, src, "initial.mode"),),
+        mode=(mode,),
         width=_number(it.get("width", 1.0), src, "initial.width"),
     )
     if shape == "burgers_sine" and grid.d != 1:
@@ -299,6 +308,8 @@ def load_config(
         _check_modes(grid, track_modes)
     except ValueError as e:
         raise _cfg_err(src, "stepper.track_modes", str(e)) from None
+    if scenario == "dispersion" and not track_modes:
+        raise _cfg_err(src, "stepper.track_modes", "required by scenario 'dispersion'")
     try:
         stepper = StepperConfig(
             dt=float(st.get("dt", 1e-3)),
@@ -362,7 +373,8 @@ def load_config(
     snapshots = ot.get("snapshots", "final")
     if snapshots not in SNAPSHOT_POLICIES:
         raise _cfg_err(
-            src, "output.snapshots", f"unknown {snapshots!r}, choose from {SNAPSHOT_POLICIES}"
+            src, "output.snapshots",
+            f"unknown {snapshots!r}, choose from {tuple(SNAPSHOT_POLICIES)}",
         )
 
     seed_val = tree.get("seed", 0) if seed is None else seed
@@ -457,16 +469,36 @@ def build_initial_state(
 
 
 # ---------------------------------------------------------------------------
-# run execution
+# runs and their execution
+
+
+@dataclass(frozen=True)
+class RunSpec:
+    """One run of a sweep, as plain data.
+
+    A time-stepping run starts from the configured initial state, exciting
+    modes (if given) in place of initial.mode and, if smooth_start, mollified
+    by its stepper's delta. An audit run holds (case index, case, seed).
+    """
+
+    tag: str
+    values: dict
+    params: Optional[ModelParams] = None
+    stepper: Optional[StepperConfig] = None
+    modes: Optional[tuple] = None
+    smooth_start: bool = False
+    audit: Optional[tuple] = None
 
 
 @dataclass
 class RunResult:
+    """What one RunSpec produced: a trajectory and its records, audit reports, or an error."""
+
     tag: str
     values: dict
-    bath: Optional[Bathymetry] = None
     traj: Optional[Trajectory] = None
     records: list = field(default_factory=list)
+    reports: Optional[list] = None
     error: Optional[str] = None
     runtime_s: float = 0.0
 
@@ -475,20 +507,55 @@ def _tagf(v: float) -> str:
     return f"{v:g}"
 
 
-def _run_many(specs, jobs: int, n_idx: float) -> list:
-    """Execute (tag, values, thunk) triples on a bounded pool, in order.
+def _audit_reports(config: ExperimentConfig, i: int, case: dict, seed: int) -> list:
+    """One report per operator kind: coercivity, solve and dense residuals."""
+    where = f"scenario_params.cases[{i}]"
+    grid, bath, mu = _audit_case(case, config.params.mu, config.scenario, where)
+    trials = config.scenario_params.get("trials", 8)
+    rng = np.random.default_rng(seed)
+    out = []
+    for kind in KINDS:
+        handle = build_handle(kind, mu, bath)
+        rep = coercivity_report(handle, trials=trials, rng=rng)
+        solve_resid = 0.0
+        dense_resid = 0.0
+        M = assemble_dense(kind, mu, bath)
+        for _ in range(trials):
+            r = rng.standard_normal((grid.d,) + grid.shape)
+            x = handle.solve_arrays(r)
+            back = handle.apply_arrays(x)
+            solve_resid = max(solve_resid, float(np.abs(back - r).max() / np.abs(r).max()))
+            mv = (M @ r.ravel()).reshape(r.shape)
+            av = handle.apply_weighted_arrays(r)
+            dense_resid = max(dense_resid, float(np.linalg.norm(mv - av) / np.linalg.norm(mv)))
+        rep["solve_residual"] = solve_resid
+        rep["dense_mismatch"] = dense_resid
+        out.append(rep)
+    return out
 
-    A thunk returns the RunResult fields it sets. Every trajectory then
-    gets its diagnostics records (H^n_idx energies) once, here, for both
-    the driver's grading and the CSV writer.
+
+def _run_many(config: ExperimentConfig, bath, specs: list, jobs: int) -> list:
+    """Execute RunSpecs on a bounded pool; results come back in spec order.
+
+    Each run builds its start state inside its own error capture, so an
+    inadmissible start ends that run, never the sweep. Every trajectory then
+    gets its diagnostics records (H^N energies, N the sobolev_index
+    threshold) once, here, for both the grading and the CSV writer.
     """
+    grid = config.grid
 
     def work(spec):
-        tag, values, thunk = spec
         t0 = _time.perf_counter()
-        res = RunResult(tag=tag, values=values)
+        res = RunResult(tag=spec.tag, values=spec.values)
         try:
-            res = replace(res, **thunk())
+            if spec.audit is not None:
+                res.reports = _audit_reports(config, *spec.audit)
+            else:
+                params, stepper = spec.params, spec.stepper
+                state0 = build_initial_state(config, grid, params, bath, modes=spec.modes)
+                if spec.smooth_start and stepper.delta > 0.0:
+                    state0 = ModelState(grid, mollify_arr(grid, state0.U, stepper.delta, -1))
+                res.traj = run(state0, params, bath, stepper)
         except BplabError as e:
             res.error = f"{type(e).__name__}: {e}"
         res.runtime_s = _time.perf_counter() - t0
@@ -501,7 +568,7 @@ def _run_many(specs, jobs: int, n_idx: float) -> list:
             results = list(pool.map(work, specs))
     for res in results:
         if res.traj is not None:
-            res.records = build_records(res.traj, res.bath, N=n_idx)
+            res.records = build_records(res.traj, bath, N=config.thresholds["sobolev_index"])
     return results
 
 
@@ -509,42 +576,41 @@ def _sup_state_diff(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(a - b).max())
 
 
+def _failure(res: RunResult) -> Optional[str]:
+    """'tag: reason' for a run that raised or did not complete, else None."""
+    if res.error or res.traj.termination != "completed":
+        return f"{res.tag}: {res.error or res.traj.termination}"
+    return None
+
+
 # ---------------------------------------------------------------------------
-# scenario drivers
+# scenarios: each declares its runs and grades their results
 
 
-def _drive_dispersion(config: ExperimentConfig, jobs: int):
-    """Linear flat runs per mu; each tracked mode gets one table row."""
-    mus = config.sweep.get("mu", (config.params.mu,))
-    track = config.stepper.track_modes
-    if not track:
-        raise ConfigError("dispersion needs stepper.track_modes")
-    bath = config.build_bath()
+def _dispersion_runs(config: ExperimentConfig) -> list:
+    """Linear flat runs per mu, each exciting every tracked mode."""
+    return [
+        RunSpec(
+            f"mu{_tagf(mu)}", {"mu": mu}, replace(config.params, eps=0.0, mu=mu),
+            config.stepper, modes=config.stepper.track_modes,
+        )
+        for mu in config.sweep.get("mu", (config.params.mu,))
+    ]
 
-    def thunk_for(mu):
-        def thunk():
-            params = replace(config.params, eps=0.0, mu=mu)
-            state0 = build_initial_state(config, config.grid, params, bath, modes=track)
-            return dict(bath=bath, traj=run(state0, params, bath, config.stepper))
 
-        return thunk
-
-    specs = [(f"mu{_tagf(mu)}", {"mu": mu}, thunk_for(mu)) for mu in mus]
-    results = _run_many(specs, jobs, config.thresholds["sobolev_index"])
-
+def _grade_dispersion(config: ExperimentConfig, bath, results: list):
+    """Each tracked mode of each completed run gets one table row."""
     k0 = 2.0 * np.pi / config.grid.L
     gamma = config.grid.gamma
     rows, failures = [], []
     worst = 0.0
-    for res, mu in zip(results, mus):
-        if res.error or res.traj.termination != "completed":
-            failures.append(f"{res.tag}: {res.error or res.traj.termination}")
+    for res in results:
+        if msg := _failure(res):
+            failures.append(msg)
             continue
-        for m in track:
-            if config.grid.d == 1:
-                k_tw = k0 * abs(m)
-            else:
-                k_tw = k0 * np.hypot(m[0], gamma * m[1])
+        mu = res.values["mu"]
+        for m in config.stepper.track_modes:
+            k_tw = k0 * (abs(m) if config.grid.d == 1 else np.hypot(m[0], gamma * m[1]))
             expected = exact_dispersion(config.params.model, k_tw, mu)
             try:
                 measured = measure_dispersion(res.traj, m)
@@ -562,44 +628,31 @@ def _drive_dispersion(config: ExperimentConfig, jobs: int):
                     "rel_err": rel,
                 }
             )
-    ok = not failures and bool(rows)
-    verdicts = {
-        "dispersion_rel_err": bool(ok and worst <= config.thresholds["max_rel_err"])
-    }
-    tables = {"dispersion": rows, "max_rel_err": worst if rows else None}
-    return results, tables, verdicts, failures
+    ok = not failures and bool(rows) and worst <= config.thresholds["max_rel_err"]
+    verdicts = {"dispersion_rel_err": bool(ok)}
+    return {"dispersion": rows, "max_rel_err": worst if rows else None}, verdicts, failures
 
 
-def _drive_consistency(config: ExperimentConfig, jobs: int):
-    """sw/bp/mbp from one physical state; model gaps graded as orders."""
-    values = config.sweep["eps_mu"]
-    bath = config.build_bath()
-
-    def thunk_for(v, model):
-        def thunk():
-            params = ModelParams(eps=v, mu=v, model=model)
-            state0 = build_initial_state(config, config.grid, params, bath)
-            return dict(bath=bath, traj=run(state0, params, bath, config.stepper))
-
-        return thunk
-
-    specs = [
-        (f"epsmu{_tagf(v)}_{model}", {"eps_mu": v, "model": model}, thunk_for(v, model))
-        for v in values
+def _consistency_runs(config: ExperimentConfig) -> list:
+    """sw, bp and mbp from one physical state per eps = mu."""
+    return [
+        RunSpec(
+            f"epsmu{_tagf(v)}_{model}", {"eps_mu": v, "model": model},
+            ModelParams(eps=v, mu=v, model=model), config.stepper,
+        )
+        for v in config.sweep["eps_mu"]
         for model in ("sw", "bp", "mbp")
     ]
-    results = _run_many(specs, jobs, config.thresholds["sobolev_index"])
 
+
+def _grade_consistency(config: ExperimentConfig, bath, results: list):
+    """Model gaps at the final time, graded as orders in eps = mu."""
     by_key = {res.tag: res for res in results}
-    failures = [
-        f"{res.tag}: {res.error or res.traj.termination}"
-        for res in results
-        if res.error or res.traj.termination != "completed"
-    ]
+    failures = [f for f in map(_failure, results) if f]
     rows, pairs_sw, pairs_mbp = [], [], []
-    for v in values:
+    for v in config.sweep["eps_mu"]:
         trio = {m: by_key[f"epsmu{_tagf(v)}_{m}"] for m in ("sw", "bp", "mbp")}
-        if any(r.error or r.traj.termination != "completed" for r in trio.values()):
+        if any(map(_failure, trio.values())):
             continue
         finals = {m: trio[m].traj.states[-1].copy() for m in trio}
         # the log-variable run reports its surface for the comparison
@@ -627,37 +680,29 @@ def _drive_consistency(config: ExperimentConfig, jobs: int):
             and orders["bp_vs_mbp"] >= config.thresholds["min_order_bp_mbp"]
         ),
     }
-    tables = {"consistency": rows, "orders": orders}
-    return results, tables, verdicts, failures
+    return {"consistency": rows, "orders": orders}, verdicts, failures
 
 
-def _drive_longtime(config: ExperimentConfig, jobs: int):
-    """Horizons of length 1/eps; graded runs must keep E^N within bounds."""
-    values = list(config.sweep["eps_mu"])
-    contrast = list(config.sweep.get("contrast_eps_mu", ()))
+def _longtime_runs(config: ExperimentConfig) -> list:
+    """mbp over horizons of length horizon_over_eps / eps; contrast runs last."""
+    contrast = config.sweep.get("contrast_eps_mu", ())
     horizon = config.scenario_params.get("horizon_over_eps", 1.0)
-    bath = config.build_bath()
-
-    def thunk_for(v):
-        def thunk():
-            params = ModelParams(eps=v, mu=v, model="mbp")
-            stepper = replace(config.stepper, t_end=horizon / v)
-            state0 = build_initial_state(config, config.grid, params, bath)
-            return dict(bath=bath, traj=run(state0, params, bath, stepper))
-
-        return thunk
-
-    specs = [
-        (f"epsmu{_tagf(v)}", {"eps_mu": v, "contrast": v in contrast}, thunk_for(v))
-        for v in values + contrast
+    return [
+        RunSpec(
+            f"epsmu{_tagf(v)}", {"eps_mu": v, "contrast": v in contrast},
+            ModelParams(eps=v, mu=v, model="mbp"), replace(config.stepper, t_end=horizon / v),
+        )
+        for v in config.sweep["eps_mu"] + contrast
     ]
-    results = _run_many(specs, jobs, config.thresholds["sobolev_index"])
 
+
+def _grade_longtime(config: ExperimentConfig, bath, results: list):
+    """Graded (non-contrast) runs must complete and keep E^N within bounds."""
     rows, failures = [], []
     graded_ok, bounded = True, True
     factor = config.thresholds["energy_bound_factor"]
-    for res, v in zip(results, values + contrast):
-        is_contrast = v in contrast
+    for res in results:
+        is_contrast = res.values["contrast"]
         if res.error:
             failures.append(f"{res.tag}: {res.error}")
             if not is_contrast:
@@ -667,7 +712,7 @@ def _drive_longtime(config: ExperimentConfig, jobs: int):
         ratio = float(en.max() / en[0]) if en[0] > 0 else np.inf
         rows.append(
             {
-                "eps_mu": v,
+                "eps_mu": res.values["eps_mu"],
                 "contrast": is_contrast,
                 "termination": res.traj.termination,
                 "t_end": float(res.traj.times[-1]),
@@ -685,29 +730,27 @@ def _drive_longtime(config: ExperimentConfig, jobs: int):
         "longtime_completed": graded_ok,
         "energy_bounded": bool(graded_ok and bounded),
     }
-    tables = {"longtime": rows, "horizon_over_eps": horizon}
-    return results, tables, verdicts, failures
+    horizon = config.scenario_params.get("horizon_over_eps", 1.0)
+    return {"longtime": rows, "horizon_over_eps": horizon}, verdicts, failures
 
 
-def _drive_burgers(config: ExperimentConfig, jobs: int):
-    """Shock-time sweep: detection vs characteristics, then the 1/eps law."""
-    eps_list = config.sweep["eps"]
-    bath = config.build_bath()
+def _burgers_runs(config: ExperimentConfig) -> list:
+    """One Burgers run per eps, each stepped until its gradient blows up."""
+    return [
+        RunSpec(
+            f"eps{_tagf(e)}", {"eps": e}, ModelParams(eps=e, mu=0.0, model="burgers"),
+            config.stepper,
+        )
+        for e in config.sweep["eps"]
+    ]
 
-    def thunk_for(eps):
-        def thunk():
-            params = ModelParams(eps=eps, mu=0.0, model="burgers")
-            state0 = build_initial_state(config, config.grid, params, bath)
-            return dict(bath=bath, traj=run(state0, params, bath, config.stepper))
 
-        return thunk
-
-    specs = [(f"eps{_tagf(e)}", {"eps": e}, thunk_for(e)) for e in eps_list]
-    results = _run_many(specs, jobs, config.thresholds["sobolev_index"])
-
+def _grade_burgers(config: ExperimentConfig, bath, results: list):
+    """Detected shock times vs characteristics, then the 1/eps law."""
     rows, failures, pairs = [], [], []
     all_match = True
-    for res, eps in zip(results, eps_list):
+    for res in results:
+        eps = res.values["eps"]
         if res.error:
             failures.append(f"{res.tag}: {res.error}")
             all_match = False
@@ -753,8 +796,7 @@ def _drive_burgers(config: ExperimentConfig, jobs: int):
             and abs(slope + 1.0) <= config.thresholds["max_slope_dev"]
         ),
     }
-    tables = {"burgers": rows, "scaling_slope": slope}
-    return results, tables, verdicts, failures
+    return {"burgers": rows, "scaling_slope": slope}, verdicts, failures
 
 
 AUDIT_CASE_KEYS = ("d", "n", "L", "gamma", "profile", "beta", "mu", "params")
@@ -797,83 +839,37 @@ def _audit_cases(config: ExperimentConfig) -> list:
     cases = config.scenario_params.get("cases")
     if cases:
         return cases
-    return [
-        {
-            "d": config.grid.d,
-            "n": config.grid.n,
-            "L": config.grid.L,
-            "gamma": config.grid.gamma,
-            "profile": config.profile,
-            "beta": config.beta,
-            "params": dict(config.bath_params),
-            "mu": config.params.mu,
-        }
-    ]
+    g = config.grid
+    bottom = {"profile": config.profile, "beta": config.beta, "params": dict(config.bath_params)}
+    return [{"d": g.d, "n": g.n, "L": g.L, "gamma": g.gamma, "mu": config.params.mu, **bottom}]
 
 
-def _drive_operator_audit(config: ExperimentConfig, jobs: int):
-    """Symmetry / coercivity / inversion audit of the three weighted forms.
+def _audit_runs(config: ExperimentConfig) -> list:
+    """One run per audit case, on the case's own grid and bottom.
 
-    Cases come from scenario_params.cases; each case audits every kind on
-    its own grid and bottom. No time stepping is involved.
+    No time stepping is involved; each case draws its trials from its own
+    seed, split off config.seed.
     """
     cases = _audit_cases(config)
-    trials = config.scenario_params.get("trials", 8)
-    rng_root = np.random.default_rng(config.seed)
-    seeds = rng_root.integers(0, 2**63 - 1, size=len(cases))
-
-    def thunk_for(i, case, case_seed):
-        def thunk():
-            where = f"scenario_params.cases[{i}]"
-            grid, bath, mu = _audit_case(case, config.params.mu, config.scenario, where)
-            rng = np.random.default_rng(case_seed)
-            out = []
-            for kind in KINDS:
-                handle = build_handle(kind, mu, bath)
-                rep = coercivity_report(handle, trials=trials, rng=rng)
-                solve_resid = 0.0
-                dense_resid = 0.0
-                M = assemble_dense(kind, mu, bath)
-                for _ in range(trials):
-                    r = rng.standard_normal((grid.d,) + grid.shape)
-                    x = handle.solve_arrays(r)
-                    back = handle.apply_arrays(x)
-                    solve_resid = max(
-                        solve_resid,
-                        float(np.abs(back - r).max() / np.abs(r).max()),
-                    )
-                    mv = (M @ r.ravel()).reshape(r.shape)
-                    av = handle.apply_weighted_arrays(r)
-                    dense_resid = max(
-                        dense_resid,
-                        float(
-                            np.linalg.norm((mv - av).ravel())
-                            / np.linalg.norm(mv.ravel())
-                        ),
-                    )
-                rep["solve_residual"] = solve_resid
-                rep["dense_mismatch"] = dense_resid
-                out.append(rep)
-            return {"values": {"case": dict(case), "reports": out}}
-
-        return thunk
-
-    specs = [
-        (f"case{i}_d{c.get('d', 1)}_n{c['n']}", dict(c), thunk_for(i, c, int(s)))
+    seeds = np.random.default_rng(config.seed).integers(0, 2**63 - 1, size=len(cases))
+    return [
+        RunSpec(f"case{i}_d{c.get('d', 1)}_n{c['n']}", dict(c), audit=(i, c, int(s)))
         for i, (c, s) in enumerate(zip(cases, seeds))
     ]
-    results = _run_many(specs, jobs, config.thresholds["sobolev_index"])
 
+
+def _grade_operator_audit(config: ExperimentConfig, bath, results: list):
+    """Symmetry / coercivity / inversion verdicts over every case and kind."""
     rows, failures = [], []
     thr = config.thresholds
     sym_ok = coercive_ok = solve_ok = dense_ok = flat_ok = True
     saw_flat_identity = False
-    for res, case in zip(results, cases):
+    for res in results:
         if res.error:
             failures.append(f"{res.tag}: {res.error}")
             sym_ok = coercive_ok = solve_ok = dense_ok = False
             continue
-        for rep in res.values["reports"]:
+        for rep in res.reports:
             quotient = rep.get("min_quotient", rep["trial_min_quotient"])
             rows.append(
                 {
@@ -909,41 +905,29 @@ def _drive_operator_audit(config: ExperimentConfig, jobs: int):
     }
     if saw_flat_identity:
         verdicts["flat_identity"] = flat_ok
-    tables = {"operator_audit": rows}
-    return results, tables, verdicts, failures
+    return {"operator_audit": rows}, verdicts, failures
 
 
-def _drive_mollifier(config: ExperimentConfig, jobs: int):
-    """Trajectory distance to the unmollified run as delta shrinks."""
-    deltas = sorted(config.sweep["delta"], reverse=True)
-    bath = config.build_bath()
-
-    def thunk_for(delta):
-        def thunk():
-            params = config.params
-            state0 = build_initial_state(config, config.grid, params, bath)
-            U0 = state0.stack()
-            if delta > 0.0:
-                U0 = mollify_arr(config.grid, U0, delta, -1)
-            state0 = ModelState.from_stack(config.grid, U0)
-            stepper = replace(config.stepper, delta=delta)
-            return dict(bath=bath, traj=run(state0, params, bath, stepper))
-
-        return thunk
-
-    specs = [(f"delta{_tagf(d)}", {"delta": d}, thunk_for(d)) for d in deltas]
-    results = _run_many(specs, jobs, config.thresholds["sobolev_index"])
-
-    failures = [
-        f"{res.tag}: {res.error or res.traj.termination}"
-        for res in results
-        if res.error or res.traj.termination != "completed"
+def _mollifier_runs(config: ExperimentConfig) -> list:
+    """One run per delta, largest first, each started from its own smoothing."""
+    return [
+        RunSpec(
+            f"delta{_tagf(d)}", {"delta": d}, config.params,
+            replace(config.stepper, delta=d), smooth_start=True,
+        )
+        for d in sorted(config.sweep["delta"], reverse=True)
     ]
+
+
+def _grade_mollifier(config: ExperimentConfig, bath, results: list):
+    """Trajectory distance to the unmollified run as delta shrinks."""
+    failures = [f for f in map(_failure, results) if f]
     rows = []
     diffs = {}
     if not failures:
-        ref = next(r for r, d in zip(results, deltas) if d == 0.0)
-        for res, d in zip(results, deltas):
+        ref = next(r for r in results if r.values["delta"] == 0.0)
+        for res in results:
+            d = res.values["delta"]
             if d == 0.0:
                 continue
             diffs[d] = _sup_state_diff(res.traj.states[-1], ref.traj.states[-1])
@@ -964,17 +948,34 @@ def _drive_mollifier(config: ExperimentConfig, jobs: int):
         "difference_monotone": bool(not failures and diffs and monotone),
         "small_delta_accuracy": bool(not failures and small_ok),
     }
-    tables = {"mollifier": rows}
-    return results, tables, verdicts, failures
+    return {"mollifier": rows}, verdicts, failures
+
+
+class Scenario(NamedTuple):
+    runs: Callable  # config -> list of RunSpec
+    grade: Callable  # (config, bath, results) -> (tables, verdicts, failures)
+    about: str
 
 
 SCENARIOS = {
-    "dispersion": (_drive_dispersion, "measured vs predicted plane-wave frequencies"),
-    "consistency": (_drive_consistency, "model gaps graded as powers of eps=mu"),
-    "longtime": (_drive_longtime, "E^N boundedness over horizons of length 1/eps"),
-    "burgers": (_drive_burgers, "gradient blow-up times against the 1/eps law"),
-    "operator-audit": (_drive_operator_audit, "symmetry/coercivity/inversion checks"),
-    "mollifier-study": (_drive_mollifier, "trajectory drift as the mollifier relaxes"),
+    "dispersion": Scenario(
+        _dispersion_runs, _grade_dispersion, "measured vs predicted plane-wave frequencies"
+    ),
+    "consistency": Scenario(
+        _consistency_runs, _grade_consistency, "model gaps graded as powers of eps=mu"
+    ),
+    "longtime": Scenario(
+        _longtime_runs, _grade_longtime, "E^N boundedness over horizons of length 1/eps"
+    ),
+    "burgers": Scenario(
+        _burgers_runs, _grade_burgers, "gradient blow-up times against the 1/eps law"
+    ),
+    "operator-audit": Scenario(
+        _audit_runs, _grade_operator_audit, "symmetry/coercivity/inversion checks"
+    ),
+    "mollifier-study": Scenario(
+        _mollifier_runs, _grade_mollifier, "trajectory drift as the mollifier relaxes"
+    ),
 }
 
 
@@ -1047,12 +1048,18 @@ class ScenarioResult:
 def run_scenario(config: ExperimentConfig, jobs: int = 1) -> ScenarioResult:
     """Expand, execute, grade, and write one scenario end to end.
 
-    Individual run failures are recorded in the summary and fail the
-    verdicts they feed; they never abort the remaining runs.
+    This is the one place runs execute: the scenario declares its RunSpecs,
+    _run_many runs them over the configured bottom (built once, unless
+    every run is an audit case with its own), and the scenario grades the
+    results. Individual run failures are recorded in the summary and fail
+    the verdicts they feed; they never abort the remaining runs.
     """
-    driver, _ = SCENARIOS[config.scenario]
+    scenario = SCENARIOS[config.scenario]
     t0 = _time.perf_counter()
-    results, tables, verdicts, failures = driver(config, max(1, jobs))
+    specs = scenario.runs(config)
+    bath = config.build_bath() if any(s.audit is None for s in specs) else None
+    results = _run_many(config, bath, specs, max(1, jobs))
+    tables, verdicts, failures = scenario.grade(config, bath, results)
     total_s = _time.perf_counter() - t0
 
     out_dir = Path(config.out_dir) / config.scenario
@@ -1062,27 +1069,22 @@ def run_scenario(config: ExperimentConfig, jobs: int = 1) -> ScenarioResult:
     for res in results:
         run_dir = out_dir / res.tag
         run_dir.mkdir(parents=True, exist_ok=True)
-        track = res.traj.config.track_modes if res.traj is not None else ()
+        traj = res.traj
+        track = traj.config.track_modes if traj is not None else ()
         write_run_csv(run_dir / "diagnostics.csv", res.records, track)
-        if res.traj is not None and config.snapshots != "none":
-            if config.snapshots == "initial_final":
-                write_snapshot(
-                    run_dir / "state_initial", res.traj.states[0],
-                    res.traj.grid, res.traj.times[0], res.traj.params.model,
-                )
-            write_snapshot(
-                run_dir / "state_final", res.traj.states[-1],
-                res.traj.grid, res.traj.times[-1], res.traj.params.model,
-            )
         meta = {"tag": res.tag, "error": res.error}
-        if res.traj is not None:
+        if traj is not None:
+            for name, i in SNAPSHOT_POLICIES[config.snapshots]:
+                write_snapshot(
+                    run_dir / name, traj.states[i], traj.grid, traj.times[i], traj.params.model
+                )
             meta.update(
-                termination=res.traj.termination,
-                termination_time=float(res.traj.termination_time),
-                steps_taken=int(res.traj.steps_taken),
-                n_records=int(res.traj.n_records),
+                termination=traj.termination,
+                termination_time=float(traj.termination_time),
+                steps_taken=int(traj.steps_taken),
+                n_records=int(traj.n_records),
             )
-        if "case" not in res.values:
+        if res.reports is None:
             meta["values"] = {
                 k: v for k, v in res.values.items() if not isinstance(v, (dict, list))
             }
@@ -1104,9 +1106,4 @@ def run_scenario(config: ExperimentConfig, jobs: int = 1) -> ScenarioResult:
         "written_at": datetime.now(timezone.utc).isoformat(),
     }
     write_summary(out_dir / "summary.json", summary)
-    return ScenarioResult(
-        scenario=config.scenario,
-        verdicts=verdicts,
-        summary=summary,
-        out_dir=out_dir,
-    )
+    return ScenarioResult(config.scenario, verdicts, summary, out_dir)

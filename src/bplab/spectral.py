@@ -175,17 +175,13 @@ def trunc_arr(grid: Grid, a: np.ndarray) -> np.ndarray:
     return grid.irfft(grid.dealias_mask * grid.rfft(a))
 
 
-def dprod(grid: Grid, a, b, a_clean: bool = False, b_clean: bool = False):
+def dprod(grid: Grid, a, b):
     """Dealiased product T(Ta * Tb) of two grid functions.
 
     T is the 2/3-rule projection; the outer T keeps the result clean for a
-    following derivative. Flags skip input truncation when the caller knows
-    a factor is already band-limited (precomputed coefficients, outputs of
-    trunc_arr or dprod).
+    following derivative.
     """
-    ta = a if a_clean else trunc_arr(grid, a)
-    tb = b if b_clean else trunc_arr(grid, b)
-    return trunc_arr(grid, ta * tb)
+    return trunc_arr(grid, trunc_arr(grid, a) * trunc_arr(grid, b))
 
 
 def grad_arr(grid: Grid, a: np.ndarray) -> np.ndarray:

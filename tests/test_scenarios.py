@@ -66,6 +66,17 @@ sweep:
   eps_mu: [0.02, 0.5]
 """
 
+# every start leaves the water: sw/bp runs end dry, mbp starts outside the log domain
+DRY_CONSISTENCY = """\
+scenario: consistency
+grid: {d: 1, n: 32, L: 2pi}
+model: {name: bp, eps: 0.1, mu: 0.1}
+initial: {shape: gaussian, amplitude: -20.0, width: 1.0}
+stepper: {dt: 1.0e-2, t_end: 0.1}
+sweep:
+  eps_mu: [0.2, 0.1, 0.05]
+"""
+
 D2_DISPERSION = (
     TINY_DISPERSION.replace("{d: 1, n: 64, L: 2pi}", "{d: 2, n: 16, L: 2pi}")
     .replace("mode: 1}", "mode: [1, 0]}")
@@ -136,10 +147,23 @@ def test_d2_mode_pairs_parse(tmp_path):
         (TINY_DISPERSION.replace("mu: [0.0]", "mu: [0.1, 0.0, 0.1]"), "sweep.mu"),
         (TINY_DISPERSION.replace("mu: [0.0]", "mu: [0.1, 0.100000001]"), "sweep.mu"),
         (TINY_LONGTIME + "  contrast_eps_mu: [0.5]\n", "sweep.contrast_eps_mu"),
+        (TINY_DISPERSION.replace("  track_modes: [1]\n", ""), "stepper.track_modes"),
+        # a wavenumber beyond n/2 would excite its alias (15 on n=16 is 1)
+        (
+            DRY_CONSISTENCY.replace("n: 32", "n: 16").replace(
+                "gaussian, amplitude: -20.0, width: 1.0", "single_mode, mode: 15"
+            ),
+            "initial.mode",
+        ),
+        (TINY_DISPERSION.replace("mode: 1}", "mode: -33}"), "initial.mode"),
+        (D2_DISPERSION.replace("mode: [1, 0]}", "mode: [9, 0]}"), "initial.mode"),
+        (D2_DISPERSION.replace("mode: [1, 0]}", "mode: [0, -9]}"), "initial.mode"),
     ],
     ids=[
         "amplitude", "width", "mode", "track_modes", "horizon_over_eps", "trials",
         "track_modes_rfft_row", "sweep_repeat", "sweep_same_tag", "sweep_contrast_repeat",
+        "dispersion_without_track_modes", "mode_alias", "mode_d1_negative",
+        "mode_d2_k1", "mode_d2_k2",
     ],
 )
 def test_bad_value_rejected(tmp_path, capsys, text, key):
@@ -148,6 +172,14 @@ def test_bad_value_rejected(tmp_path, capsys, text, key):
         load_config(p)
     assert main(["validate", "--config", str(p)]) == 2
     assert "invalid:" in capsys.readouterr().err
+
+
+def test_initial_mode_band_edge_loads(tmp_path):
+    # |k| = n/2 is on the grid, and d=2 pairs keep their signs
+    cfg = load_config(_write(tmp_path, TINY_DISPERSION.replace("mode: 1}", "mode: -32}")))
+    assert cfg.initial.mode == (-32,)
+    cfg = load_config(_write(tmp_path, D2_DISPERSION.replace("mode: [1, 0]}", "mode: [-8, 8]}")))
+    assert cfg.initial.mode == ((-8, 8),)
 
 
 def test_missing_required_sweep(tmp_path):
@@ -434,6 +466,32 @@ def test_run_scenario_audit_runs_have_no_trajectory(tmp_path):
     assert "values" not in meta and "termination" not in meta
 
 
+def test_failing_runs_never_abort_the_sweep(tmp_path):
+    p = _write(tmp_path, DRY_CONSISTENCY)
+
+    def run_once(jobs):
+        cfg = load_config(p, out=str(tmp_path / f"j{jobs}"))
+        summary = dict(run_scenario(cfg, jobs=jobs).summary)
+        for key in TIMING_KEYS:
+            summary.pop(key)
+        return summary
+
+    summary = run_once(1)
+    runs = summary["runs"]
+    assert [r["tag"] for r in runs] == [
+        f"epsmu{v}_{m}" for v in ("0.2", "0.1", "0.05") for m in ("sw", "bp", "mbp")
+    ]
+    for meta in runs:
+        if meta["tag"].endswith("_mbp"):
+            assert meta["error"].startswith("LogDomainError:")
+            assert "termination" not in meta
+        else:
+            assert meta["error"] is None and meta["termination"] == "dry"
+    assert not any(summary["verdicts"].values())
+    assert len(summary["failures"]) == 10  # nine runs, then the order fit
+    assert json.dumps(run_once(2), sort_keys=True) == json.dumps(summary, sort_keys=True)
+
+
 def test_summaries_reproducible_across_jobs(tmp_path):
     p = _write(tmp_path, TINY_DISPERSION)
 
@@ -464,11 +522,30 @@ def test_cli_list_scenarios(capsys):
 def test_cli_validate(tmp_path, capsys):
     good = _write(tmp_path, TINY_DISPERSION, "good.yaml")
     assert main(["validate", "--config", str(good)]) == 0
-    assert "ok: scenario=dispersion" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "ok: scenario=dispersion" in out and " runs=1 " in out
 
     bad = _write(tmp_path, "scenario: nope\n", "bad.yaml")
     assert main(["validate", "--config", str(bad)]) == 2
     assert "invalid:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "preset,n_runs", [("consistency", 9), ("operator_audit", 3), ("longtime", 3)]
+)
+def test_cli_validate_counts_preset_runs(capsys, preset, n_runs):
+    # three models per eps_mu value; one run per audit case; contrast runs count
+    assert main(["validate", "--config", f"configs/{preset}.yaml"]) == 0
+    assert f" runs={n_runs} " in capsys.readouterr().out
+
+
+def test_validate_counts_the_runs_that_run(tmp_path, capsys):
+    for text in (TINY_DISPERSION, TINY_AUDIT, DRY_CONSISTENCY):
+        p = _write(tmp_path, text)
+        assert main(["validate", "--config", str(p)]) == 0
+        n_runs = int(re.search(r" runs=(\d+) ", capsys.readouterr().out).group(1))
+        result = run_scenario(load_config(p, out=str(tmp_path / "out")))
+        assert len(result.summary["runs"]) == n_runs
 
 
 def test_cli_run_exit_codes(tmp_path, capsys):
