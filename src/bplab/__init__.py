@@ -63,11 +63,12 @@ from .scenarios import (
     run_scenario,
 )
 from .spectral import Grid
-from .timeloop import CFL_LIMITS, TERMINATIONS, StepperConfig, Trajectory, run, step
+from .timeloop import CFL_LIMITS, TERMINATIONS, Batch, StepperConfig, Trajectory, run, step
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "Batch",
     "Bathymetry",
     "BplabError",
     "CFL_LIMITS",

@@ -178,9 +178,13 @@ def zeta_to_q_arr(zeta: np.ndarray, eps: float, bath: Bathymetry) -> np.ndarray:
     return np.log1p(x) / eps
 
 
-def q_to_zeta_arr(q: np.ndarray, eps: float, bath: Bathymetry) -> np.ndarray:
-    """Inverse map zeta = h_b*(exp(eps*q) - 1)/eps; h_b*q at eps=0. Total."""
-    if eps == 0.0:
+def q_to_zeta_arr(q: np.ndarray, eps, bath: Bathymetry) -> np.ndarray:
+    """Inverse map zeta = h_b*(exp(eps*q) - 1)/eps; h_b*q at eps=0. Total.
+
+    eps may also be an array of nonzero per-member values that broadcasts
+    against q, as a batch of flows passes it.
+    """
+    if np.ndim(eps) == 0 and eps == 0.0:
         return bath.hb * q
     return bath.hb * np.expm1(eps * q) / eps
 

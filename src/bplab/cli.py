@@ -15,7 +15,7 @@ import argparse
 import sys
 
 from .errors import ConfigError
-from .scenarios import SCENARIOS, load_config, run_scenario
+from .scenarios import SCENARIOS, batch_runs, load_config, run_scenario
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -52,10 +52,11 @@ def main(argv=None) -> int:
         except ConfigError as e:
             print(f"invalid: {e}", file=sys.stderr)
             return 2
-        n_runs = len(SCENARIOS[config.scenario].runs(config))
+        specs = SCENARIOS[config.scenario].runs(config)
         print(
             f"ok: scenario={config.scenario} grid=d{config.grid.d} n{config.grid.n}"
-            f" sweep_axes={sorted(config.sweep)} runs={n_runs} seed={config.seed}"
+            f" sweep_axes={sorted(config.sweep)} runs={len(specs)}"
+            f" batches={len(batch_runs(specs))} seed={config.seed}"
         )
         return 0
 

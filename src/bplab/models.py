@@ -28,6 +28,15 @@ stages exactly. A linear flat-bottom flow (eps = 0, b = 0) is a constant
 apply whole steps as one matrix per mode. make_rhs reads those blocks off
 the same flow it builds for every other case, by probing it with one
 constant spectrum per state row, so each system is written once.
+
+Every flow is built for a batch: members that share the model, the bottom,
+rescaled_time and whether eps is zero, with their own eps, mu and delta as
+(K, 1, ...) coefficient columns. fn then acts on a member stack
+(K, rows, *rshape): transforms and pointwise products run on the whole
+stack, each member's velocity solve goes through its own handle, and a
+linear flat batch carries blocks (K, *rshape, 1+d, 1+d). A member's
+arithmetic is the same in a batch as alone. A single ModelParams gives a
+batch of one whose fn takes one state, (rows, *rshape).
 """
 
 from __future__ import annotations
@@ -41,7 +50,7 @@ import numpy as np
 
 from .bathymetry import Bathymetry, q_to_zeta_arr
 from .diagnostics import exact_dispersion
-from .errors import DryStateError, RegimeWarning
+from .errors import DryStateError, RegimeWarning, SolverDivergenceError
 from .operators import OperatorHandle, build_handle, get_weighted_ops
 from .spectral import Grid, trunc_arr
 
@@ -137,11 +146,16 @@ class RHSBundle:
     for linear flat-bottom flows, holds the per-mode generators L_k, shape
     (*grid.rshape, 1+d, 1+d), probed from the general flow; fn(W) = L W
     then applies them directly.
+
+    A batch bundle (make_rhs given a sequence of ModelParams) carries one
+    member per params entry: params is that tuple, blocks gains a leading
+    member axis, and fn(W, members=None) acts on a stack (K, rows, *rshape)
+    of the listed members (all of them when None), in the listed order.
     """
 
-    fn: Callable[[np.ndarray], np.ndarray]
+    fn: Callable[..., np.ndarray]
     grid: Grid
-    params: ModelParams
+    params: object
     blocks: Optional[np.ndarray] = None
 
     def encode(self, U: np.ndarray) -> np.ndarray:
@@ -171,13 +185,27 @@ def _checked_handle(kind: str, mu: float, bath: Bathymetry, handles: Optional[di
     return handle
 
 
+def _member_handles(kind: str, params: list, bath: Bathymetry, handles: list) -> list:
+    """One checked handle per member: its own prebuilt one, or one built per mu."""
+    built = {}
+    out = []
+    for p, given in zip(params, handles):
+        if not (given or {}).get(kind):
+            if p.mu not in built:
+                built[p.mu] = build_handle(kind, p.mu, bath)
+            given = {kind: built[p.mu]}
+        out.append(_checked_handle(kind, p.mu, bath, given))
+    return out
+
+
 def apply_mode_blocks(blocks: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Per-mode block product: out[i, k] = sum_j blocks[k, i, j] * W[j, k]."""
-    return np.einsum("...ij,j...->i...", blocks, W)
+    """Per-member, per-mode block product over a leading member axis k:
+    out[k, i, m] = sum_j blocks[k, m, i, j] * W[k, j, m]."""
+    return np.einsum("k...ij,kj...->ki...", blocks, W)
 
 
-def _probe_mode_blocks(fn, grid: Grid) -> np.ndarray:
-    """Per-mode blocks L_k of a linear flow that acts mode by mode.
+def _probe_mode_blocks(fn, grid: Grid, members: int) -> np.ndarray:
+    """Per-member, per-mode blocks L_k of a linear flow that acts mode by mode.
 
     Column j of every L_k is the flow of the spectrum holding 1 in row j of
     every coefficient, so 1 + d evaluations give all blocks (the probing of
@@ -186,55 +214,141 @@ def _probe_mode_blocks(fn, grid: Grid) -> np.ndarray:
     double, the roundoff of a dispersive flow's large high-mode terms reaches
     the small low-mode entries (7e-12 of max|L_k| for mbp at n = 256).
     """
-    probes = np.multiply.outer(np.eye(1 + grid.d), np.ones(grid.rshape, np.clongdouble))
+    ones = np.ones((members,) + grid.rshape, np.clongdouble)
+    probes = np.moveaxis(np.multiply.outer(np.eye(1 + grid.d), ones), -grid.d - 1, 1)
     blocks = np.stack([fn(e) for e in probes], axis=-1)
-    return np.moveaxis(blocks, 0, -2).astype(complex)
+    return np.moveaxis(blocks, 1, -2).astype(complex)
 
 
-def _mollifiers(grid: Grid, delta: float):
-    """Spectra m1, m2 of (1 - delta*Lap_g)^-1 and ^-2; plain ones at delta = 0."""
-    if delta == 0:
+def _mollifiers(grid: Grid, delta):
+    """Spectra m1, m2 of (1 - delta*Lap_g)^-1 and ^-2; plain ones at delta = 0.
+
+    delta may be a per-member column; a member at delta = 0 then gets
+    spectra of exact ones.
+    """
+    if not np.any(delta):
         return 1.0, 1.0
     return (1.0 + delta * grid.k2gamma) ** -1, (1.0 + delta * grid.k2gamma) ** -2
 
 
-def _nodal_factors(g: Grid, W: np.ndarray, scalar: bool, gradq: bool, jac: bool):
-    """Nodal factors of a spectral state W = rfft(U), from one stacked irfft.
+@dataclass
+class _Coefs:
+    """Per-member coefficients of a batch flow, for one set of active members.
 
-    Returns (s, Ut, gqt, J): the nodal scalar U[0], the band-limited state
-    T U, the band-limited gradient T grad U[0], and the projected Jacobian
-    J[i, j] = T d_j V_i of the velocity rows. A factor not asked for is None.
+    Arrays carry the members on their leading axis as (K, 1, ...) columns; a
+    plain number is shared by every member, as for time_derivative_stack's
+    single member.
+    smooth picks the members with delta > 0, which get the mollifier
+    sandwich around their solve: a slice over all of them, an index array,
+    or None when no member smooths.
+    """
+
+    ids: tuple
+    eps: object
+    lam: object
+    adv_coef: object
+    mu: object
+    m1: object
+    m2: object
+    smooth: object
+    handles: list
+
+
+def _member_coefs(params: list, grid: Grid, deltas: list, handles: list):
+    """members -> _Coefs of those members (all when None), built once per set."""
+    K = len(params)
+    col = (-1,) + (1,) * (1 + grid.d)  # broadcasts over (K, rows, *shape or *rshape)
+    eps = np.array([p.eps for p in params]).reshape(col)
+    rescaled = params[0].rescaled_time
+    lam = np.array([1.0 / p.eps if rescaled else 1.0 for p in params]).reshape(col)
+    adv = np.array([1.0 if rescaled else p.eps for p in params]).reshape(col)
+    mu = np.array([p.mu for p in params]).reshape(col)
+    delta = np.array(deltas, dtype=float)
+    m1, m2 = _mollifiers(grid, delta.reshape(col))
+    views = {}
+
+    def take(members=None):
+        view = views.get(members)
+        if view is None:
+            idx = list(range(K)) if members is None else list(members)
+            pick = (lambda a: a[idx] if np.ndim(a) else a)
+            on = delta[idx] > 0
+            smooth = slice(None) if on.all() else (np.flatnonzero(on) if on.any() else None)
+            view = views[members] = _Coefs(
+                tuple(idx), pick(eps), pick(lam), pick(adv), pick(mu), pick(m1), pick(m2),
+                smooth, [handles[i] for i in idx],
+            )
+        return view
+
+    return take
+
+
+def _sandwich(g: Grid, y: np.ndarray, c: _Coefs) -> np.ndarray:
+    """(1 - delta*Lap_g)^-1 applied to the members that smooth, the rest untouched."""
+    if c.smooth is None:
+        return y
+    if isinstance(c.smooth, slice):
+        return g.irfft(c.m1 * g.rfft(y))
+    y = y.copy()
+    y[c.smooth] = g.irfft(c.m1[c.smooth] * g.rfft(y[c.smooth]))
+    return y
+
+
+def _solve_each(y: np.ndarray, c: _Coefs) -> np.ndarray:
+    """Each member's weighted velocity solve through its own handle.
+
+    A stalled solve names its member on the SolverDivergenceError.
+    """
+    out = []
+    for member, handle, rhs in zip(c.ids, c.handles, y):
+        try:
+            out.append(handle.solve_weighted_arrays(rhs))
+        except SolverDivergenceError as e:
+            e.members = (member,)
+            raise
+    return np.stack(out)
+
+
+def _nodal_factors(g: Grid, W: np.ndarray, scalar: bool, gradq: bool, jac: bool):
+    """Nodal factors of a spectral stack W = rfft(U), (K, rows, *rshape), from
+    one stacked irfft.
+
+    Returns (s, Ut, gqt, J), each with the member axis first: the nodal
+    scalar U[:, :1], the band-limited state T U, the band-limited gradient
+    T grad U[:, 0], and the projected Jacobian J[:, i, j] = T d_j V_i of the
+    velocity rows. A factor not asked for is None.
     """
     d = g.d
+    K = W.shape[0]
     mW = g.dealias_mask * W
-    parts = [W[:1]] * scalar + [mW] + [g.ik_stack * mW[0]] * gradq
+    parts = [W[:, :1]] * scalar + [mW] + [g.ik_stack * mW[:, :1]] * gradq
     if jac:
-        parts.append((g.ik_stack * mW[1:, None]).reshape((d * d,) + g.rshape))
-    nod = g.irfft(np.concatenate(parts))
-    s, Ut, gqt, J = np.split(nod, np.cumsum([scalar, 1 + d, d * gradq]))
-    J = J.reshape((d, d) + g.shape) if jac else None
-    return (s[0] if scalar else None), Ut, (gqt if gradq else None), J
+        parts.append((g.ik_stack * mW[:, 1:, None]).reshape((K, d * d) + g.rshape))
+    nod = g.irfft(np.concatenate(parts, axis=1))
+    s, Ut, gqt, J = np.split(nod, np.cumsum([scalar, 1 + d, d * gradq]), axis=1)
+    J = J.reshape((K, d, d) + g.shape) if jac else None
+    return (s if scalar else None), Ut, (gqt if gradq else None), J
 
 
 def _v_dot_grad(g: Grid, Vt: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """sum_j Vt_j F[..., j, :]: V.grad q for F = T grad q, (V.grad)V for F = J.
+    """sum_j Vt_j F[..., j, :]: V.grad q (one row) for F = T grad q, (V.grad)V for F = J.
 
     Leading axes of Vt are a batch matched by F's, which the Taylor-jet
     recurrences sum over for their Cauchy products.
     """
     if F.ndim > Vt.ndim:  # the Jacobian's row axis i
-        Vt = np.expand_dims(Vt, Vt.ndim - g.d - 1)
-    return (Vt * F).sum(axis=-(g.d + 1))
+        return (np.expand_dims(Vt, Vt.ndim - g.d - 1) * F).sum(axis=-(g.d + 1))
+    return (Vt * F).sum(axis=-(g.d + 1), keepdims=True)
 
 
-def _mbp_flow(bath: Bathymetry, handle: OperatorHandle, lam: float, adv_coef: float,
-              delta: float = 0.0):
+def _mbp_flow(bath: Bathymetry):
     """The mbp tendency, on rfft coefficients, from its nodal factors.
 
-    tendency(Vt, zeta, advq, adv) takes the band-limited velocity, the
-    nodal surface and, unless eps = 0, the products V.grad q and (V.grad)V;
-    lam multiplies the non-advective terms and adv_coef the advective ones,
-    and delta > 0 adds the mollifier sandwich.
+    tendency(c, Vt, zeta, advq, adv) takes a member stack of the
+    band-limited velocity, the nodal surface and, unless eps = 0, the
+    products V.grad q and (V.grad)V; c.lam multiplies the non-advective
+    terms and c.adv_coef the advective ones, and members with delta > 0 get
+    the mollifier sandwich.
     """
     g = bath.grid
     d = g.d
@@ -243,46 +357,72 @@ def _mbp_flow(bath: Bathymetry, handle: OperatorHandle, lam: float, adv_coef: fl
     ops = get_weighted_ops(bath)
     hb = bath.hb
     hbt = trunc_arr(g, hb)
-    m1, m2 = _mollifiers(g, delta)
 
-    def tendency(Vt, zeta, advq=None, adv=None):
+    def tendency(c: _Coefs, Vt, zeta, advq=None, adv=None):
         nonlinear = advq is not None
-        rows = [hbt * Vt, zeta[None]] + ([advq[None], adv] if nonlinear else [])
-        P = g.rfft(np.concatenate(rows))
-        back = [(mask * (ik * P[:d]).sum(axis=0))[None], ik * P[d]]
+        rows = [hbt * Vt, zeta] + ([advq, adv] if nonlinear else [])
+        P = g.rfft(np.concatenate(rows, axis=1))
+        back = [mask * (ik * P[:, :d]).sum(axis=1, keepdims=True), ik * P[:, d : d + 1]]
         if nonlinear:
-            back.append(mask * P[d + 2 :])
-        nod = g.irfft(np.concatenate(back))  # T div(h_b V), grad zeta, T adv
-        w = lam * ops.w_hba(nod[1 : 1 + d], handle.mu)
+            back.append(mask * P[:, d + 2 :])
+        nod = g.irfft(np.concatenate(back, axis=1))  # T div(h_b V), grad zeta, T adv
+        w = c.lam * ops.w_hba(nod[:, 1 : 1 + d], c.mu)
         if nonlinear:
-            w = w + adv_coef * hb * nod[1 + d :]
-        if delta > 0:
-            w = g.irfft(m1 * g.rfft(w))
-        x = handle.solve_weighted_arrays(w)
-        R = g.rfft(np.concatenate([(bath.inv_hb * nod[0])[None], x]))
-        dq = -lam * R[0]
+            w = w + c.adv_coef * hb * nod[:, 1 + d :]
+        x = _solve_each(_sandwich(g, w, c), c)
+        R = g.rfft(np.concatenate([bath.inv_hb * nod[:, :1], x], axis=1))
+        dq = -c.lam * R[:, :1]
         if nonlinear:
-            dq = dq - adv_coef * (mask * P[d + 1])
-        return np.concatenate([(m2 * dq)[None], -m1 * R[1:]])
+            dq = dq - c.adv_coef * (mask * P[:, d + 1 : d + 2])
+        return np.concatenate([c.m2 * dq, -c.m1 * R[:, 1:]], axis=1)
 
     return tendency
 
 
 def make_rhs(
-    params: ModelParams,
+    params,
     bath: Bathymetry,
-    delta: float = 0.0,
-    handles: Optional[dict] = None,
+    delta=0.0,
+    handles=None,
 ) -> RHSBundle:
     """Build the flow for params.model over the given bathymetry.
 
     handles may carry prebuilt operator factorizations (from
     build_handles); missing ones are built here.
+
+    params may also be a sequence of ModelParams, the members of a batch;
+    delta is then one value per member (or one for all) and handles one
+    dict or None per member. The members share the model, rescaled_time
+    and whether eps is zero; eps, mu and delta are theirs. The bundle's
+    fn acts on the member stack: transforms and pointwise products run on
+    the whole stack, each member's velocity solve goes through its own
+    handle, and members with equal mu share a handle built here.
     """
-    if delta < 0:
+    if isinstance(params, ModelParams):
+        bundle = _batch_rhs([params], bath, [delta], [handles])
+        fn = bundle.fn
+        blocks = None if bundle.blocks is None else bundle.blocks[0]
+        return RHSBundle(lambda W: fn(W[None])[0], bundle.grid, params, blocks)
+    K = len(params)
+    deltas = [delta] * K if np.ndim(delta) == 0 else list(delta)
+    handles = [None] * K if handles is None else list(handles)
+    if not K or len(deltas) != K or len(handles) != K:
+        raise ValueError("a batch needs one delta and one handles entry per member")
+    return _batch_rhs(list(params), bath, deltas, handles)
+
+
+def _batch_rhs(params: list, bath: Bathymetry, deltas: list, handles: list) -> RHSBundle:
+    """make_rhs for a list of members; fn(W, members=None) acts on their stack."""
+    K = len(params)
+    if any(dl < 0 for dl in deltas):
         raise ValueError("delta must be nonnegative")
+    p0 = params[0]
+    nonlinear = p0.eps != 0.0
+    for p in params:
+        if (p.model, p.rescaled_time, p.eps != 0.0) != (p0.model, p0.rescaled_time, nonlinear):
+            raise ValueError("batch members must share model, rescaled_time and eps == 0")
     g = bath.grid
-    eps, mu, model = params.eps, params.mu, params.model
+    model = p0.model
 
     if model == "burgers" and g.d != 1:
         raise ValueError("burgers runs on d = 1 grids only")
@@ -290,71 +430,94 @@ def make_rhs(
     d = g.d
     mask = g.dealias_mask
     ik = g.ik_stack
-    nonlinear = eps != 0.0
-    m1, m2 = _mollifiers(g, delta)
 
     kind = _HANDLE_KIND.get(model)
-    handle = _checked_handle(kind, mu, bath, handles) if kind else None
+    solvers = _member_handles(kind, params, bath, handles) if kind else [None] * K
+    take = _member_coefs(params, g, deltas, solvers)
 
     if model == "burgers":
         # one stacked inverse transform gives T u and T u_x, one forward
         # transform the product; the 2/3 projection, -eps and the
         # mollifier fold into a single output coefficient
         lift = np.stack([mask, mask * g.ik[0]])
-        coef = -eps * mask * m2
+        coefs = {}
 
-        def fn(W: np.ndarray) -> np.ndarray:
-            ut, ux_t = g.irfft(lift * W)
-            return (coef * g.rfft(ut * ux_t))[None]
+        def fn(W: np.ndarray, members=None) -> np.ndarray:
+            coef = coefs.get(members)
+            if coef is None:
+                c = take(members)
+                coef = coefs[members] = -c.eps * mask * c.m2
+            X = g.irfft(lift * W)
+            return coef * g.rfft(X[:, :1] * X[:, 1:])
 
-        return RHSBundle(fn, g, params)
+        return RHSBundle(fn, g, tuple(params))
 
     if model == "mbp":
         # primary variable is q, surface recovered pointwise. In slow time
         # tau = eps*t the advective terms keep coefficient one while
         # everything else is divided by eps.
-        lam = 1.0 / eps if params.rescaled_time else 1.0
-        adv_coef = 1.0 if params.rescaled_time else eps
-        tendency = _mbp_flow(bath, handle, lam, adv_coef, delta)
+        tendency = _mbp_flow(bath)
 
-        def fn(W: np.ndarray) -> np.ndarray:
+        def fn(W: np.ndarray, members=None) -> np.ndarray:
+            c = take(members)
             q, Ut, gqt, J = _nodal_factors(g, W, True, nonlinear, nonlinear)
-            Vt = Ut[1:]
+            Vt = Ut[:, 1:]
             advs = (_v_dot_grad(g, Vt, gqt), _v_dot_grad(g, Vt, J)) if nonlinear else ()
-            return tendency(Vt, q_to_zeta_arr(q, eps, bath), *advs)
+            return tendency(c, Vt, q_to_zeta_arr(q, c.eps if nonlinear else 0.0, bath), *advs)
 
     else:
         hb = bath.hb
         hbt = trunc_arr(g, hb)
         hmin_static = bath.h_min
 
-        def fn(W: np.ndarray) -> np.ndarray:
+        def fn(W: np.ndarray, members=None) -> np.ndarray:
+            c = take(members)
             zeta, Ut, _, J = _nodal_factors(g, W, nonlinear, False, nonlinear)
-            if nonlinear and hmin_static + eps * zeta.min() <= 0.0:
-                if (hb + eps * zeta).min() <= 0.0:
-                    raise DryStateError("free surface reached the bottom")
-            Vt = Ut[1:]
-            prods = [(hbt + eps * Ut[0]) * Vt]
+            if nonlinear:
+                _check_wet(hb, hmin_static, c, zeta)
+            Vt = Ut[:, 1:]
+            prods = [(hbt + c.eps * Ut[:, :1]) * Vt]
             if nonlinear:
                 prods.append(_v_dot_grad(g, Vt, J))
-            P = g.rfft(np.concatenate(prods))
-            dz = -m2 * (mask * (ik * P[:d]).sum(axis=0))
-            w = ik * W[0]
+            P = g.rfft(np.concatenate(prods, axis=1))
+            dz = -c.m2 * (mask * (ik * P[:, :d]).sum(axis=1, keepdims=True))
+            w = ik * W[:, :1]
             if nonlinear:
-                w = w + eps * (mask * P[d:])
+                w = w + c.eps * (mask * P[:, d:])
             if model == "sw":
-                return np.concatenate([dz[None], -m2 * w])
+                return np.concatenate([dz, -c.m2 * w], axis=1)
             y = hb * g.irfft(w)  # the I_plus_muTb equation in its weighted form
-            if delta > 0:
-                y = g.irfft(m1 * g.rfft(y))
-            x = handle.solve_weighted_arrays(y)
-            return np.concatenate([dz[None], -m1 * g.rfft(x)])
+            x = _solve_each(_sandwich(g, y, c), c)
+            return np.concatenate([dz, -c.m1 * g.rfft(x)], axis=1)
 
     if nonlinear or not bath.is_flat:
-        return RHSBundle(fn, g, params)
+        return RHSBundle(fn, g, tuple(params))
     # eps = 0 over a flat bottom: the flow is linear and acts mode by mode
-    blocks = _probe_mode_blocks(fn, g)
-    return RHSBundle(lambda W: apply_mode_blocks(blocks, W), g, params, blocks)
+    blocks = _probe_mode_blocks(fn, g, K)
+
+    def linear_fn(W: np.ndarray, members=None) -> np.ndarray:
+        return apply_mode_blocks(blocks if members is None else blocks[list(members)], W)
+
+    return RHSBundle(linear_fn, g, tuple(params), blocks)
+
+
+def _check_wet(hb: np.ndarray, hmin_static: float, c: _Coefs, zeta: np.ndarray) -> None:
+    """Raise DryStateError, naming the members, if a free surface reached the bottom."""
+    # eps > 0 and rounding are monotone, so min(eps*zeta) is eps*min(zeta)
+    # exactly: one reduction clears the whole stack in the common case
+    if hmin_static + (c.eps * zeta).min() > 0.0:
+        return
+    K = len(c.ids)
+    low = hmin_static + c.eps.reshape(K) * zeta.reshape(K, -1).min(axis=1)
+    dry = [
+        member
+        for i, member in enumerate(c.ids)
+        if low[i] <= 0.0 and (hb + c.eps[i] * zeta[i]).min() <= 0.0
+    ]
+    if dry:
+        err = DryStateError("free surface reached the bottom")
+        err.members = tuple(dry)
+        raise err
 
 
 # ---------------------------------------------------------------------------
@@ -391,14 +554,17 @@ def time_derivative_stack(
     if U.shape != (1 + g.d,) + g.shape:
         raise ValueError(f"mbp state must be (1 + d, *grid.shape), got {U.shape}")
     handle = _checked_handle("hb_B", params.mu, bath, handles)
-    tendency = _mbp_flow(bath, handle, 1.0, eps)
+    tendency = _mbp_flow(bath)
+    coefs = _Coefs((0,), eps, 1.0, eps, params.mu, 1.0, 1.0, None, [handle])
 
     # Taylor coefficients on rfft coefficients, with their nodal factors
-    # (Vt, T grad q, J) and the nodal q, surface and exp(eps*q) jets
-    W_c = [g.rfft(U)]
+    # (Vt, T grad q, J) and the nodal q, surface and exp(eps*q) jets, each
+    # as a batch of one member
+    W_c = [g.rfft(U)[None]]
     _, Ut, gqt, J = _nodal_factors(g, W_c[0], False, nonlinear, nonlinear)
-    F = [(Ut[1:], gqt, J)]
-    q_c, z_c, e_c = [U[0]], [q_to_zeta_arr(U[0], eps, bath)], [np.exp(eps * U[0])]
+    F = [(Ut[:, 1:], gqt, J)]
+    q0 = U[None, :1]
+    q_c, z_c, e_c = [q0], [q_to_zeta_arr(q0, eps, bath)], [np.exp(eps * q0)]
 
     for m in range(k_max):
         advs = ()
@@ -406,10 +572,10 @@ def time_derivative_stack(
             Vts = np.stack([f[0] for f in F])
             advs = [_v_dot_grad(g, Vts, np.stack([f[i] for f in F[::-1]])).sum(axis=0)
                     for i in (1, 2)]
-        W_c.append(tendency(F[m][0], z_c[m], *advs) / (m + 1))
+        W_c.append(tendency(coefs, F[m][0], z_c[m], *advs) / (m + 1))
         q, Ut, gqt, J = _nodal_factors(g, W_c[-1], True, nonlinear, nonlinear)
         q_c.append(q)
-        F.append((Ut[1:], gqt, J))
+        F.append((Ut[:, 1:], gqt, J))
         if nonlinear:
             acc = sum(j * q_c[j] * e_c[m + 1 - j] for j in range(1, m + 2))
             e_c.append(eps * acc / (m + 1))
@@ -419,7 +585,7 @@ def time_derivative_stack(
 
     out = [np.array(U, dtype=float)]
     if k_max:
-        nodal = g.irfft(np.stack(W_c[1:]))
+        nodal = g.irfft(np.concatenate(W_c[1:]))
         out += [eps**k * math.factorial(k) * nodal[k - 1] for k in range(1, k_max + 1)]
     return out
 

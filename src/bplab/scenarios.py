@@ -3,8 +3,9 @@
 A scenario is a named study over one config file. It declares its runs
 as data (RunSpec: tag, swept values, model parameters, stepper) and
 grades their results against thresholds shipped with the presets.
-run_scenario is the one place runs execute, on a bounded worker pool, and
-it writes
+run_scenario is the one place runs execute: a sweep's compatible runs
+step together as one batch (batch_runs), batches go to a bounded worker
+pool, and it writes
 
     <out>/<scenario>/<tag>/diagnostics.csv     per-run energy monitors
     <out>/<scenario>/<tag>/state_*.bin/.json   raw float64 snapshots
@@ -61,6 +62,7 @@ __all__ = [
     "ScenarioResult",
     "load_config",
     "build_initial_state",
+    "batch_runs",
     "run_scenario",
 ]
 
@@ -211,6 +213,14 @@ _REQUIRED_SWEEPS = {
 }
 
 
+# swept values a scenario divides by: longtime's horizons are 1/eps, burgers'
+# blow-up times too
+_POSITIVE_SWEEPS = {
+    "longtime": ("eps_mu", "contrast_eps_mu"),
+    "burgers": ("eps",),
+}
+
+
 def load_config(
     path, out: Optional[str] = None, seed: Optional[int] = None
 ) -> ExperimentConfig:
@@ -329,6 +339,10 @@ def load_config(
         if key not in SWEEP_KEYS:
             raise _cfg_err(src, f"sweep.{key}", f"unknown axis, choose from {SWEEP_KEYS}")
         sweep[key] = _float_list(val, src, f"sweep.{key}")
+        if min(sweep[key]) < 0.0:
+            raise _cfg_err(src, f"sweep.{key}", "values must be nonnegative")
+        if key in _POSITIVE_SWEEPS.get(scenario, ()) and 0.0 in sweep[key]:
+            raise _cfg_err(src, f"sweep.{key}", f"values must be positive in {scenario!r}")
     # a value's tag names its run and directory; contrast runs share eps_mu's
     tags = set()
     for key, vals in sweep.items():
@@ -501,6 +515,7 @@ class RunResult:
     reports: Optional[list] = None
     error: Optional[str] = None
     runtime_s: float = 0.0
+    batch: int = 0
 
 
 def _tagf(v: float) -> str:
@@ -534,38 +549,99 @@ def _audit_reports(config: ExperimentConfig, i: int, case: dict, seed: int) -> l
     return out
 
 
-def _run_many(config: ExperimentConfig, bath, specs: list, jobs: int) -> list:
-    """Execute RunSpecs on a bounded pool; results come back in spec order.
+def _batch_key(spec: RunSpec):
+    """What the members of one batch share; None for a run that goes alone.
 
-    Each run builds its start state inside its own error capture, so an
-    inadmissible start ends that run, never the sweep. Every trajectory then
-    gets its diagnostics records (H^N energies, N the sobolev_index
-    threshold) once, here, for both the grading and the CSV writer.
+    The grid and bottom are the scenario's. Everything else (start state,
+    eps, mu, delta, dt and t_end) is per member.
+    """
+    if spec.audit is not None:
+        return None
+    p, st = spec.params, spec.stepper
+    return (
+        p.model, p.rescaled_time, p.eps == 0.0,
+        st.scheme, st.output_stride, st.blowup_threshold, st.track_modes,
+    )
+
+
+def batch_runs(specs: list) -> list:
+    """Spec indices grouped into batches, in order of each batch's first spec.
+
+    Time-stepping specs with equal _batch_key share a batch; an audit spec
+    is a batch of its own.
+    """
+    batches, by_key = [], {}
+    for i, spec in enumerate(specs):
+        key = _batch_key(spec)
+        if key is not None and key in by_key:
+            by_key[key].append(i)
+        else:
+            batches.append([i])
+            if key is not None:
+                by_key[key] = batches[-1]
+    return batches
+
+
+def _run_many(config: ExperimentConfig, bath, specs: list, jobs: int) -> list:
+    """Execute RunSpecs batch by batch on a bounded pool; results come back in spec order.
+
+    A batch of time-stepping specs (batch_runs) steps through one run call.
+    Each member builds its start state inside its own error capture, so an
+    inadmissible start ends that run, never the sweep; an error the batched
+    call raises ends each of its members. Every member's runtime is its
+    batch's seconds. Every trajectory then gets its diagnostics records
+    (H^N energies, N the sobolev_index threshold) once, here, for both the
+    grading and the CSV writer.
     """
     grid = config.grid
 
-    def work(spec):
-        t0 = _time.perf_counter()
-        res = RunResult(tag=spec.tag, values=spec.values)
-        try:
-            if spec.audit is not None:
-                res.reports = _audit_reports(config, *spec.audit)
-            else:
-                params, stepper = spec.params, spec.stepper
-                state0 = build_initial_state(config, grid, params, bath, modes=spec.modes)
-                if spec.smooth_start and stepper.delta > 0.0:
-                    state0 = ModelState(grid, mollify_arr(grid, state0.U, stepper.delta, -1))
-                res.traj = run(state0, params, bath, stepper)
-        except BplabError as e:
-            res.error = f"{type(e).__name__}: {e}"
-        res.runtime_s = _time.perf_counter() - t0
-        return res
+    def start(spec):
+        state0 = build_initial_state(config, grid, spec.params, bath, modes=spec.modes)
+        if spec.smooth_start and spec.stepper.delta > 0.0:
+            state0 = ModelState(grid, mollify_arr(grid, state0.U, spec.stepper.delta, -1))
+        return state0
 
-    if jobs <= 1 or len(specs) <= 1:
-        results = [work(s) for s in specs]
+    def work(b):
+        t0 = _time.perf_counter()
+        batch = [specs[i] for i in batches[b]]
+        out = [RunResult(tag=sp.tag, values=sp.values, batch=b) for sp in batch]
+        stepping = []  # (result, spec, start state)
+        for res, spec in zip(out, batch):
+            try:
+                if spec.audit is not None:
+                    res.reports = _audit_reports(config, *spec.audit)
+                else:
+                    stepping.append((res, spec, start(spec)))
+            except BplabError as e:
+                res.error = f"{type(e).__name__}: {e}"
+        if stepping:
+            owners, members, states = zip(*stepping)
+            try:
+                trajs = run(
+                    states, [m.params for m in members], bath, [m.stepper for m in members]
+                )
+            except BplabError as e:
+                for res in owners:
+                    res.error = f"{type(e).__name__}: {e}"
+            else:
+                for res, traj in zip(owners, trajs):
+                    res.traj = traj
+        elapsed = _time.perf_counter() - t0
+        for res in out:
+            res.runtime_s = elapsed
+        return out
+
+    batches = batch_runs(specs)
+    order = range(len(batches))
+    if jobs <= 1 or len(batches) <= 1:
+        done = [work(b) for b in order]
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(work, specs))
+            done = list(pool.map(work, order))
+    results = [None] * len(specs)
+    for indices, out in zip(batches, done):
+        for i, res in zip(indices, out):
+            results[i] = res
     for res in results:
         if res.traj is not None:
             res.records = build_records(res.traj, bath, N=config.thresholds["sobolev_index"])
@@ -756,7 +832,12 @@ def _grade_burgers(config: ExperimentConfig, bath, results: list):
             all_match = False
             continue
         state0 = build_initial_state(config, config.grid, res.traj.params, bath)
-        predicted = burgers_shock_time(config.grid, state0.U[0], eps)
+        try:
+            predicted = burgers_shock_time(config.grid, state0.U[0], eps)
+        except BplabError as e:
+            failures.append(f"{res.tag}: {type(e).__name__}: {e}")
+            all_match = False
+            continue
         if res.traj.termination != "blowup":
             failures.append(f"{res.tag}: expected blowup, got {res.traj.termination}")
             all_match = False
@@ -1072,7 +1153,7 @@ def run_scenario(config: ExperimentConfig, jobs: int = 1) -> ScenarioResult:
         traj = res.traj
         track = traj.config.track_modes if traj is not None else ()
         write_run_csv(run_dir / "diagnostics.csv", res.records, track)
-        meta = {"tag": res.tag, "error": res.error}
+        meta = {"tag": res.tag, "error": res.error, "batch": res.batch}
         if traj is not None:
             for name, i in SNAPSHOT_POLICIES[config.snapshots]:
                 write_snapshot(

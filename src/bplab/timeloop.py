@@ -21,12 +21,21 @@ W <- R(dt L_k) W with R its stability polynomial. Those runs advance from
 one record to the next by the cached power R(dt L)^n, n the output stride
 or the final remainder: the same scheme and the same records, without the
 stage evaluations in between.
+
+run also advances a batch: members that share the model, the bottom and
+the stepping policy step as one stack (K, rows, *rshape) through one flow,
+each with its own start, eps, mu, delta, dt and t_end. A member leaves the
+stack at its own termination: blowup at a record, dry or solver_failure
+in a step (which the others then retake without it), completed at its own
+last step. Its records, steps and termination are those of its run alone.
+A single run is a batch of one.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -49,6 +58,7 @@ __all__ = [
     "TERMINATIONS",
     "StepperConfig",
     "Trajectory",
+    "Batch",
     "step",
     "run",
 ]
@@ -148,27 +158,37 @@ def step(state: ModelState, rhs, config: StepperConfig) -> ModelState:
     return ModelState.from_stack(state.grid, rhs.decode(W), state.time + config.dt)
 
 
-def _propagator(blocks: np.ndarray, scheme: str, dt: float):
-    """W -> R(dt L)^n W for per-mode blocks L, powers cached by n.
+def _propagator(blocks: np.ndarray, scheme: str, dt: np.ndarray):
+    """(W, n, members) -> R(dt L)^n W for the members' per-mode blocks L.
 
-    One scheme step applied to the identity blocks yields R(dt L) itself:
-    1 + z + z^2/2 + z^3/6 + z^4/24 for rk4, 1 + z + z^2/2 for rk2.
+    blocks is (K, *rshape, m, m) and dt one step per member. One scheme
+    step applied to the identity blocks yields R(dt L) itself:
+    1 + z + z^2/2 + z^3/6 + z^4/24 for rk4, 1 + z + z^2/2 for rk2. Powers
+    are taken over the members' stack at once and cached by (n, members).
     """
     eye = np.broadcast_to(np.eye(blocks.shape[-1]), blocks.shape)
+    dt = dt.reshape((-1,) + (1,) * (blocks.ndim - 1))
     one_step = _STEPPERS[scheme](lambda X: blocks @ X, eye, dt)
     powers = {}
 
-    def propagate(W: np.ndarray, n: int) -> np.ndarray:
-        if n not in powers:
-            powers[n] = np.linalg.matrix_power(one_step, n)
-        return apply_mode_blocks(powers[n], W)
+    def propagate(W: np.ndarray, n: int, members: tuple) -> np.ndarray:
+        key = (n, members)
+        if key not in powers:
+            powers[key] = np.linalg.matrix_power(one_step[list(members)], n)
+        return apply_mode_blocks(powers[key], W)
 
     return propagate
 
 
-def _sup_grad(grid: Grid, spec: np.ndarray) -> float:
-    """Largest twisted first derivative over every state row; NaN if any is."""
-    return float(np.abs(grid.irfft(grid.ik_stack[:, None] * spec)).max())
+def _sup_grad(grid: Grid, spec: np.ndarray):
+    """Largest twisted first derivative over every state row; NaN if any is.
+
+    spec is (..., rows, *rshape); leading axes are a batch, and the result
+    has their shape (a 0-d array for a single state).
+    """
+    lead = spec.shape[: spec.ndim - grid.d - 1]
+    G = grid.irfft(grid.ik_stack[:, None] * np.expand_dims(spec, -grid.d - 2))
+    return np.abs(G).reshape(lead + (-1,)).max(axis=-1)
 
 
 def _check_modes(grid: Grid, track) -> list:
@@ -195,110 +215,195 @@ def _check_modes(grid: Grid, track) -> list:
     return idx
 
 
-def run(
-    state0: ModelState,
-    params: ModelParams,
-    bath: Bathymetry,
-    config: StepperConfig,
-    handles: Optional[dict] = None,
-) -> Trajectory:
+class Batch(tuple):
+    """One Trajectory per member of a batched run, in member order.
+
+    steps_taken and n_records are the sums over the members.
+    """
+
+    @property
+    def steps_taken(self) -> int:
+        return sum(t.steps_taken for t in self)
+
+    @property
+    def n_records(self) -> int:
+        return sum(t.n_records for t in self)
+
+
+@dataclass
+class _Member:
+    """One member's schedule and what has been recorded of it so far."""
+
+    params: ModelParams
+    config: StepperConfig
+    n_steps: int
+    dt: float
+    times: list = field(default_factory=list)
+    sup_u: list = field(default_factory=list)
+    sup_grad_u: list = field(default_factory=list)
+    modes: list = field(default_factory=list)
+    states: list = field(default_factory=list)
+    termination: str = "completed"
+    termination_time: Optional[float] = None
+    steps_taken: int = 0
+
+    def end(self, termination: str, time: float, steps: int) -> None:
+        self.termination, self.termination_time, self.steps_taken = termination, time, steps
+
+
+# the shared parts of a batch's stepper configs
+_SHARED = ("scheme", "output_stride", "blowup_threshold", "track_modes")
+
+
+def run(state0, params, bath: Bathymetry, config, handles=None):
     """Advance state0 under params over bath; never raises on model failure.
 
     Physical failures (drying, blow-up, solver stall) terminate the run and
     are reported in Trajectory.termination; genuine usage errors still
     raise.
+
+    A batch passes sequences instead: one start state, ModelParams,
+    StepperConfig and handles dict (or None) per member, and gets a Batch
+    of one Trajectory per member. The members share the model, bottom,
+    rescaled_time, whether eps is zero, and their configs' scheme, stride,
+    blow-up threshold and tracked modes; eps, mu, delta, dt and t_end are
+    their own. A single run is a batch of one.
+    """
+    if isinstance(state0, ModelState):
+        return _run_batch([state0], [params], bath, [config], [handles])[0]
+    handles = [None] * len(state0) if handles is None else handles
+    return Batch(_run_batch(list(state0), list(params), bath, list(config), list(handles)))
+
+
+def _run_batch(states: list, params: list, bath: Bathymetry, configs: list, handles: list):
+    """Step the members as one stack; each leaves it at its own termination.
+
+    All active members have taken the same number of steps. A member leaves
+    at a record that passes its blow-up threshold, at a step whose stage
+    finds it dry or its solve stalled (the batch then retakes that step
+    without it), or at its own last step. Each member's arithmetic is that
+    of its run alone, so its records, steps and termination are too.
     """
     g = bath.grid
-    U0 = state0.stack()
-    if U0.shape[0] != state_rows(params.model, g):
-        raise ValueError("state rows do not match the model")
-    bundle = make_rhs(params, bath, config.delta, handles)
-    mode_idx = _check_modes(g, config.track_modes)
+    K = len(states)
+    if not K or not len(params) == len(configs) == len(handles) == K:
+        raise ValueError("a batch needs one params, config and handles entry per state")
+    first = configs[0]
+    if any(getattr(c, f) != getattr(first, f) for c in configs for f in _SHARED):
+        raise ValueError(f"batch members must share their configs' {_SHARED}")
+    for state, p in zip(states, params):
+        if state.stack().shape[0] != state_rows(p.model, g):
+            raise ValueError("state rows do not match the model")
+    bundle = make_rhs(params, bath, [c.delta for c in configs], handles)
+    mode_idx = _check_modes(g, first.track_modes)
 
-    if config.t_end == 0.0:
-        n_steps = 0
-        dt = config.dt
-    else:
-        n_steps = max(1, int(round(config.t_end / config.dt)))
-        dt = config.t_end / n_steps
+    members = []
+    limit = CFL_LIMITS[first.scheme]
+    for state, p, c in zip(states, params, configs):
+        if c.t_end == 0.0:
+            n_steps, dt = 0, c.dt
+        else:
+            n_steps = max(1, int(round(c.t_end / c.dt)))
+            dt = c.t_end / n_steps
+        freq = max_linear_frequency(p, g, state)
+        if n_steps > 0 and freq * dt > limit:
+            warnings.warn(
+                f"dt={dt:.3e} resolves the fastest mode poorly"
+                f" (dt*omega_max={freq * dt:.2f} > {limit} for {c.scheme})",
+                CFLWarning,
+                stacklevel=3,
+            )
+        members.append(_Member(p, c, n_steps, dt))
 
-    freq = max_linear_frequency(params, g, state0)
-    limit = CFL_LIMITS[config.scheme]
-    if n_steps > 0 and freq * dt > limit:
-        warnings.warn(
-            f"dt={dt:.3e} resolves the fastest mode poorly"
-            f" (dt*omega_max={freq * dt:.2f} > {limit} for {config.scheme})",
-            CFLWarning,
-            stacklevel=2,
-        )
-
-    advance = _STEPPERS[config.scheme]
-    W = bundle.encode(U0)
-
-    times: list[float] = []
-    sup_u: list[float] = []
-    sup_grad_u: list[float] = []
-    modes: list[np.ndarray] = []
-    states: list[np.ndarray] = []
-
-    termination, termination_time = "completed", config.t_end
-
-    def record(s: int) -> bool:
-        """Append a record at step s; True if the state is out of bounds."""
-        t = s * dt
-        U = bundle.decode(W)
-        su = float(np.abs(U).max()) if U.size else 0.0
-        sg = _sup_grad(g, W)
-        times.append(t)
-        sup_u.append(su)
-        sup_grad_u.append(sg)
-        states.append(np.array(U, copy=True))
-        if mode_idx:
-            modes.append(np.array([W[0][ix] for ix in mode_idx]))
-        bad = not np.isfinite(su) or not np.isfinite(sg)
-        return bad or max(su, sg) > config.blowup_threshold
-
-    if record(0):
-        termination, termination_time, n_steps = "blowup", 0.0, 0
-
+    advance = _STEPPERS[first.scheme]
+    stride = first.output_stride
+    threshold = first.blowup_threshold
+    W = bundle.encode(np.stack([state.stack() for state in states]))
+    ids = np.arange(K)  # the active members, in stack order
+    dts = np.array([m.dt for m in members])
+    last = np.array([m.n_steps for m in members])
     propagate = None
     if bundle.blocks is not None:
-        propagate = _propagator(bundle.blocks, config.scheme, dt)
+        propagate = _propagator(bundle.blocks, first.scheme, dts)
 
-    # records fall every output_stride steps and on the last step
-    stride = config.output_stride
-    s = 0  # steps completed
-    for end in range(stride, n_steps + stride, stride):
-        end = min(end, n_steps)
-        try:
-            if propagate is not None:
-                W = propagate(W, end - s)
-                s = end
+    def drop(pos) -> None:
+        nonlocal W, ids
+        if len(pos):
+            keep = np.setdiff1d(np.arange(len(ids)), pos)
+            W, ids = W[keep], ids[keep]
+
+    def record(pos: np.ndarray, steps: np.ndarray) -> None:
+        """Record the active members at pos, each at its own step count;
+        a member out of bounds, or at its last step, leaves the batch."""
+        Wr = W if len(pos) == len(ids) else W[pos]
+        U = bundle.decode(Wr)
+        su = np.abs(U).reshape(len(pos), -1).max(axis=1)
+        sg = _sup_grad(g, Wr)
+        gone = []
+        for j, (p, s) in enumerate(zip(pos, steps.tolist())):
+            m = members[ids[p]]
+            m.times.append(s * m.dt)
+            m.sup_u.append(float(su[j]))
+            m.sup_grad_u.append(float(sg[j]))
+            m.states.append(np.array(U[j], copy=True))
+            if mode_idx:
+                m.modes.append(np.array([Wr[j][0][ix] for ix in mode_idx]))
+            if not (np.isfinite(su[j]) and np.isfinite(sg[j])) or max(su[j], sg[j]) > threshold:
+                m.end("blowup", s * m.dt, s)
+            elif s == m.n_steps:
+                m.end("completed", m.config.t_end, s)
             else:
-                while s < end:
-                    W = advance(bundle.fn, W, dt)
-                    s += 1
-        except DryStateError:
-            termination, termination_time = "dry", (s + 1) * dt
-            break
-        except SolverDivergenceError:
-            termination, termination_time = "solver_failure", (s + 1) * dt
-            break
-        if record(s):
-            termination, termination_time = "blowup", s * dt
-            break
+                continue
+            gone.append(p)
+        drop(gone)
 
-    return Trajectory(
-        grid=g,
-        params=params,
-        config=config,
-        dt=dt,
-        times=np.array(times),
-        sup_u=np.array(sup_u),
-        sup_grad_u=np.array(sup_grad_u),
-        mode_history=np.array(modes) if modes else None,
-        states=states,
-        termination=termination,
-        termination_time=termination_time,
-        steps_taken=s,
-    )
+    s = 0  # steps completed by every active member
+    record(np.arange(K), np.zeros(K, dtype=int))
+
+    # records fall every output_stride steps and on each member's last step
+    while ids.size:
+        target = np.minimum((s // stride + 1) * stride, last[ids])
+        if propagate is not None:
+            for n in np.unique(target - s):
+                pos = np.flatnonzero(target - s == n)
+                part = W if len(pos) == len(ids) else W[pos]
+                W[pos] = propagate(part, int(n), tuple(ids[pos].tolist()))
+            reached = target
+            s = int(target.max())  # where every member that stays active is
+        else:
+            active = tuple(ids.tolist())
+            fn = partial(bundle.fn, members=active)
+            dt = dts[ids].reshape((-1,) + (1,) * (W.ndim - 1))
+            stop = int(target.min())
+            try:
+                while s < stop:
+                    W = advance(fn, W, dt)
+                    s += 1
+            except (DryStateError, SolverDivergenceError) as e:
+                name = "dry" if isinstance(e, DryStateError) else "solver_failure"
+                gone = getattr(e, "members", active)
+                for k in gone:
+                    members[k].end(name, (s + 1) * members[k].dt, s)
+                drop(np.flatnonzero(np.isin(ids, gone)))
+                continue  # the others retake step s + 1
+            reached = np.full(len(ids), s)
+        due = np.flatnonzero(reached == target)
+        record(due, reached[due])
+
+    return [
+        Trajectory(
+            grid=g,
+            params=m.params,
+            config=m.config,
+            dt=m.dt,
+            times=np.array(m.times),
+            sup_u=np.array(m.sup_u),
+            sup_grad_u=np.array(m.sup_grad_u),
+            mode_history=np.array(m.modes) if m.modes else None,
+            states=m.states,
+            termination=m.termination,
+            termination_time=m.termination_time,
+            steps_taken=m.steps_taken,
+        )
+        for m in members
+    ]

@@ -425,6 +425,90 @@ def test_translation_equivariance_flat_nonlinear():
     assert np.abs(lhs - rhs_).max() < 1e-12
 
 
+# batch flows: per-member eps, mu and delta, bit for bit each member's own flow
+_BATCH_CASES = [
+    pytest.param(model, rescaled, bath, eps, id=f"{mid}-{bid}")
+    for bid, bath, eps in (("d1", BUMP1, 0.3), ("d2", BUMP2, 0.3), ("flat-d1", FLAT1, 0.0))
+    for mid, model, rescaled in (
+        ("sw", "sw", False), ("bp", "bp", False), ("mbp", "mbp", False),
+        ("mbp-rescaled", "mbp", True),
+    )
+    if eps or not rescaled
+]
+
+
+@pytest.mark.parametrize("model,rescaled,bath,eps", _BATCH_CASES)
+def test_batch_flow_is_each_members_flow(model, rescaled, bath, eps):
+    g = bath.grid
+    params = [
+        ModelParams(eps * f, mu, model, rescaled_time=rescaled)
+        for f, mu in ((1.0, 0.4), (0.5, 0.2), (0.25, 0.4))
+    ]
+    deltas = [1e-2, 0.0, 1e-3]
+    rng = np.random.default_rng(31)
+    W = g.rfft(0.1 * rng.standard_normal((3, 1 + g.d) + g.shape))
+    batch = make_rhs(params, bath, deltas)
+    assert batch.params == tuple(params)
+    solo = [make_rhs(p, bath, dl) for p, dl in zip(params, deltas)]
+    out = batch.fn(W)
+    for k in range(3):
+        assert np.array_equal(out[k], solo[k].fn(W[k]))
+    # a subset of the members, in stack order, as a run steps them after a member left
+    sub = batch.fn(W[[0, 2]], (0, 2))
+    assert np.array_equal(sub, out[[0, 2]])
+    if eps == 0.0:
+        assert batch.blocks.shape == (3,) + g.rshape + (1 + g.d, 1 + g.d)
+        for k in range(3):
+            assert np.array_equal(batch.blocks[k], solo[k].blocks)
+
+
+def test_batch_burgers_flow_is_each_members_flow():
+    eps, deltas = (0.7, 0.3), (0.0, 2e-2)
+    W = G1.rfft(np.stack([np.sin(G1.x[0]), np.cos(2 * G1.x[0])])[:, None])
+    batch = make_rhs([ModelParams(e, 0.0, "burgers") for e in eps], FLAT1, deltas)
+    out = batch.fn(W)
+    for k in range(2):
+        solo = make_rhs(ModelParams(eps[k], 0.0, "burgers"), FLAT1, deltas[k])
+        assert np.array_equal(out[k], solo.fn(W[k]))
+    assert np.array_equal(batch.fn(W[1:], (1,)), out[1:])
+
+
+def test_batch_members_share_a_handle_per_mu(monkeypatch):
+    built = []
+
+    def counting_build_handle(kind, mu, bath):
+        built.append(mu)
+        return build_handle(kind, mu, bath)
+
+    monkeypatch.setattr("bplab.models.build_handle", counting_build_handle)
+    params = [ModelParams(0.1, mu, "mbp") for mu in (0.2, 0.3, 0.2)]
+    make_rhs(params, BUMP1, [1e-2, 0.0, 0.0])
+    assert built == [0.2, 0.3]
+
+
+def test_batch_dry_error_names_its_members():
+    params = [ModelParams(e, 0.2, "sw") for e in (0.1, 0.5, 0.5)]
+    zeta = np.full(G1.shape, -2.5)  # dry at eps = 0.5 only
+    W = G1.rfft(np.stack([_at_rest(G1, zeta)] * 3))
+    bundle = make_rhs(params, FLAT1)
+    with pytest.raises(DryStateError) as info:
+        bundle.fn(W)
+    assert info.value.members == (1, 2)
+    with pytest.raises(DryStateError) as info:
+        bundle.fn(W[1:], (0, 2))  # positions in the stack map to member ids
+    assert info.value.members == (2,)
+    assert np.isfinite(bundle.fn(W[:1], (0,))).all()
+
+
+def test_batch_members_must_share_the_flow():
+    with pytest.raises(ValueError):
+        make_rhs([ModelParams(0.1, 0.1, "bp"), ModelParams(0.0, 0.1, "bp")], BUMP1)
+    with pytest.raises(ValueError):
+        make_rhs([ModelParams(0.1, 0.1, "mbp"), ModelParams(0.1, 0.1, "mbp", True)], BUMP1)
+    with pytest.raises(ValueError):
+        make_rhs([ModelParams(0.1, 0.1, "bp")] * 2, BUMP1, delta=[0.0])
+
+
 def test_dry_state_raises():
     params = ModelParams(0.5, 0.2, "sw")
     zeta = np.full(G1.shape, -2.5)  # h = 1 + 0.5*(-2.5) < 0

@@ -9,13 +9,15 @@ import pytest
 from bplab.bathymetry import zeta_to_q_arr
 from bplab.cli import main
 from bplab.errors import ConfigError
-from bplab.models import ModelParams
+from bplab.models import ModelParams, ModelState
 from bplab.scenarios import (
     ENV_OUT,
     SCENARIOS,
     TIMING_KEYS,
     _audit_case,
     _audit_cases,
+    _run_many,
+    batch_runs,
     build_initial_state,
     load_config,
     run_scenario,
@@ -23,7 +25,8 @@ from bplab.scenarios import (
     write_snapshot,
     write_summary,
 )
-from bplab.spectral import Grid
+from bplab.spectral import Grid, mollify_arr
+from bplab.timeloop import run
 
 
 def _write(tmp_path, text, name="exp.yaml"):
@@ -75,6 +78,27 @@ initial: {shape: gaussian, amplitude: -20.0, width: 1.0}
 stepper: {dt: 1.0e-2, t_end: 0.1}
 sweep:
   eps_mu: [0.2, 0.1, 0.05]
+"""
+
+TINY_BURGERS = """\
+scenario: burgers
+grid: {d: 1, n: 64, L: 2pi}
+model: {name: burgers, eps: 0.1, mu: 0.0}
+initial: {shape: burgers_sine, amplitude: 1.0}
+stepper: {dt: 1.0e-2, t_end: 0.2, output_stride: 5, blowup_threshold: 50.0}
+sweep:
+  eps: [0.4, 0.2]
+"""
+
+TINY_MOLLIFIER = """\
+scenario: mollifier-study
+grid: {d: 1, n: 32, L: 20pi}
+model: {name: mbp, eps: 0.1, mu: 0.1}
+bathymetry: {profile: gaussian_bump, beta: 0.3}
+initial: {shape: gaussian, amplitude: 0.3, width: 3.0}
+stepper: {dt: 1.0e-2, t_end: 0.2, output_stride: 4}
+sweep:
+  delta: [1.0e-2, 1.0e-3, 0.0]
 """
 
 D2_DISPERSION = (
@@ -158,12 +182,23 @@ def test_d2_mode_pairs_parse(tmp_path):
         (TINY_DISPERSION.replace("mode: 1}", "mode: -33}"), "initial.mode"),
         (D2_DISPERSION.replace("mode: [1, 0]}", "mode: [9, 0]}"), "initial.mode"),
         (D2_DISPERSION.replace("mode: [1, 0]}", "mode: [0, -9]}"), "initial.mode"),
+        # swept values out of range: negative anywhere, zero where a run divides by it
+        (TINY_DISPERSION.replace("mu: [0.0]", "mu: [0.1, -0.1]"), "sweep.mu"),
+        (TINY_MOLLIFIER.replace("delta: [1.0e-2,", "delta: [-1.0e-2,"), "sweep.delta"),
+        (DRY_CONSISTENCY.replace("eps_mu: [0.2,", "eps_mu: [-0.2,"), "sweep.eps_mu"),
+        (TINY_BURGERS.replace("eps: [0.4, 0.2]", "eps: [0.4, -0.2]"), "sweep.eps"),
+        (TINY_LONGTIME + "  contrast_eps_mu: [-0.5]\n", "sweep.contrast_eps_mu"),
+        (TINY_LONGTIME.replace("eps_mu: [0.02, 0.5]", "eps_mu: [0.02, 0.0]"), "sweep.eps_mu"),
+        (TINY_LONGTIME + "  contrast_eps_mu: [0.0]\n", "sweep.contrast_eps_mu"),
+        (TINY_BURGERS.replace("eps: [0.4, 0.2]", "eps: [0.4, 0.0]"), "sweep.eps"),
     ],
     ids=[
         "amplitude", "width", "mode", "track_modes", "horizon_over_eps", "trials",
         "track_modes_rfft_row", "sweep_repeat", "sweep_same_tag", "sweep_contrast_repeat",
         "dispersion_without_track_modes", "mode_alias", "mode_d1_negative",
-        "mode_d2_k1", "mode_d2_k2",
+        "mode_d2_k1", "mode_d2_k2", "sweep_mu_negative", "sweep_delta_negative",
+        "sweep_eps_mu_negative", "sweep_eps_negative", "sweep_contrast_negative",
+        "longtime_eps_mu_zero", "longtime_contrast_zero", "burgers_eps_zero",
     ],
 )
 def test_bad_value_rejected(tmp_path, capsys, text, key):
@@ -523,7 +558,7 @@ def test_cli_validate(tmp_path, capsys):
     good = _write(tmp_path, TINY_DISPERSION, "good.yaml")
     assert main(["validate", "--config", str(good)]) == 0
     out = capsys.readouterr().out
-    assert "ok: scenario=dispersion" in out and " runs=1 " in out
+    assert "ok: scenario=dispersion" in out and " runs=1 batches=1 " in out
 
     bad = _write(tmp_path, "scenario: nope\n", "bad.yaml")
     assert main(["validate", "--config", str(bad)]) == 2
@@ -537,6 +572,25 @@ def test_cli_validate_counts_preset_runs(capsys, preset, n_runs):
     # three models per eps_mu value; one run per audit case; contrast runs count
     assert main(["validate", "--config", f"configs/{preset}.yaml"]) == 0
     assert f" runs={n_runs} " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "preset,batches",
+    [
+        ("dispersion", [[0, 1, 2]]),
+        ("consistency", [[0, 3, 6], [1, 4, 7], [2, 5, 8]]),
+        ("longtime", [[0, 1, 2]]),
+        ("burgers", [[0, 1, 2]]),
+        ("mollifier_study", [[0, 1, 2]]),
+        ("operator_audit", [[0], [1], [2]]),
+    ],
+)
+def test_preset_batches(capsys, preset, batches):
+    # a sweep's compatible runs share one batch; audit cases run alone
+    cfg = load_config(f"configs/{preset}.yaml")
+    assert batch_runs(SCENARIOS[cfg.scenario].runs(cfg)) == batches
+    assert main(["validate", "--config", f"configs/{preset}.yaml"]) == 0
+    assert f" batches={len(batches)} " in capsys.readouterr().out
 
 
 def test_validate_counts_the_runs_that_run(tmp_path, capsys):
@@ -572,3 +626,58 @@ def test_model_params_from_config_match(tmp_path):
     cfg = _cfg(tmp_path, TINY_DISPERSION)
     assert cfg.params == ModelParams(eps=0.0, mu=0.0, model="bp")
     assert cfg.build_bath().is_flat
+
+
+# ---------------------------------------------------------------------------
+# batches
+
+
+def test_mollifier_batch_members_equal_their_runs_alone(tmp_path):
+    # per-member delta, each start mollified by its own delta
+    cfg = _cfg(tmp_path, TINY_MOLLIFIER)
+    bath = cfg.build_bath()
+    specs = SCENARIOS[cfg.scenario].runs(cfg)
+    results = _run_many(cfg, bath, specs, jobs=1)
+    assert [res.batch for res in results] == [0, 0, 0]
+    assert len({res.runtime_s for res in results}) == 1  # the batch's seconds
+    for spec, res in zip(specs, results):
+        state0 = build_initial_state(cfg, cfg.grid, spec.params, bath)
+        if spec.stepper.delta > 0:
+            state0 = ModelState(cfg.grid, mollify_arr(cfg.grid, state0.U, spec.stepper.delta, -1))
+        solo = run(state0, spec.params, bath, spec.stepper)
+        got = res.traj
+        assert got.termination == solo.termination == "completed"
+        assert got.termination_time == solo.termination_time
+        assert got.steps_taken == solo.steps_taken
+        assert np.array_equal(got.times, solo.times)
+        assert np.array_equal(got.sup_u, solo.sup_u)
+        assert np.array_equal(got.sup_grad_u, solo.sup_grad_u)
+        assert got.mode_history is None and solo.mode_history is None
+        assert all(np.array_equal(a, b) for a, b in zip(got.states, solo.states))
+
+
+def test_summary_batch_index_is_the_same_at_every_jobs(tmp_path):
+    p = _write(tmp_path, DRY_CONSISTENCY)
+    runs = {}
+    for jobs in (1, 3):
+        summary = run_scenario(load_config(p, out=str(tmp_path / f"j{jobs}")), jobs=jobs).summary
+        runs[jobs] = [(r["tag"], r["batch"]) for r in summary["runs"]]
+        per_run = summary["runtimes"]["per_run_s"]
+        for r in summary["runs"]:
+            same = [q["tag"] for q in summary["runs"] if q["batch"] == r["batch"]]
+            assert {per_run[t] for t in same} == {per_run[r["tag"]]}
+    assert runs[1] == runs[3]
+    assert [b for _, b in runs[1]] == [0, 1, 2] * 3
+
+
+def test_burgers_without_a_shock_fails_its_verdict(tmp_path, capsys):
+    # zero amplitude: every run completes and the shock time does not exist
+    p = _write(tmp_path, TINY_BURGERS.replace("amplitude: 1.0", "amplitude: 0.0"))
+    result = run_scenario(load_config(p, out=str(tmp_path / "o")))
+    assert not result.passed
+    failures = result.summary["failures"]
+    assert [f.split(":")[:2] for f in failures[:2]] == [
+        ["eps0.4", " NoShockError"], ["eps0.2", " NoShockError"]
+    ]
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "o2")]) == 1
+    assert "note  eps0.4: NoShockError" in capsys.readouterr().out

@@ -10,6 +10,7 @@ from bplab.models import ModelParams, ModelState, build_handles, make_rhs
 from bplab.spectral import Grid
 from bplab.timeloop import (
     CFL_LIMITS,
+    Batch,
     SCHEMES,
     StepperConfig,
     _rk2_step,
@@ -438,3 +439,140 @@ def test_pcg_time_loop_conserves_linear_bp_energy():
     rhs = np.random.default_rng(0).standard_normal((2,) + g.shape)
     back = handle.apply_arrays(handle.solve_arrays(rhs))
     assert np.abs(back - rhs).max() / np.abs(rhs).max() <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# batched runs: every member equals its run alone
+
+
+def _assert_same_run(got, solo):
+    assert np.array_equal(got.times, solo.times)
+    assert len(got.states) == len(solo.states)
+    for a, b in zip(got.states, solo.states):
+        assert np.array_equal(a, b)
+    assert np.array_equal(got.sup_u, solo.sup_u, equal_nan=True)
+    assert np.array_equal(got.sup_grad_u, solo.sup_grad_u, equal_nan=True)
+    if solo.mode_history is None:
+        assert got.mode_history is None
+    else:
+        assert np.array_equal(got.mode_history, solo.mode_history)
+    assert got.termination == solo.termination
+    assert got.termination_time == solo.termination_time
+    assert got.steps_taken == solo.steps_taken
+    assert got.dt == solo.dt and got.params == solo.params and got.config == solo.config
+
+
+def _batch_matches_solo(states, params, bath, configs):
+    batch = run(states, params, bath, configs)
+    assert isinstance(batch, Batch) and len(batch) == len(states)
+    solos = [run(*member, bath, cfg) for member, cfg in zip(zip(states, params), configs)]
+    for got, solo in zip(batch, solos):
+        _assert_same_run(got, solo)
+    assert batch.steps_taken == sum(t.steps_taken for t in solos)
+    assert batch.n_records == sum(t.n_records for t in solos)
+    return batch
+
+
+def test_burgers_batch_member_blows_up_first():
+    grid = Grid(1, 128, 2.0 * np.pi)
+    bath = build_bathymetry(grid, "flat", 0.0)
+    state = ModelState(grid, np.sin(grid.x[0])[None])
+    eps = (0.4, 0.2, 0.1)
+    cfg = StepperConfig(dt=1e-2, t_end=12.0, output_stride=5, blowup_threshold=20.0)
+    batch = _batch_matches_solo(
+        [state] * 3, [ModelParams(e, 0.0, "burgers") for e in eps], bath, [cfg] * 3
+    )
+    # shocks at t = 1/eps: the eps = 0.4 member leaves while the others step on
+    assert [t.termination for t in batch] == ["blowup"] * 3
+    steps = [t.steps_taken for t in batch]
+    assert steps[0] < steps[1] < steps[2]
+
+
+def test_sw_batch_member_goes_dry():
+    x = G1.x[0]
+    state = ModelState(G1, np.stack([-1.5 * np.cos(x), 5.0 * np.sin(x)]))
+    params = [ModelParams(e, 0.0, "sw") for e in (0.2, 0.5, 0.1)]
+    cfg = StepperConfig(dt=1e-2, t_end=1.0, output_stride=5)
+    batch = _batch_matches_solo([state] * 3, params, FLAT1, [cfg] * 3)
+    assert [t.termination for t in batch] == ["completed", "dry", "completed"]
+    assert 0 < batch[1].steps_taken < 100
+    assert batch[0].steps_taken == batch[2].steps_taken == 100
+
+
+@pytest.mark.parametrize("bath", [BUMP1, build_bathymetry(G2, "gaussian_bump", 0.4)],
+                         ids=["d1", "d2"])
+def test_mbp_batch_per_member_mu_and_horizon(bath):
+    # longtime's shape: eps = mu per member and horizons of 0.1/eps
+    g = bath.grid
+    values = (0.2, 0.1, 0.05)
+    params = [ModelParams(v, v, "mbp") for v in values]
+    states = [_mode_state(g, k=1.0, amp=0.1 * v) for v in values]
+    configs = [StepperConfig(dt=2e-2, t_end=0.1 / v, output_stride=4) for v in values]
+    batch = _batch_matches_solo(states, params, bath, configs)
+    assert [t.steps_taken for t in batch] == [25, 50, 100]
+
+
+def test_mbp_batch_per_member_delta():
+    # mollifier-study's shape: one model, deltas with the plain run among them
+    deltas = (1e-2, 1e-3, 0.0)
+    params = ModelParams(0.2, 0.3, "mbp")
+    state = _mode_state(G1, k=1.0, amp=0.05)
+    configs = [StepperConfig(dt=5e-3, t_end=0.2, output_stride=7, delta=d) for d in deltas]
+    batch = _batch_matches_solo([state] * 3, [params] * 3, BUMP1, configs)
+    assert all(t.termination == "completed" for t in batch)
+
+
+@pytest.mark.parametrize("bath", [FLAT1, FLAT2], ids=["d1", "d2"])
+def test_linear_flat_batch_per_member_mu(bath):
+    # dispersion's shape, with per-member horizons that end off the stride
+    g = bath.grid
+    modes = (1, 3) if g.d == 1 else ((1, 0), (-2, 3))
+    params = [ModelParams(0.0, mu, "bp") for mu in (0.0, 0.1, 0.5)]
+    configs = [
+        StepperConfig(dt=1e-2, t_end=t, output_stride=7, track_modes=modes)
+        for t in (1.0, 0.83, 1.0)
+    ]
+    states = [_random_state(g, seed=s, amp=1e-3) for s in (1, 2, 3)]
+    batch = _batch_matches_solo(states, params, bath, configs)
+    assert [t.steps_taken for t in batch] == [100, 83, 100]
+
+
+def test_batch_members_must_share_the_stepper_and_the_flow():
+    state = _mode_state(G1, amp=0.05)
+    cfg = StepperConfig(dt=1e-2, t_end=0.1)
+    bp = ModelParams(0.1, 0.1, "bp")
+    with pytest.raises(ValueError):
+        run([state] * 2, [bp] * 2, BUMP1, [cfg, StepperConfig(dt=1e-2, t_end=0.1, scheme="rk2")])
+    with pytest.raises(ValueError):
+        run([state] * 2, [bp, ModelParams(0.0, 0.1, "bp")], BUMP1, [cfg] * 2)
+    with pytest.raises(ValueError):
+        run([state] * 2, [bp, ModelParams(0.1, 0.1, "sw")], BUMP1, [cfg] * 2)
+
+
+def test_batched_run_under_the_benchmark_run_meter():
+    # the benchmark wraps run by identity and reads steps_taken and
+    # n_records off what it returns: a batch reports its members' sums
+    import importlib.util
+    from pathlib import Path
+
+    import bplab
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+
+    params = [ModelParams(e, 0.0, "burgers") for e in (0.5, 0.25)]
+    state = ModelState(G1, np.sin(G1.x[0])[None])
+    configs = [StepperConfig(dt=2e-2, t_end=t, output_stride=3) for t in (0.5, 1.0)]
+    patches, meter = tracer.Patches(), tracer.RunMeter()
+    try:
+        meter.install(patches, bplab.timeloop)
+        batch = bplab.timeloop.run([state] * 2, params, FLAT1, configs)
+    finally:
+        patches.restore()
+    assert bplab.timeloop.run is run
+    ((seconds, steps, records),) = meter.take()
+    assert seconds > 0.0
+    assert steps == batch.steps_taken == 25 + 50
+    assert records == batch.n_records == sum(t.n_records for t in batch) == (9 + 1) + (17 + 1)
