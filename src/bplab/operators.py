@@ -195,7 +195,7 @@ def get_weighted_ops(bath: Bathymetry) -> _WeightedOps:
 
 
 # ---------------------------------------------------------------------------
-# flat-bottom symbols: exact inverses, reused as the CG preconditioner
+# flat-bottom symbols: exact inverses, reused in the CG preconditioner
 
 
 def _flat_symbols(grid: Grid, kind: str, mu: float):
@@ -217,8 +217,10 @@ def _flat_symbols(grid: Grid, kind: str, mu: float):
 def _flat_inverse(grid: Grid, kind: str, mu: float):
     """Per-mode inverse of the flat-bottom weighted symbol.
 
-    The inverse splits along the k / k-perp projectors of _flat_symbols.
-    Leading axes of the spectrum are a batch.
+    The inverse splits along the k / k-perp projectors of _flat_symbols;
+    in d=2 its symmetric 2x2 block per mode is built once here. Leading axes
+    of the spectrum are a batch. It solves flat-bottom handles exactly and,
+    scaled by h_b^{-1/2} on both sides, preconditions CG on every bottom.
     """
     ld, lp = _flat_symbols(grid, kind, mu)
     inv_ld = 1.0 / ld
@@ -232,16 +234,18 @@ def _flat_inverse(grid: Grid, kind: str, mu: float):
 
     kx, ky = grid.keff
     k2 = grid.k2deriv
-    k2safe = np.where(k2 == 0.0, 1.0, k2)
     inv_lp = 1.0 / lp
-    diff = inv_ld - inv_lp
+    diff = (inv_ld - inv_lp) / np.where(k2 == 0.0, 1.0, k2)
+    mxx = inv_lp + diff * kx * kx
+    mxy = diff * kx * ky
+    myy = inv_lp + diff * ky * ky
 
     def apply_inv(spec):
         sx, sy = spec[..., 0, :, :], spec[..., 1, :, :]
-        kd = (kx * sx + ky * sy) / k2safe
-        return np.stack(
-            [inv_lp * sx + diff * kd * kx, inv_lp * sy + diff * kd * ky], axis=-3
-        )
+        out = np.empty_like(spec)
+        out[..., 0, :, :] = mxx * sx + mxy * sy
+        out[..., 1, :, :] = mxy * sx + myy * sy
+        return out
 
     return apply_inv
 
@@ -312,8 +316,11 @@ class OperatorHandle:
       hb_B        : h_b*B x = rhs
       hb_A        : h_b*A x = rhs
     Strategy: exact per-mode inversion on flat bottoms, Cholesky at or
-    below SOLVER_DENSE_LIMIT unknowns, otherwise CG preconditioned by the
-    flat-bottom inverse (relative residual 1e-10, 500 iteration cap).
+    below SOLVER_DENSE_LIMIT unknowns, otherwise CG (relative residual
+    1e-10, 500 iteration cap) preconditioned by h_b^{-1/2} F^{-1} h_b^{-1/2},
+    the flat-bottom inverse F^{-1} scaled by h_b^{-1/2} on both sides: every
+    weighted form is h_b(I + O(mu k^2)), so the scaling keeps the iteration
+    count from growing as the depth varies.
     The operators are time-independent, so the factorization is built once
     and shared by every step of a run.
     """
@@ -346,6 +353,7 @@ class OperatorHandle:
         else:
             self.strategy = "pcg"
             self._precond_spec = _flat_inverse(self.grid, kind, mu)
+            self._precond_scale = 1.0 / np.sqrt(bath.hb)
 
     # -- applies ------------------------------------------------------------
 
@@ -384,9 +392,10 @@ class OperatorHandle:
         if self.strategy == "dense":
             # one matmul over the batch: columns are the flattened right-hand sides
             return (self._inv @ y.reshape(-1, self.size).T).T.reshape(y.shape)
+        grid, scale = self.grid, self._precond_scale
         return _pcg(
             lambda p: self.apply_weighted_arrays(p),
-            lambda r: self.grid.irfft(self._precond_spec(self.grid.rfft(r))),
+            lambda r: scale * grid.irfft(self._precond_spec(grid.rfft(scale * r))),
             y,
             CG_TOL,
             CG_MAXITER,

@@ -3,6 +3,7 @@
 perfbench/tracer.py rebinds bplab functions by identity and wraps the
 returned bundle's fn and handle's solves; a rename inside the package makes
 its install raise LookupError, which this test turns into a test failure.
+Its CG iteration count must stay the number of applies inside a pcg solve.
 """
 
 import importlib.util
@@ -14,6 +15,7 @@ import numpy as np
 import bplab
 from bplab.bathymetry import build_bathymetry
 from bplab.models import ModelParams
+from bplab.operators import CG_MAXITER, KINDS
 from bplab.spectral import Grid
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -67,3 +69,48 @@ def test_tracer_installs_on_package_and_restores():
     assert table.count("spectral.rfft") > 0 and table.count("spectral.irfft") > 0
     assert bplab.models.make_rhs is make_rhs and bplab.timeloop.run is run
     assert Grid.rfft is rfft
+
+
+def _counted_solve(handle, y):
+    """Solve y on handle, counting applies through a per-instance wrap."""
+    apply_w = handle.apply_weighted_arrays
+    calls = []
+
+    def counted(V):
+        calls.append(1)
+        return apply_w(V)
+
+    handle.apply_weighted_arrays = counted
+    handle.solve_weighted_arrays(y)
+    return len(calls)
+
+
+def test_tracer_counts_cg_iterations_of_a_pcg_solve():
+    # perfbench's operators.cg_iters counts the operators.apply spans under
+    # each operators.solve.pcg span; they must be the CG iterations
+    tracer = _load_tracer()
+    modules = {name: getattr(bplab, name) for name in MODULES}
+    g = Grid(2, 32, 8 * np.pi, gamma=0.8)
+    bath = build_bathymetry(g, "gaussian_bump", 0.5)
+    y = np.random.default_rng(1).standard_normal((2,) + g.shape)
+    direct = {
+        kind: _counted_solve(bplab.operators.build_handle(kind, 0.05, bath), y)
+        for kind in KINDS
+    }
+
+    patches = tracer.Patches()
+    spans = tracer.Tracer()
+    try:
+        spans.install(patches, modules)
+        for kind in KINDS:
+            handle = bplab.operators.build_handle(kind, 0.05, bath)
+            assert handle.strategy == "pcg"
+            t0 = time.perf_counter()
+            handle.solve_weighted_arrays(y)
+            table = spans.table(t0, time.perf_counter())
+            assert table.count("operators.solve.pcg") == 1
+            iters = table.children_per("operators.solve.pcg", "operators.apply")
+            assert iters.tolist() == [direct[kind]]
+            assert 0 < direct[kind] < CG_MAXITER
+    finally:
+        patches.restore()

@@ -6,6 +6,7 @@ import pytest
 from bplab.bathymetry import build_bathymetry
 from bplab.operators import (
     CG_TOL,
+    KINDS,
     _gram_apply,
     apply_A,
     apply_B,
@@ -36,6 +37,10 @@ BUMP1 = build_bathymetry(
 BUMP2 = build_bathymetry(
     G2, "gaussian_bump", beta=0.5, params={"height": 1.0, "width": 2 * np.pi / 8}
 )
+# bump-2d-pcg's grid and bottom: 2048 unknowns, so every bump handle runs CG
+GP = Grid(d=2, n=32, L=8 * np.pi, gamma=0.8)
+PCG_BUMP = build_bathymetry(GP, "gaussian_bump", beta=0.5)
+PCG_TALL = build_bathymetry(GP, "gaussian_bump", beta=0.95)  # h_min = 0.05
 
 
 def rand_vec(grid, rng):
@@ -151,8 +156,12 @@ class TestSolves:
         out2 = h2.solve_arrays(rhs)
         np.testing.assert_allclose(out2[0], rhs[0] / BUMP1.hb, atol=1e-11)
 
-    @pytest.mark.parametrize("bath", [FLAT1, BUMP1, BUMP2], ids=["flat", "d1", "d2"])
-    @pytest.mark.parametrize("kind", ["I_plus_muTb", "hb_B", "hb_A"])
+    @pytest.mark.parametrize(
+        "bath",
+        [FLAT1, BUMP1, BUMP2, PCG_BUMP, PCG_TALL],
+        ids=["flat", "d1", "d2", "pcg-d2", "pcg-d2-tall"],
+    )
+    @pytest.mark.parametrize("kind", KINDS)
     def test_apply_after_solve_recovers_rhs(self, bath, kind):
         handle = build_handle(kind, 0.15, bath)
         rng = np.random.default_rng(5)
@@ -194,14 +203,21 @@ class TestSolves:
 
 
     @pytest.mark.parametrize(
-        "bath,batch",
-        [(FLAT1, (3,)), (FLAT2, (2,)), (BUMP1, (3,)), (BUMP2, (2,))],
-        ids=["spectral-d1", "spectral-d2", "dense-d1", "dense-d2"],
+        "bath,batch,strategy,kind",
+        [
+            (FLAT1, (3,), "spectral", "hb_B"),
+            (FLAT2, (2,), "spectral", "hb_B"),
+            (BUMP1, (3,), "dense", "hb_B"),
+            (BUMP2, (2,), "dense", "hb_B"),
+        ]
+        + [(PCG_BUMP, (2,), "pcg", kind) for kind in KINDS],
+        ids=["spectral-d1", "spectral-d2", "dense-d1", "dense-d2"]
+        + [f"pcg-d2-{kind}" for kind in KINDS],
     )
-    def test_batched_solve_matches_single_solves(self, bath, batch):
+    def test_batched_solve_matches_single_solves(self, bath, batch, strategy, kind):
         # leading axes are independent right-hand sides on every strategy
-        handle = build_handle("hb_B", 0.1, bath)
-        assert handle.strategy == ("spectral" if bath.is_flat else "dense")
+        handle = build_handle(kind, 0.1, bath)
+        assert handle.strategy == strategy
         g = bath.grid
         rhs = np.random.default_rng(11).standard_normal(batch + (g.d,) + g.shape)
         out = handle.solve_arrays(rhs)
@@ -224,6 +240,35 @@ class TestSolves:
             assert np.linalg.norm(res) <= CG_TOL * np.linalg.norm(y[b])
             single = handle.solve_weighted_arrays(y[b])
             assert np.abs(x[b] - single).max() <= 1e-8 * np.abs(single).max()
+
+    @pytest.mark.parametrize(
+        "bath,ceilings",
+        [
+            (PCG_BUMP, {"I_plus_muTb": 7, "hb_A": 7, "hb_B": 11}),
+            (PCG_TALL, {"I_plus_muTb": 8, "hb_A": 10, "hb_B": 24}),
+        ],
+        ids=["beta0.5", "beta0.95"],
+    )
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_pcg_iteration_budget(self, bath, ceilings, kind):
+        # the depth-scaled preconditioner keeps CG short where h_b varies by
+        # O(1): each ceiling is one above the measured count, while the
+        # unscaled flat-bottom inverse needs 13 (beta 0.5) and 40-45 (0.95)
+        handle = build_handle(kind, 0.05, bath)
+        assert handle.strategy == "pcg"
+        apply_w = handle.apply_weighted_arrays
+        calls = []
+
+        def counted(V):
+            calls.append(1)
+            return apply_w(V)
+
+        # per instance, the hook perfbench's tracer counts CG iterations by
+        handle.apply_weighted_arrays = counted
+        y = np.random.default_rng(13).standard_normal((GP.d,) + GP.shape)
+        x = handle.solve_weighted_arrays(y)
+        assert 0 < len(calls) <= ceilings[kind]
+        assert np.linalg.norm(apply_w(x) - y) <= CG_TOL * np.linalg.norm(y)
 
 
 class TestCoercivity:
