@@ -325,9 +325,12 @@ def _nodal_factors(g: Grid, W: np.ndarray, scalar: bool, gradq: bool, jac: bool)
     if jac:
         parts.append((g.ik_stack * mW[:, 1:, None]).reshape((K, d * d) + g.rshape))
     nod = g.irfft(np.concatenate(parts, axis=1))
-    s, Ut, gqt, J = np.split(nod, np.cumsum([scalar, 1 + d, d * gradq]), axis=1)
-    J = J.reshape((K, d, d) + g.shape) if jac else None
-    return (s if scalar else None), Ut, (gqt if gradq else None), J
+    i = int(scalar)
+    Ut = nod[:, i : i + 1 + d]
+    i += 1 + d
+    gqt = nod[:, i : i + d] if gradq else None
+    J = nod[:, i + d * gradq :].reshape((K, d, d) + g.shape) if jac else None
+    return (nod[:, :1] if scalar else None), Ut, gqt, J
 
 
 def _v_dot_grad(g: Grid, Vt: np.ndarray, F: np.ndarray) -> np.ndarray:

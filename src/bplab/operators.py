@@ -24,10 +24,10 @@ batch axis, so dense_matrix assembles DENSE_BLOCK identity columns per call.
 
 from __future__ import annotations
 
+import math
 import weakref
 
 import numpy as np
-import scipy.linalg
 
 from .bathymetry import Bathymetry
 from .errors import NotSPDError, SolverDivergenceError
@@ -66,6 +66,11 @@ DENSE_AUDIT_LIMIT = 4096  # unknowns at or below this get dense audit matrices
 
 # ---------------------------------------------------------------------------
 # fused array core ((..., d, *grid.shape) layout, batched over leading axes)
+
+
+def _stack_rows(parts: list) -> np.ndarray:
+    """Join (K, rows, ...) parts along the row axis; a lone part is not copied."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
 class _WeightedOps:
@@ -110,7 +115,7 @@ class _WeightedOps:
         twist = tb and beta != 0.0
 
         ins = ([V] if tb else []) + ([self.hb * V] if phi else [])
-        spec = g.rfft(np.concatenate(ins, axis=1))
+        spec = g.rfft(_stack_rows(ins))
         Vs, HVs = spec[:, :d], spec[:, -d:]
 
         back = []
@@ -120,7 +125,7 @@ class _WeightedOps:
                 back.append(mask * Vs)
         if phi:
             back.append((mik * HVs).sum(axis=1, keepdims=True))
-        nod = g.irfft(np.concatenate(back, axis=1))
+        nod = g.irfft(_stack_rows(back))
 
         prods = []
         if tb:
@@ -131,7 +136,7 @@ class _WeightedOps:
                 prods.append(self.u_t * dv_t)
         if phi:
             prods.append(self.invhb_t * nod[:, -1:])
-        P = g.rfft(np.concatenate(prods, axis=1))
+        P = g.rfft(_stack_rows(prods))
 
         outs = []
         if tb:
@@ -144,7 +149,7 @@ class _WeightedOps:
             outs.append(t_s)
         if phi:
             outs.append(mik * P[:, -1:])
-        res = g.irfft(np.concatenate(outs, axis=1))
+        res = g.irfft(_stack_rows(outs))
 
         T, G = res[:, :d], res[:, -d:]
         if twist:
@@ -239,13 +244,12 @@ def _flat_inverse(grid: Grid, kind: str, mu: float):
     mxx = inv_lp + diff * kx * kx
     mxy = diff * kx * ky
     myy = inv_lp + diff * ky * ky
+    blocks = np.array([[mxx, mxy], [mxy, myy]])  # (2, 2, *rshape): [i, j] = m_ij
 
     def apply_inv(spec):
-        sx, sy = spec[..., 0, :, :], spec[..., 1, :, :]
-        out = np.empty_like(spec)
-        out[..., 0, :, :] = mxx * sx + mxy * sy
-        out[..., 1, :, :] = mxy * sx + myy * sy
-        return out
+        # out_i = m_i0 s_0 + m_i1 s_1, all four products in one multiply
+        prod = blocks * spec[..., None, :, :, :]
+        return prod[..., 0, :, :] + prod[..., 1, :, :]
 
     return apply_inv
 
@@ -274,7 +278,9 @@ def _pcg(apply_w, precond, y: np.ndarray, tol: float, maxiter: int, ndim: int):
     The trailing ndim axes of y hold one right-hand side. Leading axes are a
     batch, solved member by member so that each member stops on its own
     relative residual: batch-wide inner products would stop a small member
-    far above tol.
+    far above tol. A member whose right-hand side or residual norm is not
+    finite comes back as NaN at once, as a dense or spectral solve of it
+    would, instead of iterating to maxiter.
     """
     if y.ndim > ndim:
         x = np.empty_like(y)
@@ -284,6 +290,8 @@ def _pcg(apply_w, precond, y: np.ndarray, tol: float, maxiter: int, ndim: int):
     norm_y = float(np.sqrt(np.vdot(y, y).real))
     if norm_y == 0.0:
         return np.zeros_like(y)
+    if not math.isfinite(norm_y):
+        return np.full_like(y, np.nan)
     x = np.zeros_like(y)
     r = y.copy()
     z = precond(r)
@@ -295,13 +303,17 @@ def _pcg(apply_w, precond, y: np.ndarray, tol: float, maxiter: int, ndim: int):
         if pAp <= 0.0:
             raise SolverDivergenceError("operator lost positivity inside CG")
         alpha = rz / pAp
-        x = x + alpha * p
-        r = r - alpha * Ap
-        if float(np.sqrt(np.vdot(r, r).real)) <= tol * norm_y:
+        x += alpha * p
+        r -= alpha * Ap
+        norm_r = float(np.sqrt(np.vdot(r, r).real))
+        if norm_r <= tol * norm_y:
             return x
+        if not math.isfinite(norm_r):
+            return np.full_like(y, np.nan)
         z = precond(r)
         rz_new = float(np.vdot(r, z).real)
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     raise SolverDivergenceError(
         f"CG stalled above tol={tol:g} after {maxiter} iterations"
@@ -345,6 +357,8 @@ class OperatorHandle:
             self.strategy = "dense"
             W = dense_matrix(self.apply_weighted_arrays, self.grid)
             W = 0.5 * (W + W.T)  # scrub roundoff asymmetry before factorizing
+            import scipy.linalg  # dense handles only: keeps scipy out of cold start
+
             try:
                 fac = scipy.linalg.cho_factor(W, lower=True)
             except scipy.linalg.LinAlgError as exc:
@@ -483,6 +497,8 @@ def coercivity_report(
     report["symmetry_residual"] = sym
 
     if handle.size <= DENSE_AUDIT_LIMIT:
+        import scipy.linalg
+
         W = dense_matrix(handle.apply_weighted_arrays, grid)
         G = dense_matrix(
             lambda V: _gram_apply(grid, handle.kind, handle.mu, V), grid

@@ -155,15 +155,21 @@ class Grid:
         return mask
 
     def rfft(self, a: np.ndarray) -> np.ndarray:
-        """Real transform over the trailing grid axes (stacked arrays ok)."""
+        """Real transform over the trailing grid axes (stacked arrays ok).
+
+        In d=2 it runs the two 1-D passes that np.fft.rfftn consists of,
+        rfft along the last axis then fft along the first, without rfftn's
+        argument handling: the result is rfftn's, bit for bit.
+        """
         if self.d == 1:
             return np.fft.rfft(a, axis=-1)
-        return np.fft.rfftn(a, axes=(-2, -1))
+        return np.fft.fft(np.fft.rfft(a, axis=-1), axis=-2)
 
     def irfft(self, spec: np.ndarray) -> np.ndarray:
+        """Inverse of rfft; in d=2 irfftn's two 1-D passes, ifft then irfft."""
         if self.d == 1:
             return np.fft.irfft(spec, n=self.n, axis=-1)
-        return np.fft.irfftn(spec, s=self.shape, axes=(-2, -1))
+        return np.fft.irfft(np.fft.ifft(spec, axis=-2), n=self.n, axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ trajectories halve the step until they are trusted.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .bathymetry import Bathymetry
 from .errors import NotSPDError, SizeLimitError
@@ -59,6 +58,8 @@ def eig_extrema(M: np.ndarray, G: np.ndarray | None = None) -> tuple[float, floa
     Solved after symmetric whitening by the Gram's Cholesky factor, which is
     also the SPD check: a Gram that fails to factorize raises NotSPDError.
     """
+    import scipy.linalg  # loaded by the dense oracles only
+
     M = 0.5 * (M + M.T)
     if G is None:
         w = scipy.linalg.eigh(M, eigvals_only=True)

@@ -114,3 +114,26 @@ def test_tracer_counts_cg_iterations_of_a_pcg_solve():
             assert 0 < direct[kind] < CG_MAXITER
     finally:
         patches.restore()
+
+
+def test_tracer_records_one_span_per_d2_transform():
+    # perfbench's spectral.transforms counts spectral.* spans: a d=2
+    # transform is one Grid call however numpy's passes are arranged
+    tracer = _load_tracer()
+    modules = {name: getattr(bplab, name) for name in MODULES}
+    g = Grid(2, 32, 8 * np.pi, gamma=0.8)
+    a = np.random.default_rng(2).standard_normal((3, 2) + g.shape)
+    spec = g.rfft(a)
+
+    patches = tracer.Patches()
+    spans = tracer.Tracer()
+    try:
+        spans.install(patches, modules)
+        for method, arg in (("rfft", a), ("irfft", spec)):
+            t0 = time.perf_counter()
+            getattr(g, method)(arg)
+            table = spans.table(t0, time.perf_counter())
+            assert int(table.prefix_mask("spectral.").sum()) == 1
+            assert table.count(f"spectral.{method}") == 1
+    finally:
+        patches.restore()

@@ -1,8 +1,14 @@
 """Weighted dispersive operators: closed forms, symmetry, solves, audits."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import bplab
 from bplab.bathymetry import build_bathymetry
 from bplab.operators import (
     CG_TOL,
@@ -49,6 +55,19 @@ def rand_vec(grid, rng):
 
 def vec_from_mode(grid, k):
     return np.stack([np.sin(k * grid.x[0])] + [np.zeros(grid.shape)] * (grid.d - 1))
+
+
+def _count_applies(handle) -> list:
+    """Wrap handle's weighted apply per instance; returns the list of calls."""
+    apply_w = handle.apply_weighted_arrays
+    calls = []
+
+    def counted(V):
+        calls.append(1)
+        return apply_w(V)
+
+    handle.apply_weighted_arrays = counted
+    return calls
 
 
 class TestFlatClosedForms:
@@ -241,6 +260,41 @@ class TestSolves:
             single = handle.solve_weighted_arrays(y[b])
             assert np.abs(x[b] - single).max() <= 1e-8 * np.abs(single).max()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_pcg_nonfinite_rhs_ends_at_once(self, bad):
+        # a dense or spectral solve returns NaN at once; CG must not iterate
+        # to CG_MAXITER and raise a stall on such input
+        handle = build_handle("hb_B", 0.05, PCG_BUMP)
+        assert handle.strategy == "pcg"
+        calls = _count_applies(handle)
+        y = np.random.default_rng(17).standard_normal((GP.d,) + GP.shape)
+        y[1, 3, 4] = bad
+        x = handle.solve_weighted_arrays(y)
+        assert len(calls) <= 1
+        assert x.shape == y.shape and not np.isfinite(x).any()
+
+    def test_pcg_residual_turning_nonfinite_ends_the_solve(self):
+        handle = build_handle("I_plus_muTb", 0.05, PCG_BUMP)
+        apply_w = handle.apply_weighted_arrays
+        calls = []
+
+        def overflowing(V):
+            calls.append(1)
+            return apply_w(V) * (np.inf if len(calls) == 2 else 1.0)
+
+        handle.apply_weighted_arrays = overflowing
+        y = np.random.default_rng(19).standard_normal((GP.d,) + GP.shape)
+        assert not np.isfinite(handle.solve_weighted_arrays(y)).any()
+        assert len(calls) == 2
+
+    def test_batched_pcg_nonfinite_member_leaves_the_other_alone(self):
+        handle = build_handle("hb_B", 0.05, PCG_BUMP)
+        y = np.random.default_rng(23).standard_normal((2, GP.d) + GP.shape)
+        y[0, 0, 5, 6] = np.nan
+        x = handle.solve_weighted_arrays(y)
+        assert not np.isfinite(x[0]).any()
+        assert np.array_equal(x[1], handle.solve_weighted_arrays(y[1]))
+
     @pytest.mark.parametrize(
         "bath,ceilings",
         [
@@ -257,14 +311,8 @@ class TestSolves:
         handle = build_handle(kind, 0.05, bath)
         assert handle.strategy == "pcg"
         apply_w = handle.apply_weighted_arrays
-        calls = []
-
-        def counted(V):
-            calls.append(1)
-            return apply_w(V)
-
         # per instance, the hook perfbench's tracer counts CG iterations by
-        handle.apply_weighted_arrays = counted
+        calls = _count_applies(handle)
         y = np.random.default_rng(13).standard_normal((GP.d,) + GP.shape)
         x = handle.solve_weighted_arrays(y)
         assert 0 < len(calls) <= ceilings[kind]
@@ -410,3 +458,26 @@ class TestFusedCore:
             cols[:, i] = apply_fn(e.reshape((grid.d,) + grid.shape)).ravel()
             e[i] = 0.0
         assert np.max(np.abs(M - cols)) <= 1e-14 * np.max(np.abs(cols))
+
+
+def test_cold_start_leaves_scipy_unloaded_until_a_dense_handle():
+    # scipy.linalg is imported only where a dense factorization or eigen
+    # audit runs, so the CLI and d=2 pcg runs start without it
+    src = str(Path(bplab.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import bplab.cli\n"
+        "assert 'scipy' not in sys.modules, 'imported by bplab.cli'\n"
+        "from bplab.bathymetry import build_bathymetry\n"
+        "from bplab.operators import build_handle\n"
+        "from bplab.spectral import Grid\n"
+        "g = Grid(d=1, n=32, L=2 * np.pi)\n"
+        "handle = build_handle('hb_B', 0.1, build_bathymetry(g, 'gaussian_bump', 0.5))\n"
+        "assert handle.strategy == 'dense'\n"
+        "assert 'scipy' in sys.modules\n"
+    )
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -207,6 +207,25 @@ class TestMultipliers:
         np.testing.assert_allclose(got, np.sin(10 * g.x[0]), atol=1e-12)
 
 
+class TestTransforms:
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 5)], ids=["none", "3", "2x5"])
+    def test_d2_transforms_are_numpys_nd_transforms_bit_for_bit(self, n, lead):
+        # d=2 transforms run rfftn's and irfftn's two 1-D passes themselves;
+        # the inverse also takes spectra that are not Hermitian
+        g = grid2(n=n, gamma=0.7)
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal(lead + g.shape)
+        spec = rng.standard_normal(lead + g.rshape) + 1j * rng.standard_normal(
+            lead + g.rshape
+        )
+        fwd, ref_fwd = g.rfft(a), np.fft.rfftn(a, axes=(-2, -1))
+        inv, ref_inv = g.irfft(spec), np.fft.irfftn(spec, s=g.shape, axes=(-2, -1))
+        assert np.array_equal(fwd, ref_fwd) and fwd.tobytes() == ref_fwd.tobytes()
+        assert np.array_equal(inv, ref_inv) and inv.tobytes() == ref_inv.tobytes()
+        assert fwd.shape == lead + g.rshape and inv.shape == lead + g.shape
+
+
 class TestNorms:
     def test_l2_norm_of_sin_is_sqrt_pi(self):
         # |sin|_{L2(0,2pi)} = sqrt(pi); quadrature is exact for trig modes
