@@ -18,7 +18,6 @@ from .bathymetry import (
     build_bathymetry,
     q_positivity_factor,
     q_to_zeta_arr,
-    water_height,
     zeta_to_q_arr,
 )
 from .diagnostics import (
@@ -63,7 +62,7 @@ from .scenarios import (
     run_scenario,
 )
 from .spectral import Grid
-from .timeloop import CFL_LIMITS, TERMINATIONS, Batch, StepperConfig, Trajectory, run, step
+from .timeloop import CFL_LIMITS, TERMINATIONS, Batch, StepperConfig, Trajectory, run
 
 __version__ = "0.1.0"
 
@@ -115,8 +114,6 @@ __all__ = [
     "q_to_zeta_arr",
     "run",
     "run_scenario",
-    "step",
-    "water_height",
     "zeta_to_q_arr",
     "__version__",
 ]

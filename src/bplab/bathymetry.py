@@ -23,7 +23,6 @@ from .spectral import Grid, grad_arr
 __all__ = [
     "Bathymetry",
     "build_bathymetry",
-    "water_height",
     "zeta_to_q_arr",
     "q_to_zeta_arr",
     "q_positivity_factor",
@@ -142,17 +141,6 @@ def build_bathymetry(grid: Grid, profile: str, beta: float, params=None) -> Bath
         raise ValueError(f"unknown profile '{profile}', choose from {sorted(PROFILES)}")
     b = PROFILES[profile](grid, dict(params or {}))
     return Bathymetry(grid=grid, beta=beta, b=b)
-
-
-def water_height(zeta: np.ndarray, eps: float, bath: Bathymetry):
-    """Total column h = 1 + eps*zeta - beta*b.
-
-    Never raises: returns (h, dry) where dry flags min h <= 0 so the caller
-    decides whether that terminates a run.
-    """
-    h = bath.hb + eps * zeta
-    dry = bool(h.min() <= 0.0)
-    return h, dry
 
 
 def _check_admissibility(ratio_min: float) -> None:

@@ -46,9 +46,6 @@ __all__ = [
     "KINDS",
     "OperatorHandle",
     "build_handle",
-    "apply_Tb",
-    "apply_A",
-    "apply_B",
     "coercivity_report",
     "gradient_control_report",
     "perp_structure_residual",
@@ -419,27 +416,6 @@ class OperatorHandle:
 
 def build_handle(kind: str, mu: float, bath: Bathymetry) -> OperatorHandle:
     return OperatorHandle(kind, mu, bath)
-
-
-# ---------------------------------------------------------------------------
-# equation-form operator applications on (..., d, *grid.shape) arrays
-
-
-def apply_Tb(V: np.ndarray, bath: Bathymetry) -> np.ndarray:
-    """Dispersive operator Tb; reduces to -(1/3) grad div on flat bottoms."""
-    ops = get_weighted_ops(bath)
-    return ops.inv_hb * ops.tb(V)
-
-
-def apply_A(V: np.ndarray, mu: float, bath: Bathymetry) -> np.ndarray:
-    """A v = v - mu*grad((1/h_b) div(h_b v)); identity at mu = 0."""
-    return V - mu * get_weighted_ops(bath).gradphi(V)
-
-
-def apply_B(V: np.ndarray, mu: float, bath: Bathymetry) -> np.ndarray:
-    """B = (1/h_b) * (weighted hb_B form); identity at mu = 0."""
-    ops = get_weighted_ops(bath)
-    return ops.inv_hb * ops.w_hbb(V, mu)
 
 
 # ---------------------------------------------------------------------------

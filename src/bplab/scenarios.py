@@ -46,7 +46,7 @@ from .diagnostics import (
     exact_dispersion,
     measure_dispersion,
 )
-from .errors import BplabError, ConfigError, NonpositiveDepthError
+from .errors import BplabError, ConfigError
 from .models import MODELS, ModelParams, ModelState
 from .operators import KINDS, build_handle, coercivity_report
 from .spectral import Grid, mollify_arr
@@ -205,6 +205,40 @@ def _mode_entry(val, d: int, src: str, key: str):
     return (_number(val[0], src, key, int), _number(val[1], src, key, int))
 
 
+def _grid_and_bottom(
+    gt: dict, bt: dict, src: str, grid_key: str, bath_key: str, profile_key: str
+):
+    """(grid, bath, profile, beta, params) from a grid and a bottom mapping.
+
+    The top-level sections and each audit case share these checks; errors
+    name grid_key (or its .L), profile_key, or bath_key (or .beta, .params).
+    """
+    try:
+        grid = Grid(
+            d=int(gt.get("d", 1)),
+            n=int(gt.get("n", 0)),
+            L=_length(gt.get("L", 2 * np.pi), src, f"{grid_key}.L"),
+            gamma=float(gt.get("gamma", 1.0)),
+        )
+    except (ValueError, TypeError) as e:
+        raise _cfg_err(src, grid_key, str(e)) from None
+    profile = bt.get("profile", "flat")
+    if profile not in PROFILES:
+        raise _cfg_err(src, profile_key, f"unknown {profile!r}, choose from {sorted(PROFILES)}")
+    beta = bt.get("beta", 0.0)
+    if not isinstance(beta, (int, float)):
+        raise _cfg_err(src, f"{bath_key}.beta", "expected a number")
+    params = bt.get("params")
+    params = {} if params is None else params
+    if not isinstance(params, dict):
+        raise _cfg_err(src, f"{bath_key}.params", "expected a mapping")
+    try:
+        bath = build_bathymetry(grid, profile, float(beta), params)
+    except (BplabError, ValueError, TypeError) as e:
+        raise _cfg_err(src, bath_key, str(e)) from None
+    return grid, bath, profile, float(beta), dict(params)
+
+
 _REQUIRED_SWEEPS = {
     "consistency": ("eps_mu",),
     "longtime": ("eps_mu",),
@@ -212,6 +246,9 @@ _REQUIRED_SWEEPS = {
     "mollifier-study": ("delta",),
 }
 
+
+# scenarios that run one model whatever model.name says
+_FIXED_MODEL = {"longtime": "mbp", "burgers": "burgers"}
 
 # swept values a scenario divides by: longtime's horizons are 1/eps, burgers'
 # blow-up times too
@@ -247,16 +284,10 @@ def load_config(
             src, "scenario", f"unknown {scenario!r}, choose from {sorted(SCENARIOS)}"
         )
 
-    gt = _sub(tree, "grid", src)
-    try:
-        grid = Grid(
-            d=int(gt.get("d", 1)),
-            n=int(gt.get("n", 0)),
-            L=_length(gt.get("L", 2 * np.pi), src, "grid.L"),
-            gamma=float(gt.get("gamma", 1.0)),
-        )
-    except (ValueError, TypeError) as e:
-        raise _cfg_err(src, "grid", str(e)) from None
+    grid, _, profile, beta, bath_params = _grid_and_bottom(
+        _sub(tree, "grid", src), _sub(tree, "bathymetry", src, required=False),
+        src, "grid", "bathymetry", "bathymetry.profile",
+    )
 
     mt = _sub(tree, "model", src)
     name = mt.get("name")
@@ -271,21 +302,12 @@ def load_config(
         )
     except (ValueError, TypeError) as e:
         raise _cfg_err(src, "model", str(e)) from None
-
-    bt = _sub(tree, "bathymetry", src, required=False)
-    profile = bt.get("profile", "flat")
-    if profile not in PROFILES:
-        raise _cfg_err(
-            src, "bathymetry.profile", f"unknown {profile!r}, choose from {sorted(PROFILES)}"
-        )
-    beta = bt.get("beta", 0.0)
-    if not isinstance(beta, (int, float)):
-        raise _cfg_err(src, "bathymetry.beta", "expected a number")
-    bath_params = _sub(bt, "params", src, required=False)
-    try:
-        build_bathymetry(grid, profile, float(beta), bath_params)
-    except (BplabError, ValueError) as e:
-        raise _cfg_err(src, "bathymetry", str(e)) from None
+    # values these scenarios overwrite must not say otherwise
+    if scenario in _FIXED_MODEL and name != _FIXED_MODEL[scenario]:
+        reason = f"scenario {scenario!r} runs {_FIXED_MODEL[scenario]!r}, got {name!r}"
+        raise _cfg_err(src, "model.name", reason)
+    if scenario == "dispersion" and params.eps != 0.0:
+        raise _cfg_err(src, "model.eps", "scenario 'dispersion' runs at eps = 0")
 
     it = _sub(tree, "initial", src, required=False)
     shape = it.get("shape", "single_mode")
@@ -362,6 +384,10 @@ def load_config(
     for key, conv in (("horizon_over_eps", float), ("trials", int)):
         if key in sp:
             sp[key] = _number(sp[key], src, f"scenario_params.{key}", conv)
+    if not sp.get("horizon_over_eps", 1.0) > 0.0:
+        raise _cfg_err(src, "scenario_params.horizon_over_eps", "must be positive")
+    if sp.get("trials", 1) < 1:
+        raise _cfg_err(src, "scenario_params.trials", "must be at least 1")
     if scenario == "operator-audit":
         cases = sp.get("cases") or []
         if not isinstance(cases, list):
@@ -408,8 +434,8 @@ def load_config(
         grid=grid,
         params=params,
         profile=profile,
-        beta=float(beta),
-        bath_params=dict(bath_params),
+        beta=beta,
+        bath_params=bath_params,
         initial=initial,
         stepper=stepper,
         sweep=sweep,
@@ -896,22 +922,10 @@ def _audit_case(case, default_mu: float, src: str, where: str):
             raise _cfg_err(src, f"{where}.{key}", f"unknown, choose from {AUDIT_CASE_KEYS}")
     if "n" not in case:
         raise _cfg_err(src, f"{where}.n", "missing")
-    try:
-        grid = Grid(
-            d=int(case.get("d", 1)),
-            n=int(case["n"]),
-            L=_length(case.get("L", 2 * np.pi), src, f"{where}.L"),
-            gamma=float(case.get("gamma", 1.0)),
-        )
-        bath = build_bathymetry(
-            grid, case.get("profile", "flat"), float(case.get("beta", 0.0)),
-            case.get("params"),
-        )
-        mu = float(case.get("mu", default_mu))
-        if mu < 0:
-            raise ValueError("mu must be nonnegative")
-    except (NonpositiveDepthError, ValueError, TypeError) as e:
-        raise _cfg_err(src, where, str(e)) from None
+    grid, bath = _grid_and_bottom(case, case, src, where, where, where)[:2]
+    mu = _number(case.get("mu", default_mu), src, where)
+    if mu < 0:
+        raise _cfg_err(src, where, "mu must be nonnegative")
     return grid, bath, mu
 
 

@@ -24,7 +24,6 @@ import numpy as np
 __all__ = [
     "Grid",
     "trunc_arr",
-    "dprod",
     "grad_arr",
     "div_arr",
     "perp_grad_arr",
@@ -179,15 +178,6 @@ class Grid:
 def trunc_arr(grid: Grid, a: np.ndarray) -> np.ndarray:
     """Projection onto the 2/3-rule band."""
     return grid.irfft(grid.dealias_mask * grid.rfft(a))
-
-
-def dprod(grid: Grid, a, b):
-    """Dealiased product T(Ta * Tb) of two grid functions.
-
-    T is the 2/3-rule projection; the outer T keeps the result clean for a
-    following derivative.
-    """
-    return trunc_arr(grid, trunc_arr(grid, a) * trunc_arr(grid, b))
 
 
 def grad_arr(grid: Grid, a: np.ndarray) -> np.ndarray:

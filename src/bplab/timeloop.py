@@ -59,7 +59,6 @@ __all__ = [
     "StepperConfig",
     "Trajectory",
     "Batch",
-    "step",
     "run",
 ]
 
@@ -119,13 +118,6 @@ class Trajectory:
     def n_records(self) -> int:
         return len(self.times)
 
-    def state_at(self, i: int) -> ModelState:
-        return ModelState.from_stack(self.grid, self.states[i], float(self.times[i]))
-
-    @property
-    def final_state(self) -> ModelState:
-        return self.state_at(self.n_records - 1)
-
 
 def _rk4_step(fn, W, dt):
     k1 = fn(W)
@@ -142,20 +134,6 @@ def _rk2_step(fn, W, dt):
 
 
 _STEPPERS = {"rk4": _rk4_step, "rk2": _rk2_step}
-
-
-def step(state: ModelState, rhs, config: StepperConfig) -> ModelState:
-    """One scheme step of size config.dt under an assembled flow bundle.
-
-    A vanishing right-hand side leaves the state unchanged and only moves
-    the clock forward by dt.
-    """
-    U = state.stack()
-    if U.shape[0] != state_rows(rhs.params.model, state.grid):
-        raise ValueError("state row count does not match the bundle's model")
-    advance = _STEPPERS[config.scheme]
-    W = advance(rhs.fn, rhs.encode(U), config.dt)
-    return ModelState.from_stack(state.grid, rhs.decode(W), state.time + config.dt)
 
 
 def _propagator(blocks: np.ndarray, scheme: str, dt: np.ndarray):

@@ -9,11 +9,12 @@ from bplab.bathymetry import (
     build_bathymetry,
     q_positivity_factor,
     q_to_zeta_arr,
-    water_height,
     zeta_to_q_arr,
 )
 from bplab.errors import AdmissibilityWarning, LogDomainError, NonpositiveDepthError
+from bplab.models import ModelParams, ModelState
 from bplab.spectral import Grid, grad_arr
+from bplab.timeloop import StepperConfig, run
 
 G1 = Grid(d=1, n=64, L=2 * np.pi)
 
@@ -67,20 +68,23 @@ class TestProfiles:
 
 class TestWaterHeight:
     def test_height_formula(self):
+        # the total column h = 1 + eps*zeta - beta*b is h_b + eps*zeta
         bath = build_bathymetry(G1, "sinusoidal", beta=0.2)
         zeta = 0.3 * np.cos(G1.x[0])
-        h, dry = water_height(zeta, eps=0.1, bath=bath)
+        h = bath.hb + 0.1 * zeta
         np.testing.assert_allclose(
             h, 1.0 + 0.1 * zeta - 0.2 * bath.b, atol=1e-14
         )
-        assert not dry
+        assert h.min() > 0.0
 
     def test_dry_flagged_not_raised(self):
+        # a surface below the bottom ends a run as dry instead of raising
         bath = build_bathymetry(G1, "flat", beta=0.0)
         zeta = np.full(G1.shape, -1.5)
-        h, dry = water_height(zeta, eps=1.0, bath=bath)
-        assert dry
-        assert h.min() <= 0.0
+        assert (bath.hb + 1.0 * zeta).min() <= 0.0
+        state = ModelState(G1, np.stack([zeta, np.zeros(G1.shape)]))
+        traj = run(state, ModelParams(1.0, 0.0, "sw"), bath, StepperConfig(dt=1e-2, t_end=0.1))
+        assert traj.termination == "dry"
 
 
 def _admissible_zeta(rng, bath, eps):

@@ -1,16 +1,20 @@
-"""The benchmark's tracer still finds every bplab name it wraps.
+"""The benchmark still runs on the package.
 
 perfbench/tracer.py rebinds bplab functions by identity and wraps the
 returned bundle's fn and handle's solves; a rename inside the package makes
 its install raise LookupError, which this test turns into a test failure.
 Its CG iteration count must stay the number of applies inside a pcg solve.
+perfbench/workloads.py calls further bplab names; one short pass of each
+workload shows they still resolve and still pass the benchmark's checks.
 """
 
 import importlib.util
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import bplab
 from bplab.bathymetry import build_bathymetry
@@ -18,7 +22,8 @@ from bplab.models import ModelParams
 from bplab.operators import CG_MAXITER, KINDS
 from bplab.spectral import Grid
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = BENCH / "tracer.py"
 MODULES = (
     "bathymetry", "diagnostics", "models", "operators", "scenarios",
     "spectral", "timeloop", "verification",
@@ -137,3 +142,29 @@ def test_tracer_records_one_span_per_d2_transform():
             assert table.count(f"spectral.{method}") == 1
     finally:
         patches.restore()
+
+
+def _load_workloads(monkeypatch):
+    """perfbench/workloads.py with perfbench/ on sys.path, as run.py has it."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "name,all_checks",
+    [("flat-1d", False), ("bump-1d-sweep", True), ("bump-2d-pcg", True)],
+)
+def test_workload_short_pass_runs_on_package(monkeypatch, tmp_path, name, all_checks):
+    # flat-1d's known-answer checks need the full horizons, which a short
+    # pass cuts, so it only has to return and write its summaries
+    w = _load_workloads(monkeypatch).WORKLOADS[name]
+    result = w.run_pass(101, tmp_path, w.jobs, short=True)
+    assert result.summaries and all(result.summaries.values())
+    assert list(tmp_path.rglob("summary.json"))
+    if all_checks:
+        failed = [(check, detail) for check, ok, detail in result.checks if not ok]
+        assert result.checks and not failed

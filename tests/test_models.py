@@ -15,9 +15,9 @@ from bplab.models import (
     time_derivative_stack,
 )
 from bplab.operators import build_handle, get_weighted_ops
-from bplab.spectral import Grid, div_arr, dprod, grad_arr, mollify_arr, trunc_arr
+from bplab.spectral import Grid, div_arr, grad_arr, mollify_arr, trunc_arr
 from bplab.timeloop import StepperConfig, run
-from bplab.verification import reference_trajectory
+from oracles import dprod, reference_trajectory
 
 G1 = Grid(1, 64, 2.0 * np.pi)
 G2 = Grid(2, 16, 2.0 * np.pi, gamma=0.8)

@@ -14,9 +14,6 @@ from bplab.operators import (
     CG_TOL,
     KINDS,
     _gram_apply,
-    apply_A,
-    apply_B,
-    apply_Tb,
     build_handle,
     coercivity_report,
     gradient_control_report,
@@ -30,7 +27,8 @@ from bplab.spectral import (
     perp_grad_arr,
     trunc_arr,
 )
-from bplab.verification import assemble_dense, eig_extrema
+from bplab.verification import assemble_dense
+from oracles import eig_extrema
 
 G1 = Grid(d=1, n=32, L=2 * np.pi)
 G2 = Grid(d=2, n=16, L=2 * np.pi, gamma=0.9)
@@ -70,12 +68,19 @@ def _count_applies(handle) -> list:
     return calls
 
 
+def _equation_apply(kind, V, mu, bath):
+    """A (hb_A) or B (hb_B) itself: the handle's weighted form over h_b."""
+    return bath.inv_hb * build_handle(kind, mu, bath).apply_arrays(V)
+
+
 class TestFlatClosedForms:
     def test_tb_flat_single_mode(self):
-        # flat bottom: Tb v = -(1/3) grad div v, so sin(kx) -> (k^2/3) sin(kx)
+        # flat bottom: Tb v = -(1/3) grad div v, so sin(kx) -> (k^2/3) sin(kx);
+        # Tb v is (I + Tb) v - v, the I_plus_muTb handle's apply at mu = 1
+        handle = build_handle("I_plus_muTb", 1.0, FLAT1)
         for k in (1, 3, 5):
             v = vec_from_mode(G1, k)
-            got = apply_Tb(v, FLAT1)[0]
+            got = (handle.apply_arrays(v) - v)[0]
             np.testing.assert_allclose(
                 got, (k**2 / 3.0) * np.sin(k * G1.x[0]), atol=1e-11
             )
@@ -84,21 +89,23 @@ class TestFlatClosedForms:
         rng = np.random.default_rng(0)
         for bath in (FLAT1, BUMP1, BUMP2):
             v = rand_vec(bath.grid, rng)
-            for fn in (apply_A, apply_B):
-                np.testing.assert_allclose(fn(v, 0.0, bath), v, atol=1e-13)
+            for kind in ("hb_A", "hb_B"):
+                np.testing.assert_allclose(
+                    _equation_apply(kind, v, 0.0, bath), v, atol=1e-13
+                )
 
     def test_B_flat_symbol_d1(self):
         # flat d=1: B acts as 1 + mu k^2/3 + mu k^2 on a single mode
         mu, k = 0.2, 4
         v = vec_from_mode(G1, k)
-        got = apply_B(v, mu, FLAT1)[0]
+        got = _equation_apply("hb_B", v, mu, FLAT1)[0]
         want = (1.0 + mu * k**2 / 3.0 + mu * k**2) * np.sin(k * G1.x[0])
         np.testing.assert_allclose(got, want, atol=1e-11)
 
     def test_A_flat_symbol_d1(self):
         mu, k = 0.3, 3
         v = vec_from_mode(G1, k)
-        got = apply_A(v, mu, FLAT1)[0]
+        got = _equation_apply("hb_A", v, mu, FLAT1)[0]
         want = (1.0 + mu * k**2) * np.sin(k * G1.x[0])
         np.testing.assert_allclose(got, want, atol=1e-11)
 

@@ -191,6 +191,21 @@ def test_d2_mode_pairs_parse(tmp_path):
         (TINY_LONGTIME.replace("eps_mu: [0.02, 0.5]", "eps_mu: [0.02, 0.0]"), "sweep.eps_mu"),
         (TINY_LONGTIME + "  contrast_eps_mu: [0.0]\n", "sweep.contrast_eps_mu"),
         (TINY_BURGERS.replace("eps: [0.4, 0.2]", "eps: [0.4, 0.0]"), "sweep.eps"),
+        # an audit without trials has no quotient to grade; a horizon of
+        # zero or less gives runs that take no step
+        (TINY_AUDIT.replace("trials: 3", "trials: 0"), "scenario_params.trials"),
+        (
+            TINY_LONGTIME + "scenario_params: {horizon_over_eps: -1.0}\n",
+            "scenario_params.horizon_over_eps",
+        ),
+        (
+            TINY_LONGTIME + "scenario_params: {horizon_over_eps: 0.0}\n",
+            "scenario_params.horizon_over_eps",
+        ),
+        # model values the scenario would overwrite
+        (TINY_LONGTIME.replace("name: mbp", "name: bp"), "model.name"),
+        (TINY_BURGERS.replace("name: burgers", "name: sw"), "model.name"),
+        (TINY_DISPERSION.replace("eps: 0.0, mu: 0.0", "eps: 0.1, mu: 0.1"), "model.eps"),
     ],
     ids=[
         "amplitude", "width", "mode", "track_modes", "horizon_over_eps", "trials",
@@ -199,6 +214,8 @@ def test_d2_mode_pairs_parse(tmp_path):
         "mode_d2_k1", "mode_d2_k2", "sweep_mu_negative", "sweep_delta_negative",
         "sweep_eps_mu_negative", "sweep_eps_negative", "sweep_contrast_negative",
         "longtime_eps_mu_zero", "longtime_contrast_zero", "burgers_eps_zero",
+        "audit_trials_zero", "horizon_negative", "horizon_zero", "longtime_model_name",
+        "burgers_model_name", "dispersion_model_eps",
     ],
 )
 def test_bad_value_rejected(tmp_path, capsys, text, key):
@@ -462,8 +479,13 @@ def test_run_scenario_snapshot_policies(tmp_path):
         ("{n: 16, profile: gaussian_bump, beta: 1.0}", "scenario_params.cases[1]"),
         ("{n: 16, mu: -0.1}", "scenario_params.cases[1]"),
         ("16", "scenario_params.cases[1]"),
+        # checked as the top-level bathymetry.beta is
+        ('{n: 16, profile: gaussian_bump, beta: "0.5"}', "scenario_params.cases[1].beta"),
     ],
-    ids=["missing-n", "unknown-key", "bad-grid", "bad-profile", "drowned", "mu", "scalar"],
+    ids=[
+        "missing-n", "unknown-key", "bad-grid", "bad-profile", "drowned", "mu", "scalar",
+        "quoted-beta",
+    ],
 )
 def test_bad_audit_case_rejected(tmp_path, case, key):
     # a case is checked when the file loads, before any run starts

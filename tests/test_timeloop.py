@@ -17,9 +17,8 @@ from bplab.timeloop import (
     _rk4_step,
     _sup_grad,
     run,
-    step,
 )
-from bplab.verification import reference_trajectory
+from oracles import reference_trajectory
 
 G1 = Grid(1, 64, 2.0 * np.pi)
 G2 = Grid(2, 16, 2.0 * np.pi, gamma=0.7)
@@ -234,7 +233,7 @@ def test_nonlinear_bump_run_completes():
     cfg = StepperConfig(dt=5e-3, t_end=0.5, output_stride=20)
     traj = run(state, params, BUMP1, cfg)
     assert traj.termination == "completed"
-    assert np.isfinite(traj.final_state.stack()).all()
+    assert np.isfinite(traj.states[-1]).all()
     assert traj.times[-1] == pytest.approx(0.5)
 
 
@@ -390,11 +389,11 @@ def test_cfl_warning():
 def test_step_zero_rhs_only_moves_clock():
     # a rest state is a fixed point of every flow, so one step is a no-op
     params = ModelParams(0.3, 0.2, "bp")
-    bundle = make_rhs(params, BUMP1)
     state = ModelState(G1, np.zeros((2,) + G1.shape))
-    out = step(state, bundle, StepperConfig(dt=0.25, t_end=1.0))
-    assert out.time == 0.25
-    assert np.array_equal(out.stack(), state.stack())
+    traj = run(state, params, BUMP1, StepperConfig(dt=0.25, t_end=0.25))
+    assert traj.steps_taken == 1
+    assert traj.times[-1] == 0.25
+    assert np.array_equal(traj.states[-1], state.stack())
 
 
 def test_step_composes_to_run():
@@ -402,18 +401,17 @@ def test_step_composes_to_run():
     cfg = StepperConfig(dt=1e-2, t_end=2e-2)
     bundle = make_rhs(params, FLAT1)
     s0 = _mode_state(G1)
-    s1 = step(step(s0, bundle, cfg), bundle, cfg)
+    steps, W = _stage_records(bundle, s0.stack(), "rk4", cfg.dt, 2, 1)[-1]
     traj = run(s0, params, FLAT1, cfg)
-    assert traj.steps_taken == 2
-    assert np.allclose(s1.stack(), traj.states[-1], rtol=0.0, atol=1e-14)
-    assert abs(s1.time - traj.times[-1]) < 1e-14
+    assert traj.steps_taken == steps == 2
+    assert np.allclose(bundle.decode(W), traj.states[-1], rtol=0.0, atol=1e-14)
+    assert abs(steps * cfg.dt - traj.times[-1]) < 1e-14
 
 
 def test_step_rejects_row_mismatch():
     params = ModelParams(0.1, 0.0, "burgers")
-    bundle = make_rhs(params, FLAT1)
-    with pytest.raises(ValueError):
-        step(_mode_state(G1), bundle, StepperConfig(dt=1e-2, t_end=1.0))
+    with pytest.raises(ValueError, match="rows"):
+        run(_mode_state(G1), params, FLAT1, StepperConfig(dt=1e-2, t_end=1.0))
 
 
 def test_pcg_time_loop_conserves_linear_bp_energy():

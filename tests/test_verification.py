@@ -7,13 +7,8 @@ from bplab.bathymetry import build_bathymetry
 from bplab.errors import NotSPDError, SizeLimitError
 from bplab.diagnostics import energy_theorem_E
 from bplab.spectral import Grid, grad_arr
-from bplab.verification import (
-    assemble_dense,
-    eig_extrema,
-    fd_derivative,
-    fd_gradient,
-    reference_trajectory,
-)
+from bplab.verification import assemble_dense
+from oracles import eig_extrema, fd_derivative, fd_gradient, reference_trajectory
 
 
 class TestFiniteDifferences:
