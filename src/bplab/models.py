@@ -51,7 +51,7 @@ import numpy as np
 from .bathymetry import Bathymetry, q_to_zeta_arr
 from .diagnostics import exact_dispersion
 from .errors import DryStateError, RegimeWarning, SolverDivergenceError
-from .operators import OperatorHandle, build_handle, get_weighted_ops
+from .operators import CG_HISTORY, OperatorHandle, build_handle, get_weighted_ops
 from .spectral import Grid, trunc_arr
 
 __all__ = [
@@ -151,22 +151,25 @@ class RHSBundle:
     member per params entry: params is that tuple, blocks gains a leading
     member axis, and fn(W, members=None) acts on a stack (K, rows, *rshape)
     of the listed members (all of them when None), in the listed order.
+
+    history, set only for flows whose velocity solves run CG, maps a member
+    id to that member's last CG_HISTORY solves, (x, y) pairs oldest first.
+    A member with an entry warm-starts each CG solve from it and adds the
+    solve; a member without one (every member, as make_rhs returns it)
+    solves from zero. timeloop.run enters its members.
     """
 
     fn: Callable[..., np.ndarray]
     grid: Grid
     params: object
     blocks: Optional[np.ndarray] = None
+    history: Optional[dict] = None
 
     def encode(self, U: np.ndarray) -> np.ndarray:
         return self.grid.rfft(U)
 
     def decode(self, W: np.ndarray) -> np.ndarray:
         return self.grid.irfft(W)
-
-    def nodal_rhs(self, U: np.ndarray) -> np.ndarray:
-        """The flow evaluated on a nodal stack."""
-        return self.decode(self.fn(self.encode(U)))
 
 
 def build_handles(params: ModelParams, bath: Bathymetry) -> dict:
@@ -240,7 +243,8 @@ class _Coefs:
     single member.
     smooth picks the members with delta > 0, which get the mollifier
     sandwich around their solve: a slice over all of them, an index array,
-    or None when no member smooths.
+    or None when no member smooths. history is the flow's RHSBundle.history,
+    shared by every set of members.
     """
 
     ids: tuple
@@ -252,9 +256,10 @@ class _Coefs:
     m2: object
     smooth: object
     handles: list
+    history: Optional[dict]
 
 
-def _member_coefs(params: list, grid: Grid, deltas: list, handles: list):
+def _member_coefs(params: list, grid: Grid, deltas: list, handles: list, history):
     """members -> _Coefs of those members (all when None), built once per set."""
     K = len(params)
     col = (-1,) + (1,) * (1 + grid.d)  # broadcasts over (K, rows, *shape or *rshape)
@@ -276,7 +281,7 @@ def _member_coefs(params: list, grid: Grid, deltas: list, handles: list):
             smooth = slice(None) if on.all() else (np.flatnonzero(on) if on.any() else None)
             view = views[members] = _Coefs(
                 tuple(idx), pick(eps), pick(lam), pick(adv), pick(mu), pick(m1), pick(m2),
-                smooth, [handles[i] for i in idx],
+                smooth, [handles[i] for i in idx], history,
             )
         return view
 
@@ -297,15 +302,21 @@ def _sandwich(g: Grid, y: np.ndarray, c: _Coefs) -> np.ndarray:
 def _solve_each(y: np.ndarray, c: _Coefs) -> np.ndarray:
     """Each member's weighted velocity solve through its own handle.
 
-    A stalled solve names its member on the SolverDivergenceError.
+    A member with an entry in c.history warm-starts from its past solves
+    and adds this one, keeping the last CG_HISTORY. A stalled solve names
+    its member on the SolverDivergenceError.
     """
     out = []
     for member, handle, rhs in zip(c.ids, c.handles, y):
+        prior = None if c.history is None else c.history.get(member)
         try:
-            out.append(handle.solve_weighted_arrays(rhs))
+            x = handle.solve_weighted_arrays(rhs, prior)
         except SolverDivergenceError as e:
             e.members = (member,)
             raise
+        if prior is not None:
+            c.history[member] = (prior + ((x, rhs),))[-CG_HISTORY:]
+        out.append(x)
     return np.stack(out)
 
 
@@ -405,7 +416,7 @@ def make_rhs(
         bundle = _batch_rhs([params], bath, [delta], [handles])
         fn = bundle.fn
         blocks = None if bundle.blocks is None else bundle.blocks[0]
-        return RHSBundle(lambda W: fn(W[None])[0], bundle.grid, params, blocks)
+        return RHSBundle(lambda W: fn(W[None])[0], bundle.grid, params, blocks, bundle.history)
     K = len(params)
     deltas = [delta] * K if np.ndim(delta) == 0 else list(delta)
     handles = [None] * K if handles is None else list(handles)
@@ -436,7 +447,9 @@ def _batch_rhs(params: list, bath: Bathymetry, deltas: list, handles: list) -> R
 
     kind = _HANDLE_KIND.get(model)
     solvers = _member_handles(kind, params, bath, handles) if kind else [None] * K
-    take = _member_coefs(params, g, deltas, solvers)
+    # the members share the bottom, so all of their handles solve by CG or none
+    history = {} if kind and solvers[0].strategy == "pcg" else None
+    take = _member_coefs(params, g, deltas, solvers, history)
 
     if model == "burgers":
         # one stacked inverse transform gives T u and T u_x, one forward
@@ -494,7 +507,7 @@ def _batch_rhs(params: list, bath: Bathymetry, deltas: list, handles: list) -> R
             return np.concatenate([dz, -c.m1 * g.rfft(x)], axis=1)
 
     if nonlinear or not bath.is_flat:
-        return RHSBundle(fn, g, tuple(params))
+        return RHSBundle(fn, g, tuple(params), history=history)
     # eps = 0 over a flat bottom: the flow is linear and acts mode by mode
     blocks = _probe_mode_blocks(fn, g, K)
 
@@ -558,7 +571,7 @@ def time_derivative_stack(
         raise ValueError(f"mbp state must be (1 + d, *grid.shape), got {U.shape}")
     handle = _checked_handle("hb_B", params.mu, bath, handles)
     tendency = _mbp_flow(bath)
-    coefs = _Coefs((0,), eps, 1.0, eps, params.mu, 1.0, 1.0, None, [handle])
+    coefs = _Coefs((0,), eps, 1.0, eps, params.mu, 1.0, 1.0, None, [handle], None)
 
     # Taylor coefficients on rfft coefficients, with their nodal factors
     # (Vt, T grad q, J) and the nodal q, surface and exp(eps*q) jets, each

@@ -57,6 +57,8 @@ KINDS = ("I_plus_muTb", "hb_B", "hb_A")
 SOLVER_DENSE_LIMIT = 1024  # unknowns at or below this get a Cholesky factorization
 CG_TOL = 1e-10
 CG_MAXITER = 500
+CG_HISTORY = 4  # past solves of one member that warm-start its next CG solve
+CG_HISTORY_DROP = 1e-10  # A-Gram-Schmidt keeps a direction above this share of its A-norm^2
 DENSE_BLOCK = 64  # identity columns per batched apply in dense_matrix
 DENSE_AUDIT_LIMIT = 4096  # unknowns at or below this get dense audit matrices
 
@@ -269,7 +271,37 @@ def dense_matrix(apply_fn, grid: Grid) -> np.ndarray:
     return M
 
 
-def _pcg(apply_w, precond, y: np.ndarray, tol: float, maxiter: int, ndim: int):
+def _warm_start(y: np.ndarray, prior) -> np.ndarray | None:
+    """A-norm projection of the solution of W x = y onto past solutions' span.
+
+    prior holds (x_i, y_i) pairs, oldest first, with W x_i = y_i to CG_TOL,
+    so the right-hand sides stand in for the images and no apply is needed
+    (Fischer, CMAME 163, 1998). The span is A-orthonormalized afresh on every
+    call by modified Gram-Schmidt, newest solve first; a direction left with
+    less than CG_HISTORY_DROP of its own A-norm^2, or a non-finite one, is
+    dropped. Returns None when no direction survives.
+    """
+    basis = []
+    for x_i, y_i in reversed(prior):
+        v, Av = x_i, y_i
+        for q, Aq in basis:
+            c = float(np.vdot(q, Av).real)
+            v = v - c * q
+            Av = Av - c * Aq
+        n2 = float(np.vdot(v, Av).real)
+        if not n2 > CG_HISTORY_DROP * float(np.vdot(x_i, y_i).real):
+            continue
+        s = 1.0 / math.sqrt(n2)
+        basis.append((s * v, s * Av))
+    if not basis:
+        return None
+    x0 = np.zeros_like(y)
+    for q, _ in basis:
+        x0 += float(np.vdot(q, y).real) * q
+    return x0
+
+
+def _pcg(apply_w, precond, y: np.ndarray, tol: float, maxiter: int, ndim: int, prior=None):
     """Preconditioned conjugate gradients on the weighted SPD operator.
 
     The trailing ndim axes of y hold one right-hand side. Leading axes are a
@@ -278,6 +310,11 @@ def _pcg(apply_w, precond, y: np.ndarray, tol: float, maxiter: int, ndim: int):
     far above tol. A member whose right-hand side or residual norm is not
     finite comes back as NaN at once, as a dense or spectral solve of it
     would, instead of iterating to maxiter.
+
+    prior, for a single right-hand side, holds past (x_i, y_i) solves of the
+    same operator. CG then starts from _warm_start's projection x0 instead of
+    zero: one apply gives the true residual y - W x0, x0 returns at once if
+    that meets tol, and otherwise the iteration below runs unchanged from it.
     """
     if y.ndim > ndim:
         x = np.empty_like(y)
@@ -289,8 +326,14 @@ def _pcg(apply_w, precond, y: np.ndarray, tol: float, maxiter: int, ndim: int):
         return np.zeros_like(y)
     if not math.isfinite(norm_y):
         return np.full_like(y, np.nan)
-    x = np.zeros_like(y)
-    r = y.copy()
+    x = _warm_start(y, prior) if prior else None
+    if x is None:
+        x = np.zeros_like(y)
+        r = y.copy()
+    else:
+        r = y - apply_w(x)
+        if float(np.sqrt(np.vdot(r, r).real)) <= tol * norm_y:
+            return x
     z = precond(r)
     p = z.copy()
     rz = float(np.vdot(r, z).real)
@@ -331,7 +374,11 @@ class OperatorHandle:
     weighted form is h_b(I + O(mu k^2)), so the scaling keeps the iteration
     count from growing as the depth varies.
     The operators are time-independent, so the factorization is built once
-    and shared by every step of a run.
+    and shared by every step of a run. The handle keeps no state between
+    solves: a run's flow keeps each member's last CG_HISTORY solutions and
+    passes them to solve_weighted_arrays, which warm-starts CG from them,
+    and restores them when a batch retakes a step. Every other solve starts
+    from zero.
     """
 
     def __init__(self, kind: str, mu: float, bath: Bathymetry):
@@ -396,8 +443,13 @@ class OperatorHandle:
         y = self.ops.hb * rhs if self.kind == "I_plus_muTb" else rhs
         return self.solve_weighted_arrays(y)
 
-    def solve_weighted_arrays(self, y: np.ndarray) -> np.ndarray:
-        """Solve the weighted SPD form W x = y directly."""
+    def solve_weighted_arrays(self, y: np.ndarray, prior=None) -> np.ndarray:
+        """Solve the weighted SPD form W x = y directly.
+
+        prior, used by pcg only, holds the caller's past (x, W x) solves of
+        this handle for a single right-hand side; CG warm-starts from them
+        (see _pcg). Without it every solve starts from zero.
+        """
         if self.strategy == "spectral":
             return self.grid.irfft(self._flat_inv(self.grid.rfft(y)))
         if self.strategy == "dense":
@@ -411,6 +463,7 @@ class OperatorHandle:
             CG_TOL,
             CG_MAXITER,
             len(self._shape),
+            prior,
         )
 
 

@@ -177,10 +177,33 @@ def _length(val, src: str, key: str) -> float:
     raise _cfg_err(src, key, f"expected a number, got {type(val).__name__}")
 
 
+class _Quoted(str):
+    """A YAML scalar written in quotes: text, never a number."""
+
+
+class _ConfigLoader(yaml.SafeLoader):
+    """yaml's safe loader, with quoted scalars marked as _Quoted."""
+
+
+def _construct_str(loader, node):
+    text = loader.construct_scalar(node)
+    return _Quoted(text) if node.style in ("'", '"') else text
+
+
+_ConfigLoader.add_constructor("tag:yaml.org,2002:str", _construct_str)
+
+
 def _number(val, src: str, key: str, conv=float):
+    """A YAML number converted by conv; a quoted one or a boolean is refused.
+
+    A plain scalar such as 1.0e3, which YAML 1.1 leaves a string, is a number
+    if conv parses it.
+    """
+    if isinstance(val, (bool, _Quoted)) or not isinstance(val, (int, float, str)):
+        raise _cfg_err(src, key, f"expected a number, got {val!r}")
     try:
         return conv(val)
-    except (ValueError, TypeError):
+    except (ValueError, OverflowError):  # not numeric text, or int() of NaN or inf
         raise _cfg_err(src, key, f"expected a number, got {val!r}") from None
 
 
@@ -213,30 +236,27 @@ def _grid_and_bottom(
     The top-level sections and each audit case share these checks; errors
     name grid_key (or its .L), profile_key, or bath_key (or .beta, .params).
     """
+    sizes = {
+        key: _number(gt.get(key, default), src, f"{grid_key}.{key}", conv)
+        for key, default, conv in (("d", 1, int), ("n", 0, int), ("gamma", 1.0, float))
+    }
     try:
-        grid = Grid(
-            d=int(gt.get("d", 1)),
-            n=int(gt.get("n", 0)),
-            L=_length(gt.get("L", 2 * np.pi), src, f"{grid_key}.L"),
-            gamma=float(gt.get("gamma", 1.0)),
-        )
+        grid = Grid(L=_length(gt.get("L", 2 * np.pi), src, f"{grid_key}.L"), **sizes)
     except (ValueError, TypeError) as e:
         raise _cfg_err(src, grid_key, str(e)) from None
     profile = bt.get("profile", "flat")
     if profile not in PROFILES:
         raise _cfg_err(src, profile_key, f"unknown {profile!r}, choose from {sorted(PROFILES)}")
-    beta = bt.get("beta", 0.0)
-    if not isinstance(beta, (int, float)):
-        raise _cfg_err(src, f"{bath_key}.beta", "expected a number")
+    beta = _number(bt.get("beta", 0.0), src, f"{bath_key}.beta")
     params = bt.get("params")
     params = {} if params is None else params
     if not isinstance(params, dict):
         raise _cfg_err(src, f"{bath_key}.params", "expected a mapping")
     try:
-        bath = build_bathymetry(grid, profile, float(beta), params)
+        bath = build_bathymetry(grid, profile, beta, params)
     except (BplabError, ValueError, TypeError) as e:
         raise _cfg_err(src, bath_key, str(e)) from None
-    return grid, bath, profile, float(beta), dict(params)
+    return grid, bath, profile, beta, dict(params)
 
 
 _REQUIRED_SWEEPS = {
@@ -272,7 +292,7 @@ def load_config(
     except OSError as e:
         raise ConfigError(f"{src}: unreadable: {e}") from None
     try:
-        tree = yaml.safe_load(text)
+        tree = yaml.load(text, Loader=_ConfigLoader)
     except yaml.YAMLError as e:
         raise ConfigError(f"{src}: not valid YAML: {e}") from None
     if not isinstance(tree, dict):
@@ -295,8 +315,8 @@ def load_config(
         raise _cfg_err(src, "model.name", f"unknown {name!r}, choose from {MODELS}")
     try:
         params = ModelParams(
-            eps=float(mt.get("eps", 0.0)),
-            mu=float(mt.get("mu", 0.0)),
+            eps=_number(mt.get("eps", 0.0), src, "model.eps"),
+            mu=_number(mt.get("mu", 0.0), src, "model.mu"),
             model=name,
             rescaled_time=bool(mt.get("rescaled_time", False)),
         )
@@ -342,15 +362,19 @@ def load_config(
         raise _cfg_err(src, "stepper.track_modes", str(e)) from None
     if scenario == "dispersion" and not track_modes:
         raise _cfg_err(src, "stepper.track_modes", "required by scenario 'dispersion'")
+    numbers = {
+        key: _number(st.get(key, default), src, f"stepper.{key}", conv)
+        for key, default, conv in (
+            ("dt", 1e-3, float),
+            ("t_end", 1.0, float),
+            ("output_stride", 1, int),
+            ("blowup_threshold", 1e3, float),
+            ("delta", 0.0, float),
+        )
+    }
     try:
         stepper = StepperConfig(
-            dt=float(st.get("dt", 1e-3)),
-            t_end=float(st.get("t_end", 1.0)),
-            scheme=st.get("scheme", "rk4"),
-            output_stride=int(st.get("output_stride", 1)),
-            blowup_threshold=float(st.get("blowup_threshold", 1e3)),
-            delta=float(st.get("delta", 0.0)),
-            track_modes=track_modes,
+            scheme=st.get("scheme", "rk4"), track_modes=track_modes, **numbers
         )
     except (ValueError, TypeError) as e:
         raise _cfg_err(src, "stepper", str(e)) from None
@@ -923,7 +947,7 @@ def _audit_case(case, default_mu: float, src: str, where: str):
     if "n" not in case:
         raise _cfg_err(src, f"{where}.n", "missing")
     grid, bath = _grid_and_bottom(case, case, src, where, where, where)[:2]
-    mu = _number(case.get("mu", default_mu), src, where)
+    mu = _number(case.get("mu", default_mu), src, f"{where}.mu")
     if mu < 0:
         raise _cfg_err(src, where, "mu must be nonnegative")
     return grid, bath, mu

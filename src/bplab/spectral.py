@@ -26,7 +26,6 @@ __all__ = [
     "trunc_arr",
     "grad_arr",
     "div_arr",
-    "perp_grad_arr",
     "perp_div_arr",
     "lambda_arr",
     "mollify_arr",
@@ -190,14 +189,6 @@ def div_arr(grid: Grid, V) -> np.ndarray:
     """Twisted divergence, reducing axis -(d+1): (..., d, *shape) -> (..., *shape)."""
     spec = grid.rfft(np.asarray(V))
     return grid.irfft((grid.ik_stack * spec).sum(axis=-(grid.d + 1)))
-
-
-def perp_grad_arr(grid: Grid, a: np.ndarray) -> np.ndarray:
-    """Rotated gradient (..., *shape) -> (..., d, *shape); zero in d=1."""
-    if grid.d == 1:
-        return np.zeros_like(np.expand_dims(a, -2))
-    spec = np.expand_dims(grid.rfft(a), -3)
-    return grid.irfft(grid.ik_perp * spec)
 
 
 def perp_div_arr(grid: Grid, V) -> np.ndarray:

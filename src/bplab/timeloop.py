@@ -29,6 +29,11 @@ stack at its own termination: blowup at a record, dry or solver_failure
 in a step (which the others then retake without it), completed at its own
 last step. Its records, steps and termination are those of its run alone.
 A single run is a batch of one.
+
+Each member's CG velocity solves warm-start from its own last solves,
+kept in the flow's history (models.RHSBundle). A retaken step restarts
+every remaining member from the history it held when that step began, so
+its solves, too, are those of its run alone.
 """
 
 from __future__ import annotations
@@ -303,6 +308,9 @@ def _run_batch(states: list, params: list, bath: Bathymetry, configs: list, hand
     propagate = None
     if bundle.blocks is not None:
         propagate = _propagator(bundle.blocks, first.scheme, dts)
+    history = bundle.history  # each member's last CG solves, which warm-start its next
+    if history is not None:
+        history.update(dict.fromkeys(range(K), ()))
 
     def drop(pos) -> None:
         nonlocal W, ids
@@ -355,6 +363,8 @@ def _run_batch(states: list, params: list, bath: Bathymetry, configs: list, hand
             stop = int(target.min())
             try:
                 while s < stop:
+                    if history is not None:
+                        saved = dict(history)
                     W = advance(fn, W, dt)
                     s += 1
             except (DryStateError, SolverDivergenceError) as e:
@@ -363,6 +373,8 @@ def _run_batch(states: list, params: list, bath: Bathymetry, configs: list, hand
                 for k in gone:
                     members[k].end(name, (s + 1) * members[k].dt, s)
                 drop(np.flatnonzero(np.isin(ids, gone)))
+                if history is not None:
+                    history.update(saved)  # as the step began, as in each run alone
                 continue  # the others retake step s + 1
             reached = np.full(len(ids), s)
         due = np.flatnonzero(reached == target)

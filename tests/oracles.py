@@ -1,9 +1,10 @@
 """Independent oracles the tests compare the fast paths against.
 
 Derivatives come from centered stencils, eigen-extrema from scipy's dense
-eigensolver, reference trajectories from a plain RK4 loop, and dealiased
-products from the plain 2/3-rule projection. None of this runs in the
-package; it only checks it.
+eigensolver, reference trajectories from a plain RK4 loop over a flow
+evaluated on nodes, dealiased products from the plain 2/3-rule
+projection, and the rotated gradient from its plain multiplier. None of
+this runs in the package; it only checks it.
 """
 
 from __future__ import annotations
@@ -104,3 +105,16 @@ def dprod(grid: Grid, a, b):
     following derivative.
     """
     return trunc_arr(grid, trunc_arr(grid, a) * trunc_arr(grid, b))
+
+
+def perp_grad_arr(grid: Grid, a: np.ndarray) -> np.ndarray:
+    """Rotated gradient (..., *shape) -> (..., d, *shape); zero in d=1."""
+    if grid.d == 1:
+        return np.zeros_like(np.expand_dims(a, -2))
+    spec = np.expand_dims(grid.rfft(a), -3)
+    return grid.irfft(grid.ik_perp * spec)
+
+
+def nodal_rhs(bundle, U: np.ndarray) -> np.ndarray:
+    """A bundle's flow evaluated on a nodal stack U."""
+    return bundle.decode(bundle.fn(bundle.encode(U)))

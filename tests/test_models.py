@@ -1,5 +1,7 @@
 """Flow evaluations: closed forms, model relations, jets, guards."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from bplab.models import (
 from bplab.operators import build_handle, get_weighted_ops
 from bplab.spectral import Grid, div_arr, grad_arr, mollify_arr, trunc_arr
 from bplab.timeloop import StepperConfig, run
-from oracles import dprod, reference_trajectory
+from oracles import dprod, nodal_rhs, reference_trajectory
 
 G1 = Grid(1, 64, 2.0 * np.pi)
 G2 = Grid(2, 16, 2.0 * np.pi, gamma=0.8)
@@ -122,14 +124,14 @@ def test_rest_state_is_fixed_point(model):
     params = ModelParams(0.3, 0.4, model)
     bundle = make_rhs(params, bath)
     rows = 1 if model == "burgers" else 1 + grid.d
-    dU = bundle.nodal_rhs(np.zeros((rows,) + grid.shape))
+    dU = nodal_rhs(bundle, np.zeros((rows,) + grid.shape))
     assert np.abs(dU).max() < 1e-14
 
 
 def test_burgers_closed_form():
     params = ModelParams(0.4, 0.0, "burgers")
     x = G1.x[0]
-    out = make_rhs(params, FLAT1).nodal_rhs(np.sin(x)[None])
+    out = nodal_rhs(make_rhs(params, FLAT1), np.sin(x)[None])
     # -eps*sin*cos = -(eps/2) sin(2x), fully resolved on the kept band
     expected = -0.2 * np.sin(2.0 * x)
     assert np.abs(out[0] - expected).max() < 1e-13
@@ -154,7 +156,7 @@ def test_burgers_matches_nodal_formula(delta):
     u = np.random.default_rng(21).standard_normal(G1.shape)
     bundle = make_rhs(ModelParams(0.7, 0.0, "burgers"), FLAT1, delta=delta)
     assert np.array_equal(bundle.encode(u[None]), G1.rfft(u[None]))
-    got = bundle.nodal_rhs(u[None])
+    got = nodal_rhs(bundle, u[None])
     expected = _burgers_five_transform_rhs(G1, u, 0.7, delta)
     assert got.shape == (1,) + G1.shape
     assert np.abs(got[0] - expected).max() <= 1e-13 * np.abs(expected).max()
@@ -168,7 +170,8 @@ def test_burgers_run_matches_nodal_reference():
     u0 = np.sin(G1.x[0])[None]
     traj = run(ModelState(G1, u0), params, FLAT1, StepperConfig(dt=dt, t_end=t_end))
     assert traj.termination == "completed"
-    ref = reference_trajectory(u0, make_rhs(params, FLAT1).nodal_rhs, t_end, dt)
+    rhs = partial(nodal_rhs, make_rhs(params, FLAT1))
+    ref = reference_trajectory(u0, rhs, t_end, dt)
     assert np.abs(traj.states[-1] - ref).max() <= 1e-12
 
 
@@ -253,7 +256,7 @@ def test_nonlinear_bump_matches_nodal_formula(model, rescaled, bath, eps, delta)
     handles = build_handles(params, bath)
     bundle = make_rhs(params, bath, delta=delta, handles=handles)
     assert (bundle.blocks is not None) == (eps == 0.0)
-    got = bundle.nodal_rhs(U)
+    got = nodal_rhs(bundle, U)
     handle = next(iter(handles.values()), None)
     expected = _nodal_reference_rhs(params, bath, delta, handle, U)
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
@@ -308,7 +311,7 @@ def test_linear_mode_squared_frequency_1d(model, mu, w2):
     U = np.zeros((2,) + G1.shape)
     U[0] = np.cos(2.0 * x)
     assert np.array_equal(bundle.encode(U), G1.rfft(U))
-    dd = bundle.nodal_rhs(bundle.nodal_rhs(U))
+    dd = nodal_rhs(bundle, nodal_rhs(bundle, U))
     assert np.abs(dd[0] + w2 * U[0]).max() < 1e-11 * max(1.0, w2)
 
 
@@ -321,7 +324,7 @@ def test_linear_mode_squared_frequency_2d_twisted():
     bundle = make_rhs(params, FLAT2)
     U = np.zeros((3,) + G2.shape)
     U[0] = np.cos(3.0 * G2.x[1])
-    dd = bundle.nodal_rhs(bundle.nodal_rhs(U))
+    dd = nodal_rhs(bundle, nodal_rhs(bundle, U))
     assert np.abs(dd[0] + w2 * U[0]).max() < 1e-11
 
 
@@ -333,7 +336,7 @@ def test_fused_bp_matches_primitive_assembly():
     bundle = make_rhs(params, FLAT2)
     handle = build_handle("I_plus_muTb", mu, FLAT2)
     U = _random_state(G2, rng)
-    got = bundle.nodal_rhs(U)
+    got = nodal_rhs(bundle, U)
     flux = [dprod(G2, FLAT2.hb, U[1 + j]) for j in range(2)]
     dz = -div_arr(G2, flux)
     dV = -handle.solve_arrays(np.stack(grad_arr(G2, U[0])))
@@ -348,7 +351,7 @@ def test_fused_mbp_matches_primitive_assembly():
     bundle = make_rhs(params, FLAT2)
     handle = build_handle("hb_B", mu, FLAT2)
     U = _random_state(G2, rng)
-    got = bundle.nodal_rhs(U)
+    got = nodal_rhs(bundle, U)
     flux = [dprod(G2, FLAT2.hb, U[1 + j]) for j in range(2)]
     dq = -div_arr(G2, flux)
     zeta = q_to_zeta_arr(U[0], 0.0, FLAT2)
@@ -366,7 +369,7 @@ def test_fused_sw_mollified_closed_form():
     x = G1.x[0]
     U = np.zeros((2,) + G1.shape)
     U[1] = np.cos(k * x)
-    dU = bundle.nodal_rhs(U)
+    dU = nodal_rhs(bundle, U)
     expected = k * np.sin(k * x) / (1.0 + delta * k**2) ** 2
     assert np.abs(dU[0] - expected).max() < 1e-13
     assert np.abs(dU[1]).max() < 1e-14
@@ -379,7 +382,7 @@ def test_fused_bp_mollified_closed_form():
     x = G1.x[0]
     U = np.zeros((2,) + G1.shape)
     U[0] = np.cos(k * x)
-    dU = bundle.nodal_rhs(U)
+    dU = nodal_rhs(bundle, U)
     factor = 1.0 / ((1.0 + delta * k**2) ** 2 * (1.0 + mu * k**2 / 3.0))
     expected = factor * k * np.sin(k * x)
     assert np.abs(dU[1] - expected).max() < 1e-13
@@ -396,8 +399,8 @@ def test_bp_collapses_to_sw_at_mu_zero():
         bp_params = ModelParams(0.4, 0.0, "bp")
     sw = make_rhs(ModelParams(0.4, 0.0, "sw"), BUMP1)
     bp = make_rhs(bp_params, BUMP1)
-    a = sw.nodal_rhs(U)
-    b = bp.nodal_rhs(U)
+    a = nodal_rhs(sw, U)
+    b = nodal_rhs(bp, U)
     assert np.abs(a - b).max() < 1e-11
 
 
@@ -410,8 +413,8 @@ def test_rescaled_mbp_is_physical_over_eps():
     resc = make_rhs(
         ModelParams(eps, 0.5, "mbp", rescaled_time=True), BUMP2, handles=handles
     )
-    a = phys.nodal_rhs(U) / eps
-    b = resc.nodal_rhs(U)
+    a = nodal_rhs(phys, U) / eps
+    b = nodal_rhs(resc, U)
     assert np.abs(a - b).max() < 1e-12 / eps
 
 
@@ -420,8 +423,8 @@ def test_translation_equivariance_flat_nonlinear():
     shift = 5
     U = _random_state(G1, rng, amp=0.08)
     bundle = make_rhs(ModelParams(0.3, 0.25, "bp"), FLAT1)
-    lhs = bundle.nodal_rhs(np.roll(U, shift, axis=-1))
-    rhs_ = np.roll(bundle.nodal_rhs(U), shift, axis=-1)
+    lhs = nodal_rhs(bundle, np.roll(U, shift, axis=-1))
+    rhs_ = np.roll(nodal_rhs(bundle, U), shift, axis=-1)
     assert np.abs(lhs - rhs_).max() < 1e-12
 
 
@@ -513,14 +516,14 @@ def test_dry_state_raises():
     params = ModelParams(0.5, 0.2, "sw")
     zeta = np.full(G1.shape, -2.5)  # h = 1 + 0.5*(-2.5) < 0
     with pytest.raises(DryStateError):
-        make_rhs(params, FLAT1).nodal_rhs(_at_rest(G1, zeta))
+        nodal_rhs(make_rhs(params, FLAT1), _at_rest(G1, zeta))
 
 
 def test_mbp_never_dry():
     # the log variable keeps depth positive by construction
     params = ModelParams(0.5, 0.2, "mbp")
     q = np.full(G1.shape, -8.0)
-    out = make_rhs(params, BUMP1).nodal_rhs(_at_rest(G1, q))
+    out = nodal_rhs(make_rhs(params, BUMP1), _at_rest(G1, q))
     assert np.isfinite(out[0]).all()
 
 
@@ -538,8 +541,8 @@ def test_wrapper_accepts_prebuilt_handle():
     U = _random_state(G1, rng, amp=0.03)
     params = ModelParams(0.2, 0.3, "bp")
     handle = build_handle("I_plus_muTb", 0.3, BUMP1)
-    a = make_rhs(params, BUMP1, handles={"I_plus_muTb": handle}).nodal_rhs(U)
-    b = make_rhs(params, BUMP1).nodal_rhs(U)
+    a = nodal_rhs(make_rhs(params, BUMP1, handles={"I_plus_muTb": handle}), U)
+    b = nodal_rhs(make_rhs(params, BUMP1), U)
     assert np.abs(a - b).max() < 1e-13
 
 
@@ -573,7 +576,7 @@ def test_jet_first_order_matches_rhs():
     params, U = _mbp_setup()
     stack = time_derivative_stack(U, params, BUMP1, k_max=1)
     u1 = stack[1]
-    dU = make_rhs(params, BUMP1).nodal_rhs(U)
+    dU = nodal_rhs(make_rhs(params, BUMP1), U)
     assert np.abs(u1[0] - params.eps * dU[0]).max() < 1e-13
     assert np.abs(u1[1:] - params.eps * dU[1:]).max() < 1e-13
 
@@ -583,7 +586,7 @@ def test_jet_against_time_differences():
     params, U = _mbp_setup()
     eps = params.eps
     stack = time_derivative_stack(U, params, BUMP1, k_max=2)
-    rhs = make_rhs(params, BUMP1).nodal_rhs
+    rhs = partial(nodal_rhs, make_rhs(params, BUMP1))
     dt = 2e-3
     up = reference_trajectory(U, rhs, dt, dt / 8.0)
     um = reference_trajectory(U, rhs, -dt, -dt / 8.0)

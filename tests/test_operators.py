@@ -24,11 +24,10 @@ from bplab.spectral import (
     div_arr,
     grad_arr,
     perp_div_arr,
-    perp_grad_arr,
     trunc_arr,
 )
 from bplab.verification import assemble_dense
-from oracles import eig_extrema
+from oracles import eig_extrema, perp_grad_arr
 
 G1 = Grid(d=1, n=32, L=2 * np.pi)
 G2 = Grid(d=2, n=16, L=2 * np.pi, gamma=0.9)
@@ -324,6 +323,48 @@ class TestSolves:
         x = handle.solve_weighted_arrays(y)
         assert 0 < len(calls) <= ceilings[kind]
         assert np.linalg.norm(apply_w(x) - y) <= CG_TOL * np.linalg.norm(y)
+
+
+    def test_pcg_warm_start_from_a_past_solve(self):
+        # the projection onto a solve of the same right-hand side is that
+        # solve: one apply confirms its residual and CG returns at once
+        handle = build_handle("hb_B", 0.05, PCG_BUMP)
+        apply_w = handle.apply_weighted_arrays
+        rng = np.random.default_rng(29)
+        y = rng.standard_normal((GP.d,) + GP.shape)
+        x = handle.solve_weighted_arrays(y)
+        calls = _count_applies(handle)
+        warm = handle.solve_weighted_arrays(y, ((x, y),))
+        assert len(calls) == 1
+        assert np.linalg.norm(apply_w(warm) - y) <= CG_TOL * np.linalg.norm(y)
+        # a nearby right-hand side starts close and needs fewer iterations
+        y2 = y + 1e-3 * rng.standard_normal(y.shape)
+        calls.clear()
+        cold = handle.solve_weighted_arrays(y2)
+        n_cold = len(calls)
+        calls.clear()
+        warm = handle.solve_weighted_arrays(y2, ((x, y),))
+        assert len(calls) < n_cold
+        assert np.linalg.norm(apply_w(warm) - y2) <= CG_TOL * np.linalg.norm(y2)
+        assert np.abs(warm - cold).max() <= 1e-8 * np.abs(cold).max()
+
+    def test_pcg_warm_start_drops_useless_directions(self):
+        # zero and non-finite past solves span nothing: the solve starts
+        # from zero, bit for bit as without them
+        handle = build_handle("I_plus_muTb", 0.05, PCG_BUMP)
+        y = np.random.default_rng(31).standard_normal((GP.d,) + GP.shape)
+        zero, nan = np.zeros_like(y), np.full_like(y, np.nan)
+        prior = ((zero, zero), (nan, nan))
+        assert np.array_equal(
+            handle.solve_weighted_arrays(y, prior), handle.solve_weighted_arrays(y)
+        )
+
+    @pytest.mark.parametrize("bath", [BUMP1, FLAT2], ids=["dense", "spectral"])
+    def test_prior_leaves_direct_solves_alone(self, bath):
+        handle = build_handle("hb_B", 0.05, bath)
+        y = np.random.default_rng(37).standard_normal((bath.grid.d,) + bath.grid.shape)
+        x = handle.solve_weighted_arrays(y)
+        assert np.array_equal(handle.solve_weighted_arrays(y, ((x, y),)), x)
 
 
 class TestCoercivity:

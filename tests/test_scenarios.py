@@ -206,6 +206,23 @@ def test_d2_mode_pairs_parse(tmp_path):
         (TINY_LONGTIME.replace("name: mbp", "name: bp"), "model.name"),
         (TINY_BURGERS.replace("name: burgers", "name: sw"), "model.name"),
         (TINY_DISPERSION.replace("eps: 0.0, mu: 0.0", "eps: 0.1, mu: 0.1"), "model.eps"),
+        # numbers given as strings, refused as bathymetry.beta is
+        (TINY_AUDIT.replace("beta: 0.4, mu: 0.1}", 'beta: 0.4, mu: "0.1"}'),
+         "scenario_params.cases[0].mu"),
+        (TINY_AUDIT.replace("eps: 0.1, mu: 0.1}", 'eps: 0.1, mu: "0.1"}'), "model.mu"),
+        (TINY_AUDIT.replace("eps: 0.1, mu: 0.1}", 'eps: "0.1", mu: 0.1}'), "model.eps"),
+        (TINY_LONGTIME.replace("n: 16", 'n: "16"'), "grid.n"),
+        (TINY_LONGTIME.replace("{d: 1,", '{d: "1",'), "grid.d"),
+        (TINY_DISPERSION.replace("L: 2pi}", 'L: 2pi, gamma: "0.8"}'), "grid.gamma"),
+        (DRY_CONSISTENCY.replace("t_end: 0.1}", 't_end: "0.1"}'), "stepper.t_end"),
+        (TINY_BURGERS.replace("dt: 1.0e-2,", 'dt: "1.0e-2",'), "stepper.dt"),
+        (TINY_BURGERS.replace("output_stride: 5,", 'output_stride: "5",'),
+         "stepper.output_stride"),
+        (TINY_BURGERS.replace("blowup_threshold: 50.0", 'blowup_threshold: "50.0"'),
+         "stepper.blowup_threshold"),
+        (TINY_DISPERSION.replace("  output_stride: 5\n", '  output_stride: 5\n  delta: "0"\n'),
+         "stepper.delta"),
+        (TINY_LONGTIME.replace("n: 16", "n: .inf"), "grid.n"),
     ],
     ids=[
         "amplitude", "width", "mode", "track_modes", "horizon_over_eps", "trials",
@@ -215,7 +232,10 @@ def test_d2_mode_pairs_parse(tmp_path):
         "sweep_eps_mu_negative", "sweep_eps_negative", "sweep_contrast_negative",
         "longtime_eps_mu_zero", "longtime_contrast_zero", "burgers_eps_zero",
         "audit_trials_zero", "horizon_negative", "horizon_zero", "longtime_model_name",
-        "burgers_model_name", "dispersion_model_eps",
+        "burgers_model_name", "dispersion_model_eps", "quoted_audit_mu", "quoted_model_mu",
+        "quoted_model_eps", "quoted_n", "quoted_d", "quoted_gamma", "quoted_t_end",
+        "quoted_dt", "quoted_output_stride", "quoted_blowup_threshold", "quoted_delta",
+        "infinite_n",
     ],
 )
 def test_bad_value_rejected(tmp_path, capsys, text, key):

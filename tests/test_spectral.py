@@ -16,11 +16,11 @@ from bplab.spectral import (
     lambda_arr,
     mollify_arr,
     perp_div_arr,
-    perp_grad_arr,
     sobolev_norm_arr,
     trunc_arr,
 )
 from bplab.timeloop import StepperConfig, run
+from oracles import perp_grad_arr
 
 
 def grid1(n=64, L=2 * np.pi):

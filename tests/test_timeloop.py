@@ -1,5 +1,7 @@
 """Stepper accuracy, recording bookkeeping, and failure terminations."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -18,13 +20,17 @@ from bplab.timeloop import (
     _sup_grad,
     run,
 )
-from oracles import reference_trajectory
+from oracles import nodal_rhs, reference_trajectory
 
 G1 = Grid(1, 64, 2.0 * np.pi)
 G2 = Grid(2, 16, 2.0 * np.pi, gamma=0.7)
 FLAT1 = build_bathymetry(G1, "flat", 0.0)
 FLAT2 = build_bathymetry(G2, "flat", 0.0)
 BUMP1 = build_bathymetry(G1, "gaussian_bump", 0.4)
+# d=2 n=32 over a bump has 2048 velocity unknowns, above the dense limit,
+# so every velocity solve of a run over it goes through CG
+GP = Grid(d=2, n=32, L=8.0 * np.pi, gamma=0.8)
+PCG_BUMP = build_bathymetry(GP, "gaussian_bump", 0.5)
 
 
 def _mode_state(grid, k=2.0, amp=1.0):
@@ -108,7 +114,7 @@ def test_matches_independent_reference_loop(model, eps, bath):
     assert np.array_equal(bundle.encode(state.stack()), G1.rfft(state.stack()))
     cfg = StepperConfig(dt=5e-3, t_end=0.1)
     traj = run(state, params, bath, cfg)
-    ref = reference_trajectory(state.stack(), bundle.nodal_rhs, 0.1, 5e-3)
+    ref = reference_trajectory(state.stack(), partial(nodal_rhs, bundle), 0.1, 5e-3)
     assert np.abs(traj.states[-1] - ref).max() < 1e-12
 
 
@@ -415,10 +421,7 @@ def test_step_rejects_row_mismatch():
 
 
 def test_pcg_time_loop_conserves_linear_bp_energy():
-    # d=2 n=32 over a bump has 2048 velocity unknowns, above the dense
-    # limit, so every velocity solve of the run goes through CG
-    g = Grid(d=2, n=32, L=8.0 * np.pi, gamma=0.8)
-    bath = build_bathymetry(g, "gaussian_bump", 0.5)
+    g, bath = GP, PCG_BUMP
     params = ModelParams(eps=0.0, mu=0.05, model="bp")
     handles = build_handles(params, bath)
     handle = handles["I_plus_muTb"]
@@ -574,3 +577,75 @@ def test_batched_run_under_the_benchmark_run_meter():
     assert seconds > 0.0
     assert steps == batch.steps_taken == 25 + 50
     assert records == batch.n_records == sum(t.n_records for t in batch) == (9 + 1) + (17 + 1)
+
+
+def _pcg_hump(amp: float, outflow: float = 0.0, centre: float = 0.25):
+    """A gaussian hump of the primary variable centred at centre*L on each
+    axis (on PCG_BUMP's slope by default) with velocity outflow * (x - c) * hump."""
+    c = centre * GP.L
+    offsets = [(x - c + 0.5 * GP.L) % GP.L - 0.5 * GP.L for x in GP.x]
+    hump = np.exp(-0.5 * sum(r**2 for r in offsets) / 9.0)
+    return ModelState(GP, np.stack([amp * hump] + [outflow * r * hump for r in offsets]))
+
+
+def test_pcg_mbp_batch_per_member_mu_and_horizon():
+    # warm-started CG solves: each member keeps its own history
+    values = (0.1, 0.05, 0.2)
+    params = [ModelParams(v, v, "mbp") for v in values]
+    states = [_pcg_hump(2.0 * v) for v in values]
+    configs = [
+        StepperConfig(dt=0.05, t_end=t, output_stride=3) for t in (0.2, 0.4, 0.3)
+    ]
+    batch = _batch_matches_solo(states, params, PCG_BUMP, configs)
+    assert build_handles(params[0], PCG_BUMP)["hb_B"].strategy == "pcg"
+    assert [t.steps_taken for t in batch] == [4, 8, 6]
+
+
+def test_pcg_bp_batch_member_goes_dry():
+    # a trough over the bump's top, emptied by its outflow: the eps = 0.45
+    # member goes dry, and the others retake that step from the CG history
+    # they held when it began
+    state = _pcg_hump(-1.0, outflow=4.0, centre=0.5)
+    params = [ModelParams(e, 0.1, "bp") for e in (0.2, 0.45, 0.3)]
+    cfg = StepperConfig(dt=0.02, t_end=0.6, output_stride=5)
+    batch = _batch_matches_solo([state] * 3, params, PCG_BUMP, [cfg] * 3)
+    assert [t.termination for t in batch] == ["completed", "dry", "completed"]
+    assert 0 < batch[1].steps_taken < 30
+    assert batch[0].steps_taken == batch[2].steps_taken == 30
+
+
+def test_pcg_flow_outside_a_run_solves_cold():
+    # only run enters members into the flow's history: a flow called
+    # directly keeps nothing between calls
+    bundle = make_rhs(ModelParams(eps=0.05, mu=0.05, model="mbp"), PCG_BUMP)
+    W = bundle.encode(_pcg_hump(0.3).stack())
+    first = bundle.fn(W)
+    assert np.array_equal(bundle.fn(W), first)
+    assert bundle.history == {}
+
+
+def test_pcg_warm_started_solves_meet_the_round_trip_bound():
+    # every warm-started solve of a run meets the benchmark's round-trip
+    # residual |y - W x| / |y| <= 1e-9, measured against a true apply
+    params = ModelParams(eps=0.05, mu=0.05, model="mbp")
+    handles = build_handles(params, PCG_BUMP)
+    handle = handles["hb_B"]
+    solve = handle.solve_weighted_arrays
+    seen = []
+
+    def watched(y, prior=None):
+        x = solve(y, prior)
+        seen.append((y, x, len(prior or ())))
+        return x
+
+    handle.solve_weighted_arrays = watched
+    traj = run(_pcg_hump(0.3), params, PCG_BUMP, StepperConfig(dt=0.05, t_end=0.5), handles)
+    assert traj.termination == "completed" and traj.steps_taken == 10
+    assert len(seen) == 40
+    assert [n for _, _, n in seen[:5]] == [0, 1, 2, 3, 4]
+    warm = [(y, x) for y, x, n in seen if n]
+    assert len(warm) == 39
+    worst = max(
+        np.linalg.norm(y - handle.apply_weighted_arrays(x)) / np.linalg.norm(y) for y, x in warm
+    )
+    assert worst <= 1e-9
