@@ -91,7 +91,8 @@ class Bathymetry:
     b is copied on construction and frozen, because h_b and the weighted
     operator cores are cached per Bathymetry object. Stores h_b = 1 - beta*b,
     the twisted gradient of b, and the powers the dispersive operators
-    consume. Construction fails if min h_b <= 0.
+    consume. Construction fails unless min h_b > 0, so a NaN or infinite
+    beta or b fails too.
     """
 
     grid: Grid
@@ -108,7 +109,7 @@ class Bathymetry:
             )
         b.setflags(write=False)
         object.__setattr__(self, "b", b)
-        if self.h_min <= 0.0:
+        if not self.h_min > 0.0:
             raise NonpositiveDepthError(
                 f"rest height min(1 - beta*b) = {self.h_min:.6g} is not positive"
             )

@@ -88,8 +88,8 @@ class ModelParams:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
-        if self.eps < 0 or self.mu < 0:
-            raise ValueError("eps and mu must be nonnegative")
+        if not (0 <= self.eps < np.inf and 0 <= self.mu < np.inf):
+            raise ValueError("eps and mu must be finite and nonnegative")
         if self.rescaled_time and (self.model != "mbp" or self.eps == 0):
             raise ValueError("rescaled_time requires model='mbp' with eps > 0")
         if self.model in ("bp", "mbp") and self.eps > 10.0 * self.mu:

@@ -1,8 +1,10 @@
 """Experiment configurations, the six scenarios, their runner, and artifact writers.
 
-A scenario is a named study over one config file. It declares its runs
-as data (RunSpec: tag, swept values, model parameters, stepper) and
-grades their results against thresholds shipped with the presets.
+A scenario is a named study over one config file. Its SCENARIOS entry
+declares what it reads from that file (its sweep axes, scenario_params
+keys, thresholds with their defaults, and the model it fixes), its runs
+as data (RunSpec: tag, swept values, model parameters, stepper), and the
+grading of their results; load_config refuses any key it does not read.
 run_scenario is the one place runs execute: a sweep's compatible runs
 step together as one batch (batch_runs), batches go to a bounded worker
 pool, and it writes
@@ -20,11 +22,14 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
+import re
 import time as _time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
@@ -80,34 +85,10 @@ SNAPSHOT_POLICIES = {
     "final": (("state_final", -1),),
     "initial_final": (("state_initial", 0), ("state_final", -1)),
 }
-SWEEP_KEYS = ("eps", "mu", "eps_mu", "delta", "contrast_eps_mu")
-
-DEFAULT_THRESHOLDS = {
-    "dispersion": {"max_rel_err": 1e-3, "sobolev_index": 3},
-    "consistency": {
-        "min_order_bp_sw": 0.9,
-        "min_order_bp_mbp": 1.7,
-        "sobolev_index": 3,
-    },
-    "longtime": {"energy_bound_factor": 2.0, "sobolev_index": 3},
-    "burgers": {
-        "max_shock_rel_err": 0.1,
-        "max_slope_dev": 0.05,
-        "sobolev_index": 3,
-    },
-    "operator-audit": {
-        "max_symmetry": 1e-10,
-        "max_solve_residual": 1e-9,
-        "max_dense_mismatch": 1e-12,
-        "max_flat_identity_dev": 1e-12,
-        "sobolev_index": 3,
-    },
-    "mollifier-study": {
-        "probe_delta": 1e-3,
-        "max_difference": 1e-3,
-        "sobolev_index": 3,
-    },
-}
+SECTIONS = ("scenario", "grid", "model", "bathymetry", "initial", "stepper", "sweep",
+            "scenario_params", "thresholds", "output", "seed")
+# every scenario's thresholds hold sobolev_index, the N of the E^N energies it records
+SHARED_THRESHOLDS = {"sobolev_index": 3}
 
 
 # ---------------------------------------------------------------------------
@@ -150,79 +131,79 @@ def _cfg_err(src: str, key: str, reason: str) -> ConfigError:
     return ConfigError(f"{src}: {key}: {reason}")
 
 
-def _sub(tree: dict, key: str, src: str, required: bool = True) -> dict:
+def _sub(tree: dict, key: str, src: str, required: bool = True, where: str = "") -> dict:
     val = tree.get(key)
     if val is None:
         if required:
-            raise _cfg_err(src, key, "missing section")
+            raise _cfg_err(src, where + key, "missing section")
         return {}
     if not isinstance(val, dict):
-        raise _cfg_err(src, key, "expected a mapping")
+        raise _cfg_err(src, where + key, "expected a mapping")
     return val
 
 
 def _length(val, src: str, key: str) -> float:
     """Domain lengths accept plain numbers or 'Npi' shorthand like '20pi'."""
-    if isinstance(val, str):
-        txt = val.strip().lower()
+    if not isinstance(val, str):
+        return _number(val, src, key)
+    txt = val.strip().lower()
+    try:
         if txt.endswith("pi"):
-            head = txt[:-2].strip()
-            try:
-                return (float(head) if head else 1.0) * np.pi
-            except ValueError:
-                raise _cfg_err(src, key, f"cannot parse length {val!r}") from None
-        raise _cfg_err(src, key, f"cannot parse length {val!r}")
-    if isinstance(val, (int, float)):
-        return float(val)
-    raise _cfg_err(src, key, f"expected a number, got {type(val).__name__}")
-
-
-class _Quoted(str):
-    """A YAML scalar written in quotes: text, never a number."""
+            return float(txt[:-2] or 1.0) * np.pi
+    except ValueError:
+        pass
+    raise _cfg_err(src, key, f"cannot parse length {val!r}")
 
 
 class _ConfigLoader(yaml.SafeLoader):
-    """yaml's safe loader, with quoted scalars marked as _Quoted."""
+    """yaml's safe loader; a plain 1e3 or 1.0e3 is a float, as in YAML 1.2 (1.1 reads text)."""
 
 
-def _construct_str(loader, node):
-    text = loader.construct_scalar(node)
-    return _Quoted(text) if node.style in ("'", '"') else text
-
-
-_ConfigLoader.add_constructor("tag:yaml.org,2002:str", _construct_str)
+# tried after YAML 1.1's int resolver, so 256 stays an int
+_ConfigLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
+    list("-+.0123456789"),
+)
 
 
 def _number(val, src: str, key: str, conv=float):
-    """A YAML number converted by conv; a quoted one or a boolean is refused.
+    """A finite YAML number as conv, the one reader of config numbers.
 
-    A plain scalar such as 1.0e3, which YAML 1.1 leaves a string, is a number
-    if conv parses it.
+    Booleans, strings (quoted numbers too) and, for conv=int, fractions are refused.
     """
-    if isinstance(val, (bool, _Quoted)) or not isinstance(val, (int, float, str)):
-        raise _cfg_err(src, key, f"expected a number, got {val!r}")
     try:
-        return conv(val)
-    except (ValueError, OverflowError):  # not numeric text, or int() of NaN or inf
-        raise _cfg_err(src, key, f"expected a number, got {val!r}") from None
+        if not isinstance(val, bool) and math.isfinite(val) and (conv is float or int(val) == val):
+            return conv(val)
+    except (TypeError, OverflowError):  # not a number, or an int too large for a float
+        pass
+    kind = "an integer" if conv is int else "a finite number"
+    raise _cfg_err(src, key, f"expected {kind}, got {val!r}")
 
 
-def _float_list(val, src: str, key: str) -> tuple:
-    if not isinstance(val, (list, tuple)) or not val:
-        raise _cfg_err(src, key, "expected a nonempty list of numbers")
-    out = []
-    for i, v in enumerate(val):
-        if not isinstance(v, (int, float)):
-            raise _cfg_err(src, key, f"entry {i} is not a number")
-        out.append(float(v))
-    return tuple(out)
+def _nonnegative(val, src: str, key: str, conv=float, positive: bool = False):
+    """_number, refusing a negative value, and zero too where positive."""
+    x = _number(val, src, key, conv)
+    if x < 0 or (positive and x == 0):
+        rule = "positive" if positive else "nonnegative"
+        raise _cfg_err(src, key, f"must be {rule}, got {x!r}")
+    return x
+
+
+_positive = partial(_nonnegative, positive=True)
+
+
+def _only_read(section: dict, known, src: str, where: str, scenario: str) -> None:
+    """Refuse a key of section that the scenario does not read; where prefixes its name."""
+    for key in section:
+        if key not in known:
+            reason = f"not read by scenario {scenario!r}, choose from {sorted(known)}"
+            raise _cfg_err(src, where + key, reason)
 
 
 def _mode_entry(val, d: int, src: str, key: str):
     if d == 1:
-        if not isinstance(val, int):
-            raise _cfg_err(src, key, "d=1 mode indices are integers")
-        return int(val)
+        return _number(val, src, key, int)
     if not (isinstance(val, (list, tuple)) and len(val) == 2):
         raise _cfg_err(src, key, "d=2 mode indices are [k1, k2] pairs")
     return (_number(val[0], src, key, int), _number(val[1], src, key, int))
@@ -248,10 +229,7 @@ def _grid_and_bottom(
     if profile not in PROFILES:
         raise _cfg_err(src, profile_key, f"unknown {profile!r}, choose from {sorted(PROFILES)}")
     beta = _number(bt.get("beta", 0.0), src, f"{bath_key}.beta")
-    params = bt.get("params")
-    params = {} if params is None else params
-    if not isinstance(params, dict):
-        raise _cfg_err(src, f"{bath_key}.params", "expected a mapping")
+    params = _sub(bt, "params", src, required=False, where=f"{bath_key}.")
     try:
         bath = build_bathymetry(grid, profile, beta, params)
     except (BplabError, ValueError, TypeError) as e:
@@ -259,32 +237,16 @@ def _grid_and_bottom(
     return grid, bath, profile, beta, dict(params)
 
 
-_REQUIRED_SWEEPS = {
-    "consistency": ("eps_mu",),
-    "longtime": ("eps_mu",),
-    "burgers": ("eps",),
-    "mollifier-study": ("delta",),
-}
-
-
-# scenarios that run one model whatever model.name says
-_FIXED_MODEL = {"longtime": "mbp", "burgers": "burgers"}
-
-# swept values a scenario divides by: longtime's horizons are 1/eps, burgers'
-# blow-up times too
-_POSITIVE_SWEEPS = {
-    "longtime": ("eps_mu", "contrast_eps_mu"),
-    "burgers": ("eps",),
-}
-
-
 def load_config(
     path, out: Optional[str] = None, seed: Optional[int] = None
 ) -> ExperimentConfig:
     """Parse and validate one experiment file into an ExperimentConfig.
 
-    Every complaint carries the file and the dotted key it refers to.
-    out and seed override the file (command-line flags).
+    The scenario's SCENARIOS entry is its contract: a sweep axis,
+    scenario_params key or threshold it does not read is refused, as is a
+    model.name other than the one it fixes. Every complaint carries the
+    file and the dotted key it refers to. out and seed override the file
+    (command-line flags).
     """
     src = str(path)
     try:
@@ -300,9 +262,8 @@ def load_config(
 
     scenario = tree.get("scenario")
     if scenario not in SCENARIOS:
-        raise _cfg_err(
-            src, "scenario", f"unknown {scenario!r}, choose from {sorted(SCENARIOS)}"
-        )
+        raise _cfg_err(src, "scenario", f"unknown {scenario!r}, choose from {sorted(SCENARIOS)}")
+    contract = SCENARIOS[scenario]
 
     grid, _, profile, beta, bath_params = _grid_and_bottom(
         _sub(tree, "grid", src), _sub(tree, "bathymetry", src, required=False),
@@ -313,30 +274,28 @@ def load_config(
     name = mt.get("name")
     if name not in MODELS:
         raise _cfg_err(src, "model.name", f"unknown {name!r}, choose from {MODELS}")
+    if contract.model not in (None, name):
+        reason = f"scenario {scenario!r} runs {contract.model!r}, got {name!r}"
+        raise _cfg_err(src, "model.name", reason)
+    rescaled_time = mt.get("rescaled_time", False)
+    if not isinstance(rescaled_time, bool):
+        reason = f"expected true or false, got {rescaled_time!r}"
+        raise _cfg_err(src, "model.rescaled_time", reason)
     try:
         params = ModelParams(
             eps=_number(mt.get("eps", 0.0), src, "model.eps"),
             mu=_number(mt.get("mu", 0.0), src, "model.mu"),
             model=name,
-            rescaled_time=bool(mt.get("rescaled_time", False)),
+            rescaled_time=rescaled_time,
         )
     except (ValueError, TypeError) as e:
         raise _cfg_err(src, "model", str(e)) from None
-    # values these scenarios overwrite must not say otherwise
-    if scenario in _FIXED_MODEL and name != _FIXED_MODEL[scenario]:
-        reason = f"scenario {scenario!r} runs {_FIXED_MODEL[scenario]!r}, got {name!r}"
-        raise _cfg_err(src, "model.name", reason)
-    if scenario == "dispersion" and params.eps != 0.0:
-        raise _cfg_err(src, "model.eps", "scenario 'dispersion' runs at eps = 0")
 
     it = _sub(tree, "initial", src, required=False)
     shape = it.get("shape", "single_mode")
     if shape not in INITIAL_SHAPES:
-        raise _cfg_err(
-            src, "initial.shape", f"unknown {shape!r}, choose from {INITIAL_SHAPES}"
-        )
-    mode = it.get("mode", 1 if grid.d == 1 else [1, 0])
-    mode = _mode_entry(mode, grid.d, src, "initial.mode")
+        raise _cfg_err(src, "initial.shape", f"unknown {shape!r}, choose from {INITIAL_SHAPES}")
+    mode = _mode_entry(it.get("mode", 1 if grid.d == 1 else [1, 0]), grid.d, src, "initial.mode")
     if np.abs(mode).max() > grid.n / 2:
         reason = f"{mode} has a component with |k| > n/2 = {grid.n // 2}"
         raise _cfg_err(src, "initial.mode", reason)
@@ -353,42 +312,29 @@ def load_config(
     track = st.get("track_modes", [])
     if not isinstance(track, (list, tuple)):
         raise _cfg_err(src, "stepper.track_modes", "expected a list")
-    track_modes = tuple(
-        _mode_entry(m, grid.d, src, "stepper.track_modes") for m in track
-    )
+    track_modes = tuple(_mode_entry(m, grid.d, src, "stepper.track_modes") for m in track)
     try:
         _check_modes(grid, track_modes)
     except ValueError as e:
         raise _cfg_err(src, "stepper.track_modes", str(e)) from None
-    if scenario == "dispersion" and not track_modes:
-        raise _cfg_err(src, "stepper.track_modes", "required by scenario 'dispersion'")
-    numbers = {
-        key: _number(st.get(key, default), src, f"stepper.{key}", conv)
-        for key, default, conv in (
-            ("dt", 1e-3, float),
-            ("t_end", 1.0, float),
-            ("output_stride", 1, int),
-            ("blowup_threshold", 1e3, float),
-            ("delta", 0.0, float),
-        )
+    defaults = {"dt": 1e-3, "t_end": 1.0, "output_stride": 1, "blowup_threshold": 1e3, "delta": 0.0}
+    numbers = {  # each read as its default's type
+        key: _number(st.get(key, default), src, f"stepper.{key}", type(default))
+        for key, default in defaults.items()
     }
     try:
-        stepper = StepperConfig(
-            scheme=st.get("scheme", "rk4"), track_modes=track_modes, **numbers
-        )
+        stepper = StepperConfig(scheme=st.get("scheme", "rk4"), track_modes=track_modes, **numbers)
     except (ValueError, TypeError) as e:
         raise _cfg_err(src, "stepper", str(e)) from None
 
     sw = _sub(tree, "sweep", src, required=False)
+    _only_read(sw, contract.sweep, src, "sweep.", scenario)
     sweep = {}
     for key, val in sw.items():
-        if key not in SWEEP_KEYS:
-            raise _cfg_err(src, f"sweep.{key}", f"unknown axis, choose from {SWEEP_KEYS}")
-        sweep[key] = _float_list(val, src, f"sweep.{key}")
-        if min(sweep[key]) < 0.0:
-            raise _cfg_err(src, f"sweep.{key}", "values must be nonnegative")
-        if key in _POSITIVE_SWEEPS.get(scenario, ()) and 0.0 in sweep[key]:
-            raise _cfg_err(src, f"sweep.{key}", f"values must be positive in {scenario!r}")
+        if not isinstance(val, list) or not val:
+            raise _cfg_err(src, f"sweep.{key}", "expected a nonempty list of numbers")
+        read = _positive if contract.sweep[key].positive else _nonnegative
+        sweep[key] = tuple(read(v, src, f"sweep.{key}[{i}]") for i, v in enumerate(val))
     # a value's tag names its run and directory; contrast runs share eps_mu's
     tags = set()
     for key, vals in sweep.items():
@@ -398,62 +344,30 @@ def load_config(
                 reason = f"{v!r} repeats a run tag of sweep.{axis}"
                 raise _cfg_err(src, f"sweep.{key}", reason)
             tags.add((axis, _tagf(v)))
-    for key in _REQUIRED_SWEEPS.get(scenario, ()):
-        if key not in sweep:
+    for key, axis in contract.sweep.items():
+        if axis.required and key not in sweep:
             raise _cfg_err(src, f"sweep.{key}", f"required by scenario {scenario!r}")
-    if scenario == "mollifier-study" and 0.0 not in sweep.get("delta", ()):
-        raise _cfg_err(src, "sweep.delta", "must include 0.0 as the reference run")
 
-    sp = dict(_sub(tree, "scenario_params", src, required=False))
-    for key, conv in (("horizon_over_eps", float), ("trials", int)):
-        if key in sp:
-            sp[key] = _number(sp[key], src, f"scenario_params.{key}", conv)
-    if not sp.get("horizon_over_eps", 1.0) > 0.0:
-        raise _cfg_err(src, "scenario_params.horizon_over_eps", "must be positive")
-    if sp.get("trials", 1) < 1:
-        raise _cfg_err(src, "scenario_params.trials", "must be at least 1")
-    if scenario == "operator-audit":
-        cases = sp.get("cases") or []
-        if not isinstance(cases, list):
-            raise _cfg_err(src, "scenario_params.cases", "expected a list of mappings")
-        for i, case in enumerate(cases):
-            _audit_case(case, params.mu, src, f"scenario_params.cases[{i}]")
+    sp = _sub(tree, "scenario_params", src, required=False)
+    _only_read(sp, contract.params, src, "scenario_params.", scenario)
+    sp = {k: contract.params[k](v, src, f"scenario_params.{k}") for k, v in sp.items()}
 
-    thresholds = dict(DEFAULT_THRESHOLDS[scenario])
     tt = _sub(tree, "thresholds", src, required=False)
-    for key, val in tt.items():
-        if key not in thresholds:
-            raise _cfg_err(
-                src,
-                f"thresholds.{key}",
-                f"unknown for scenario {scenario!r}, choose from {sorted(thresholds)}",
-            )
-        if not isinstance(val, (int, float)):
-            raise _cfg_err(src, f"thresholds.{key}", "expected a number")
-        thresholds[key] = float(val)
+    thresholds = {**contract.thresholds, **SHARED_THRESHOLDS}
+    _only_read(tt, thresholds, src, "thresholds.", scenario)
+    thresholds.update((key, _number(val, src, f"thresholds.{key}")) for key, val in tt.items())
 
     ot = _sub(tree, "output", src, required=False)
     out_dir = out or ot.get("dir") or os.environ.get(ENV_OUT) or DEFAULT_OUT
     snapshots = ot.get("snapshots", "final")
     if snapshots not in SNAPSHOT_POLICIES:
-        raise _cfg_err(
-            src, "output.snapshots",
-            f"unknown {snapshots!r}, choose from {tuple(SNAPSHOT_POLICIES)}",
-        )
+        reason = f"unknown {snapshots!r}, choose from {tuple(SNAPSHOT_POLICIES)}"
+        raise _cfg_err(src, "output.snapshots", reason)
 
-    seed_val = tree.get("seed", 0) if seed is None else seed
-    if not isinstance(seed_val, int) or seed_val < 0:
-        raise _cfg_err(src, "seed", "expected a nonnegative integer")
+    seed_val = _nonnegative(tree.get("seed", 0) if seed is None else seed, src, "seed", int)
+    _only_read(tree, SECTIONS, src, "", scenario)
 
-    known = {
-        "scenario", "grid", "model", "bathymetry", "initial", "stepper",
-        "sweep", "scenario_params", "thresholds", "output", "seed",
-    }
-    for key in tree:
-        if key not in known:
-            raise _cfg_err(src, key, "unknown section")
-
-    return ExperimentConfig(
+    config = ExperimentConfig(
         scenario=scenario,
         grid=grid,
         params=params,
@@ -467,9 +381,12 @@ def load_config(
         thresholds=thresholds,
         out_dir=str(out_dir),
         snapshots=snapshots,
-        seed=int(seed_val),
+        seed=seed_val,
         raw={k: v for k, v in tree.items() if k != "output"},
     )
+    if contract.check is not None:
+        contract.check(config, src)
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -478,13 +395,9 @@ def load_config(
 
 def _centered_gaussian(grid: Grid, amplitude: float, width: float) -> np.ndarray:
     out = np.ones(grid.shape)
-    for axis, xj in enumerate(grid.x):
+    for xj in grid.x:  # in d=2, the meshgrid of one coordinate
         # nodes live in [0, L), so the offset from mid-domain needs no wrap
-        r = xj - 0.5 * grid.L
-        bump = np.exp(-0.5 * (r / width) ** 2)
-        shp = [1] * grid.d
-        shp[axis] = grid.n
-        out = out * bump.reshape(shp)
+        out = out * np.exp(-0.5 * ((xj - 0.5 * grid.L) / width) ** 2)
     return amplitude * out
 
 
@@ -724,6 +637,14 @@ def _dispersion_runs(config: ExperimentConfig) -> list:
     ]
 
 
+def _check_dispersion(config: ExperimentConfig, src: str) -> None:
+    """Its runs are linear (eps = 0), and it grades the tracked modes."""
+    if config.params.eps != 0.0:
+        raise _cfg_err(src, "model.eps", "scenario 'dispersion' runs at eps = 0")
+    if not config.stepper.track_modes:
+        raise _cfg_err(src, "stepper.track_modes", "required by scenario 'dispersion'")
+
+
 def _grade_dispersion(config: ExperimentConfig, bath, results: list):
     """Each tracked mode of each completed run gets one table row."""
     k0 = 2.0 * np.pi / config.grid.L
@@ -953,6 +874,16 @@ def _audit_case(case, default_mu: float, src: str, where: str):
     return grid, bath, mu
 
 
+def _case_list(val, src: str, key: str) -> list:
+    """Audit cases as written, each checked by _audit_case."""
+    if not isinstance(val, list):
+        raise _cfg_err(src, key, "expected a list of mappings")
+    for i, case in enumerate(val):
+        # a case without mu takes model.mu, which ModelParams checks
+        _audit_case(case, 0.0, src, f"{key}[{i}]")
+    return val
+
+
 def _audit_cases(config: ExperimentConfig) -> list:
     """scenario_params.cases, or one case made of the config's own grid and bottom."""
     cases = config.scenario_params.get("cases")
@@ -1038,6 +969,11 @@ def _mollifier_runs(config: ExperimentConfig) -> list:
     ]
 
 
+def _check_mollifier(config: ExperimentConfig, src: str) -> None:
+    if 0.0 not in config.sweep["delta"]:
+        raise _cfg_err(src, "sweep.delta", "must include 0.0 as the reference run")
+
+
 def _grade_mollifier(config: ExperimentConfig, bath, results: list):
     """Trajectory distance to the unmollified run as delta shrinks."""
     failures = [f for f in map(_failure, results) if f]
@@ -1070,30 +1006,63 @@ def _grade_mollifier(config: ExperimentConfig, bath, results: list):
     return {"mollifier": rows}, verdicts, failures
 
 
+class Axis(NamedTuple):
+    """A sweep axis a scenario reads; positive where its runs divide by the value."""
+
+    required: bool = False
+    positive: bool = False
+
+
 class Scenario(NamedTuple):
+    """A scenario's runs, its grading and its config contract.
+
+    The contract is everything the scenario reads beyond the shared sections:
+    load_config refuses any other sweep axis, scenario_params key or
+    threshold, and a model.name other than the model it fixes.
+    """
+
     runs: Callable  # config -> list of RunSpec
     grade: Callable  # (config, bath, results) -> (tables, verdicts, failures)
     about: str
+    thresholds: dict  # key -> default, besides SHARED_THRESHOLDS
+    sweep: dict = {}  # axis -> Axis
+    params: dict = {}  # scenario_params key -> reader(val, src, key)
+    model: Optional[str] = None  # the one model it runs, if it fixes one
+    check: Optional[Callable] = None  # (config, src): what the keys alone cannot say
 
 
 SCENARIOS = {
     "dispersion": Scenario(
-        _dispersion_runs, _grade_dispersion, "measured vs predicted plane-wave frequencies"
+        _dispersion_runs, _grade_dispersion, "measured vs predicted plane-wave frequencies",
+        {"max_rel_err": 1e-3}, sweep={"mu": Axis()}, check=_check_dispersion,
     ),
     "consistency": Scenario(
-        _consistency_runs, _grade_consistency, "model gaps graded as powers of eps=mu"
+        _consistency_runs, _grade_consistency, "model gaps graded as powers of eps=mu",
+        {"min_order_bp_sw": 0.9, "min_order_bp_mbp": 1.7}, sweep={"eps_mu": Axis(required=True)},
     ),
     "longtime": Scenario(
-        _longtime_runs, _grade_longtime, "E^N boundedness over horizons of length 1/eps"
+        _longtime_runs, _grade_longtime, "E^N boundedness over horizons of length 1/eps",
+        {"energy_bound_factor": 2.0},
+        sweep={
+            "eps_mu": Axis(required=True, positive=True), "contrast_eps_mu": Axis(positive=True)
+        },
+        params={"horizon_over_eps": _positive}, model="mbp",
     ),
     "burgers": Scenario(
-        _burgers_runs, _grade_burgers, "gradient blow-up times against the 1/eps law"
+        _burgers_runs, _grade_burgers, "gradient blow-up times against the 1/eps law",
+        {"max_shock_rel_err": 0.1, "max_slope_dev": 0.05},
+        sweep={"eps": Axis(required=True, positive=True)}, model="burgers",
     ),
     "operator-audit": Scenario(
-        _audit_runs, _grade_operator_audit, "symmetry/coercivity/inversion checks"
+        _audit_runs, _grade_operator_audit, "symmetry/coercivity/inversion checks",
+        {"max_symmetry": 1e-10, "max_solve_residual": 1e-9, "max_dense_mismatch": 1e-12,
+         "max_flat_identity_dev": 1e-12},
+        params={"trials": partial(_positive, conv=int), "cases": _case_list},
     ),
     "mollifier-study": Scenario(
-        _mollifier_runs, _grade_mollifier, "trajectory drift as the mollifier relaxes"
+        _mollifier_runs, _grade_mollifier, "trajectory drift as the mollifier relaxes",
+        {"probe_delta": 1e-3, "max_difference": 1e-3},
+        sweep={"delta": Axis(required=True)}, check=_check_mollifier,
     ),
 }
 

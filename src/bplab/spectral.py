@@ -53,8 +53,8 @@ class Grid:
             raise ValueError("d must be 1 or 2")
         if self.n < 8 or (self.n & (self.n - 1)) != 0:
             raise ValueError("n must be a power of two with n >= 8")
-        if not self.L > 0:
-            raise ValueError("L must be positive")
+        if not 0 < self.L < np.inf:
+            raise ValueError("L must be finite and positive")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("gamma must lie in (0, 1]")
 

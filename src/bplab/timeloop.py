@@ -88,18 +88,18 @@ class StepperConfig:
     track_modes: tuple = ()
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if self.t_end < 0:
-            raise ValueError("t_end must be nonnegative")
+        if not 0 < self.dt < np.inf:
+            raise ValueError("dt must be finite and positive")
+        if not 0 <= self.t_end < np.inf:
+            raise ValueError("t_end must be finite and nonnegative")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")
         if self.output_stride < 1:
             raise ValueError("output_stride must be at least 1")
         if not self.blowup_threshold > 0:
             raise ValueError("blowup_threshold must be positive")
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
+        if not 0 <= self.delta < np.inf:
+            raise ValueError("delta must be finite and nonnegative")
 
 
 @dataclass

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bplab.bathymetry import (
+    Bathymetry,
     build_bathymetry,
     q_positivity_factor,
     q_to_zeta_arr,
@@ -46,6 +47,19 @@ class TestProfiles:
     def test_nonpositive_depth_raises(self):
         with pytest.raises(NonpositiveDepthError):
             build_bathymetry(G1, "gaussian_bump", beta=1.0, params={"height": 1.0})
+
+    def test_non_finite_beta_or_b_raises(self):
+        # NaN compares false both ways, so only h_min > 0 can refuse it
+        for beta in (np.nan, np.inf):
+            for profile in ("flat", "gaussian_bump"):
+                # inf * 0 on the flat stretches is NaN
+                with pytest.raises(NonpositiveDepthError), np.errstate(invalid="ignore"):
+                    build_bathymetry(G1, profile, beta=beta)
+        for bad in (np.nan, np.inf):
+            b = np.zeros(G1.shape)
+            b[3] = bad
+            with pytest.raises(NonpositiveDepthError):
+                Bathymetry(grid=G1, beta=0.5, b=b)
 
     def test_sinusoidal_and_two_bumps_build(self):
         g2 = Grid(d=2, n=16, L=2 * np.pi)

@@ -63,6 +63,14 @@ def test_params_rejects_negative_scales():
         ModelParams(0.1, -0.1, "sw")
 
 
+def test_params_rejects_non_finite_scales():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ModelParams(bad, 0.1, "sw")
+        with pytest.raises(ValueError, match="finite"):
+            ModelParams(0.1, bad, "sw")
+
+
 def test_rescaled_time_needs_mbp_and_eps():
     with pytest.raises(ValueError):
         ModelParams(0.1, 0.1, "bp", rescaled_time=True)

@@ -2,6 +2,8 @@
 
 import json
 import re
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +29,9 @@ from bplab.scenarios import (
 )
 from bplab.spectral import Grid, mollify_arr
 from bplab.timeloop import run
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _write(tmp_path, text, name="exp.yaml"):
@@ -159,10 +164,10 @@ def test_d2_mode_pairs_parse(tmp_path):
             "stepper.track_modes",
         ),
         (
-            TINY_DISPERSION + "scenario_params: {horizon_over_eps: soon}\n",
+            TINY_LONGTIME + "scenario_params: {horizon_over_eps: soon}\n",
             "scenario_params.horizon_over_eps",
         ),
-        (TINY_DISPERSION + "scenario_params: {trials: many}\n", "scenario_params.trials"),
+        (TINY_AUDIT.replace("trials: 3", "trials: many"), "scenario_params.trials"),
         # the rfft row of wavenumber -1, which would be graded as wavenumber 15
         (
             D2_DISPERSION.replace("track_modes: [[1, 0]]", "track_modes: [[15, 0]]"),
@@ -223,6 +228,33 @@ def test_d2_mode_pairs_parse(tmp_path):
         (TINY_DISPERSION.replace("  output_stride: 5\n", '  output_stride: 5\n  delta: "0"\n'),
          "stepper.delta"),
         (TINY_LONGTIME.replace("n: 16", "n: .inf"), "grid.n"),
+        # keys the scenario does not read: a typo, an axis it ignores
+        (
+            TINY_LONGTIME + "scenario_params: {horizon_over_epz: 0.5}\n",
+            "scenario_params.horizon_over_epz",
+        ),
+        (DRY_CONSISTENCY + "  mu: [0.3]\n", "sweep.mu"),
+        (TINY_DISPERSION + "scenario_params: {trials: 3}\n", "scenario_params.trials"),
+        # a fraction where an integer is read
+        (TINY_BURGERS.replace("output_stride: 5,", "output_stride: 20.5,"),
+         "stepper.output_stride"),
+        (TINY_LONGTIME.replace("n: 16", "n: 256.9"), "grid.n"),
+        (TINY_AUDIT.replace("trials: 3", "trials: 2.5"), "scenario_params.trials"),
+        (TINY_DISPERSION.replace("mode: 1}", "mode: 1.5}"), "initial.mode"),
+        # booleans are not numbers, and a quoted boolean is not a boolean
+        (DRY_CONSISTENCY.replace("eps_mu: [0.2,", "eps_mu: [true,"), "sweep.eps_mu"),
+        (TINY_LONGTIME + "thresholds: {energy_bound_factor: true}\n",
+         "thresholds.energy_bound_factor"),
+        (TINY_DISPERSION.replace("seed: 7", "seed: true"), "seed"),
+        (TINY_DISPERSION.replace("mode: 1}", "mode: true}"), "initial.mode"),
+        (TINY_MOLLIFIER.replace("mu: 0.1}", 'mu: 0.1, rescaled_time: "false"}'),
+         "model.rescaled_time"),
+        # NaN and infinities, written as YAML floats or as text
+        (DRY_CONSISTENCY.replace("t_end: 0.1}", "t_end: inf}"), "stepper.t_end"),
+        (DRY_CONSISTENCY.replace("t_end: 0.1}", "t_end: .inf}"), "stepper.t_end"),
+        (TINY_MOLLIFIER.replace("beta: 0.3}", "beta: .nan}"), "bathymetry.beta"),
+        (TINY_BURGERS.replace("eps: [0.4, 0.2]", "eps: [0.4, .nan]"), "sweep.eps"),
+        (TINY_DISPERSION + "thresholds: {max_rel_err: .inf}\n", "thresholds.max_rel_err"),
     ],
     ids=[
         "amplitude", "width", "mode", "track_modes", "horizon_over_eps", "trials",
@@ -235,7 +267,11 @@ def test_d2_mode_pairs_parse(tmp_path):
         "burgers_model_name", "dispersion_model_eps", "quoted_audit_mu", "quoted_model_mu",
         "quoted_model_eps", "quoted_n", "quoted_d", "quoted_gamma", "quoted_t_end",
         "quoted_dt", "quoted_output_stride", "quoted_blowup_threshold", "quoted_delta",
-        "infinite_n",
+        "infinite_n", "longtime_unread_param", "consistency_unread_axis",
+        "dispersion_unread_param", "fractional_output_stride", "fractional_n",
+        "fractional_trials", "fractional_mode", "bool_sweep_entry", "bool_threshold",
+        "bool_seed", "bool_mode", "quoted_rescaled_time", "t_end_inf_text", "t_end_inf",
+        "beta_nan", "sweep_nan", "threshold_inf",
     ],
 )
 def test_bad_value_rejected(tmp_path, capsys, text, key):
@@ -244,6 +280,27 @@ def test_bad_value_rejected(tmp_path, capsys, text, key):
         load_config(p)
     assert main(["validate", "--config", str(p)]) == 2
     assert "invalid:" in capsys.readouterr().err
+
+
+def test_plain_exponents_are_numbers(tmp_path):
+    # YAML 1.1 leaves 1e2 and 1.0e3 strings; the loader reads them as YAML 1.2 floats
+    text = TINY_BURGERS.replace("blowup_threshold: 50.0", "blowup_threshold: 1e2")
+    text = text.replace("eps: [0.4, 0.2]", "eps: [4.0e-1, 2e-1]")
+    cfg = load_config(_write(tmp_path, text + "thresholds: {max_slope_dev: 5.0e2}\n"))
+    assert cfg.stepper.blowup_threshold == 100.0
+    assert cfg.raw["stepper"]["blowup_threshold"] == 100.0
+    assert cfg.sweep["eps"] == (0.4, 0.2)
+    assert cfg.thresholds["max_slope_dev"] == 500.0
+    assert isinstance(cfg.raw["grid"]["n"], int)  # integers stay integers
+
+
+def test_preset_summary_records_blowup_threshold_as_number(tmp_path):
+    cfg = load_config(ROOT / "configs" / "dispersion.yaml", out=str(tmp_path))
+    cfg = replace(cfg, stepper=replace(cfg.stepper, t_end=0.05))  # the parameters stay the file's
+    run_scenario(cfg)
+    summary = json.loads((tmp_path / "dispersion" / "summary.json").read_text())
+    value = summary["parameters"]["stepper"]["blowup_threshold"]
+    assert type(value) is float and value == 1000.0
 
 
 def test_initial_mode_band_edge_loads(tmp_path):
@@ -334,6 +391,21 @@ def test_gaussian_initial_state(tmp_path):
     assert abs(z.max() - 0.25) < 1e-12
     assert abs(cfg.grid.x[0][z.argmax()] - 0.5 * cfg.grid.L) < cfg.grid.L / 64
     assert state.U.shape == (2,) + cfg.grid.shape and abs(state.U[1:]).max() == 0.0
+
+
+def test_d2_gaussian_initial_state(tmp_path):
+    # one Gaussian factor per axis, each centred mid-domain
+    text = D2_DISPERSION.replace(
+        "initial: {shape: single_mode, amplitude: 1.0e-3, mode: [1, 0]}",
+        "initial: {shape: gaussian, amplitude: 0.25, width: 0.7}",
+    )
+    cfg = _cfg(tmp_path, text)
+    state = build_initial_state(cfg, cfg.grid, cfg.params, cfg.build_bath())
+    x, y = cfg.grid.x
+    c = 0.5 * cfg.grid.L
+    expect = 0.25 * np.exp(-0.5 * ((x - c) / 0.7) ** 2) * np.exp(-0.5 * ((y - c) / 0.7) ** 2)
+    assert state.U.shape == (3, 16, 16)
+    assert abs(state.U[0] - expect).max() < 1e-15
 
 
 def test_single_mode_initial_state(tmp_path):
@@ -633,6 +705,33 @@ def test_preset_batches(capsys, preset, batches):
     assert batch_runs(SCENARIOS[cfg.scenario].runs(cfg)) == batches
     assert main(["validate", "--config", f"configs/{preset}.yaml"]) == 0
     assert f" batches={len(batches)} " in capsys.readouterr().out
+
+
+# (runs, batches) of each preset; the benchmark's scaled-down input of a
+# preset must declare the same, or the benchmark would measure other work
+PRESET_COUNTS = {
+    "burgers": (3, 1),
+    "consistency": (9, 3),
+    "dispersion": (3, 1),
+    "longtime": (3, 1),
+    "mollifier_study": (3, 1),
+    "operator_audit": (3, 3),
+}
+SHIPPED_CONFIGS = sorted(
+    p for sub in ("configs", "perfbench/inputs") for p in (ROOT / sub).glob("*.yaml")
+)
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_shipped_config_validates(capsys, path):
+    # a stricter loader must not refuse a preset or a benchmark input unseen
+    runs, batches = PRESET_COUNTS[path.stem]
+    assert main(["validate", "--config", str(path)]) == 0
+    assert f" runs={runs} batches={batches} " in capsys.readouterr().out
+
+
+def test_shipped_configs_cover_every_preset():
+    assert len(SHIPPED_CONFIGS) == 2 * len(PRESET_COUNTS)
 
 
 def test_validate_counts_the_runs_that_run(tmp_path, capsys):

@@ -63,6 +63,11 @@ class TestGridValidation:
         with pytest.raises(ValueError):
             Grid(d=2, n=16, L=1.0, gamma=1.5)
 
+    def test_rejects_non_finite_length(self):
+        for L in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="L must be finite"):
+                Grid(d=1, n=16, L=L)
+
     def test_wavenumbers_are_2pi_over_L_integers(self):
         g = Grid(d=1, n=16, L=4.0)
         np.testing.assert_allclose(g.kgamma[0], 2 * np.pi / 4.0 * np.arange(9))

@@ -60,6 +60,13 @@ def test_config_validation():
         StepperConfig(dt=1e-2, t_end=1.0, delta=-1e-4)
 
 
+def test_config_rejects_non_finite_values():
+    for bad in (np.nan, np.inf):
+        for key in ("dt", "t_end", "delta"):
+            with pytest.raises(ValueError, match=f"{key} must be finite"):
+                StepperConfig(**{"dt": 1e-2, "t_end": 1.0, key: bad})
+
+
 def test_schemes_and_limits_agree():
     assert set(SCHEMES) == set(CFL_LIMITS)
 
