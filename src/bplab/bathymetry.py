@@ -14,6 +14,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -76,11 +77,23 @@ def _profile_two_bumps(grid: Grid, params) -> np.ndarray:
     return _gaussian(grid, c1, w1, h1) + _gaussian(grid, c2, w2, h2)
 
 
+class Profile(NamedTuple):
+    """A bottom profile's builder and the params keys it reads, each with its number type."""
+
+    build: Callable[[Grid, dict], np.ndarray]
+    keys: dict
+
+
 PROFILES = {
-    "flat": _profile_flat,
-    "gaussian_bump": _profile_gaussian_bump,
-    "sinusoidal": _profile_sinusoidal,
-    "two_bumps": _profile_two_bumps,
+    "flat": Profile(_profile_flat, {}),
+    "gaussian_bump": Profile(
+        _profile_gaussian_bump, {"center": float, "width": float, "height": float}
+    ),
+    "sinusoidal": Profile(_profile_sinusoidal, {"k": int, "amplitude": float}),
+    "two_bumps": Profile(
+        _profile_two_bumps,
+        {key: float for key in ("center1", "center2", "width1", "width2", "height1", "height2")},
+    ),
 }
 
 
@@ -140,7 +153,7 @@ def build_bathymetry(grid: Grid, profile: str, beta: float, params=None) -> Bath
     """Construct a named bottom profile; raises NonpositiveDepthError if drowned."""
     if profile not in PROFILES:
         raise ValueError(f"unknown profile '{profile}', choose from {sorted(PROFILES)}")
-    b = PROFILES[profile](grid, dict(params or {}))
+    b = PROFILES[profile].build(grid, dict(params or {}))
     return Bathymetry(grid=grid, beta=beta, b=b)
 
 

@@ -54,7 +54,7 @@ __all__ = [
 
 KINDS = ("I_plus_muTb", "hb_B", "hb_A")
 
-SOLVER_DENSE_LIMIT = 1024  # unknowns at or below this get a Cholesky factorization
+SOLVER_DENSE_LIMIT = 1024  # unknowns at or below this get a dense inverse
 CG_TOL = 1e-10
 CG_MAXITER = 500
 CG_HISTORY = 4  # past solves of one member that warm-start its next CG solve
@@ -367,9 +367,11 @@ class OperatorHandle:
       I_plus_muTb : (I + mu*Tb) x = rhs, through h_b(I + mu*Tb) x = h_b*rhs
       hb_B        : h_b*B x = rhs
       hb_A        : h_b*A x = rhs
-    Strategy: exact per-mode inversion on flat bottoms, Cholesky at or
-    below SOLVER_DENSE_LIMIT unknowns, otherwise CG (relative residual
-    1e-10, 500 iteration cap) preconditioned by h_b^{-1/2} F^{-1} h_b^{-1/2},
+    Strategy: exact per-mode inversion on flat bottoms; at or below
+    SOLVER_DENSE_LIMIT unknowns, the dense inverse of a weighted matrix
+    that must pass a Cholesky factorization (NotSPDError otherwise);
+    otherwise CG (relative residual 1e-10, 500 iteration cap)
+    preconditioned by h_b^{-1/2} F^{-1} h_b^{-1/2},
     the flat-bottom inverse F^{-1} scaled by h_b^{-1/2} on both sides: every
     weighted form is h_b(I + O(mu k^2)), so the scaling keeps the iteration
     count from growing as the depth varies.
@@ -401,13 +403,11 @@ class OperatorHandle:
             self.strategy = "dense"
             W = dense_matrix(self.apply_weighted_arrays, self.grid)
             W = 0.5 * (W + W.T)  # scrub roundoff asymmetry before factorizing
-            import scipy.linalg  # dense handles only: keeps scipy out of cold start
-
             try:
-                fac = scipy.linalg.cho_factor(W, lower=True)
-            except scipy.linalg.LinAlgError as exc:
+                np.linalg.cholesky(W)  # the SPD check; the factor itself is not kept
+            except np.linalg.LinAlgError as exc:
                 raise NotSPDError(f"{kind} weighted matrix not SPD: {exc}") from exc
-            self._inv = scipy.linalg.cho_solve(fac, np.eye(self.size))
+            self._inv = np.linalg.inv(W)
         else:
             self.strategy = "pcg"
             self._precond_spec = _flat_inverse(self.grid, kind, mu)
@@ -526,15 +526,15 @@ def coercivity_report(
     report["symmetry_residual"] = sym
 
     if handle.size <= DENSE_AUDIT_LIMIT:
-        import scipy.linalg
-
         W = dense_matrix(handle.apply_weighted_arrays, grid)
         G = dense_matrix(
             lambda V: _gram_apply(grid, handle.kind, handle.mu, V), grid
         )
         W = 0.5 * (W + W.T)
         G = 0.5 * (G + G.T)
-        eigs = scipy.linalg.eigh(W, G, eigvals_only=True)
+        # W x = lambda G x reduced by G = L L^T to a standard symmetric problem
+        Linv = np.linalg.inv(np.linalg.cholesky(G))
+        eigs = np.linalg.eigvalsh(Linv @ W @ Linv.T)
         report["min_quotient"] = float(eigs[0])
         report["max_quotient"] = float(eigs[-1])
     return report

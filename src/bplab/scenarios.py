@@ -155,8 +155,11 @@ def _length(val, src: str, key: str) -> float:
     raise _cfg_err(src, key, f"cannot parse length {val!r}")
 
 
-class _ConfigLoader(yaml.SafeLoader):
-    """yaml's safe loader; a plain 1e3 or 1.0e3 is a float, as in YAML 1.2 (1.1 reads text)."""
+class _ConfigLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """yaml's safe loader, parsing on libyaml where pyyaml has it.
+
+    A plain 1e3 or 1.0e3 is a float, as in YAML 1.2 (1.1 reads text).
+    """
 
 
 # tried after YAML 1.1's int resolver, so 256 stays an int
@@ -193,12 +196,11 @@ def _nonnegative(val, src: str, key: str, conv=float, positive: bool = False):
 _positive = partial(_nonnegative, positive=True)
 
 
-def _only_read(section: dict, known, src: str, where: str, scenario: str) -> None:
-    """Refuse a key of section that the scenario does not read; where prefixes its name."""
+def _only_read(section: dict, known, src: str, where: str, reader: str) -> None:
+    """Refuse a key of section that reader does not read; where prefixes its name."""
     for key in section:
         if key not in known:
-            reason = f"not read by scenario {scenario!r}, choose from {sorted(known)}"
-            raise _cfg_err(src, where + key, reason)
+            raise _cfg_err(src, where + key, f"not read by {reader}, choose from {sorted(known)}")
 
 
 def _mode_entry(val, d: int, src: str, key: str):
@@ -229,12 +231,15 @@ def _grid_and_bottom(
     if profile not in PROFILES:
         raise _cfg_err(src, profile_key, f"unknown {profile!r}, choose from {sorted(PROFILES)}")
     beta = _number(bt.get("beta", 0.0), src, f"{bath_key}.beta")
-    params = _sub(bt, "params", src, required=False, where=f"{bath_key}.")
+    pt = _sub(bt, "params", src, required=False, where=f"{bath_key}.")
+    keys = PROFILES[profile].keys
+    _only_read(pt, keys, src, f"{bath_key}.params.", f"profile {profile!r}")
+    params = {k: _number(v, src, f"{bath_key}.params.{k}", keys[k]) for k, v in pt.items()}
     try:
         bath = build_bathymetry(grid, profile, beta, params)
     except (BplabError, ValueError, TypeError) as e:
         raise _cfg_err(src, bath_key, str(e)) from None
-    return grid, bath, profile, beta, dict(params)
+    return grid, bath, profile, beta, params
 
 
 def load_config(
@@ -264,6 +269,7 @@ def load_config(
     if scenario not in SCENARIOS:
         raise _cfg_err(src, "scenario", f"unknown {scenario!r}, choose from {sorted(SCENARIOS)}")
     contract = SCENARIOS[scenario]
+    reader = f"scenario {scenario!r}"
 
     grid, _, profile, beta, bath_params = _grid_and_bottom(
         _sub(tree, "grid", src), _sub(tree, "bathymetry", src, required=False),
@@ -303,7 +309,7 @@ def load_config(
         shape=shape,
         amplitude=_number(it.get("amplitude", 1e-3), src, "initial.amplitude"),
         mode=(mode,),
-        width=_number(it.get("width", 1.0), src, "initial.width"),
+        width=_positive(it.get("width", 1.0), src, "initial.width"),
     )
     if shape == "burgers_sine" and grid.d != 1:
         raise _cfg_err(src, "initial.shape", "burgers_sine requires d=1")
@@ -328,7 +334,7 @@ def load_config(
         raise _cfg_err(src, "stepper", str(e)) from None
 
     sw = _sub(tree, "sweep", src, required=False)
-    _only_read(sw, contract.sweep, src, "sweep.", scenario)
+    _only_read(sw, contract.sweep, src, "sweep.", reader)
     sweep = {}
     for key, val in sw.items():
         if not isinstance(val, list) or not val:
@@ -349,12 +355,12 @@ def load_config(
             raise _cfg_err(src, f"sweep.{key}", f"required by scenario {scenario!r}")
 
     sp = _sub(tree, "scenario_params", src, required=False)
-    _only_read(sp, contract.params, src, "scenario_params.", scenario)
+    _only_read(sp, contract.params, src, "scenario_params.", reader)
     sp = {k: contract.params[k](v, src, f"scenario_params.{k}") for k, v in sp.items()}
 
     tt = _sub(tree, "thresholds", src, required=False)
     thresholds = {**contract.thresholds, **SHARED_THRESHOLDS}
-    _only_read(tt, thresholds, src, "thresholds.", scenario)
+    _only_read(tt, thresholds, src, "thresholds.", reader)
     thresholds.update((key, _number(val, src, f"thresholds.{key}")) for key, val in tt.items())
 
     ot = _sub(tree, "output", src, required=False)
@@ -365,7 +371,7 @@ def load_config(
         raise _cfg_err(src, "output.snapshots", reason)
 
     seed_val = _nonnegative(tree.get("seed", 0) if seed is None else seed, src, "seed", int)
-    _only_read(tree, SECTIONS, src, "", scenario)
+    _only_read(tree, SECTIONS, src, "", reader)
 
     config = ExperimentConfig(
         scenario=scenario,

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +11,11 @@ import pytest
 
 import bplab
 from bplab.bathymetry import build_bathymetry
+from bplab.errors import NotSPDError
 from bplab.operators import (
     CG_TOL,
     KINDS,
+    _WeightedOps,
     _gram_apply,
     build_handle,
     coercivity_report,
@@ -226,6 +229,15 @@ class TestSolves:
         out = build_handle("hb_B", 0.1, FLAT1).solve_arrays(batch)
         assert out.shape == batch.shape
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_dense_handle_refuses_a_form_that_is_not_spd(self, monkeypatch, kind):
+        # negated, every weighted form is negative definite: its Cholesky check fails
+        weighted = _WeightedOps.weighted
+        monkeypatch.setattr(
+            _WeightedOps, "weighted", lambda ops, k, V, mu: -weighted(ops, k, V, mu)
+        )
+        with pytest.raises(NotSPDError, match=kind):
+            build_handle(kind, 0.1, BUMP1)
 
     @pytest.mark.parametrize(
         "bath,batch,strategy,kind",
@@ -508,22 +520,42 @@ class TestFusedCore:
         assert np.max(np.abs(M - cols)) <= 1e-14 * np.max(np.abs(cols))
 
 
-def test_cold_start_leaves_scipy_unloaded_until_a_dense_handle():
-    # scipy.linalg is imported only where a dense factorization or eigen
-    # audit runs, so the CLI and d=2 pcg runs start without it
+def test_cold_start_and_dense_paths_never_import_scipy():
+    # with every scipy import refused, the CLI loads, a d=1 dense handle
+    # builds and solves, and a d=2 dense coercivity audit runs
     src = str(Path(bplab.__file__).resolve().parents[1])
-    code = (
-        "import sys\n"
-        "import numpy as np\n"
-        "import bplab.cli\n"
-        "assert 'scipy' not in sys.modules, 'imported by bplab.cli'\n"
-        "from bplab.bathymetry import build_bathymetry\n"
-        "from bplab.operators import build_handle\n"
-        "from bplab.spectral import Grid\n"
-        "g = Grid(d=1, n=32, L=2 * np.pi)\n"
-        "handle = build_handle('hb_B', 0.1, build_bathymetry(g, 'gaussian_bump', 0.5))\n"
-        "assert handle.strategy == 'dense'\n"
-        "assert 'scipy' in sys.modules\n"
+    code = textwrap.dedent(
+        """\
+        import sys
+
+        class RefuseScipy:
+            def find_spec(self, name, path=None, target=None):
+                if name.partition(".")[0] == "scipy":
+                    raise ImportError(f"{name} is refused")
+                return None
+
+        sys.meta_path.insert(0, RefuseScipy())
+
+        import numpy as np
+        import bplab.cli
+        from bplab.bathymetry import build_bathymetry
+        from bplab.operators import build_handle, coercivity_report
+        from bplab.spectral import Grid
+
+        g = Grid(d=1, n=32, L=2 * np.pi)
+        handle = build_handle("hb_B", 0.1, build_bathymetry(g, "gaussian_bump", 0.5))
+        assert handle.strategy == "dense"
+        rhs = np.random.default_rng(0).standard_normal((1,) + g.shape)
+        back = handle.apply_arrays(handle.solve_arrays(rhs))
+        assert np.abs(back - rhs).max() <= 1e-9 * np.abs(rhs).max()
+
+        g = Grid(d=2, n=8, L=2 * np.pi)
+        handle = build_handle("hb_B", 0.1, build_bathymetry(g, "gaussian_bump", 0.5))
+        assert handle.strategy == "dense"
+        report = coercivity_report(handle)
+        assert 0.0 < report["min_quotient"] <= report["max_quotient"]
+        assert "scipy" not in sys.modules
+        """
     )
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from bplab.bathymetry import zeta_to_q_arr
 from bplab.cli import main
@@ -16,6 +17,7 @@ from bplab.scenarios import (
     ENV_OUT,
     SCENARIOS,
     TIMING_KEYS,
+    _ConfigLoader,
     _audit_case,
     _audit_cases,
     _run_many,
@@ -255,6 +257,14 @@ def test_d2_mode_pairs_parse(tmp_path):
         (TINY_MOLLIFIER.replace("beta: 0.3}", "beta: .nan}"), "bathymetry.beta"),
         (TINY_BURGERS.replace("eps: [0.4, 0.2]", "eps: [0.4, .nan]"), "sweep.eps"),
         (TINY_DISPERSION + "thresholds: {max_rel_err: .inf}\n", "thresholds.max_rel_err"),
+        # a gaussian start of width 0 divides 0 by 0 at its centre
+        (TINY_MOLLIFIER.replace("width: 3.0}", "width: 0.0}"), "initial.width"),
+        (TINY_MOLLIFIER.replace("width: 3.0}", "width: -1.0}"), "initial.width"),
+        # profile params: read as numbers, and only the keys the profile reads
+        (TINY_MOLLIFIER.replace("beta: 0.3}", "beta: 0.3, params: {width: true}}"),
+         "bathymetry.params.width"),
+        (TINY_MOLLIFIER.replace("beta: 0.3}", "beta: 0.3, params: {hieght: 0.5}}"),
+         "bathymetry.params.hieght"),
     ],
     ids=[
         "amplitude", "width", "mode", "track_modes", "horizon_over_eps", "trials",
@@ -271,7 +281,8 @@ def test_d2_mode_pairs_parse(tmp_path):
         "dispersion_unread_param", "fractional_output_stride", "fractional_n",
         "fractional_trials", "fractional_mode", "bool_sweep_entry", "bool_threshold",
         "bool_seed", "bool_mode", "quoted_rescaled_time", "t_end_inf_text", "t_end_inf",
-        "beta_nan", "sweep_nan", "threshold_inf",
+        "beta_nan", "sweep_nan", "threshold_inf", "width_zero", "width_negative",
+        "bool_profile_param", "unread_profile_param",
     ],
 )
 def test_bad_value_rejected(tmp_path, capsys, text, key):
@@ -292,6 +303,27 @@ def test_plain_exponents_are_numbers(tmp_path):
     assert cfg.sweep["eps"] == (0.4, 0.2)
     assert cfg.thresholds["max_slope_dev"] == 500.0
     assert isinstance(cfg.raw["grid"]["n"], int)  # integers stay integers
+
+
+def test_libyaml_and_pure_python_loaders_read_the_same_trees():
+    # the config loader parses on libyaml where pyyaml has it; given the same
+    # YAML 1.2 float resolver, the pure-Python parser must read every shipped
+    # config to the same tree, types included (repr tells 1 from 1.0)
+    if not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("pyyaml is built without libyaml")
+    resolvers = {"yaml_implicit_resolvers": _ConfigLoader.yaml_implicit_resolvers}
+    loaders = [type(f"Yaml12{b.__name__}", (b,), resolvers)
+               for b in (yaml.SafeLoader, yaml.CSafeLoader)]
+    paths = sorted((ROOT / "configs").glob("*.yaml")) + sorted(
+        (ROOT / "perfbench" / "inputs").glob("*.yaml"))
+    assert paths
+    for path in paths:
+        text = path.read_text()
+        py_tree, c_tree = (yaml.load(text, Loader=loader) for loader in loaders)
+        assert repr(py_tree) == repr(c_tree), path.name
+    for loader in loaders:
+        assert yaml.load("x: 1.0e3", Loader=loader) == {"x": 1000.0}
+        assert type(yaml.load("x: 1.0e3", Loader=loader)["x"]) is float
 
 
 def test_preset_summary_records_blowup_threshold_as_number(tmp_path):
@@ -573,10 +605,12 @@ def test_run_scenario_snapshot_policies(tmp_path):
         ("16", "scenario_params.cases[1]"),
         # checked as the top-level bathymetry.beta is
         ('{n: 16, profile: gaussian_bump, beta: "0.5"}', "scenario_params.cases[1].beta"),
+        ("{n: 16, profile: gaussian_bump, beta: 0.5, params: {widht: 1.0}}",
+         "scenario_params.cases[1].params.widht"),
     ],
     ids=[
         "missing-n", "unknown-key", "bad-grid", "bad-profile", "drowned", "mu", "scalar",
-        "quoted-beta",
+        "quoted-beta", "unread-profile-param",
     ],
 )
 def test_bad_audit_case_rejected(tmp_path, case, key):
