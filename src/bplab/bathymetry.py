@@ -150,9 +150,14 @@ class Bathymetry:
 
 
 def build_bathymetry(grid: Grid, profile: str, beta: float, params=None) -> Bathymetry:
-    """Construct a named bottom profile; raises NonpositiveDepthError if drowned."""
+    """Construct a named bottom profile; raises NonpositiveDepthError if drowned
+    and ValueError for a params key the profile does not read."""
     if profile not in PROFILES:
         raise ValueError(f"unknown profile '{profile}', choose from {sorted(PROFILES)}")
+    keys = PROFILES[profile].keys
+    for key in params or {}:
+        if key not in keys:
+            raise ValueError(f"profile {profile!r} reads no {key!r}, choose from {sorted(keys)}")
     b = PROFILES[profile].build(grid, dict(params or {}))
     return Bathymetry(grid=grid, beta=beta, b=b)
 

@@ -9,8 +9,11 @@ numbers come out. The three energies written to run diagnostics are
     energy_theorem_E  |zeta|_{H^s}^2 + |V|_{H^s}^2 + mu*|div V|_{H^s}^2
 
 all on the surface/velocity pair, given as arrays: zeta (*grid.shape)
-and V (d, *grid.shape). Trajectories of the log-variable system are
-converted back to the surface before evaluation.
+and V (d, *grid.shape), each with optional leading record axes.
+Trajectories of the log-variable system are converted back to the surface
+before evaluation. E^N and E_thm are discrete Parseval sums over the rfft
+coefficients of the stacked pair (spectral.hs_norms); E_bp is a nodal sum,
+because its h_b products act on nodes.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .errors import (
     NoShockError,
 )
 from .operators import get_weighted_ops
-from .spectral import Grid, div_arr, grad_arr, lambda_arr
+from .spectral import Grid, grad_arr, hs_norms
 
 __all__ = [
     "DiagnosticsRecord",
@@ -46,75 +49,68 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# energies
-#
-# The array cores take a leading record axis: zeta is (R, *shape) and V is
-# (R, d, *shape), and each returns one value per record, so a whole
-# trajectory is evaluated with a few stacked transforms per chunk.
+# energies: zeta (*lead, *shape) and V (*lead, d, *shape) give one value per
+# record, or a float for a single state
 
 
-def _norms(grid: Grid, a: np.ndarray, s: float) -> np.ndarray:
-    """Per-record |a|_{H^s}; a record's trailing axes are one stacked norm."""
-    if s != 0:
-        a = lambda_arr(grid, a, s)
-    sq = (a * a).reshape(a.shape[0], -1).sum(axis=1)
-    return np.sqrt(sq * grid.dx**grid.d)
+def _records(grid: Grid, zeta: np.ndarray, V: Optional[np.ndarray]):
+    """(lead, U): the record axes, and (zeta, V) stacked as (R, rows, *shape)."""
+    lead = zeta.shape[: zeta.ndim - grid.d]
+    rows = [zeta.reshape((-1, 1) + grid.shape)]
+    if V is not None:
+        rows.append(V.reshape((-1, grid.d) + grid.shape))
+    return lead, np.concatenate(rows, axis=1)
 
 
-def _energy_bp_batch(
-    zeta: np.ndarray, V: np.ndarray, mu: float, bath: Bathymetry
-) -> np.ndarray:
+def _per_record(values: np.ndarray, lead: tuple):
+    return float(values[0]) if lead == () else values.reshape(lead)
+
+
+def _energies(grid: Grid, spec: np.ndarray, mu: float, s: float):
+    """(E^s, E_thm at index s) per record, from spec = rfft(U), (R, rows, *rshape).
+
+    A stacked array's norm is the root of its rows' squared norms, and a
+    gradient's is its spectrum's weighted by grid.k2deriv.
+    """
+    smu = np.sqrt(mu)
+    nz = hs_norms(grid, spec[:, :1], s)
+    en = nz + smu * hs_norms(grid, spec[:, :1], s, grid.k2deriv)
+    thm = nz**2
+    if spec.shape[1] > 1:
+        nv = hs_norms(grid, spec[:, 1:], s)
+        en = en + nv + smu * hs_norms(grid, spec[:, 1:], s, grid.k2deriv)
+        div = (grid.ik_stack * spec[:, 1:]).sum(axis=1)
+        thm = thm + nv**2 + mu * hs_norms(grid, div, s) ** 2
+    return en, thm
+
+
+def energy_bp(zeta: np.ndarray, V: np.ndarray, mu: float, bath: Bathymetry):
+    """Quadratic energy of the dispersive system; conserved on flat linear runs."""
     g = bath.grid
+    lead, U = _records(g, zeta, V)
+    zeta, V = U[:, 0], U[:, 1:]
     wv = get_weighted_ops(bath).w_imutb(V, mu)
     kinetic = (wv * V).reshape(V.shape[0], -1).sum(axis=1)
     potential = (zeta * zeta).reshape(zeta.shape[0], -1).sum(axis=1)
-    return 0.5 * (potential + kinetic) * g.dx**g.d
-
-
-def energy_bp(zeta: np.ndarray, V: np.ndarray, mu: float, bath: Bathymetry) -> float:
-    """Quadratic energy of the dispersive system; conserved on flat linear runs."""
-    return float(_energy_bp_batch(zeta[None], V[None], mu, bath)[0])
-
-
-def _energy_EN_batch(
-    grid: Grid, zeta: np.ndarray, V: Optional[np.ndarray], mu: float, N: float
-) -> np.ndarray:
-    # a stacked array's norm is the root of its rows' squared norms
-    smu = np.sqrt(mu)
-    out = _norms(grid, zeta, N)
-    out += smu * _norms(grid, grad_arr(grid, zeta), N)
-    if V is not None:
-        out += _norms(grid, V, N)
-        out += smu * _norms(grid, grad_arr(grid, V), N)
-    return out
+    return _per_record(0.5 * (potential + kinetic) * g.dx**g.d, lead)
 
 
 def energy_EN(
     grid: Grid, zeta: np.ndarray, V: Optional[np.ndarray], mu: float, N: float = 3.0
-) -> float:
+):
     """Layered H^N energy; the gradient blocks carry the sqrt(mu) weight."""
     if N < 0:
         raise ValueError("N must be nonnegative")
-    V = None if V is None else V[None]
-    return float(_energy_EN_batch(grid, zeta[None], V, mu, N)[0])
-
-
-def _energy_theorem_batch(
-    grid: Grid, zeta: np.ndarray, V: Optional[np.ndarray], mu: float, s: float
-) -> np.ndarray:
-    out = _norms(grid, zeta, s) ** 2
-    if V is not None:
-        out += _norms(grid, V, s) ** 2
-        out += mu * _norms(grid, div_arr(grid, V), s) ** 2
-    return out
+    lead, U = _records(grid, zeta, V)
+    return _per_record(_energies(grid, grid.rfft(U), mu, N)[0], lead)
 
 
 def energy_theorem_E(
     grid: Grid, zeta: np.ndarray, V: Optional[np.ndarray], mu: float, s: float = 3.0
-) -> float:
+):
     """Squared state size |U|_{H^s}^2 + mu*|div V|_{H^s}^2 (no root taken)."""
-    V = None if V is None else V[None]
-    return float(_energy_theorem_batch(grid, zeta[None], V, mu, s)[0])
+    lead, U = _records(grid, zeta, V)
+    return _per_record(_energies(grid, grid.rfft(U), mu, s)[1], lead)
 
 
 # ---------------------------------------------------------------------------
@@ -157,13 +153,10 @@ def build_records(traj, bath: Bathymetry, N: float = 3.0) -> list:
     for lo in range(0, n_rec, chunk):
         hi = min(lo + chunk, n_rec)
         U = np.stack(traj.states[lo:hi])
-        scalar = U[:, 0]
-        V = U[:, 1:] if U.shape[1] > 1 else None
         if model == "mbp":
-            scalar = q_to_zeta_arr(scalar, eps, bath)
-        en[lo:hi] = _energy_EN_batch(g, scalar, V, mu, N)
-        ethm[lo:hi] = _energy_theorem_batch(g, scalar, V, mu, N)
-        ebp[lo:hi] = np.nan if V is None else _energy_bp_batch(scalar, V, mu, bath)
+            U[:, 0] = q_to_zeta_arr(U[:, 0], eps, bath)
+        en[lo:hi], ethm[lo:hi] = _energies(g, g.rfft(U), mu, N)
+        ebp[lo:hi] = np.nan if U.shape[1] == 1 else energy_bp(U[:, 0], U[:, 1:], mu, bath)
     out = []
     for i in range(n_rec):
         amps = None

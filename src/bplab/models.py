@@ -223,17 +223,6 @@ def _probe_mode_blocks(fn, grid: Grid, members: int) -> np.ndarray:
     return np.moveaxis(blocks, 1, -2).astype(complex)
 
 
-def _mollifiers(grid: Grid, delta):
-    """Spectra m1, m2 of (1 - delta*Lap_g)^-1 and ^-2; plain ones at delta = 0.
-
-    delta may be a per-member column; a member at delta = 0 then gets
-    spectra of exact ones.
-    """
-    if not np.any(delta):
-        return 1.0, 1.0
-    return (1.0 + delta * grid.k2gamma) ** -1, (1.0 + delta * grid.k2gamma) ** -2
-
-
 @dataclass
 class _Coefs:
     """Per-member coefficients of a batch flow, for one set of active members.
@@ -269,7 +258,9 @@ def _member_coefs(params: list, grid: Grid, deltas: list, handles: list, history
     adv = np.array([1.0 if rescaled else p.eps for p in params]).reshape(col)
     mu = np.array([p.mu for p in params]).reshape(col)
     delta = np.array(deltas, dtype=float)
-    m1, m2 = _mollifiers(grid, delta.reshape(col))
+    m1 = m2 = 1.0  # plain ones when no member smooths; a member at delta = 0 gets ones
+    if np.any(delta):
+        m1, m2 = grid.mollifier(delta.reshape(col), -1), grid.mollifier(delta.reshape(col), -2)
     views = {}
 
     def take(members=None):
@@ -331,10 +322,9 @@ def _nodal_factors(g: Grid, W: np.ndarray, scalar: bool, gradq: bool, jac: bool)
     """
     d = g.d
     K = W.shape[0]
-    mW = g.dealias_mask * W
-    parts = [W[:, :1]] * scalar + [mW] + [g.ik_stack * mW[:, :1]] * gradq
+    parts = [W[:, :1]] * scalar + [g.dealias_mask * W] + [g.mik * W[:, :1]] * gradq
     if jac:
-        parts.append((g.ik_stack * mW[:, 1:, None]).reshape((K, d * d) + g.rshape))
+        parts.append((g.mik * W[:, 1:, None]).reshape((K, d * d) + g.rshape))
     nod = g.irfft(np.concatenate(parts, axis=1))
     i = int(scalar)
     Ut = nod[:, i : i + 1 + d]
@@ -367,7 +357,6 @@ def _mbp_flow(bath: Bathymetry):
     g = bath.grid
     d = g.d
     mask = g.dealias_mask
-    ik = g.ik_stack
     ops = get_weighted_ops(bath)
     hb = bath.hb
     hbt = trunc_arr(g, hb)
@@ -376,7 +365,7 @@ def _mbp_flow(bath: Bathymetry):
         nonlinear = advq is not None
         rows = [hbt * Vt, zeta] + ([advq, adv] if nonlinear else [])
         P = g.rfft(np.concatenate(rows, axis=1))
-        back = [mask * (ik * P[:, :d]).sum(axis=1, keepdims=True), ik * P[:, d : d + 1]]
+        back = [(g.mik * P[:, :d]).sum(axis=1, keepdims=True), g.ik_stack * P[:, d : d + 1]]
         if nonlinear:
             back.append(mask * P[:, d + 2 :])
         nod = g.irfft(np.concatenate(back, axis=1))  # T div(h_b V), grad zeta, T adv
@@ -443,7 +432,6 @@ def _batch_rhs(params: list, bath: Bathymetry, deltas: list, handles: list) -> R
 
     d = g.d
     mask = g.dealias_mask
-    ik = g.ik_stack
 
     kind = _HANDLE_KIND.get(model)
     solvers = _member_handles(kind, params, bath, handles) if kind else [None] * K
@@ -455,7 +443,7 @@ def _batch_rhs(params: list, bath: Bathymetry, deltas: list, handles: list) -> R
         # one stacked inverse transform gives T u and T u_x, one forward
         # transform the product; the 2/3 projection, -eps and the
         # mollifier fold into a single output coefficient
-        lift = np.stack([mask, mask * g.ik[0]])
+        lift = np.concatenate([mask[None], g.mik])
         coefs = {}
 
         def fn(W: np.ndarray, members=None) -> np.ndarray:
@@ -496,8 +484,8 @@ def _batch_rhs(params: list, bath: Bathymetry, deltas: list, handles: list) -> R
             if nonlinear:
                 prods.append(_v_dot_grad(g, Vt, J))
             P = g.rfft(np.concatenate(prods, axis=1))
-            dz = -c.m2 * (mask * (ik * P[:, :d]).sum(axis=1, keepdims=True))
-            w = ik * W[:, :1]
+            dz = -c.m2 * (g.mik * P[:, :d]).sum(axis=1, keepdims=True)
+            w = g.ik_stack * W[:, :1]
             if nonlinear:
                 w = w + c.eps * (mask * P[:, d:])
             if model == "sw":

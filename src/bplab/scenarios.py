@@ -868,9 +868,7 @@ def _audit_case(case, default_mu: float, src: str, where: str):
     """
     if not isinstance(case, dict):
         raise _cfg_err(src, where, "expected a mapping")
-    for key in case:
-        if key not in AUDIT_CASE_KEYS:
-            raise _cfg_err(src, f"{where}.{key}", f"unknown, choose from {AUDIT_CASE_KEYS}")
+    _only_read(case, AUDIT_CASE_KEYS, src, f"{where}.", "an audit case")
     if "n" not in case:
         raise _cfg_err(src, f"{where}.n", "missing")
     grid, bath = _grid_and_bottom(case, case, src, where, where, where)[:2]

@@ -1,4 +1,4 @@
-"""Periodic pseudospectral core: grids, multipliers, norms.
+"""Periodic pseudospectral core: grids, Fourier symbols, the H^s norm.
 
 Everything lives on the torus [0, L)^d sampled at n points per axis.
 The anisotropic derivative stack is
@@ -12,6 +12,12 @@ stack rows (a velocity's d components, a state's 1 + d rows) or a batch.
 Derivatives and smoothing act as Fourier multipliers in rfft space;
 products of grid functions are dealiased with the 2/3 rule before they are
 differentiated.
+
+Grid owns every Fourier symbol the package multiplies by: the derivative
+multipliers ik and their band-limited form mik, the Bessel potential
+(1 + |k^g|^2)^(s/2), the mollifier (1 + delta*|k^g|^2)^power and the rfft
+Parseval weight. hs_norms is the one H^s norm: a discrete Parseval sum
+over rfft coefficients, equal to the nodal quadrature of |Lambda^s f|^2.
 """
 
 from __future__ import annotations
@@ -29,8 +35,7 @@ __all__ = [
     "perp_div_arr",
     "lambda_arr",
     "mollify_arr",
-    "l2_norm_arr",
-    "sobolev_norm_arr",
+    "hs_norms",
 ]
 
 
@@ -152,6 +157,32 @@ class Grid:
             mask = mask & (np.abs(k_int) < cut)
         return mask
 
+    @cached_property
+    def mik(self) -> np.ndarray:
+        """Band-limited derivative multipliers dealias_mask * ik_stack: (d, *rshape)."""
+        return self.dealias_mask * self.ik_stack
+
+    @cached_property
+    def parseval_weight(self) -> np.ndarray:
+        """w with sum(w * |rfft(f)|^2) = dx^d * sum(f^2): (L/n^2)^d, doubled on the
+        last axis's interior modes, which stand for their conjugates too."""
+        w = np.full(self.rshape, 2.0 * (self.L / self.n**2) ** self.d)
+        w[..., [0, -1]] *= 0.5  # k = 0 and Nyquist count once
+        return w
+
+    def bessel(self, s: float) -> np.ndarray:
+        """Bessel-potential symbol (1 + |k^gamma|^2)^(s/2) of Lambda^s."""
+        return (1.0 + self.k2gamma) ** (0.5 * s)
+
+    def mollifier(self, delta, power: int) -> np.ndarray:
+        """Symbol (1 + delta*|k^gamma|^2)^power of (1 - delta*Lap_gamma)^power;
+        delta may be a column that broadcasts against rshape, one per member."""
+        if power not in (-2, -1, 1, 2):
+            raise ValueError("power must be one of -2, -1, 1, 2")
+        if np.any(np.asarray(delta) < 0):
+            raise ValueError("delta must be nonnegative")
+        return (1.0 + delta * self.k2gamma) ** power
+
     def rfft(self, a: np.ndarray) -> np.ndarray:
         """Real transform over the trailing grid axes (stacked arrays ok).
 
@@ -200,27 +231,21 @@ def perp_div_arr(grid: Grid, V) -> np.ndarray:
 
 
 def lambda_arr(grid: Grid, a: np.ndarray, s: float) -> np.ndarray:
-    """Bessel-potential multiplier (1 + |k^gamma|^2)^(s/2)."""
-    w = (1.0 + grid.k2gamma) ** (0.5 * s)
-    return grid.irfft(w * grid.rfft(a))
+    """Bessel potential Lambda^s = (1 - Lap_gamma)^(s/2)."""
+    return grid.irfft(grid.bessel(s) * grid.rfft(a))
 
 
 def mollify_arr(grid: Grid, a: np.ndarray, delta: float, power: int) -> np.ndarray:
-    """Powers of (1 - delta*Lap_gamma): multiplier (1 + delta*|k^gamma|^2)^power."""
-    if power not in (-2, -1, 1, 2):
-        raise ValueError("power must be one of -2, -1, 1, 2")
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    w = (1.0 + delta * grid.k2gamma) ** power
-    return grid.irfft(w * grid.rfft(a))
+    """Powers of (1 - delta*Lap_gamma), power in (-2, -1, 1, 2)."""
+    return grid.irfft(grid.mollifier(delta, power) * grid.rfft(a))
 
 
-def l2_norm_arr(grid: Grid, a: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(a * a) * grid.dx**grid.d))
+def hs_norms(grid: Grid, spec: np.ndarray, s: float, symbol=1.0) -> np.ndarray:
+    """|Lambda^s f|_2 for each leading index of spec = rfft(f), (R, ..., *rshape).
 
-
-def sobolev_norm_arr(grid: Grid, a: np.ndarray, s: float) -> float:
-    """|f|_{H^s} = |Lambda^s f|_2 via Parseval-consistent quadrature."""
-    if s == 0:
-        return l2_norm_arr(grid, a)
-    return l2_norm_arr(grid, lambda_arr(grid, a, s))
+    The axes after the first are one stacked norm. symbol weights |spec|^2:
+    grid.k2deriv gives the norm of the d derivatives grad_arr returns.
+    """
+    w = grid.parseval_weight * grid.bessel(2.0 * s) * symbol
+    sq = w * (spec.real**2 + spec.imag**2)
+    return np.sqrt(sq.reshape(spec.shape[0], -1).sum(axis=1))

@@ -3,8 +3,9 @@
 Derivatives come from centered stencils, eigen-extrema from scipy's dense
 eigensolver, reference trajectories from a plain RK4 loop over a flow
 evaluated on nodes, dealiased products from the plain 2/3-rule
-projection, and the rotated gradient from its plain multiplier. None of
-this runs in the package; it only checks it.
+projection, the rotated gradient from its plain multiplier, and H^s norms
+from nodal quadrature of Lambda^s f. None of this runs in the package; it
+only checks it.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from bplab.errors import NotSPDError
-from bplab.spectral import Grid, trunc_arr
+from bplab.spectral import Grid, lambda_arr, trunc_arr
 
 
 def eig_extrema(M: np.ndarray, G: np.ndarray | None = None) -> tuple[float, float]:
@@ -118,3 +119,14 @@ def perp_grad_arr(grid: Grid, a: np.ndarray) -> np.ndarray:
 def nodal_rhs(bundle, U: np.ndarray) -> np.ndarray:
     """A bundle's flow evaluated on a nodal stack U."""
     return bundle.decode(bundle.fn(bundle.encode(U)))
+
+
+def l2_norm_arr(grid: Grid, a: np.ndarray) -> float:
+    return float(np.sqrt(np.sum(a * a) * grid.dx**grid.d))
+
+
+def sobolev_norm_arr(grid: Grid, a: np.ndarray, s: float) -> float:
+    """|f|_{H^s} = |Lambda^s f|_2 via Parseval-consistent quadrature."""
+    if s == 0:
+        return l2_norm_arr(grid, a)
+    return l2_norm_arr(grid, lambda_arr(grid, a, s))

@@ -64,11 +64,17 @@ class TestProfiles:
     def test_sinusoidal_and_two_bumps_build(self):
         g2 = Grid(d=2, n=16, L=2 * np.pi)
         for grid in (G1, g2):
-            for profile in ("sinusoidal", "two_bumps"):
-                bath = build_bathymetry(
-                    grid, profile, beta=0.2, params={"amplitude": 0.5}
-                )
+            for profile, params in (
+                ("sinusoidal", {"amplitude": 0.5}),
+                ("two_bumps", {"height2": 0.5}),
+            ):
+                bath = build_bathymetry(grid, profile, beta=0.2, params=params)
                 assert bath.h_min > 0.0
+
+    def test_unread_params_key_refused(self):
+        # two_bumps reads no amplitude; the key would be dropped without a word
+        with pytest.raises(ValueError, match="'two_bumps' reads no 'amplitude'"):
+            build_bathymetry(G1, "two_bumps", 0.2, {"amplitude": 0.5})
 
     def test_grad_hb_is_minus_beta_grad_b(self):
         bath = build_bathymetry(G1, "sinusoidal", beta=0.3, params={"k": 2})

@@ -26,8 +26,9 @@ from bplab.errors import (
     NoShockError,
 )
 from bplab.models import ModelParams, ModelState
-from bplab.spectral import Grid, l2_norm_arr, sobolev_norm_arr
+from bplab.spectral import Grid
 from bplab.timeloop import StepperConfig, run
+from oracles import l2_norm_arr, sobolev_norm_arr
 
 G1 = Grid(1, 64, 2.0 * np.pi)
 FLAT1 = build_bathymetry(G1, "flat", 0.0)
@@ -153,6 +154,35 @@ def test_energies_translation_invariant_flat(seed, shift):
     ):
         a, b = fn(zeta, vel), fn(zs, vs)
         assert abs(a - b) < 1e-10 * max(1.0, abs(a))
+
+
+G2 = Grid(2, 16, 2.0 * np.pi, gamma=0.7)
+
+
+@pytest.mark.parametrize(
+    "bath", [BUMP1, build_bathymetry(G2, "gaussian_bump", 0.5)], ids=["d1", "d2"]
+)
+def test_batched_energies_equal_single_state_calls(bath):
+    # records on two leading axes give each record's single-state value
+    g = bath.grid
+    rng = np.random.default_rng(17)
+    pairs = [_random_pair(g, rng) for _ in range(6)]
+    zeta = np.stack([z for z, _ in pairs]).reshape((2, 3) + g.shape)
+    vel = np.stack([v for _, v in pairs]).reshape((2, 3, g.d) + g.shape)
+    for fn in (
+        lambda z, v: energy_bp(z, v, 0.2, bath),
+        lambda z, v: energy_EN(g, z, v, 0.2, 3),
+        lambda z, v: energy_EN(g, z, None, 0.2, 3),
+        lambda z, v: energy_theorem_E(g, z, v, 0.2, 2),
+        lambda z, v: energy_theorem_E(g, z, None, 0.2, 2),
+    ):
+        batch = fn(zeta, vel)
+        assert batch.shape == (2, 3)
+        for i in range(2):
+            for j in range(3):
+                single = fn(zeta[i, j], vel[i, j])
+                assert isinstance(single, float)
+                assert abs(batch[i, j] - single) <= 1e-15 * abs(single)
 
 
 # ---------------------------------------------------------------------------

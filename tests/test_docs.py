@@ -1,11 +1,14 @@
-"""The README's library example runs as written, and its config table is current."""
+"""The README's library example runs as written, its config table is current,
+and only spectral.Grid transforms or builds Fourier symbols."""
 
+import ast
 import re
 from pathlib import Path
 
 from bplab.scenarios import SCENARIOS, SHARED_THRESHOLDS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bplab"
 
 
 def test_readme_python_block_runs():
@@ -55,3 +58,23 @@ def test_readme_states_shared_thresholds():
     text = " ".join(README.read_text().split())
     for key, default in SHARED_THRESHOLDS.items():
         assert f"`{key}` (default {default})" in text
+
+
+def test_only_spectral_transforms_or_builds_symbols():
+    # Grid.rfft/irfft are the only transform calls and Grid owns every Fourier
+    # symbol; the one exception is the flat inverse's per-mode 2x2 blocks,
+    # which need the effective wavenumbers keff one by one
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "spectral.py":
+            continue
+        text = path.read_text()
+        allowed = set()
+        for node in ast.walk(ast.parse(text)):
+            if path.name == "operators.py" and getattr(node, "name", None) == "_flat_inverse":
+                allowed = set(range(node.lineno, node.end_lineno + 1))
+        for i, line in enumerate(text.splitlines(), 1):
+            for pattern in (r"np\.fft", r"\bk2gamma\b", r"\b_k_int\b", r"\bkeff\b"):
+                if re.search(pattern, line) and not (pattern == r"\bkeff\b" and i in allowed):
+                    found.append(f"{path.name}:{i}: {line.strip()}")
+    assert not found, "\n".join(found)

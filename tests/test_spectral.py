@@ -12,15 +12,14 @@ from bplab.spectral import (
     Grid,
     div_arr,
     grad_arr,
-    l2_norm_arr,
+    hs_norms,
     lambda_arr,
     mollify_arr,
     perp_div_arr,
-    sobolev_norm_arr,
     trunc_arr,
 )
 from bplab.timeloop import StepperConfig, run
-from oracles import perp_grad_arr
+from oracles import l2_norm_arr, perp_grad_arr, sobolev_norm_arr
 
 
 def grid1(n=64, L=2 * np.pi):
@@ -231,12 +230,17 @@ class TestTransforms:
         assert fwd.shape == lead + g.rshape and inv.shape == lead + g.shape
 
 
+def hs_norm(g, f, s, symbol=1.0):
+    """The Parseval norm of one grid function, or of one stacked array."""
+    return float(hs_norms(g, g.rfft(f)[None], s, symbol)[0])
+
+
 class TestNorms:
     def test_l2_norm_of_sin_is_sqrt_pi(self):
         # |sin|_{L2(0,2pi)} = sqrt(pi); quadrature is exact for trig modes
         g = grid1(n=64, L=2 * np.pi)
         f = np.sin(g.x[0])
-        assert abs(sobolev_norm_arr(g, f, 0.0) - np.sqrt(np.pi)) < 1e-12
+        assert abs(hs_norm(g, f, 0.0) - np.sqrt(np.pi)) < 1e-12
         assert abs(l2_norm_arr(g, f) - np.sqrt(np.pi)) < 1e-12
 
     def test_hs_norm_of_single_mode(self):
@@ -246,15 +250,34 @@ class TestNorms:
             for k in (1, 2, 5):
                 f = np.sin(k * g.x[0])
                 want = np.sqrt((1 + k**2) ** s * np.pi)
-                assert abs(sobolev_norm_arr(g, f, s) - want) < 1e-10 * want
+                assert abs(hs_norm(g, f, s) - want) < 1e-10 * want
 
     def test_parseval_consistency(self):
         g = grid1()
         rng = np.random.default_rng(8)
         f = random_field(g, rng)
         direct = np.sqrt(inner(g, f, f))
-        via_lambda = sobolev_norm_arr(g, f, 0.0)
-        assert abs(direct - via_lambda) < 1e-12 * direct
+        via_parseval = hs_norm(g, f, 0.0)
+        assert abs(direct - via_parseval) < 1e-12 * direct
+
+    @pytest.mark.parametrize(
+        "g", [Grid(1, 256, 20.0 * np.pi), Grid(2, 32, 2.0 * np.pi, gamma=0.8)], ids=["d1", "d2"]
+    )
+    @pytest.mark.parametrize("s", [0.0, 1.0, 3.0])
+    def test_parseval_norm_is_the_nodal_norm(self, g, s):
+        # white noise fills every mode, the k = 0 and Nyquist lines included;
+        # each record is a two-row stack, one stacked norm
+        rng = np.random.default_rng(g.d * 10 + int(s))
+        F = rng.standard_normal((3, 2) + g.shape)
+        spec = g.rfft(F)
+        assert np.abs(spec[..., -1]).min() > 0.0
+        got = hs_norms(g, spec, s)
+        got_grad = hs_norms(g, spec, s, g.k2deriv)
+        for r in range(3):
+            want = sobolev_norm_arr(g, F[r], s)
+            assert abs(got[r] - want) <= 1e-12 * want
+            want_grad = sobolev_norm_arr(g, grad_arr(g, F[r]), s)
+            assert abs(got_grad[r] - want_grad) <= 1e-12 * want_grad
 
     # the X^s norm |v|_{H^s}^2 + mu*|div v|_{H^s}^2 is energy_theorem_E at zeta = 0
 
@@ -264,7 +287,7 @@ class TestNorms:
         rng = np.random.default_rng(9)
         v = random_vec(g, rng)
         xs = np.sqrt(energy_theorem_E(g, np.zeros(g.shape), v, 0.0, 1.0))
-        hs = np.sqrt(sum(sobolev_norm_arr(g, row, 1.0) ** 2 for row in v))
+        hs = hs_norm(g, v, 1.0)
         assert abs(xs - hs) < 1e-12
 
     def test_xs_norm_single_mode(self):

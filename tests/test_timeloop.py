@@ -17,7 +17,6 @@ from bplab.timeloop import (
     StepperConfig,
     _rk2_step,
     _rk4_step,
-    _sup_grad,
     run,
 )
 from oracles import nodal_rhs, reference_trajectory
@@ -380,11 +379,13 @@ def test_nan_node_reaches_both_monitors(bath):
 
 
 def test_sup_grad_is_largest_derivative_over_rows_and_directions():
+    # a zero-step run records its start once
     rng = np.random.default_rng(8)
     U = rng.standard_normal((3,) + G2.shape)
     W = G2.rfft(U)
     expected = max(np.abs(G2.irfft(ikj * W)).max() for ikj in G2.ik)
-    assert _sup_grad(G2, W) == expected
+    traj = run(ModelState(G2, U), ModelParams(0.0, 0.0, "sw"), FLAT2, StepperConfig(0.1, 0.0))
+    assert traj.sup_grad_u.tolist() == [expected]
 
 
 def test_cfl_warning():
