@@ -305,13 +305,25 @@ def detect_gradient_blowup(
     a steepening profile's gradient decays linearly to zero, so a line
     through its tail pins the blow-up time sharper than the crossing does;
     slope is the power of (T - t) in a log-log fit and sits near -1 for
-    genuine gradient blow-up.
+    genuine gradient blow-up. A history that turns NaN or inf before a
+    finite record reaches the threshold raises NoShockError naming that
+    record and its time.
     """
     times = np.asarray(times, dtype=float)
     sup_grad = np.asarray(sup_grad, dtype=float)
     if times.shape != sup_grad.shape:
         raise ValueError("times and sup_grad must have matching shapes")
-    above = np.nonzero(sup_grad >= threshold)[0]
+    finite = np.isfinite(sup_grad)
+    above = np.nonzero(finite & (sup_grad >= threshold))[0]
+    bad = np.nonzero(~finite)[0]
+    # a history that breaks down before a finite record crosses has no
+    # crossing to interpolate: name where it broke instead
+    if len(bad) and (len(above) == 0 or bad[0] < above[0]):
+        i = int(bad[0])
+        raise NoShockError(
+            f"sup|grad u| turned non-finite ({sup_grad[i]}) at record {i}, "
+            f"t = {times[i]:.6g}, before reaching {threshold}"
+        )
     if len(above) == 0:
         raise NoShockError(
             f"sup|grad u| never reached {threshold} (max {sup_grad.max():.3g})"

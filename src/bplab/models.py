@@ -12,7 +12,7 @@ depth h_b = 1 - beta*b and h = h_b + eps*zeta:
     mbp      evolves q = log(1 + eps*zeta/h_b)/eps instead of zeta:
              d_t q = -eps V.grad q - (1/h_b) div(h_b V)
              h_b*B d_t V = -eps h_b (V.grad)V - h_b*A grad zeta
-    burgers  d_t u = -eps u u_x                       (d = 1 only)
+    burgers  d_t u = -eps u u_x = -(eps/2) (u^2)_x    (d = 1 only)
 
 A smoothing parameter delta > 0 wraps each equation: the scalar flow is
 multiplied by (1 - delta*Lap_g)^{-2}, and the velocity solve is sandwiched
@@ -440,19 +440,20 @@ def _batch_rhs(params: list, bath: Bathymetry, deltas: list, handles: list) -> R
     take = _member_coefs(params, g, deltas, solvers, history)
 
     if model == "burgers":
-        # one stacked inverse transform gives T u and T u_x, one forward
-        # transform the product; the 2/3 projection, -eps and the
-        # mollifier fold into a single output coefficient
-        lift = np.concatenate([mask[None], g.mik])
+        # stepped in flux form -eps/2 d_x T((Tu)^2). Under the 2/3 rule
+        # neither (Tu)^2 nor Tu * d_x(Tu) aliases onto the kept band, so
+        # d_x T((Tu)^2) / 2 = T(Tu * d_x(Tu)) there: the advective flow, to
+        # rounding. One inverse transform gives Tu, one forward transform
+        # its square; d_x, -eps/2 and the mollifier fold into one coefficient
         coefs = {}
 
         def fn(W: np.ndarray, members=None) -> np.ndarray:
             coef = coefs.get(members)
             if coef is None:
                 c = take(members)
-                coef = coefs[members] = -c.eps * mask * c.m2
-            X = g.irfft(lift * W)
-            return coef * g.rfft(X[:, :1] * X[:, 1:])
+                coef = coefs[members] = -0.5 * c.eps * g.mik * c.m2
+            X = g.irfft(mask * W)
+            return coef * g.rfft(X * X)
 
         return RHSBundle(fn, g, tuple(params))
 

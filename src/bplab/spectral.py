@@ -32,7 +32,6 @@ __all__ = [
     "trunc_arr",
     "grad_arr",
     "div_arr",
-    "perp_div_arr",
     "lambda_arr",
     "mollify_arr",
     "hs_norms",
@@ -220,14 +219,6 @@ def div_arr(grid: Grid, V) -> np.ndarray:
     """Twisted divergence, reducing axis -(d+1): (..., d, *shape) -> (..., *shape)."""
     spec = grid.rfft(np.asarray(V))
     return grid.irfft((grid.ik_stack * spec).sum(axis=-(grid.d + 1)))
-
-
-def perp_div_arr(grid: Grid, V) -> np.ndarray:
-    """Rotated divergence, reducing axis -(d+1); zero in d=1."""
-    V = np.asarray(V)
-    if grid.d == 1:
-        return np.zeros_like(V[..., 0, :])
-    return grid.irfft((grid.ik_perp * grid.rfft(V)).sum(axis=-3))
 
 
 def lambda_arr(grid: Grid, a: np.ndarray, s: float) -> np.ndarray:

@@ -3,9 +3,9 @@
 Derivatives come from centered stencils, eigen-extrema from scipy's dense
 eigensolver, reference trajectories from a plain RK4 loop over a flow
 evaluated on nodes, dealiased products from the plain 2/3-rule
-projection, the rotated gradient from its plain multiplier, and H^s norms
-from nodal quadrature of Lambda^s f. None of this runs in the package; it
-only checks it.
+projection, the rotated gradient and divergence from their plain
+multipliers, and H^s norms from nodal quadrature of Lambda^s f. None of
+this runs in the package; it only checks it.
 """
 
 from __future__ import annotations
@@ -114,6 +114,14 @@ def perp_grad_arr(grid: Grid, a: np.ndarray) -> np.ndarray:
         return np.zeros_like(np.expand_dims(a, -2))
     spec = np.expand_dims(grid.rfft(a), -3)
     return grid.irfft(grid.ik_perp * spec)
+
+
+def perp_div_arr(grid: Grid, V) -> np.ndarray:
+    """Rotated divergence, reducing axis -(d+1); zero in d=1."""
+    V = np.asarray(V)
+    if grid.d == 1:
+        return np.zeros_like(V[..., 0, :])
+    return grid.irfft((grid.ik_perp * grid.rfft(V)).sum(axis=-3))
 
 
 def nodal_rhs(bundle, U: np.ndarray) -> np.ndarray:

@@ -312,6 +312,27 @@ def test_detect_gradient_blowup_never_crosses():
         detect_gradient_blowup(times, np.ones_like(times), threshold=10.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_detect_gradient_blowup_names_first_nonfinite_record(bad):
+    # a run that blew up between records: the error names the first
+    # non-finite record, and an inf is not taken for a crossing
+    times = np.array([0.0, 2.0, 4.0])
+    with pytest.raises(NoShockError, match=r"non-finite \((nan|inf)\) at record 1, t = 2,"):
+        detect_gradient_blowup(times, np.array([1.0, bad, bad]), threshold=100.0)
+    with pytest.raises(NoShockError, match=r"at record 2, t = 4,"):
+        detect_gradient_blowup(times, np.array([1.0, 50.0, bad]), threshold=100.0)
+
+
+def test_detect_gradient_blowup_keeps_a_crossing_before_a_nonfinite_tail():
+    times = np.arange(0.0, 0.9951, 0.005)
+    sup_grad = 1.0 / (1.0 - times)
+    clean = detect_gradient_blowup(times, sup_grad, threshold=50.0)
+    for bad in (np.nan, np.inf):
+        tail = np.append(sup_grad, bad)
+        fit = detect_gradient_blowup(np.append(times, 1.0), tail, threshold=50.0)
+        assert fit == clean
+
+
 def test_detect_gradient_blowup_ignores_saturated_tail():
     # Past the point where the front outruns the grid, recorded gradients
     # grow slower than 1/(T - t). The fit must not see those records.

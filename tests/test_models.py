@@ -4,6 +4,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bplab.bathymetry import build_bathymetry, q_to_zeta_arr
 from bplab.errors import DryStateError, RegimeWarning
@@ -192,6 +194,39 @@ def test_burgers_fn_makes_two_transforms(monkeypatch):
     for _ in range(3):
         W = W + 1e-3 * bundle.fn(W)
     assert calls == ["irfft", "rfft"] * 3
+
+
+def test_burgers_fn_inverse_transforms_one_row_per_member(monkeypatch):
+    # flux form: only T u goes to nodes, so the irfft carries K rows, not 2K
+    seen = []
+    irfft = Grid.irfft
+
+    def recording(self, spec):
+        seen.append(spec.shape)
+        return irfft(self, spec)
+
+    monkeypatch.setattr(Grid, "irfft", recording)
+    W = G1.rfft(np.stack([np.sin(G1.x[0]), np.cos(2 * G1.x[0])])[:, None])
+    make_rhs(ModelParams(0.5, 0.0, "burgers"), FLAT1, delta=1e-2).fn(W[0])
+    make_rhs([ModelParams(e, 0.0, "burgers") for e in (0.7, 0.3)], FLAT1).fn(W)
+    assert seen == [(1, 1, G1.n // 2 + 1), (2, 1, G1.n // 2 + 1)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([64, 512]))
+def test_burgers_flow_is_energy_neutral(seed, n):
+    # Galerkin invariant: <u, -eps/2 d_x T(u^2)> = 0 for u on the 2/3 band
+    g = Grid(1, n, 2.0 * np.pi)
+    rng = np.random.default_rng(seed)
+    W = g.dealias_mask * g.rfft(rng.standard_normal((1, n)))
+    params = ModelParams(rng.uniform(0.05, 1.0), 0.0, "burgers")
+    F = make_rhs(params, build_bathymetry(g, "flat", 0.0)).fn(W)
+    w = g.parseval_weight
+
+    def inner(a, b):
+        return float((w * (a.conj() * b).real).sum())
+
+    assert abs(inner(W, F)) <= 1e-13 * np.sqrt(inner(W, W) * inner(F, F))
 
 
 def _nodal_reference_rhs(params, bath, delta, handle, U):

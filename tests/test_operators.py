@@ -26,11 +26,10 @@ from bplab.spectral import (
     Grid,
     div_arr,
     grad_arr,
-    perp_div_arr,
     trunc_arr,
 )
 from bplab.verification import assemble_dense
-from oracles import eig_extrema, perp_grad_arr
+from oracles import eig_extrema, perp_div_arr, perp_grad_arr
 
 G1 = Grid(d=1, n=32, L=2 * np.pi)
 G2 = Grid(d=2, n=16, L=2 * np.pi, gamma=0.9)

@@ -15,11 +15,10 @@ from bplab.spectral import (
     hs_norms,
     lambda_arr,
     mollify_arr,
-    perp_div_arr,
     trunc_arr,
 )
 from bplab.timeloop import StepperConfig, run
-from oracles import l2_norm_arr, perp_grad_arr, sobolev_norm_arr
+from oracles import l2_norm_arr, perp_div_arr, perp_grad_arr, sobolev_norm_arr
 
 
 def grid1(n=64, L=2 * np.pi):
