@@ -20,11 +20,18 @@ The applies stay in rfft space between products: each one runs four
 stacked transforms (inputs forward, band-limited divergences back,
 coefficient products forward, output spectra back), and takes a leading
 batch axis, so dense_matrix assembles DENSE_BLOCK identity columns per call.
+
+Each weighted form is h_b plus mu times a mu-free operator of the bottom:
+h_b*Tb for h_b(I + mu*Tb), grad phi for h_b*A, and both (with the d=2 perp
+block) for h_b*B. So a bottom's dense matrices, for every kind and mu, are
+elementwise combinations of at most three mu-free dense blocks, which
+_WeightedOps.dense assembles once per bottom and reuses.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import weakref
 
 import numpy as np
@@ -83,6 +90,7 @@ class _WeightedOps:
         self.u_t = trunc_arr(g, self.hb**2 * self.z)
         self.invhb_t = trunc_arr(g, self.inv_hb)
         self.beta2_hbz = self.beta**2 * self.hb * self.z
+        self._blocks = {}  # mu-free dense blocks by name; see _dense_blocks
 
     def _parts(self, V: np.ndarray, tb: bool, phi: bool, perp: bool):
         """Fused transforms behind every weighted apply.
@@ -174,17 +182,66 @@ class _WeightedOps:
             return self.w_hba(V, mu)
         return self.w_hbb(V, mu)
 
+    def _dense_blocks(self, names: tuple) -> list:
+        """The named mu-free dense blocks, the missing ones from one sweep.
 
+        T is the matrix of h_b*Tb, Tp the same with the d=2 perp block
+        subtracted, G the matrix of grad phi; names lists T or Tp before G.
+        The missing blocks come from one dense_matrix pass over _parts.
+        They are kept, read-only, only on grids of at most SOLVER_DENSE_LIMIT
+        unknowns (8 MB a block at most); larger (audit) grids assemble them
+        for this call alone.
+        """
+        with _LOCK:
+            found = {name: self._blocks[name] for name in names if name in self._blocks}
+            missing = [name for name in names if name not in found]
+            if missing:
+                tb, phi, perp = missing[0] != "G", "G" in missing, "Tp" in missing
+
+                def parts(V):
+                    return _stack_rows([P for P in self._parts(V, tb, phi, perp) if P is not None])
+
+                M = dense_matrix(parts, self.grid)
+                M.flags.writeable = False
+                size = M.shape[1]
+                for i, name in enumerate(missing):
+                    found[name] = M[i * size : (i + 1) * size]
+                    if size <= SOLVER_DENSE_LIMIT:
+                        self._blocks[name] = found[name]
+        return [found[name] for name in names]
+
+    def dense(self, kind: str, mu: float) -> np.ndarray:
+        """Dense matrix of weighted(kind, ., mu), a new array on every call.
+
+        diag(h_b) + mu*T, h_b*(I - mu*G) or diag(h_b) + mu*(T - h_b*G), taken
+        elementwise in weighted's operation order, so it equals the matrix
+        dense_matrix assembles from weighted itself bit for bit.
+        """
+        g = self.grid
+        hb = np.broadcast_to(self.hb, (g.d,) + g.shape).ravel()
+        if kind == "I_plus_muTb":
+            (T,) = self._dense_blocks(("T",))
+            return np.diag(hb) + mu * T
+        if kind == "hb_A":
+            (G,) = self._dense_blocks(("G",))
+            return hb[:, None] * (np.eye(hb.size) - mu * G)
+        T, G = self._dense_blocks(("Tp" if g.d == 2 else "T", "G"))
+        return np.diag(hb) + mu * (T - hb[:, None] * G)
+
+
+# guards the ops cache and block assembly: scenario batches run on pool threads
+_LOCK = threading.Lock()
 _OPS_CACHE: "weakref.WeakKeyDictionary[Bathymetry, _WeightedOps]" = (
     weakref.WeakKeyDictionary()
 )
 
 
 def get_weighted_ops(bath: Bathymetry) -> _WeightedOps:
-    ops = _OPS_CACHE.get(bath)
-    if ops is None:
-        ops = _WeightedOps(bath)
-        _OPS_CACHE[bath] = ops
+    with _LOCK:
+        ops = _OPS_CACHE.get(bath)
+        if ops is None:
+            ops = _WeightedOps(bath)
+            _OPS_CACHE[bath] = ops
     return ops
 
 
@@ -246,18 +303,22 @@ def _flat_inverse(grid: Grid, kind: str, mu: float):
 def dense_matrix(apply_fn, grid: Grid) -> np.ndarray:
     """Materialize a stacked-vector linear map, DENSE_BLOCK columns per call.
 
-    apply_fn must take a leading batch axis, (k, d, *shape) -> (k, d, *shape);
-    it is applied to blocks of identity columns. Blocks bound the scratch
-    memory of one call, which a whole identity at once would multiply.
+    apply_fn must take a leading batch axis, (k, d, *shape) -> (k, m*d,
+    *shape); it is applied to blocks of identity columns. Blocks bound the
+    scratch memory of one call, which a whole identity at once would
+    multiply. An output of m stacked maps gives their matrices stacked by
+    rows, (m*size, size).
     """
     size = grid.d * grid.n**grid.d
-    M = np.empty((size, size))
+    M = None
     for start in range(0, size, DENSE_BLOCK):
         k = min(DENSE_BLOCK, size - start)
         E = np.zeros((k, size))
         E[:, start : start + k] = np.eye(k)
-        out = np.asarray(apply_fn(E.reshape((k, grid.d) + grid.shape)))
-        M[:, start : start + k] = out.reshape(k, size).T
+        out = np.asarray(apply_fn(E.reshape((k, grid.d) + grid.shape))).reshape(k, -1)
+        if M is None:
+            M = np.empty((out.shape[1], size))
+        M[:, start : start + k] = out.T
     return M
 
 
@@ -359,7 +420,9 @@ class OperatorHandle:
       hb_A        : h_b*A x = rhs
     Strategy: exact per-mode inversion on flat bottoms; at or below
     SOLVER_DENSE_LIMIT unknowns, the dense inverse of a weighted matrix
-    that must pass a Cholesky factorization (NotSPDError otherwise);
+    that must pass a Cholesky factorization (NotSPDError otherwise), built
+    by ops.dense from the bottom's cached mu-free blocks, so the handles of
+    one bottom, at every kind and mu, assemble each block once;
     otherwise CG (relative residual 1e-10, 500 iteration cap)
     preconditioned by h_b^{-1/2} F^{-1} h_b^{-1/2},
     the flat-bottom inverse F^{-1} scaled by h_b^{-1/2} on both sides: every
@@ -391,7 +454,7 @@ class OperatorHandle:
             self._flat_inv = _flat_inverse(self.grid, kind, mu)
         elif self.size <= SOLVER_DENSE_LIMIT:
             self.strategy = "dense"
-            W = dense_matrix(self.apply_weighted_arrays, self.grid)
+            W = self.ops.dense(kind, mu)
             W = 0.5 * (W + W.T)  # scrub roundoff asymmetry before factorizing
             try:
                 np.linalg.cholesky(W)  # the SPD check; the factor itself is not kept
@@ -516,7 +579,7 @@ def coercivity_report(
     report["symmetry_residual"] = sym
 
     if handle.size <= DENSE_AUDIT_LIMIT:
-        W = dense_matrix(handle.apply_weighted_arrays, grid)
+        W = handle.ops.dense(handle.kind, handle.mu)
         G = dense_matrix(
             lambda V: _gram_apply(grid, handle.kind, handle.mu, V), grid
         )

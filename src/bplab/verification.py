@@ -1,9 +1,10 @@
 """Dense assembly of the weighted operators and their Gram matrices.
 
-Not an independent oracle: assemble_dense builds the same ops.weighted
-through the same dense_matrix that a dense handle factorizes, so the
-operator audit's dense_mismatch checks the blocked, batched assembly
-against a single apply. The independent oracles are test code.
+Not an independent oracle: assemble_dense reads a weighted form from the
+same cached mu-free blocks (_WeightedOps.dense) that a dense handle
+factorizes, so the operator audit's dense_mismatch checks that blocked,
+batched assembly against a single apply. The independent oracles are test
+code.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ def assemble_dense(kind: str, mu: float, bath: Bathymetry) -> np.ndarray:
     if kind == "identity":
         return np.eye(size)
     if kind in KINDS:
-        ops = get_weighted_ops(bath)
-        return dense_matrix(lambda V: ops.weighted(kind, V, mu), grid)
+        return get_weighted_ops(bath).dense(kind, mu)
     if kind == "gram_X0":
         return dense_matrix(lambda V: _gram_apply(grid, "hb_A", mu, V), grid)
     if kind == "gram_H1":

@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,8 @@ from bplab.operators import (
     _gram_apply,
     build_handle,
     coercivity_report,
+    dense_matrix,
+    get_weighted_ops,
     gradient_control_report,
     perp_structure_residual,
 )
@@ -231,10 +235,8 @@ class TestSolves:
     @pytest.mark.parametrize("kind", KINDS)
     def test_dense_handle_refuses_a_form_that_is_not_spd(self, monkeypatch, kind):
         # negated, every weighted form is negative definite: its Cholesky check fails
-        weighted = _WeightedOps.weighted
-        monkeypatch.setattr(
-            _WeightedOps, "weighted", lambda ops, k, V, mu: -weighted(ops, k, V, mu)
-        )
+        dense = _WeightedOps.dense
+        monkeypatch.setattr(_WeightedOps, "dense", lambda ops, k, mu: -dense(ops, k, mu))
         with pytest.raises(NotSPDError, match=kind):
             build_handle(kind, 0.1, BUMP1)
 
@@ -517,6 +519,132 @@ class TestFusedCore:
             cols[:, i] = apply_fn(e.reshape((grid.d,) + grid.shape)).ravel()
             e[i] = 0.0
         assert np.max(np.abs(M - cols)) <= 1e-14 * np.max(np.abs(cols))
+
+
+# ---------------------------------------------------------------------------
+# dense matrices from each bottom's mu-free blocks
+
+G2_TWISTED = Grid(d=2, n=16, L=2 * np.pi, gamma=0.7)
+
+
+def _fresh_bottom(grid, profile):
+    """A bottom no other test has built blocks on."""
+    return build_bathymetry(grid, profile, beta=0.5)
+
+
+def _reference_dense(ops, kind, mu):
+    return dense_matrix(lambda V: ops.weighted(kind, V, mu), ops.grid)
+
+
+def _count_weighted_assemblies(monkeypatch) -> list:
+    """Wrap dense_matrix where operators and verification call it.
+
+    Returns a list that gets one entry, the number of blocks stacked in its
+    matrix, per assembly that runs the weighted core; Gram assemblies do not
+    count.
+    """
+    parts = _WeightedOps._parts
+    inside = []
+
+    def counted_parts(ops, *args):
+        inside.append(1)
+        return parts(ops, *args)
+
+    assemblies = []
+
+    def counted_dense(apply_fn, grid):
+        before = len(inside)
+        M = dense_matrix(apply_fn, grid)
+        if len(inside) > before:
+            assemblies.append(M.shape[0] // M.shape[1])
+        return M
+
+    monkeypatch.setattr(_WeightedOps, "_parts", counted_parts)
+    monkeypatch.setattr("bplab.operators.dense_matrix", counted_dense)
+    monkeypatch.setattr("bplab.verification.dense_matrix", counted_dense)
+    return assemblies
+
+
+class TestDenseBlocks:
+    @pytest.mark.parametrize("order", ["kinds", "reversed"])
+    @pytest.mark.parametrize("profile", ["gaussian_bump", "sinusoidal"])
+    @pytest.mark.parametrize("grid", [G1, G2_TWISTED], ids=["d1", "d2"])
+    def test_dense_is_the_weighted_assembly_bit_for_bit(
+        self, monkeypatch, grid, profile, order
+    ):
+        # every kind and mu from the blocks equals the assembly of weighted
+        # itself, whichever kind filled the blocks first
+        bath = _fresh_bottom(grid, profile)
+        ops = get_weighted_ops(bath)
+        cholesky = np.linalg.cholesky
+        factorized = []
+
+        def captured(W):
+            factorized.append(W)
+            return cholesky(W)
+
+        monkeypatch.setattr(np.linalg, "cholesky", captured)
+        for kind in KINDS if order == "kinds" else KINDS[::-1]:
+            for mu in (0.0, 0.1, 0.5):
+                ref = _reference_dense(ops, kind, mu)
+                assert np.array_equal(ops.dense(kind, mu), ref)
+                handle = build_handle(kind, mu, bath)
+                assert handle.strategy == "dense"
+                assert np.array_equal(factorized.pop(), 0.5 * (ref + ref.T))
+                assert np.array_equal(assemble_dense(kind, mu, bath), ref)
+
+    def test_dense_returns_a_new_array_over_read_only_blocks(self):
+        bath = _fresh_bottom(G1, "gaussian_bump")
+        ops = get_weighted_ops(bath)
+        M = ops.dense("hb_B", 0.1)
+        M[:] = 0.0
+        assert np.array_equal(ops.dense("hb_B", 0.1), _reference_dense(ops, "hb_B", 0.1))
+        assert ops._blocks.keys() == {"T", "G"}
+        assert not any(block.flags.writeable for block in ops._blocks.values())
+
+    @pytest.mark.parametrize("grid,most", [(G1, 2), (G2_TWISTED, 3)], ids=["d1", "d2"])
+    def test_one_bottom_assembles_each_block_once(self, monkeypatch, grid, most):
+        # three kinds at three mu, each with its audit report and dense matrix
+        bath = _fresh_bottom(grid, "gaussian_bump")
+        assemblies = _count_weighted_assemblies(monkeypatch)
+        for kind in KINDS:
+            for mu in (0.01, 0.1, 0.5):
+                handle = build_handle(kind, mu, bath)
+                coercivity_report(handle, trials=1)
+                assemble_dense(kind, mu, bath)
+        assert len(assemblies) <= most
+        assert sum(assemblies) == len(get_weighted_ops(bath)._blocks)
+
+    def test_two_threads_share_one_ops_and_its_blocks(self, monkeypatch):
+        # the consistency scenario builds bp and mbp handles on pool threads
+        assemblies = _count_weighted_assemblies(monkeypatch)
+        bath = _fresh_bottom(G1, "gaussian_bump")
+        barrier = threading.Barrier(2)
+
+        def build(kind):
+            barrier.wait()
+            return build_handle(kind, 0.1, bath)
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            handles = list(pool.map(build, ("I_plus_muTb", "hb_B")))
+        assert handles[0].ops is handles[1].ops is get_weighted_ops(bath)
+        assert sum(assemblies) == 2 and handles[0].ops._blocks.keys() == {"T", "G"}
+        serial = _fresh_bottom(G1, "gaussian_bump")
+        for handle in handles:
+            alone = build_handle(handle.kind, 0.1, serial)
+            assert np.array_equal(handle._inv, alone._inv)
+
+    def test_audit_grid_above_the_solver_limit_keeps_no_block(self, monkeypatch):
+        bath = _fresh_bottom(G1, "gaussian_bump")
+        ops = get_weighted_ops(bath)
+        monkeypatch.setattr("bplab.operators.SOLVER_DENSE_LIMIT", G1.n - 1)
+        for kind in KINDS:
+            M = assemble_dense(kind, 0.1, bath)
+            assert np.array_equal(M, _reference_dense(ops, kind, 0.1))
+        assert ops._blocks == {}
+        monkeypatch.undo()
+        assemble_dense("hb_B", 0.1, bath)
+        assert ops._blocks.keys() == {"T", "G"}
 
 
 def test_cold_start_and_dense_paths_never_import_scipy():
