@@ -10,6 +10,13 @@ Each checkout must hold `.perfbench_out/<workload>/report-trace0.json` and
 holds the machine stamp, each workload's end-to-end medians for both trees
 with their ratio, and both trees' `--trace 1` layer metrics. It is written
 to BENCH_<label>.json at the repository root.
+
+The script refuses (exit 2) reports that were not made as one comparison:
+the two trees' reports of a workload and trace must share `seed` and
+`seconds`, every workload's `--trace 0` reports must share them too, and no
+report may hold a failed check. A `perfbench/selftest.py` run writes its
+own short passes to the same files, so a BENCH file built after one would
+otherwise mix them in.
 """
 
 import argparse
@@ -26,13 +33,39 @@ def _report(tree: Path, workload: str, trace: int) -> dict:
     return json.loads((tree / ".perfbench_out" / workload / f"report-trace{trace}.json").read_text())
 
 
+def _run_of(report: dict) -> tuple:
+    return report["seed"], report["seconds"]
+
+
+def _check(reports: dict) -> None:
+    """Raise ValueError unless reports[w][tree][trace] make one comparison."""
+    for w, trees in reports.items():
+        for tree, pair in trees.items():
+            for trace, r in enumerate(pair):
+                if r["failed"]:
+                    raise ValueError(
+                        f"{tree} {w} trace {trace}: {r['failed']} of {r['attempted']} checks failed"
+                    )
+        for trace in (0, 1):
+            runs = {tree: _run_of(pair[trace]) for tree, pair in trees.items()}
+            if len(set(runs.values())) > 1:
+                raise ValueError(f"{w} trace {trace}: (seed, seconds) differ between trees: {runs}")
+    runs = {w: _run_of(trees["change"][0]) for w, trees in reports.items()}
+    if len(set(runs.values())) > 1:
+        raise ValueError(f"trace 0: (seed, seconds) differ between workloads: {runs}")
+
+
 def build(parent: Path, change: Path) -> dict:
     out = {"end_to_end": {}, "per_layer": {}, "checks": {}}
-    for w in WORKLOADS:
-        reports = {
+    every = {
+        w: {
             name: (_report(tree, w, 0), _report(tree, w, 1))
             for name, tree in (("parent", parent), ("change", change))
         }
+        for w in WORKLOADS
+    }
+    _check(every)
+    for w, reports in every.items():
         e2e = {}
         for metric in END_TO_END:
             a, b = (reports[name][0]["values"][metric] for name in ("parent", "change"))
@@ -49,7 +82,7 @@ def build(parent: Path, change: Path) -> dict:
             for name in reports
             for t, r in enumerate(reports[name])
         }
-    first = _report(change, WORKLOADS[0], 0)
+    first = every[WORKLOADS[0]]["change"][0]
     out["machine"] = first["machine"]
     out["seed"], out["seconds"] = first["seed"], first["seconds"]
     return out

@@ -37,10 +37,17 @@ stack, each member's velocity solve goes through its own handle, and a
 linear flat batch carries blocks (K, *rshape, 1+d, 1+d). A member's
 arithmetic is the same in a batch as alone. A single ModelParams gives a
 batch of one whose fn takes one state, (rows, *rshape).
+
+At the presets' sizes (n <= 256, a few members) one evaluation costs its
+numpy calls more than its arithmetic, so the flows make as few as they
+can without changing a floating-point operation: stacked factors come from
+one table, stacked products from one multiply-sum, and unit coefficients
+are skipped rather than multiplied.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -229,7 +236,8 @@ class _Coefs:
 
     Arrays carry the members on their leading axis as (K, 1, ...) columns; a
     plain number is shared by every member, as for time_derivative_stack's
-    single member.
+    single member. lam is None when no member rescales time, and the flows
+    skip a unit coefficient instead of multiplying by it.
     smooth picks the members with delta > 0, which get the mollifier
     sandwich around their solve: a slice over all of them, an index array,
     or None when no member smooths. history is the flow's RHSBundle.history,
@@ -254,7 +262,7 @@ def _member_coefs(params: list, grid: Grid, deltas: list, handles: list, history
     col = (-1,) + (1,) * (1 + grid.d)  # broadcasts over (K, rows, *shape or *rshape)
     eps = np.array([p.eps for p in params]).reshape(col)
     rescaled = params[0].rescaled_time
-    lam = np.array([1.0 / p.eps if rescaled else 1.0 for p in params]).reshape(col)
+    lam = np.array([1.0 / p.eps for p in params]).reshape(col) if rescaled else None
     adv = np.array([1.0 if rescaled else p.eps for p in params]).reshape(col)
     mu = np.array([p.mu for p in params]).reshape(col)
     delta = np.array(deltas, dtype=float)
@@ -290,6 +298,14 @@ def _sandwich(g: Grid, y: np.ndarray, c: _Coefs) -> np.ndarray:
     return y
 
 
+def _negated(c: _Coefs, scalar: np.ndarray, vel: np.ndarray, m_vel) -> np.ndarray:
+    """The rows [-m2 * scalar; -m_vel * vel], each water flow's last step; a
+    plain negation when no member smooths, since both scales are then 1."""
+    if c.smooth is None:
+        return -np.concatenate([scalar, vel], axis=1)
+    return np.concatenate([-c.m2 * scalar, -m_vel * vel], axis=1)
+
+
 def _solve_each(y: np.ndarray, c: _Coefs) -> np.ndarray:
     """Each member's weighted velocity solve through its own handle.
 
@@ -297,8 +313,8 @@ def _solve_each(y: np.ndarray, c: _Coefs) -> np.ndarray:
     and adds this one, keeping the last CG_HISTORY. A stalled solve names
     its member on the SolverDivergenceError.
     """
-    out = []
-    for member, handle, rhs in zip(c.ids, c.handles, y):
+    out = np.empty_like(y)
+    for i, (member, handle, rhs) in enumerate(zip(c.ids, c.handles, y)):
         prior = None if c.history is None else c.history.get(member)
         try:
             x = handle.solve_weighted_arrays(rhs, prior)
@@ -307,52 +323,72 @@ def _solve_each(y: np.ndarray, c: _Coefs) -> np.ndarray:
             raise
         if prior is not None:
             c.history[member] = (prior + ((x, rhs),))[-CG_HISTORY:]
-        out.append(x)
-    return np.stack(out)
+        out[i] = x
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _factor_table(g: Grid, scalar: bool, gradq: bool, jac: bool):
+    """(rows, symbols) of _nodal_factors: spectral factor r is W[:, rows[r]] *
+    symbols[r], with 1 for the plain scalar, the 2/3 mask for T U and the
+    band-limited derivative multipliers mik for T grad U[:, 0] and J."""
+    d = g.d
+    rows = [0] * scalar + list(range(1 + d)) + [0] * (d * gradq)
+    symbols = [np.ones(g.rshape)] * scalar + [g.dealias_mask] * (1 + d) + list(g.mik) * gradq
+    if jac:
+        rows += [1 + i for i in range(d) for _ in range(d)]
+        symbols += list(g.mik) * d
+    table = np.array(symbols, dtype=complex)
+    table.setflags(write=False)
+    return np.array(rows), table
 
 
 def _nodal_factors(g: Grid, W: np.ndarray, scalar: bool, gradq: bool, jac: bool):
     """Nodal factors of a spectral stack W = rfft(U), (K, rows, *rshape), from
     one stacked irfft.
 
-    Returns (s, Ut, gqt, J), each with the member axis first: the nodal
-    scalar U[:, :1], the band-limited state T U, the band-limited gradient
-    T grad U[:, 0], and the projected Jacobian J[:, i, j] = T d_j V_i of the
-    velocity rows. A factor not asked for is None.
+    Returns (s, Ut, F), each with the member axis first: the nodal scalar
+    U[:, :1], the band-limited state T U, and the stacked gradient rows
+    F[:, r, j] = T d_j of row r: T grad U[:, 0] first when gradq, then the
+    projected Jacobian J[:, i, j] = T d_j V_i of the velocity rows when jac.
+    A factor not asked for is None. The spectral factors come from one
+    (row, multiplier) table per grid and factor set (_factor_table) as one
+    gather and one multiply, in place of slicing, multiplying and reshaping
+    each factor; the plain scalar's multiplier is 1, so its coefficients
+    pass through unchanged.
     """
     d = g.d
-    K = W.shape[0]
-    parts = [W[:, :1]] * scalar + [g.dealias_mask * W] + [g.mik * W[:, :1]] * gradq
-    if jac:
-        parts.append((g.mik * W[:, 1:, None]).reshape((K, d * d) + g.rshape))
-    nod = g.irfft(np.concatenate(parts, axis=1))
+    rows, symbols = _factor_table(g, scalar, gradq, jac)
+    nod = g.irfft(symbols * W[:, rows])
     i = int(scalar)
-    Ut = nod[:, i : i + 1 + d]
-    i += 1 + d
-    gqt = nod[:, i : i + d] if gradq else None
-    J = nod[:, i + d * gradq :].reshape((K, d, d) + g.shape) if jac else None
-    return (nod[:, :1] if scalar else None), Ut, gqt, J
+    F = None
+    if gradq or jac:
+        F = nod[:, i + 1 + d :].reshape((W.shape[0], -1, d) + g.shape)
+    return (nod[:, :1] if scalar else None), nod[:, i : i + 1 + d], F
 
 
 def _v_dot_grad(g: Grid, Vt: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """sum_j Vt_j F[..., j, :]: V.grad q (one row) for F = T grad q, (V.grad)V for F = J.
+    """sum_j Vt_j F[..., r, j, :] for every gradient row r: V.grad q for the
+    row T grad q, (V.grad)V for the rows of J, both at once for [T grad q; J].
 
     Leading axes of Vt are a batch matched by F's, which the Taylor-jet
     recurrences sum over for their Cauchy products.
     """
-    if F.ndim > Vt.ndim:  # the Jacobian's row axis i
-        return (np.expand_dims(Vt, Vt.ndim - g.d - 1) * F).sum(axis=-(g.d + 1))
-    return (Vt * F).sum(axis=-(g.d + 1), keepdims=True)
+    lead = Vt.ndim - g.d - 1  # Vt's component axis, under F's row axis
+    return (Vt.reshape(Vt.shape[:lead] + (1,) + Vt.shape[lead:]) * F).sum(axis=-(g.d + 1))
 
 
 def _mbp_flow(bath: Bathymetry):
     """The mbp tendency, on rfft coefficients, from its nodal factors.
 
-    tendency(c, Vt, zeta, advq, adv) takes a member stack of the
-    band-limited velocity, the nodal surface and, unless eps = 0, the
-    products V.grad q and (V.grad)V; c.lam multiplies the non-advective
-    terms and c.adv_coef the advective ones, and members with delta > 0 get
-    the mollifier sandwich.
+    tendency(c, Vt, zeta, adv) takes a member stack of the band-limited
+    velocity, the nodal surface and, unless eps = 0, the stacked products
+    [V.grad q; (V.grad)V] that _v_dot_grad forms in one multiply-sum;
+    c.lam multiplies the non-advective terms and c.adv_coef the advective
+    ones, and members with delta > 0 get the mollifier sandwich. A unit
+    coefficient is skipped, not multiplied: c.lam is None unless the
+    members rescale time, and no mollifier applies when none smooths.
+    h_b A grad zeta goes through the bottom's phi-only chain (w_hba).
     """
     g = bath.grid
     d = g.d
@@ -361,23 +397,25 @@ def _mbp_flow(bath: Bathymetry):
     hb = bath.hb
     hbt = trunc_arr(g, hb)
 
-    def tendency(c: _Coefs, Vt, zeta, advq=None, adv=None):
-        nonlinear = advq is not None
-        rows = [hbt * Vt, zeta] + ([advq, adv] if nonlinear else [])
+    def tendency(c: _Coefs, Vt, zeta, adv=None):
+        nonlinear = adv is not None
+        rows = [hbt * Vt, zeta] + ([adv] if nonlinear else [])
         P = g.rfft(np.concatenate(rows, axis=1))
         back = [(g.mik * P[:, :d]).sum(axis=1, keepdims=True), g.ik_stack * P[:, d : d + 1]]
         if nonlinear:
             back.append(mask * P[:, d + 2 :])
         nod = g.irfft(np.concatenate(back, axis=1))  # T div(h_b V), grad zeta, T adv
-        w = c.lam * ops.w_hba(nod[:, 1 : 1 + d], c.mu)
+        w = ops.w_hba(nod[:, 1 : 1 + d], c.mu)
+        if c.lam is not None:
+            w = c.lam * w
         if nonlinear:
             w = w + c.adv_coef * hb * nod[:, 1 + d :]
         x = _solve_each(_sandwich(g, w, c), c)
         R = g.rfft(np.concatenate([bath.inv_hb * nod[:, :1], x], axis=1))
-        dq = -c.lam * R[:, :1]
+        dq = R[:, :1] if c.lam is None else c.lam * R[:, :1]
         if nonlinear:
-            dq = dq - c.adv_coef * (mask * P[:, d + 1 : d + 2])
-        return np.concatenate([c.m2 * dq, -c.m1 * R[:, 1:]], axis=1)
+            dq = dq + c.adv_coef * (mask * P[:, d + 1 : d + 2])
+        return _negated(c, dq, R[:, 1:], c.m1)
 
     return tendency
 
@@ -465,10 +503,10 @@ def _batch_rhs(params: list, bath: Bathymetry, deltas: list, handles: list) -> R
 
         def fn(W: np.ndarray, members=None) -> np.ndarray:
             c = take(members)
-            q, Ut, gqt, J = _nodal_factors(g, W, True, nonlinear, nonlinear)
+            q, Ut, F = _nodal_factors(g, W, True, nonlinear, nonlinear)
             Vt = Ut[:, 1:]
-            advs = (_v_dot_grad(g, Vt, gqt), _v_dot_grad(g, Vt, J)) if nonlinear else ()
-            return tendency(c, Vt, q_to_zeta_arr(q, c.eps if nonlinear else 0.0, bath), *advs)
+            adv = _v_dot_grad(g, Vt, F) if nonlinear else None
+            return tendency(c, Vt, q_to_zeta_arr(q, c.eps if nonlinear else 0.0, bath), adv)
 
     else:
         hb = bath.hb
@@ -477,7 +515,7 @@ def _batch_rhs(params: list, bath: Bathymetry, deltas: list, handles: list) -> R
 
         def fn(W: np.ndarray, members=None) -> np.ndarray:
             c = take(members)
-            zeta, Ut, _, J = _nodal_factors(g, W, nonlinear, False, nonlinear)
+            zeta, Ut, J = _nodal_factors(g, W, nonlinear, False, nonlinear)
             if nonlinear:
                 _check_wet(hb, hmin_static, c, zeta)
             Vt = Ut[:, 1:]
@@ -485,15 +523,15 @@ def _batch_rhs(params: list, bath: Bathymetry, deltas: list, handles: list) -> R
             if nonlinear:
                 prods.append(_v_dot_grad(g, Vt, J))
             P = g.rfft(np.concatenate(prods, axis=1))
-            dz = -c.m2 * (g.mik * P[:, :d]).sum(axis=1, keepdims=True)
+            div = (g.mik * P[:, :d]).sum(axis=1, keepdims=True)
             w = g.ik_stack * W[:, :1]
             if nonlinear:
                 w = w + c.eps * (mask * P[:, d:])
             if model == "sw":
-                return np.concatenate([dz, -c.m2 * w], axis=1)
+                return _negated(c, div, w, c.m2)
             y = hb * g.irfft(w)  # the I_plus_muTb equation in its weighted form
             x = _solve_each(_sandwich(g, y, c), c)
-            return np.concatenate([dz, -c.m1 * g.rfft(x)], axis=1)
+            return _negated(c, div, g.rfft(x), c.m1)
 
     if nonlinear or not bath.is_flat:
         return RHSBundle(fn, g, tuple(params), history=history)
@@ -560,27 +598,26 @@ def time_derivative_stack(
         raise ValueError(f"mbp state must be (1 + d, *grid.shape), got {U.shape}")
     handle = _checked_handle("hb_B", params.mu, bath, handles)
     tendency = _mbp_flow(bath)
-    coefs = _Coefs((0,), eps, 1.0, eps, params.mu, 1.0, 1.0, None, [handle], None)
+    coefs = _Coefs((0,), eps, None, eps, params.mu, 1.0, 1.0, None, [handle], None)
 
     # Taylor coefficients on rfft coefficients, with their nodal factors
-    # (Vt, T grad q, J) and the nodal q, surface and exp(eps*q) jets, each
+    # (Vt, [T grad q; J]) and the nodal q, surface and exp(eps*q) jets, each
     # as a batch of one member
     W_c = [g.rfft(U)[None]]
-    _, Ut, gqt, J = _nodal_factors(g, W_c[0], False, nonlinear, nonlinear)
-    F = [(Ut[:, 1:], gqt, J)]
+    _, Ut, grads = _nodal_factors(g, W_c[0], False, nonlinear, nonlinear)
+    F = [(Ut[:, 1:], grads)]
     q0 = U[None, :1]
     q_c, z_c, e_c = [q0], [q_to_zeta_arr(q0, eps, bath)], [np.exp(eps * q0)]
 
     for m in range(k_max):
-        advs = ()
+        adv = None
         if nonlinear:  # Cauchy sums over the pairs (a, m - a)
             Vts = np.stack([f[0] for f in F])
-            advs = [_v_dot_grad(g, Vts, np.stack([f[i] for f in F[::-1]])).sum(axis=0)
-                    for i in (1, 2)]
-        W_c.append(tendency(coefs, F[m][0], z_c[m], *advs) / (m + 1))
-        q, Ut, gqt, J = _nodal_factors(g, W_c[-1], True, nonlinear, nonlinear)
+            adv = _v_dot_grad(g, Vts, np.stack([f[1] for f in F[::-1]])).sum(axis=0)
+        W_c.append(tendency(coefs, F[m][0], z_c[m], adv) / (m + 1))
+        q, Ut, grads = _nodal_factors(g, W_c[-1], True, nonlinear, nonlinear)
         q_c.append(q)
-        F.append((Ut[:, 1:], gqt, J))
+        F.append((Ut[:, 1:], grads))
         if nonlinear:
             acc = sum(j * q_c[j] * e_c[m + 1 - j] for j in range(1, m + 2))
             e_c.append(eps * acc / (m + 1))

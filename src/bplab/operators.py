@@ -111,7 +111,7 @@ class _WeightedOps:
         mask, mik, beta = g.dealias_mask, g.mik, self.beta
         twist = tb and beta != 0.0
 
-        ins = ([V] if tb else []) + ([self.hb * V] if phi else [])
+        ins = ([V] if tb else []) + ([self._phi_in(V)] if phi else [])
         spec = g.rfft(_stack_rows(ins))
         Vs, HVs = spec[:, :d], spec[:, -d:]
 
@@ -121,7 +121,7 @@ class _WeightedOps:
             if twist:
                 back.append(mask * Vs)
         if phi:
-            back.append((mik * HVs).sum(axis=1, keepdims=True))
+            back.append(self._phi_div(HVs))
         nod = g.irfft(_stack_rows(back))
 
         prods = []
@@ -132,7 +132,7 @@ class _WeightedOps:
                 prods.append((self.u_t * nod[:, 1 : 1 + d]).sum(axis=1, keepdims=True))
                 prods.append(self.u_t * dv_t)
         if phi:
-            prods.append(self.invhb_t * nod[:, -1:])
+            prods.append(self._phi_coef(nod[:, -1:]))
         P = g.rfft(_stack_rows(prods))
 
         outs = []
@@ -145,7 +145,7 @@ class _WeightedOps:
                 t_s = t_s - pk * (pk * Vs).sum(axis=1, keepdims=True)
             outs.append(t_s)
         if phi:
-            outs.append(mik * P[:, -1:])
+            outs.append(self._phi_grad(P[:, -1:]))
         res = g.irfft(_stack_rows(outs))
 
         T, G = res[:, :d], res[:, -d:]
@@ -154,13 +154,34 @@ class _WeightedOps:
         T = T.reshape(out_shape) if tb else None
         return T, G.reshape(out_shape) if phi else None
 
+    # the grad-div block phi, stage by stage between its four transforms:
+    # gradphi runs the chain alone, _parts stacks it with Tb's
+
+    def _phi_in(self, V: np.ndarray) -> np.ndarray:
+        return self.hb * V
+
+    def _phi_div(self, spec: np.ndarray) -> np.ndarray:
+        return (self.grid.mik * spec).sum(axis=-(self.grid.d + 1), keepdims=True)
+
+    def _phi_coef(self, div: np.ndarray) -> np.ndarray:
+        return self.invhb_t * div
+
+    def _phi_grad(self, spec: np.ndarray) -> np.ndarray:
+        return self.grid.mik * spec
+
     def tb(self, V: np.ndarray) -> np.ndarray:
         """h_b*Tb in its symmetric divergence form."""
         return self._parts(V, True, False, False)[0]
 
     def gradphi(self, V: np.ndarray) -> np.ndarray:
-        """grad of phi(V) = T((1/h_b)_t * T D(h_b V)), the grad-div block."""
-        return self._parts(V, False, True, False)[1]
+        """grad of phi(V) = T((1/h_b)_t * T D(h_b V)), the grad-div block.
+
+        Runs the phi chain alone, without _parts' stacking, so h_b*A costs
+        its four transforms and four products over any leading axes.
+        """
+        g = self.grid
+        div = g.irfft(self._phi_div(g.rfft(self._phi_in(V))))
+        return g.irfft(self._phi_grad(g.rfft(self._phi_coef(div))))
 
     def w_imutb(self, V: np.ndarray, mu: float) -> np.ndarray:
         """Weighted apply h_b(I + mu*Tb)V."""
@@ -547,6 +568,11 @@ def coercivity_report(
     Dense eigen-extrema are included at DENSE_AUDIT_LIMIT unknowns or fewer;
     random-trial extrema and the worst relative symmetry residual are
     always included. Returns a JSON-friendly dict.
+
+    The trial pairs (v, w) are drawn as one (trials, 2, d, *shape) array,
+    which reads the generator's stream exactly as one pair per trial would,
+    and W and the Gram operator each act once on the whole stack; the inner
+    products and norms stay one per trial.
     """
     rng = rng or np.random.default_rng(0)
     grid = handle.grid
@@ -561,12 +587,12 @@ def coercivity_report(
 
     quotients = []
     sym = 0.0
-    for _ in range(trials):
-        v, w = rng.standard_normal((2, grid.d) + grid.shape)
-        Wv = handle.apply_weighted_arrays(v)
-        Ww = handle.apply_weighted_arrays(w)
+    pairs = rng.standard_normal((trials, 2, grid.d) + grid.shape)
+    Wpairs = handle.apply_weighted_arrays(pairs)
+    Gvs = _gram_apply(grid, handle.kind, handle.mu, pairs[:, 0])
+    for (v, w), (Wv, Ww), Gv in zip(pairs, Wpairs, Gvs):
         num = float(np.vdot(Wv, v).real)
-        den = float(np.vdot(_gram_apply(grid, handle.kind, handle.mu, v), v).real)
+        den = float(np.vdot(Gv, v).real)
         quotients.append(num / den)
         asym = abs(float(np.vdot(Wv, w).real) - float(np.vdot(v, Ww).real))
         scale = float(

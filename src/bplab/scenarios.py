@@ -504,13 +504,15 @@ def _audit_reports(config: ExperimentConfig, i: int, case: dict, seed: int) -> l
         solve_resid = 0.0
         dense_resid = 0.0
         M = assemble_dense(kind, mu, bath)
-        for _ in range(trials):
-            r = rng.standard_normal((grid.d,) + grid.shape)
-            x = handle.solve_arrays(r)
-            back = handle.apply_arrays(x)
+        # one draw and one apply of each form for all trials; solves and
+        # dense products stay one per trial, as a batched matrix product
+        # would round differently
+        rs = rng.standard_normal((trials, grid.d) + grid.shape)
+        backs = handle.apply_arrays(np.stack([handle.solve_arrays(r) for r in rs]))
+        avs = handle.apply_weighted_arrays(rs)
+        for r, back, av in zip(rs, backs, avs):
             solve_resid = max(solve_resid, float(np.abs(back - r).max() / np.abs(r).max()))
             mv = (M @ r.ravel()).reshape(r.shape)
-            av = handle.apply_weighted_arrays(r)
             dense_resid = max(dense_resid, float(np.linalg.norm(mv - av) / np.linalg.norm(mv)))
         rep["solve_residual"] = solve_resid
         rep["dense_mismatch"] = dense_resid

@@ -4,8 +4,11 @@ Derivatives come from centered stencils, eigen-extrema from scipy's dense
 eigensolver, reference trajectories from a plain RK4 loop over a flow
 evaluated on nodes, dealiased products from the plain 2/3-rule
 projection, the rotated gradient and divergence from their plain
-multipliers, and H^s norms from nodal quadrature of Lambda^s f. None of
-this runs in the package; it only checks it.
+multipliers, and H^s norms from nodal quadrature of Lambda^s f. The
+batched fast paths are checked bit for bit against their explicit form:
+the nodal factors built factor by factor, and the operator audit's trials
+drawn and applied one at a time. None of this runs in the package; it only
+checks it.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from bplab.errors import NotSPDError
+from bplab.operators import DENSE_AUDIT_LIMIT, _gram_apply, dense_matrix
 from bplab.spectral import Grid, lambda_arr, trunc_arr
 
 
@@ -138,3 +142,81 @@ def sobolev_norm_arr(grid: Grid, a: np.ndarray, s: float) -> float:
     if s == 0:
         return l2_norm_arr(grid, a)
     return l2_norm_arr(grid, lambda_arr(grid, a, s))
+
+
+def nodal_factors_reference(grid: Grid, W: np.ndarray, scalar: bool, gradq: bool, jac: bool):
+    """(s, Ut, gqt, J) of a spectral stack W (K, rows, *rshape), one factor
+    at a time: the plain scalar row, the masked state, the band-limited
+    gradient of row 0 and the band-limited Jacobian of the velocity rows,
+    each sliced, multiplied and reshaped alone, then one stacked irfft."""
+    d = grid.d
+    K = W.shape[0]
+    parts = [W[:, :1]] * scalar + [grid.dealias_mask * W] + [grid.mik * W[:, :1]] * gradq
+    if jac:
+        parts.append((grid.mik * W[:, 1:, None]).reshape((K, d * d) + grid.rshape))
+    nod = grid.irfft(np.concatenate(parts, axis=1))
+    i = int(scalar)
+    Ut = nod[:, i : i + 1 + d]
+    i += 1 + d
+    gqt = nod[:, i : i + d] if gradq else None
+    J = nod[:, i + d * gradq :].reshape((K, d, d) + grid.shape) if jac else None
+    return (nod[:, :1] if scalar else None), Ut, gqt, J
+
+
+def coercivity_report_per_trial(handle, trials: int = 8, rng=None) -> dict:
+    """operators.coercivity_report with one draw and two applies per trial."""
+    rng = rng or np.random.default_rng(0)
+    grid = handle.grid
+    report = {
+        "kind": handle.kind,
+        "d": grid.d,
+        "n": grid.n,
+        "mu": handle.mu,
+        "beta": handle.bath.beta,
+        "strategy": handle.strategy,
+    }
+    quotients = []
+    sym = 0.0
+    for _ in range(trials):
+        v, w = rng.standard_normal((2, grid.d) + grid.shape)
+        Wv = handle.apply_weighted_arrays(v)
+        Ww = handle.apply_weighted_arrays(w)
+        num = float(np.vdot(Wv, v).real)
+        den = float(np.vdot(_gram_apply(grid, handle.kind, handle.mu, v), v).real)
+        quotients.append(num / den)
+        asym = abs(float(np.vdot(Wv, w).real) - float(np.vdot(v, Ww).real))
+        scale = float(
+            np.linalg.norm(Wv.ravel()) * np.linalg.norm(w.ravel())
+            + np.linalg.norm(v.ravel()) * np.linalg.norm(Ww.ravel())
+        )
+        sym = max(sym, asym / scale)
+    report["trial_min_quotient"] = min(quotients)
+    report["trial_max_quotient"] = max(quotients)
+    report["symmetry_residual"] = sym
+    if handle.size <= DENSE_AUDIT_LIMIT:
+        W = handle.ops.dense(handle.kind, handle.mu)
+        G = dense_matrix(lambda V: _gram_apply(grid, handle.kind, handle.mu, V), grid)
+        W = 0.5 * (W + W.T)
+        G = 0.5 * (G + G.T)
+        Linv = np.linalg.inv(np.linalg.cholesky(G))
+        eigs = np.linalg.eigvalsh(Linv @ W @ Linv.T)
+        report["min_quotient"] = float(eigs[0])
+        report["max_quotient"] = float(eigs[-1])
+    return report
+
+
+def audit_round_trip_per_trial(handle, M: np.ndarray, trials: int, rng) -> tuple:
+    """(solve_residual, dense_mismatch) of the operator audit, one draw, solve
+    and apply of each kind per trial; M is the dense weighted matrix."""
+    grid = handle.grid
+    solve_resid = 0.0
+    dense_resid = 0.0
+    for _ in range(trials):
+        r = rng.standard_normal((grid.d,) + grid.shape)
+        x = handle.solve_arrays(r)
+        back = handle.apply_arrays(x)
+        solve_resid = max(solve_resid, float(np.abs(back - r).max() / np.abs(r).max()))
+        mv = (M @ r.ravel()).reshape(r.shape)
+        av = handle.apply_weighted_arrays(r)
+        dense_resid = max(dense_resid, float(np.linalg.norm(mv - av) / np.linalg.norm(mv)))
+    return solve_resid, dense_resid

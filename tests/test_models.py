@@ -13,6 +13,7 @@ from bplab.models import (
     MODELS,
     ModelParams,
     ModelState,
+    _nodal_factors,
     build_handles,
     make_rhs,
     max_linear_frequency,
@@ -21,7 +22,7 @@ from bplab.models import (
 from bplab.operators import build_handle, get_weighted_ops
 from bplab.spectral import Grid, div_arr, grad_arr, mollify_arr, trunc_arr
 from bplab.timeloop import StepperConfig, run
-from oracles import dprod, nodal_rhs, reference_trajectory
+from oracles import dprod, nodal_factors_reference, nodal_rhs, reference_trajectory
 
 G1 = Grid(1, 64, 2.0 * np.pi)
 G2 = Grid(2, 16, 2.0 * np.pi, gamma=0.8)
@@ -506,6 +507,47 @@ def test_batch_flow_is_each_members_flow(model, rescaled, bath, eps):
         assert batch.blocks.shape == (3,) + g.rshape + (1 + g.d, 1 + g.d)
         for k in range(3):
             assert np.array_equal(batch.blocks[k], solo[k].blocks)
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.clongdouble], ids=["c128", "clong"])
+@pytest.mark.parametrize("grid", [G1, G2], ids=["d1", "d2-gamma0.8"])
+def test_nodal_factors_table_matches_factor_by_factor(grid, dtype):
+    # one gather and one multiply by the (row, symbol) table give the bits
+    # of each factor sliced and multiplied alone; the linear flat probe
+    # runs in clongdouble
+    rng = np.random.default_rng(41)
+    W = grid.rfft(rng.standard_normal((2, 1 + grid.d) + grid.shape)).astype(dtype)
+    for scalar in (False, True):
+        for gradq in (False, True):
+            for jac in (False, True):
+                s, Ut, F = _nodal_factors(grid, W, scalar, gradq, jac)
+                s_ref, Ut_ref, gqt, J = nodal_factors_reference(grid, W, scalar, gradq, jac)
+                assert Ut.dtype == Ut_ref.dtype
+                assert np.array_equal(Ut, Ut_ref)
+                assert (s is None) == (not scalar)
+                if scalar:
+                    assert np.array_equal(s, s_ref)
+                assert (F is None) == (not (gradq or jac))
+                if gradq:
+                    assert np.array_equal(F[:, 0], gqt)
+                if jac:
+                    assert np.array_equal(F[:, int(gradq):], J)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.05])
+@pytest.mark.parametrize("model", ["sw", "bp", "mbp"])
+@pytest.mark.parametrize("bath", [BUMP1, BUMP2], ids=["d1", "d2"])
+def test_unit_coefficients_skipped_exactly(bath, model, eps):
+    # alone, a delta = 0 member skips its unit mollifier (and, unrescaled,
+    # its unit time scale); in a batch with a smoothing member it is
+    # multiplied by ones: the same bits either way
+    g = bath.grid
+    rng = np.random.default_rng(43)
+    W = g.rfft(0.1 * rng.standard_normal((2, 1 + g.d) + g.shape))
+    params = [ModelParams(eps, 0.2, model), ModelParams(eps, 0.3, model)]
+    alone = make_rhs(params[0], bath, 0.0).fn(W[0])
+    batch = make_rhs(params, bath, [0.0, 1e-2]).fn(W)
+    assert np.array_equal(batch[0], alone)
 
 
 def test_batch_burgers_flow_is_each_members_flow():

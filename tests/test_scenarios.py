@@ -20,6 +20,8 @@ from bplab.scenarios import (
     _ConfigLoader,
     _audit_case,
     _audit_cases,
+    _audit_reports,
+    _audit_runs,
     _run_many,
     batch_runs,
     build_initial_state,
@@ -29,8 +31,11 @@ from bplab.scenarios import (
     write_snapshot,
     write_summary,
 )
+from bplab.operators import KINDS, build_handle, coercivity_report
 from bplab.spectral import Grid, mollify_arr
 from bplab.timeloop import run
+from bplab.verification import assemble_dense
+from oracles import audit_round_trip_per_trial, coercivity_report_per_trial
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -856,3 +861,35 @@ def test_burgers_without_a_shock_fails_its_verdict(tmp_path, capsys):
     ]
     assert main(["run", "--config", str(p), "--out", str(tmp_path / "o2")]) == 1
     assert "note  eps0.4: NoShockError" in capsys.readouterr().out
+
+
+# the benchmark's audit cases: the preset's, with the d=2 case at n=8
+BENCH_AUDIT_CASES = [
+    {"d": 1, "n": 32, "L": "2pi", "profile": "gaussian_bump", "beta": 0.5, "mu": 0.1},
+    {"d": 2, "n": 8, "L": "2pi", "profile": "gaussian_bump", "beta": 0.5, "mu": 0.1},
+    {"d": 1, "n": 32, "L": "2pi", "profile": "flat", "beta": 0.0, "mu": 0.0},
+]
+
+
+@pytest.mark.parametrize("i", range(3), ids=["d1-bump", "d2-bump", "flat"])
+def test_batched_audit_reports_equal_per_trial_ones(i):
+    # one draw and one apply per kind for all trials read the generator's
+    # stream and give the bits of one draw and one apply per trial
+    base = load_config(ROOT / "configs" / "operator_audit.yaml")
+    config = replace(base, scenario_params=dict(base.scenario_params, cases=BENCH_AUDIT_CASES))
+    _, case, seed = _audit_runs(config)[i].audit
+    trials = config.scenario_params["trials"]
+    got = _audit_reports(config, i, case, seed)
+    _, bath, mu = _audit_case(case, config.params.mu, config.scenario, "case")
+    rng = np.random.default_rng(seed)
+    for kind, rep in zip(KINDS, got):
+        handle = build_handle(kind, mu, bath)
+        ref = coercivity_report_per_trial(handle, trials, rng)
+        ref["solve_residual"], ref["dense_mismatch"] = audit_round_trip_per_trial(
+            handle, assemble_dense(kind, mu, bath), trials, rng
+        )
+        assert rep == ref
+        # and coercivity_report alone, from a fresh generator
+        assert coercivity_report(handle, trials, np.random.default_rng(seed)) == (
+            coercivity_report_per_trial(handle, trials, np.random.default_rng(seed))
+        )
