@@ -62,7 +62,7 @@ from .scenarios import (
     run_scenario,
 )
 from .spectral import Grid
-from .timeloop import CFL_LIMITS, TERMINATIONS, Batch, StepperConfig, Trajectory, run
+from .timeloop import CFL_LIMIT, TERMINATIONS, Batch, StepperConfig, Trajectory, run
 
 __version__ = "0.1.0"
 
@@ -70,7 +70,7 @@ __all__ = [
     "Batch",
     "Bathymetry",
     "BplabError",
-    "CFL_LIMITS",
+    "CFL_LIMIT",
     "ConfigError",
     "DegenerateFitError",
     "DiagnosticsRecord",

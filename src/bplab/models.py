@@ -29,9 +29,9 @@ apply whole steps as one matrix per mode. make_rhs reads those blocks off
 the same flow it builds for every other case, by probing it with one
 constant spectrum per state row, so each system is written once.
 
-Every flow is built for a batch: members that share the model, the bottom,
-rescaled_time and whether eps is zero, with their own eps, mu and delta as
-(K, 1, ...) coefficient columns. fn then acts on a member stack
+Every flow is built for a batch: members that share the model, the bottom
+and whether eps is zero, with their own eps, mu and delta as (K, 1, ...)
+coefficient columns. fn then acts on a member stack
 (K, rows, *rshape): transforms and pointwise products run on the whole
 stack, each member's velocity solve goes through its own handle, and a
 linear flat batch carries blocks (K, *rshape, 1+d, 1+d). A member's
@@ -80,25 +80,17 @@ _HANDLE_KIND = {"bp": "I_plus_muTb", "mbp": "hb_B"}
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Regime parameters shared by all systems.
-
-    eps scales nonlinearity, mu dispersion. rescaled_time integrates the
-    mbp system in the slow variable tau = eps*t, which divides every
-    non-advective term by eps; it requires eps > 0.
-    """
+    """Regime parameters shared by all systems: eps scales nonlinearity, mu dispersion."""
 
     eps: float
     mu: float
     model: str
-    rescaled_time: bool = False
 
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
         if not (0 <= self.eps < np.inf and 0 <= self.mu < np.inf):
             raise ValueError("eps and mu must be finite and nonnegative")
-        if self.rescaled_time and (self.model != "mbp" or self.eps == 0):
-            raise ValueError("rescaled_time requires model='mbp' with eps > 0")
         if self.model in ("bp", "mbp") and self.eps > 10.0 * self.mu:
             warnings.warn(
                 f"eps={self.eps} far exceeds mu={self.mu}; the dispersive"
@@ -236,18 +228,14 @@ class _Coefs:
 
     Arrays carry the members on their leading axis as (K, 1, ...) columns; a
     plain number is shared by every member, as for time_derivative_stack's
-    single member. lam is None when no member rescales time, and the flows
-    skip a unit coefficient instead of multiplying by it.
-    smooth picks the members with delta > 0, which get the mollifier
-    sandwich around their solve: a slice over all of them, an index array,
-    or None when no member smooths. history is the flow's RHSBundle.history,
-    shared by every set of members.
+    single member. smooth picks the members with delta > 0, which get the
+    mollifier sandwich around their solve: a slice over all of them, an
+    index array, or None when no member smooths. history is the flow's
+    RHSBundle.history, shared by every set of members.
     """
 
     ids: tuple
     eps: object
-    lam: object
-    adv_coef: object
     mu: object
     m1: object
     m2: object
@@ -261,9 +249,6 @@ def _member_coefs(params: list, grid: Grid, deltas: list, handles: list, history
     K = len(params)
     col = (-1,) + (1,) * (1 + grid.d)  # broadcasts over (K, rows, *shape or *rshape)
     eps = np.array([p.eps for p in params]).reshape(col)
-    rescaled = params[0].rescaled_time
-    lam = np.array([1.0 / p.eps for p in params]).reshape(col) if rescaled else None
-    adv = np.array([1.0 if rescaled else p.eps for p in params]).reshape(col)
     mu = np.array([p.mu for p in params]).reshape(col)
     delta = np.array(deltas, dtype=float)
     m1 = m2 = 1.0  # plain ones when no member smooths; a member at delta = 0 gets ones
@@ -279,7 +264,7 @@ def _member_coefs(params: list, grid: Grid, deltas: list, handles: list, history
             on = delta[idx] > 0
             smooth = slice(None) if on.all() else (np.flatnonzero(on) if on.any() else None)
             view = views[members] = _Coefs(
-                tuple(idx), pick(eps), pick(lam), pick(adv), pick(mu), pick(m1), pick(m2),
+                tuple(idx), pick(eps), pick(mu), pick(m1), pick(m2),
                 smooth, [handles[i] for i in idx], history,
             )
         return view
@@ -384,10 +369,8 @@ def _mbp_flow(bath: Bathymetry):
     tendency(c, Vt, zeta, adv) takes a member stack of the band-limited
     velocity, the nodal surface and, unless eps = 0, the stacked products
     [V.grad q; (V.grad)V] that _v_dot_grad forms in one multiply-sum;
-    c.lam multiplies the non-advective terms and c.adv_coef the advective
-    ones, and members with delta > 0 get the mollifier sandwich. A unit
-    coefficient is skipped, not multiplied: c.lam is None unless the
-    members rescale time, and no mollifier applies when none smooths.
+    c.eps multiplies the advective terms, and members with delta > 0 get
+    the mollifier sandwich, which is skipped when none smooths.
     h_b A grad zeta goes through the bottom's phi-only chain (w_hba).
     """
     g = bath.grid
@@ -406,15 +389,13 @@ def _mbp_flow(bath: Bathymetry):
             back.append(mask * P[:, d + 2 :])
         nod = g.irfft(np.concatenate(back, axis=1))  # T div(h_b V), grad zeta, T adv
         w = ops.w_hba(nod[:, 1 : 1 + d], c.mu)
-        if c.lam is not None:
-            w = c.lam * w
         if nonlinear:
-            w = w + c.adv_coef * hb * nod[:, 1 + d :]
+            w = w + c.eps * hb * nod[:, 1 + d :]
         x = _solve_each(_sandwich(g, w, c), c)
         R = g.rfft(np.concatenate([bath.inv_hb * nod[:, :1], x], axis=1))
-        dq = R[:, :1] if c.lam is None else c.lam * R[:, :1]
+        dq = R[:, :1]
         if nonlinear:
-            dq = dq + c.adv_coef * (mask * P[:, d + 1 : d + 2])
+            dq = dq + c.eps * (mask * P[:, d + 1 : d + 2])
         return _negated(c, dq, R[:, 1:], c.m1)
 
     return tendency
@@ -433,11 +414,11 @@ def make_rhs(
 
     params may also be a sequence of ModelParams, the members of a batch;
     delta is then one value per member (or one for all) and handles one
-    dict or None per member. The members share the model, rescaled_time
-    and whether eps is zero; eps, mu and delta are theirs. The bundle's
-    fn acts on the member stack: transforms and pointwise products run on
-    the whole stack, each member's velocity solve goes through its own
-    handle, and members with equal mu share a handle built here.
+    dict or None per member. The members share the model and whether eps
+    is zero; eps, mu and delta are theirs. The bundle's fn acts on the
+    member stack: transforms and pointwise products run on the whole stack,
+    each member's velocity solve goes through its own handle, and members
+    with equal mu share a handle built here.
     """
     if isinstance(params, ModelParams):
         bundle = _batch_rhs([params], bath, [delta], [handles])
@@ -460,8 +441,8 @@ def _batch_rhs(params: list, bath: Bathymetry, deltas: list, handles: list) -> R
     p0 = params[0]
     nonlinear = p0.eps != 0.0
     for p in params:
-        if (p.model, p.rescaled_time, p.eps != 0.0) != (p0.model, p0.rescaled_time, nonlinear):
-            raise ValueError("batch members must share model, rescaled_time and eps == 0")
+        if (p.model, p.eps != 0.0) != (p0.model, nonlinear):
+            raise ValueError("batch members must share model and eps == 0")
     g = bath.grid
     model = p0.model
 
@@ -496,9 +477,7 @@ def _batch_rhs(params: list, bath: Bathymetry, deltas: list, handles: list) -> R
         return RHSBundle(fn, g, tuple(params))
 
     if model == "mbp":
-        # primary variable is q, surface recovered pointwise. In slow time
-        # tau = eps*t the advective terms keep coefficient one while
-        # everything else is divided by eps.
+        # primary variable is q, surface recovered pointwise
         tendency = _mbp_flow(bath)
 
         def fn(W: np.ndarray, members=None) -> np.ndarray:
@@ -582,8 +561,7 @@ def time_derivative_stack(
     coefficients satisfy (m+1) e_{m+1} = eps*sum (j+1) q_{j+1} e_{m-j}.
     Each coefficient goes through the flow's own tendency, with its
     products replaced by their Cauchy sums, so k = 1 equals eps times the
-    plain right-hand side. The stack is the same whether trajectories are
-    run in physical or rescaled time, since (eps d_t) is exactly d_tau.
+    plain right-hand side.
     """
     if params.model != "mbp":
         raise ValueError("time_derivative_stack is defined along the mbp flow")
@@ -598,7 +576,7 @@ def time_derivative_stack(
         raise ValueError(f"mbp state must be (1 + d, *grid.shape), got {U.shape}")
     handle = _checked_handle("hb_B", params.mu, bath, handles)
     tendency = _mbp_flow(bath)
-    coefs = _Coefs((0,), eps, None, eps, params.mu, 1.0, 1.0, None, [handle], None)
+    coefs = _Coefs((0,), eps, params.mu, 1.0, 1.0, None, [handle], None)
 
     # Taylor coefficients on rfft coefficients, with their nodal factors
     # (Vt, [T grad q; J]) and the nodal q, surface and exp(eps*q) jets, each
@@ -648,8 +626,6 @@ def max_linear_frequency(
     lin = 0.0
     if params.model != "burgers":
         lin = exact_dispersion(params.model, kmax, params.mu)
-    if params.rescaled_time:
-        lin = lin / params.eps
     adv = 0.0
     if state is not None and params.eps > 0:
         rows = state.stack()

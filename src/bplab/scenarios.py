@@ -55,7 +55,7 @@ from .errors import BplabError, ConfigError
 from .models import MODELS, ModelParams, ModelState
 from .operators import KINDS, build_handle, coercivity_report
 from .spectral import Grid, mollify_arr
-from .timeloop import StepperConfig, Trajectory, _check_modes, run
+from .timeloop import StepperConfig, Trajectory, _check_modes, batch_key, run
 from .verification import assemble_dense
 
 __all__ = [
@@ -87,6 +87,9 @@ SNAPSHOT_POLICIES = {
 }
 SECTIONS = ("scenario", "grid", "model", "bathymetry", "initial", "stepper", "sweep",
             "scenario_params", "thresholds", "output", "seed")
+# the keys of a grid and of a bottom mapping, read by _grid_and_bottom
+GRID_KEYS = ("d", "n", "L", "gamma")
+BOTTOM_KEYS = ("profile", "beta", "params")
 # every scenario's thresholds hold sobolev_index, the N of the E^N energies it records
 SHARED_THRESHOLDS = {"sobolev_index": 3}
 
@@ -131,7 +134,12 @@ def _cfg_err(src: str, key: str, reason: str) -> ConfigError:
     return ConfigError(f"{src}: {key}: {reason}")
 
 
-def _sub(tree: dict, key: str, src: str, required: bool = True, where: str = "") -> dict:
+def _sub(
+    tree: dict, key: str, src: str, required: bool = True, where: str = "", keys=None,
+    reader: str = "load_config",
+) -> dict:
+    """The mapping tree[key] ({} if absent and not required); keys, when
+    given, are the only ones reader reads from it, and it may hold no other."""
     val = tree.get(key)
     if val is None:
         if required:
@@ -139,6 +147,8 @@ def _sub(tree: dict, key: str, src: str, required: bool = True, where: str = "")
         return {}
     if not isinstance(val, dict):
         raise _cfg_err(src, where + key, "expected a mapping")
+    if keys is not None:
+        _only_read(val, keys, src, f"{where}{key}.", reader)
     return val
 
 
@@ -231,9 +241,9 @@ def _grid_and_bottom(
     if profile not in PROFILES:
         raise _cfg_err(src, profile_key, f"unknown {profile!r}, choose from {sorted(PROFILES)}")
     beta = _number(bt.get("beta", 0.0), src, f"{bath_key}.beta")
-    pt = _sub(bt, "params", src, required=False, where=f"{bath_key}.")
     keys = PROFILES[profile].keys
-    _only_read(pt, keys, src, f"{bath_key}.params.", f"profile {profile!r}")
+    pt = _sub(bt, "params", src, required=False, where=f"{bath_key}.", keys=keys,
+              reader=f"profile {profile!r}")
     params = {k: _number(v, src, f"{bath_key}.params.{k}", keys[k]) for k, v in pt.items()}
     try:
         bath = build_bathymetry(grid, profile, beta, params)
@@ -249,7 +259,8 @@ def load_config(
 
     The scenario's SCENARIOS entry is its contract: a sweep axis,
     scenario_params key or threshold it does not read is refused, as is a
-    model.name other than the one it fixes. Every complaint carries the
+    model.name other than the one it fixes. So is a key of any other
+    section that load_config does not read. Every complaint carries the
     file and the dotted key it refers to. out and seed override the file
     (command-line flags).
     """
@@ -272,32 +283,28 @@ def load_config(
     reader = f"scenario {scenario!r}"
 
     grid, _, profile, beta, bath_params = _grid_and_bottom(
-        _sub(tree, "grid", src), _sub(tree, "bathymetry", src, required=False),
+        _sub(tree, "grid", src, keys=GRID_KEYS),
+        _sub(tree, "bathymetry", src, required=False, keys=BOTTOM_KEYS),
         src, "grid", "bathymetry", "bathymetry.profile",
     )
 
-    mt = _sub(tree, "model", src)
+    mt = _sub(tree, "model", src, keys=("name", "eps", "mu"))
     name = mt.get("name")
     if name not in MODELS:
         raise _cfg_err(src, "model.name", f"unknown {name!r}, choose from {MODELS}")
     if contract.model not in (None, name):
         reason = f"scenario {scenario!r} runs {contract.model!r}, got {name!r}"
         raise _cfg_err(src, "model.name", reason)
-    rescaled_time = mt.get("rescaled_time", False)
-    if not isinstance(rescaled_time, bool):
-        reason = f"expected true or false, got {rescaled_time!r}"
-        raise _cfg_err(src, "model.rescaled_time", reason)
     try:
         params = ModelParams(
             eps=_number(mt.get("eps", 0.0), src, "model.eps"),
             mu=_number(mt.get("mu", 0.0), src, "model.mu"),
             model=name,
-            rescaled_time=rescaled_time,
         )
     except (ValueError, TypeError) as e:
         raise _cfg_err(src, "model", str(e)) from None
 
-    it = _sub(tree, "initial", src, required=False)
+    it = _sub(tree, "initial", src, required=False, keys=("shape", "amplitude", "mode", "width"))
     shape = it.get("shape", "single_mode")
     if shape not in INITIAL_SHAPES:
         raise _cfg_err(src, "initial.shape", f"unknown {shape!r}, choose from {INITIAL_SHAPES}")
@@ -314,7 +321,11 @@ def load_config(
     if shape == "burgers_sine" and grid.d != 1:
         raise _cfg_err(src, "initial.shape", "burgers_sine requires d=1")
 
-    st = _sub(tree, "stepper", src, required=False)
+    defaults = {"dt": 1e-3, "t_end": 1.0, "output_stride": 1, "blowup_threshold": 1e3, "delta": 0.0}
+    st = _sub(tree, "stepper", src, required=False, keys=(*defaults, "track_modes", "scheme"))
+    # the presets name their scheme; RK4 is the one the stepper runs
+    if st.get("scheme", "rk4") != "rk4":
+        raise _cfg_err(src, "stepper.scheme", f"only rk4 is run, got {st['scheme']!r}")
     track = st.get("track_modes", [])
     if not isinstance(track, (list, tuple)):
         raise _cfg_err(src, "stepper.track_modes", "expected a list")
@@ -323,18 +334,16 @@ def load_config(
         _check_modes(grid, track_modes)
     except ValueError as e:
         raise _cfg_err(src, "stepper.track_modes", str(e)) from None
-    defaults = {"dt": 1e-3, "t_end": 1.0, "output_stride": 1, "blowup_threshold": 1e3, "delta": 0.0}
     numbers = {  # each read as its default's type
         key: _number(st.get(key, default), src, f"stepper.{key}", type(default))
         for key, default in defaults.items()
     }
     try:
-        stepper = StepperConfig(scheme=st.get("scheme", "rk4"), track_modes=track_modes, **numbers)
+        stepper = StepperConfig(track_modes=track_modes, **numbers)
     except (ValueError, TypeError) as e:
         raise _cfg_err(src, "stepper", str(e)) from None
 
-    sw = _sub(tree, "sweep", src, required=False)
-    _only_read(sw, contract.sweep, src, "sweep.", reader)
+    sw = _sub(tree, "sweep", src, required=False, keys=contract.sweep, reader=reader)
     sweep = {}
     for key, val in sw.items():
         if not isinstance(val, list) or not val:
@@ -354,16 +363,14 @@ def load_config(
         if axis.required and key not in sweep:
             raise _cfg_err(src, f"sweep.{key}", f"required by scenario {scenario!r}")
 
-    sp = _sub(tree, "scenario_params", src, required=False)
-    _only_read(sp, contract.params, src, "scenario_params.", reader)
+    sp = _sub(tree, "scenario_params", src, required=False, keys=contract.params, reader=reader)
     sp = {k: contract.params[k](v, src, f"scenario_params.{k}") for k, v in sp.items()}
 
-    tt = _sub(tree, "thresholds", src, required=False)
     thresholds = {**contract.thresholds, **SHARED_THRESHOLDS}
-    _only_read(tt, thresholds, src, "thresholds.", reader)
+    tt = _sub(tree, "thresholds", src, required=False, keys=thresholds, reader=reader)
     thresholds.update((key, _number(val, src, f"thresholds.{key}")) for key, val in tt.items())
 
-    ot = _sub(tree, "output", src, required=False)
+    ot = _sub(tree, "output", src, required=False, keys=("dir", "snapshots"))
     out_dir = out or ot.get("dir") or os.environ.get(ENV_OUT) or DEFAULT_OUT
     snapshots = ot.get("snapshots", "final")
     if snapshots not in SNAPSHOT_POLICIES:
@@ -520,30 +527,15 @@ def _audit_reports(config: ExperimentConfig, i: int, case: dict, seed: int) -> l
     return out
 
 
-def _batch_key(spec: RunSpec):
-    """What the members of one batch share; None for a run that goes alone.
-
-    The grid and bottom are the scenario's. Everything else (start state,
-    eps, mu, delta, dt and t_end) is per member.
-    """
-    if spec.audit is not None:
-        return None
-    p, st = spec.params, spec.stepper
-    return (
-        p.model, p.rescaled_time, p.eps == 0.0,
-        st.scheme, st.output_stride, st.blowup_threshold, st.track_modes,
-    )
-
-
 def batch_runs(specs: list) -> list:
     """Spec indices grouped into batches, in order of each batch's first spec.
 
-    Time-stepping specs with equal _batch_key share a batch; an audit spec
-    is a batch of its own.
+    Time-stepping specs with equal timeloop.batch_key share a batch (the
+    grid and bottom are the scenario's); an audit spec is a batch of its own.
     """
     batches, by_key = [], {}
     for i, spec in enumerate(specs):
-        key = _batch_key(spec)
+        key = None if spec.audit is not None else batch_key(spec.params, spec.stepper)
         if key is not None and key in by_key:
             by_key[key].append(i)
         else:
@@ -859,7 +851,7 @@ def _grade_burgers(config: ExperimentConfig, bath, results: list):
     return {"burgers": rows, "scaling_slope": slope}, verdicts, failures
 
 
-AUDIT_CASE_KEYS = ("d", "n", "L", "gamma", "profile", "beta", "mu", "params")
+AUDIT_CASE_KEYS = (*GRID_KEYS, *BOTTOM_KEYS, "mu")
 
 
 def _audit_case(case, default_mu: float, src: str, where: str):

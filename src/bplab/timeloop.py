@@ -1,9 +1,9 @@
 """Fixed-step time integration with recording and failure detection.
 
-run() advances a model state with classical RK4 (or midpoint RK2) at a
-uniform step, records W^{1,inf}-type monitors and tracked mode amplitudes
-every output_stride steps, and stops early when the run leaves the valid
-regime. Termination is one of
+run() advances a model state with classical RK4 at a uniform step,
+records W^{1,inf}-type monitors and tracked mode amplitudes every
+output_stride steps, and stops early when the run leaves the valid regime.
+Termination is one of
 
     completed       reached t_end
     blowup          a recorded sup passed blowup_threshold, or NaN/Inf
@@ -16,19 +16,20 @@ record times are exact multiples of the step.
 
 Every run steps on the rfft coefficients W = rfft(U) of its state and
 decodes them only at records. Linear flat-bottom runs carry constant
-per-mode blocks L_k, on which one step of the scheme is exactly
-W <- R(dt L_k) W with R its stability polynomial. Those runs advance from
-one record to the next by the cached power R(dt L)^n, n the output stride
-or the final remainder: the same scheme and the same records, without the
-stage evaluations in between.
+per-mode blocks L_k, on which one RK4 step is exactly W <- R(dt L_k) W
+with R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 its stability polynomial. Those
+runs advance from one record to the next by the cached power R(dt L)^n, n
+the output stride or the final remainder: the same scheme and the same
+records, without the stage evaluations in between.
 
-run also advances a batch: members that share the model, the bottom and
-the stepping policy step as one stack (K, rows, *rshape) through one flow,
-each with its own start, eps, mu, delta, dt and t_end. A member leaves the
-stack at its own termination: blowup at a record, dry or solver_failure
-in a step (which the others then retake without it), completed at its own
-last step. Its records, steps and termination are those of its run alone.
-A single run is a batch of one.
+run also advances a batch: members over one bottom with equal batch_key
+(the model, whether eps is zero, and the recording policy) step as one
+stack (K, rows, *rshape) through one flow, each with its own start, eps,
+mu, delta, dt and t_end. A member leaves the stack at its own termination:
+blowup at a record, dry or solver_failure in a step (which the others then
+retake without it), completed at its own last step. Its records, steps
+and termination are those of its run alone. A single run is a batch of
+one.
 
 Each member's CG velocity solves warm-start from its own last solves,
 kept in the flow's history (models.RHSBundle). A retaken step restarts
@@ -58,30 +59,27 @@ from .models import (
 from .spectral import Grid
 
 __all__ = [
-    "SCHEMES",
-    "CFL_LIMITS",
+    "CFL_LIMIT",
     "TERMINATIONS",
     "StepperConfig",
     "Trajectory",
     "Batch",
+    "batch_key",
     "run",
 ]
 
-SCHEMES = ("rk4", "rk2")
 TERMINATIONS = ("completed", "blowup", "dry", "solver_failure")
 
-# stable |dt * i*omega| along the imaginary axis (rk2 has no true interval;
-# its practical bound for these weakly damped spectra is kept conservative)
-CFL_LIMITS = {"rk4": 2.8, "rk2": 1.0}
+# stable |dt * i*omega| of RK4 along the imaginary axis, just inside 2*sqrt(2)
+CFL_LIMIT = 2.8
 
 
 @dataclass(frozen=True)
 class StepperConfig:
-    """Step size, scheme, horizon and recording policy for one run."""
+    """Step size, horizon and recording policy for one run."""
 
     dt: float
     t_end: float
-    scheme: str = "rk4"
     output_stride: int = 1
     blowup_threshold: float = 1e3
     delta: float = 0.0
@@ -92,8 +90,6 @@ class StepperConfig:
             raise ValueError("dt must be finite and positive")
         if not 0 <= self.t_end < np.inf:
             raise ValueError("t_end must be finite and nonnegative")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}")
         if self.output_stride < 1:
             raise ValueError("output_stride must be at least 1")
         if not self.blowup_threshold > 0:
@@ -132,26 +128,16 @@ def _rk4_step(fn, W, dt):
     return W + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk2_step(fn, W, dt):
-    k1 = fn(W)
-    k2 = fn(W + 0.5 * dt * k1)
-    return W + dt * k2
-
-
-_STEPPERS = {"rk4": _rk4_step, "rk2": _rk2_step}
-
-
-def _propagator(blocks: np.ndarray, scheme: str, dt: np.ndarray):
+def _propagator(blocks: np.ndarray, dt: np.ndarray):
     """(W, n, members) -> R(dt L)^n W for the members' per-mode blocks L.
 
-    blocks is (K, *rshape, m, m) and dt one step per member. One scheme
-    step applied to the identity blocks yields R(dt L) itself:
-    1 + z + z^2/2 + z^3/6 + z^4/24 for rk4, 1 + z + z^2/2 for rk2. Powers
-    are taken over the members' stack at once and cached by (n, members).
+    blocks is (K, *rshape, m, m) and dt one step per member. One RK4 step
+    applied to the identity blocks yields R(dt L) itself. Powers are taken
+    over the members' stack at once and cached by (n, members).
     """
     eye = np.broadcast_to(np.eye(blocks.shape[-1]), blocks.shape)
     dt = dt.reshape((-1,) + (1,) * (blocks.ndim - 1))
-    one_step = _STEPPERS[scheme](lambda X: blocks @ X, eye, dt)
+    one_step = _rk4_step(lambda X: blocks @ X, eye, dt)
     powers = {}
 
     def propagate(W: np.ndarray, n: int, members: tuple) -> np.ndarray:
@@ -223,8 +209,17 @@ class _Member:
         self.termination, self.termination_time, self.steps_taken = termination, time, steps
 
 
-# the shared parts of a batch's stepper configs
-_SHARED = ("scheme", "output_stride", "blowup_threshold", "track_modes")
+def batch_key(params: ModelParams, config: StepperConfig) -> tuple:
+    """What the members of one batch share: equal keys may step together.
+
+    The model and whether eps is zero fix the flow; the stride, blow-up
+    threshold and tracked modes fix the records. eps, mu, delta, dt, t_end
+    and the start state are each member's own.
+    """
+    return (
+        params.model, params.eps == 0.0,
+        config.output_stride, config.blowup_threshold, config.track_modes,
+    )
 
 
 def run(state0, params, bath: Bathymetry, config, handles=None):
@@ -236,10 +231,9 @@ def run(state0, params, bath: Bathymetry, config, handles=None):
 
     A batch passes sequences instead: one start state, ModelParams,
     StepperConfig and handles dict (or None) per member, and gets a Batch
-    of one Trajectory per member. The members share the model, bottom,
-    rescaled_time, whether eps is zero, and their configs' scheme, stride,
-    blow-up threshold and tracked modes; eps, mu, delta, dt and t_end are
-    their own. A single run is a batch of one.
+    of one Trajectory per member. The members share the bottom and their
+    batch_key; eps, mu, delta, dt and t_end are their own. A single run is
+    a batch of one.
     """
     if isinstance(state0, ModelState):
         return _run_batch([state0], [params], bath, [config], [handles])[0]
@@ -261,8 +255,9 @@ def _run_batch(states: list, params: list, bath: Bathymetry, configs: list, hand
     if not K or not len(params) == len(configs) == len(handles) == K:
         raise ValueError("a batch needs one params, config and handles entry per state")
     first = configs[0]
-    if any(getattr(c, f) != getattr(first, f) for c in configs for f in _SHARED):
-        raise ValueError(f"batch members must share their configs' {_SHARED}")
+    key = batch_key(params[0], first)
+    if any(batch_key(p, c) != key for p, c in zip(params, configs)):
+        raise ValueError("batch members must share their batch_key")
     for state, p in zip(states, params):
         if state.stack().shape[0] != state_rows(p.model, g):
             raise ValueError("state rows do not match the model")
@@ -270,7 +265,6 @@ def _run_batch(states: list, params: list, bath: Bathymetry, configs: list, hand
     mode_idx = _check_modes(g, first.track_modes)
 
     members = []
-    limit = CFL_LIMITS[first.scheme]
     for state, p, c in zip(states, params, configs):
         if c.t_end == 0.0:
             n_steps, dt = 0, c.dt
@@ -278,16 +272,15 @@ def _run_batch(states: list, params: list, bath: Bathymetry, configs: list, hand
             n_steps = max(1, int(round(c.t_end / c.dt)))
             dt = c.t_end / n_steps
         freq = max_linear_frequency(p, g, state)
-        if n_steps > 0 and freq * dt > limit:
+        if n_steps > 0 and freq * dt > CFL_LIMIT:
             warnings.warn(
                 f"dt={dt:.3e} resolves the fastest mode poorly"
-                f" (dt*omega_max={freq * dt:.2f} > {limit} for {c.scheme})",
+                f" (dt*omega_max={freq * dt:.2f} > {CFL_LIMIT})",
                 CFLWarning,
                 stacklevel=3,
             )
         members.append(_Member(p, c, n_steps, dt))
 
-    advance = _STEPPERS[first.scheme]
     stride = first.output_stride
     threshold = first.blowup_threshold
     W = bundle.encode(np.stack([state.stack() for state in states]))
@@ -296,7 +289,7 @@ def _run_batch(states: list, params: list, bath: Bathymetry, configs: list, hand
     last = np.array([m.n_steps for m in members])
     propagate = None
     if bundle.blocks is not None:
-        propagate = _propagator(bundle.blocks, first.scheme, dts)
+        propagate = _propagator(bundle.blocks, dts)
     history = bundle.history  # each member's last CG solves, which warm-start its next
     if history is not None:
         history.update(dict.fromkeys(range(K), ()))
@@ -358,7 +351,7 @@ def _run_batch(states: list, params: list, bath: Bathymetry, configs: list, hand
                 while s < stop:
                     if history is not None:
                         saved = dict(history)
-                    W = advance(fn, W, dt)
+                    W = _rk4_step(fn, W, dt)
                     s += 1
             except (DryStateError, SolverDivergenceError) as e:
                 name = "dry" if isinstance(e, DryStateError) else "solver_failure"

@@ -74,14 +74,6 @@ def test_params_rejects_non_finite_scales():
             ModelParams(0.1, bad, "sw")
 
 
-def test_rescaled_time_needs_mbp_and_eps():
-    with pytest.raises(ValueError):
-        ModelParams(0.1, 0.1, "bp", rescaled_time=True)
-    with pytest.raises(ValueError):
-        ModelParams(0.0, 0.1, "mbp", rescaled_time=True)
-    ModelParams(0.1, 0.1, "mbp", rescaled_time=True)
-
-
 def test_regime_warning_when_dispersion_too_weak():
     with pytest.warns(RegimeWarning):
         ModelParams(0.5, 0.01, "bp")
@@ -262,40 +254,34 @@ def _nodal_reference_rhs(params, bath, delta, handle, U):
             dV = -handle.solve_arrays(w)
         return np.concatenate([dz[None], dV])
 
-    lam = 1.0 / eps if params.rescaled_time else 1.0
-    adv_coef = 1.0 if params.rescaled_time else eps
     q = U[0]
     advq = T((Vt * T(grad_arr(g, q))).sum(axis=0))
     div_part = bath.inv_hb * div_arr(g, T(T(hb) * Vt))
-    dq = moll(-adv_coef * advq - lam * div_part, -2)
+    dq = moll(-eps * advq - div_part, -2)
     zeta = q_to_zeta_arr(q, eps, bath)
-    w = lam * get_weighted_ops(bath).w_hba(grad_arr(g, zeta), mu) + adv_coef * hb * adv
+    w = get_weighted_ops(bath).w_hba(grad_arr(g, zeta), mu) + eps * hb * adv
     dV = -moll(handle.solve_weighted_arrays(moll(w, -1)), -1)
     return np.concatenate([dq[None], dV])
 
 
 # nonlinear flows over a bump, and linear flat-bottom ones, whose bundles
-# apply the blocks probed from the same flow; rescaled time needs eps > 0
+# apply the blocks probed from the same flow
 _FLOW_CASES = [
-    pytest.param(model, rescaled, bath, eps, delta, id=f"{mid}-{bid}-{delta}")
+    pytest.param(model, bath, eps, delta, id=f"{model}-{bid}-{delta}")
     for delta in (0.0, 1e-2)
     for bid, bath, eps in (
         ("d1", BUMP1, 0.3), ("d2", BUMP2, 0.3),
         ("flat-d1", FLAT1, 0.0), ("flat-d2", FLAT2, 0.0),
     )
-    for mid, model, rescaled in (
-        ("sw", "sw", False), ("bp", "bp", False), ("mbp", "mbp", False),
-        ("mbp-rescaled", "mbp", True),
-    )
-    if eps or not rescaled
+    for model in ("sw", "bp", "mbp")
 ]
 
 
-@pytest.mark.parametrize("model,rescaled,bath,eps,delta", _FLOW_CASES)
-def test_nonlinear_bump_matches_nodal_formula(model, rescaled, bath, eps, delta):
+@pytest.mark.parametrize("model,bath,eps,delta", _FLOW_CASES)
+def test_nonlinear_bump_matches_nodal_formula(model, bath, eps, delta):
     # random data on every mode, so each 2/3 projection matters
     g = bath.grid
-    params = ModelParams(eps, 0.4, model, rescaled_time=rescaled)
+    params = ModelParams(eps, 0.4, model)
     U = 0.1 * np.random.default_rng(23).standard_normal((1 + g.d,) + g.shape)
     handles = build_handles(params, bath)
     bundle = make_rhs(params, bath, delta=delta, handles=handles)
@@ -448,20 +434,6 @@ def test_bp_collapses_to_sw_at_mu_zero():
     assert np.abs(a - b).max() < 1e-11
 
 
-def test_rescaled_mbp_is_physical_over_eps():
-    rng = np.random.default_rng(12)
-    eps = 0.4
-    U = _random_state(G2, rng, amp=0.05)
-    handles = build_handles(ModelParams(eps, 0.5, "mbp"), BUMP2)
-    phys = make_rhs(ModelParams(eps, 0.5, "mbp"), BUMP2, handles=handles)
-    resc = make_rhs(
-        ModelParams(eps, 0.5, "mbp", rescaled_time=True), BUMP2, handles=handles
-    )
-    a = nodal_rhs(phys, U) / eps
-    b = nodal_rhs(resc, U)
-    assert np.abs(a - b).max() < 1e-12 / eps
-
-
 def test_translation_equivariance_flat_nonlinear():
     rng = np.random.default_rng(13)
     shift = 5
@@ -474,21 +446,17 @@ def test_translation_equivariance_flat_nonlinear():
 
 # batch flows: per-member eps, mu and delta, bit for bit each member's own flow
 _BATCH_CASES = [
-    pytest.param(model, rescaled, bath, eps, id=f"{mid}-{bid}")
+    pytest.param(model, bath, eps, id=f"{model}-{bid}")
     for bid, bath, eps in (("d1", BUMP1, 0.3), ("d2", BUMP2, 0.3), ("flat-d1", FLAT1, 0.0))
-    for mid, model, rescaled in (
-        ("sw", "sw", False), ("bp", "bp", False), ("mbp", "mbp", False),
-        ("mbp-rescaled", "mbp", True),
-    )
-    if eps or not rescaled
+    for model in ("sw", "bp", "mbp")
 ]
 
 
-@pytest.mark.parametrize("model,rescaled,bath,eps", _BATCH_CASES)
-def test_batch_flow_is_each_members_flow(model, rescaled, bath, eps):
+@pytest.mark.parametrize("model,bath,eps", _BATCH_CASES)
+def test_batch_flow_is_each_members_flow(model, bath, eps):
     g = bath.grid
     params = [
-        ModelParams(eps * f, mu, model, rescaled_time=rescaled)
+        ModelParams(eps * f, mu, model)
         for f, mu in ((1.0, 0.4), (0.5, 0.2), (0.25, 0.4))
     ]
     deltas = [1e-2, 0.0, 1e-3]
@@ -538,9 +506,8 @@ def test_nodal_factors_table_matches_factor_by_factor(grid, dtype):
 @pytest.mark.parametrize("model", ["sw", "bp", "mbp"])
 @pytest.mark.parametrize("bath", [BUMP1, BUMP2], ids=["d1", "d2"])
 def test_unit_coefficients_skipped_exactly(bath, model, eps):
-    # alone, a delta = 0 member skips its unit mollifier (and, unrescaled,
-    # its unit time scale); in a batch with a smoothing member it is
-    # multiplied by ones: the same bits either way
+    # alone, a delta = 0 member skips its unit mollifier; in a batch with a
+    # smoothing member it is multiplied by ones: the same bits either way
     g = bath.grid
     rng = np.random.default_rng(43)
     W = g.rfft(0.1 * rng.standard_normal((2, 1 + g.d) + g.shape))
@@ -592,7 +559,7 @@ def test_batch_members_must_share_the_flow():
     with pytest.raises(ValueError):
         make_rhs([ModelParams(0.1, 0.1, "bp"), ModelParams(0.0, 0.1, "bp")], BUMP1)
     with pytest.raises(ValueError):
-        make_rhs([ModelParams(0.1, 0.1, "mbp"), ModelParams(0.1, 0.1, "mbp", True)], BUMP1)
+        make_rhs([ModelParams(0.1, 0.1, "mbp"), ModelParams(0.1, 0.1, "bp")], BUMP1)
     with pytest.raises(ValueError):
         make_rhs([ModelParams(0.1, 0.1, "bp")] * 2, BUMP1, delta=[0.0])
 
@@ -692,16 +659,6 @@ def test_jet_vanishes_for_linear_flow():
     stack = time_derivative_stack(_random_state(G1, rng), params, BUMP1, k_max=3)
     for k in (1, 2, 3):
         assert np.abs(stack[k][0]).max() == 0.0
-
-
-def test_jet_rescaled_flag_is_irrelevant():
-    params, U = _mbp_setup()
-    resc = ModelParams(params.eps, params.mu, "mbp", rescaled_time=True)
-    a = time_derivative_stack(U, params, BUMP1, k_max=2)
-    b = time_derivative_stack(U, resc, BUMP1, k_max=2)
-    for ua, ub in zip(a, b):
-        assert np.array_equal(ua[0], ub[0])
-        assert np.array_equal(ua[1:], ub[1:])
 
 
 def test_jet_rejects_mismatched_handle():

@@ -254,8 +254,6 @@ def test_d2_mode_pairs_parse(tmp_path):
          "thresholds.energy_bound_factor"),
         (TINY_DISPERSION.replace("seed: 7", "seed: true"), "seed"),
         (TINY_DISPERSION.replace("mode: 1}", "mode: true}"), "initial.mode"),
-        (TINY_MOLLIFIER.replace("mu: 0.1}", 'mu: 0.1, rescaled_time: "false"}'),
-         "model.rescaled_time"),
         # NaN and infinities, written as YAML floats or as text
         (DRY_CONSISTENCY.replace("t_end: 0.1}", "t_end: inf}"), "stepper.t_end"),
         (DRY_CONSISTENCY.replace("t_end: 0.1}", "t_end: .inf}"), "stepper.t_end"),
@@ -270,6 +268,21 @@ def test_d2_mode_pairs_parse(tmp_path):
          "bathymetry.params.width"),
         (TINY_MOLLIFIER.replace("beta: 0.3}", "beta: 0.3, params: {hieght: 0.5}}"),
          "bathymetry.params.hieght"),
+        # a key no section reads: a misspelling in each section, a dropped
+        # option, and a scheme other than rk4
+        (TINY_LONGTIME.replace("n: 16", "nn: 16"), "grid.nn"),
+        (TINY_MOLLIFIER.replace("mu: 0.1}", "mu: 0.1, rescaled_tme: true}"),
+         "model.rescaled_tme"),
+        (TINY_MOLLIFIER.replace("beta: 0.3}", "bta: 0.3}"), "bathymetry.bta"),
+        (TINY_MOLLIFIER.replace("width: 3.0}", "widht: 3.0}"), "initial.widht"),
+        (TINY_BURGERS.replace("output_stride: 5,", "ouptut_stride: 5,"),
+         "stepper.ouptut_stride"),
+        (TINY_DISPERSION + "output: {snapshot: none}\n", "output.snapshot"),
+        (TINY_MOLLIFIER.replace("mu: 0.1}", "mu: 0.1, rescaled_time: true}"),
+         "model.rescaled_time"),
+        (TINY_MOLLIFIER.replace("mu: 0.1}", 'mu: 0.1, rescaled_time: "false"}'),
+         "model.rescaled_time"),
+        (TINY_BURGERS.replace("{dt: 1.0e-2,", "{dt: 1.0e-2, scheme: rk2,"), "stepper.scheme"),
     ],
     ids=[
         "amplitude", "width", "mode", "track_modes", "horizon_over_eps", "trials",
@@ -285,9 +298,12 @@ def test_d2_mode_pairs_parse(tmp_path):
         "infinite_n", "longtime_unread_param", "consistency_unread_axis",
         "dispersion_unread_param", "fractional_output_stride", "fractional_n",
         "fractional_trials", "fractional_mode", "bool_sweep_entry", "bool_threshold",
-        "bool_seed", "bool_mode", "quoted_rescaled_time", "t_end_inf_text", "t_end_inf",
+        "bool_seed", "bool_mode", "t_end_inf_text", "t_end_inf",
         "beta_nan", "sweep_nan", "threshold_inf", "width_zero", "width_negative",
         "bool_profile_param", "unread_profile_param",
+        "unread_grid_key", "unread_model_key", "unread_bathymetry_key", "unread_initial_key",
+        "unread_stepper_key", "unread_output_key", "rescaled_time", "unread_quoted_rescaled_time",
+        "scheme_rk2",
     ],
 )
 def test_bad_value_rejected(tmp_path, capsys, text, key):
@@ -319,10 +335,7 @@ def test_libyaml_and_pure_python_loaders_read_the_same_trees():
     resolvers = {"yaml_implicit_resolvers": _ConfigLoader.yaml_implicit_resolvers}
     loaders = [type(f"Yaml12{b.__name__}", (b,), resolvers)
                for b in (yaml.SafeLoader, yaml.CSafeLoader)]
-    paths = sorted((ROOT / "configs").glob("*.yaml")) + sorted(
-        (ROOT / "perfbench" / "inputs").glob("*.yaml"))
-    assert paths
-    for path in paths:
+    for path in SHIPPED_CONFIGS:
         text = path.read_text()
         py_tree, c_tree = (yaml.load(text, Loader=loader) for loader in loaders)
         assert repr(py_tree) == repr(c_tree), path.name

@@ -10,15 +10,7 @@ from bplab.diagnostics import build_records
 from bplab.errors import CFLWarning
 from bplab.models import ModelParams, ModelState, build_handles, make_rhs
 from bplab.spectral import Grid
-from bplab.timeloop import (
-    CFL_LIMITS,
-    Batch,
-    SCHEMES,
-    StepperConfig,
-    _rk2_step,
-    _rk4_step,
-    run,
-)
+from bplab.timeloop import CFL_LIMIT, Batch, StepperConfig, _rk4_step, run
 from oracles import nodal_rhs, reference_trajectory
 
 G1 = Grid(1, 64, 2.0 * np.pi)
@@ -50,8 +42,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         StepperConfig(dt=1e-2, t_end=-1.0)
     with pytest.raises(ValueError):
-        StepperConfig(dt=1e-2, t_end=1.0, scheme="euler")
-    with pytest.raises(ValueError):
         StepperConfig(dt=1e-2, t_end=1.0, output_stride=0)
     with pytest.raises(ValueError):
         StepperConfig(dt=1e-2, t_end=1.0, blowup_threshold=0.0)
@@ -66,8 +56,18 @@ def test_config_rejects_non_finite_values():
                 StepperConfig(**{"dt": 1e-2, "t_end": 1.0, key: bad})
 
 
-def test_schemes_and_limits_agree():
-    assert set(SCHEMES) == set(CFL_LIMITS)
+def test_cfl_limit_lies_inside_rk4_stability():
+    # one RK4 step of dW/dt = z W multiplies W by R(z); along the imaginary
+    # axis |R(iy)| <= 1 holds up to y = 2*sqrt(2) and fails beyond it
+    def R(z):
+        return 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
+
+    y = np.linspace(0.0, CFL_LIMIT, 10001)
+    z = 1j * y
+    step = _rk4_step(lambda W: z * W, np.ones_like(z), 1.0)
+    assert np.abs(step - R(z)).max() <= 1e-14
+    assert np.abs(R(z)).max() <= 1 + 1e-12
+    assert abs(R(2.9j)) > 1
 
 
 # ---------------------------------------------------------------------------
@@ -92,19 +92,18 @@ def test_linear_bp_mode_closed_form():
     assert np.abs(final[1] - v_exact).max() < 1e-10
 
 
-@pytest.mark.parametrize("scheme,order", [("rk4", 4), ("rk2", 2)])
-def test_scheme_convergence_order(scheme, order):
+def test_rk4_convergence_order():
     mu, k = 0.5, 2.0
     w = k / np.sqrt(1.0 + mu * k**2 / 3.0)
     params = ModelParams(0.0, mu, "bp")
     errs = []
     for dt in (2e-2, 1e-2):
-        cfg = StepperConfig(dt=dt, t_end=1.0, scheme=scheme, output_stride=10**9)
+        cfg = StepperConfig(dt=dt, t_end=1.0, output_stride=10**9)
         traj = run(_mode_state(G1, k=k), params, FLAT1, cfg)
         zeta_exact = np.cos(k * G1.x[0]) * np.cos(w * traj.times[-1])
         errs.append(np.abs(traj.states[-1][0] - zeta_exact).max())
     rate = np.log2(errs[0] / errs[1])
-    assert abs(rate - order) < 0.3
+    assert abs(rate - 4) < 0.3
 
 
 @pytest.mark.parametrize(
@@ -134,34 +133,32 @@ def _random_state(grid, seed, amp=1.0):
     return ModelState(grid, U)
 
 
-def _stage_records(bundle, U0, scheme, dt, n_steps, stride):
-    """Explicit stage loop over bundle.fn: (step, W) at each record step."""
-    advance = {"rk4": _rk4_step, "rk2": _rk2_step}[scheme]
+def _stage_records(bundle, U0, dt, n_steps, stride):
+    """Explicit RK4 stage loop over bundle.fn: (step, W) at each record step."""
     W = bundle.encode(U0)
     out = [(0, W)]
     for s in range(1, n_steps + 1):
-        W = advance(bundle.fn, W, dt)
+        W = _rk4_step(bundle.fn, W, dt)
         if s % stride == 0 or s == n_steps:
             out.append((s, W))
     return out
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("delta", [0.0, 1e-2])
 @pytest.mark.parametrize("model", ["sw", "bp", "mbp"])
 @pytest.mark.parametrize("bath", [FLAT1, FLAT2], ids=["d1", "d2"])
-def test_propagator_matches_stage_loop(bath, model, delta, scheme):
+def test_propagator_matches_stage_loop(bath, model, delta):
     g = bath.grid
     params = ModelParams(0.0, 0.3, model)
     state = _random_state(g, seed=5)
     cfg = StepperConfig(
-        dt=1e-3, t_end=1.0, scheme=scheme, output_stride=250, delta=delta,
+        dt=1e-3, t_end=1.0, output_stride=250, delta=delta,
         blowup_threshold=1e6,
     )
     traj = run(state, params, bath, cfg)
     assert traj.termination == "completed" and traj.steps_taken == 1000
     bundle = make_rhs(params, bath, delta)
-    ref = _stage_records(bundle, state.stack(), scheme, traj.dt, 1000, 250)
+    ref = _stage_records(bundle, state.stack(), traj.dt, 1000, 250)
     assert traj.n_records == len(ref) == 5
     for got, (_, W) in zip(traj.states, ref):
         assert np.abs(got - bundle.decode(W)).max() <= 1e-12 * np.abs(got).max()
@@ -178,7 +175,7 @@ def test_propagator_stride_remainder(bath):
     )
     state = _random_state(g, seed=9)
     traj = run(state, params, bath, cfg)
-    ref = _stage_records(make_rhs(params, bath), state.stack(), "rk4", traj.dt, 1000, 7)
+    ref = _stage_records(make_rhs(params, bath), state.stack(), traj.dt, 1000, 7)
     assert traj.steps_taken == 1000
     assert traj.n_records == len(ref) == 144
     assert np.array_equal(traj.times, np.array([s for s, _ in ref]) * traj.dt)
@@ -204,7 +201,7 @@ def test_propagator_over_cfl_blowup_matches_stage_loop():
 
     bundle = make_rhs(params, FLAT1)
     expected = None
-    for s, W in _stage_records(bundle, state.stack(), "rk4", traj.dt, 200, 3):
+    for s, W in _stage_records(bundle, state.stack(), traj.dt, 200, 3):
         sup = np.abs(bundle.decode(W)).max()
         sup_grad = np.abs(G1.irfft(G1.ik_stack * W)).max()
         if max(sup, sup_grad) > threshold:
@@ -247,27 +244,6 @@ def test_nonlinear_bump_run_completes():
     assert traj.termination == "completed"
     assert np.isfinite(traj.states[-1]).all()
     assert traj.times[-1] == pytest.approx(0.5)
-
-
-def test_rescaled_run_matches_physical():
-    """Slow-time stepping retraces the physical trajectory exactly."""
-    eps = 0.4
-    state = _mode_state(G1, k=1.0, amp=0.1)
-    phys = run(
-        state,
-        ModelParams(eps, 0.5, "mbp"),
-        BUMP1,
-        StepperConfig(dt=1e-2, t_end=0.5, output_stride=10),
-    )
-    resc = run(
-        state,
-        ModelParams(eps, 0.5, "mbp", rescaled_time=True),
-        BUMP1,
-        StepperConfig(dt=eps * 1e-2, t_end=eps * 0.5, output_stride=10),
-    )
-    assert phys.n_records == resc.n_records
-    assert np.abs(phys.states[-1] - resc.states[-1]).max() < 1e-11
-    assert np.allclose(phys.times, resc.times / eps)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +391,7 @@ def test_step_composes_to_run():
     cfg = StepperConfig(dt=1e-2, t_end=2e-2)
     bundle = make_rhs(params, FLAT1)
     s0 = _mode_state(G1)
-    steps, W = _stage_records(bundle, s0.stack(), "rk4", cfg.dt, 2, 1)[-1]
+    steps, W = _stage_records(bundle, s0.stack(), cfg.dt, 2, 1)[-1]
     traj = run(s0, params, FLAT1, cfg)
     assert traj.steps_taken == steps == 2
     assert np.allclose(bundle.decode(W), traj.states[-1], rtol=0.0, atol=1e-14)
@@ -551,7 +527,7 @@ def test_batch_members_must_share_the_stepper_and_the_flow():
     cfg = StepperConfig(dt=1e-2, t_end=0.1)
     bp = ModelParams(0.1, 0.1, "bp")
     with pytest.raises(ValueError):
-        run([state] * 2, [bp] * 2, BUMP1, [cfg, StepperConfig(dt=1e-2, t_end=0.1, scheme="rk2")])
+        run([state] * 2, [bp] * 2, BUMP1, [cfg, StepperConfig(dt=1e-2, t_end=0.1, output_stride=2)])
     with pytest.raises(ValueError):
         run([state] * 2, [bp, ModelParams(0.0, 0.1, "bp")], BUMP1, [cfg] * 2)
     with pytest.raises(ValueError):
