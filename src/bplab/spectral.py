@@ -18,6 +18,12 @@ multipliers ik and their band-limited form mik, the Bessel potential
 (1 + |k^g|^2)^(s/2), the mollifier (1 + delta*|k^g|^2)^power and the rfft
 Parseval weight. hs_norms is the one H^s norm: a discrete Parseval sum
 over rfft coefficients, equal to the nodal quadrature of |Lambda^s f|^2.
+
+Grid.rfft and Grid.irfft are the package's only transforms. Each 1-D pass
+calls the pocketfft gufunc that np.fft wraps (numpy >= 2.0) with np.fft's
+own output layout, precision and normalization, but without its argument
+handling, which costs as much as the transform itself at these sizes; the
+results are np.fft's bit for bit.
 """
 
 from __future__ import annotations
@@ -36,6 +42,12 @@ __all__ = [
     "mollify_arr",
     "hs_norms",
 ]
+
+# numpy.fft's pocketfft gufuncs, bound by the first transform: import numpy
+# does not load numpy.fft, and a run that never transforms should not pay for it
+_pfu = None
+# gufunc axes of a pass along a d=2 grid's first axis: input, normalization, output
+_FIRST_GRID_AXIS = [(-2,), (), (-2,)]
 
 
 @dataclass(frozen=True)
@@ -182,22 +194,50 @@ class Grid:
             raise ValueError("delta must be nonnegative")
         return (1.0 + delta * self.k2gamma) ** power
 
+    @cached_property
+    def _precisions(self) -> dict:
+        """Input dtype -> (real dtype, complex dtype, 1/n), as np.fft picks them."""
+        return {}
+
+    def _precision(self, a: np.ndarray) -> tuple:
+        """np.fft's output precision for a's dtype, looked up once per dtype.
+
+        The precision follows the input's: float64 gives complex128, and
+        longdouble gives clongdouble. The first transform binds the kernels.
+        """
+        global _pfu
+        from numpy.fft import _pocketfft_umath as _pfu
+
+        real = np.result_type(a.real.dtype, 1.0)
+        entry = (real, np.result_type(a.dtype, 1j), np.reciprocal(self.n, dtype=real))
+        self._precisions[a.dtype] = entry
+        return entry
+
     def rfft(self, a: np.ndarray) -> np.ndarray:
         """Real transform over the trailing grid axes (stacked arrays ok).
 
-        In d=2 it runs the two 1-D passes that np.fft.rfftn consists of,
-        rfft along the last axis then fft along the first, without rfftn's
-        argument handling: the result is rfftn's, bit for bit.
+        Each 1-D pass is one call of the pocketfft kernel that np.fft wraps,
+        with np.fft's output layout, precision and normalization, so the
+        result is np.fft.rfft's (d=1) or rfftn's (d=2), bit for bit. In d=2
+        the passes are rfftn's: rfft along the last axis, then fft along the
+        first.
         """
+        cplx = (self._precisions.get(a.dtype) or self._precision(a))[1]
+        out = np.empty_like(a, shape=a.shape[:-1] + (self.n // 2 + 1,), dtype=cplx)
+        _pfu.rfft_n_even(a, 1, out=out)  # Grid's n is even
         if self.d == 1:
-            return np.fft.rfft(a, axis=-1)
-        return np.fft.fft(np.fft.rfft(a, axis=-1), axis=-2)
+            return out
+        return _pfu.fft(out, 1, out=np.empty_like(out), axes=_FIRST_GRID_AXIS)
 
     def irfft(self, spec: np.ndarray) -> np.ndarray:
-        """Inverse of rfft; in d=2 irfftn's two 1-D passes, ifft then irfft."""
-        if self.d == 1:
-            return np.fft.irfft(spec, n=self.n, axis=-1)
-        return np.fft.irfft(np.fft.ifft(spec, axis=-2), n=self.n, axis=-1)
+        """Inverse of rfft: np.fft.irfft's (d=1) or irfftn's (d=2) result, bit
+        for bit; in d=2 irfftn's two 1-D passes, ifft then irfft."""
+        real, cplx, inv_n = self._precisions.get(spec.dtype) or self._precision(spec)
+        if self.d == 2:
+            out = np.empty_like(spec, dtype=cplx)
+            spec = _pfu.ifft(spec, inv_n, out=out, axes=_FIRST_GRID_AXIS)
+        out = np.empty_like(spec, shape=spec.shape[:-1] + (self.n,), dtype=real)
+        return _pfu.irfft(spec, inv_n, out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bplab import models
 from bplab.bathymetry import build_bathymetry, q_to_zeta_arr
 from bplab.errors import DryStateError, RegimeWarning
 from bplab.models import (
@@ -356,6 +357,31 @@ def test_linear_mode_squared_frequency_2d_twisted():
     U[0] = np.cos(3.0 * G2.x[1])
     dd = nodal_rhs(bundle, nodal_rhs(bundle, U))
     assert np.abs(dd[0] + w2 * U[0]).max() < 1e-11
+
+
+def test_flat_probe_runs_in_extended_precision(monkeypatch):
+    # the blocks are probed on every mode at once, so in double the roundoff
+    # of mbp's large high-mode terms would reach the small low-mode blocks
+    # (2.5e-11 of |L_1| and 2.8e-13 of |L_5| at n = 256); the flow the probe
+    # sees, run in double on one mode at a time, carries no such roundoff
+    flows = []
+
+    def capture(fn, grid, members):
+        flows.append(fn)
+        return probe(fn, grid, members)
+
+    probe = models._probe_mode_blocks
+    monkeypatch.setattr(models, "_probe_mode_blocks", capture)
+    g = Grid(1, 256, 2.0 * np.pi)
+    bundle = make_rhs(ModelParams(0.0, 0.5, "mbp"), build_bathymetry(g, "flat", 0.0))
+    (fn,) = flows
+    for k in range(1, 6):
+        L_k = np.empty((2, 2), complex)
+        for j in range(2):
+            e = np.zeros((1, 2) + g.rshape, complex)
+            e[0, j, k] = 1.0
+            L_k[:, j] = fn(e)[0, :, k]
+        assert np.abs(bundle.blocks[k] - L_k).max() <= 1e-13 * np.abs(L_k).max()
 
 
 def test_fused_bp_matches_primitive_assembly():

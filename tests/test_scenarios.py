@@ -125,7 +125,7 @@ D2_DISPERSION = (
 
 
 def test_load_preset_round_trip():
-    cfg = load_config("configs/dispersion.yaml")
+    cfg = load_config(ROOT / "configs" / "dispersion.yaml")
     assert cfg.scenario == "dispersion"
     assert cfg.grid.n == 256
     assert abs(cfg.grid.L - 2.0 * np.pi) < 1e-15
@@ -736,7 +736,7 @@ def test_cli_validate(tmp_path, capsys):
 )
 def test_cli_validate_counts_preset_runs(capsys, preset, n_runs):
     # three models per eps_mu value; one run per audit case; contrast runs count
-    assert main(["validate", "--config", f"configs/{preset}.yaml"]) == 0
+    assert main(["validate", "--config", str(ROOT / "configs" / f"{preset}.yaml")]) == 0
     assert f" runs={n_runs} " in capsys.readouterr().out
 
 
@@ -753,9 +753,9 @@ def test_cli_validate_counts_preset_runs(capsys, preset, n_runs):
 )
 def test_preset_batches(capsys, preset, batches):
     # a sweep's compatible runs share one batch; audit cases run alone
-    cfg = load_config(f"configs/{preset}.yaml")
+    cfg = load_config(ROOT / "configs" / f"{preset}.yaml")
     assert batch_runs(SCENARIOS[cfg.scenario].runs(cfg)) == batches
-    assert main(["validate", "--config", f"configs/{preset}.yaml"]) == 0
+    assert main(["validate", "--config", str(ROOT / "configs" / f"{preset}.yaml")]) == 0
     assert f" batches={len(batches)} " in capsys.readouterr().out
 
 

@@ -210,23 +210,94 @@ class TestMultipliers:
         np.testing.assert_allclose(got, np.sin(10 * g.x[0]), atol=1e-12)
 
 
+def numpy_transforms(g):
+    """np.fft's forward and inverse transform over g's grid axes."""
+    if g.d == 1:
+        return np.fft.rfft, lambda spec: np.fft.irfft(spec, n=g.n)
+    return (
+        lambda a: np.fft.rfftn(a, axes=(-2, -1)),
+        lambda spec: np.fft.irfftn(spec, s=g.shape, axes=(-2, -1)),
+    )
+
+
+def assert_same_bits(got, want):
+    """got is want bit for bit, in want's dtype and memory layout."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.strides == want.strides
+    if got.dtype.char in "gG":
+        # an x87 long double fills 10 of its 16 bytes and np.empty leaves the
+        # rest unset, so its bytes differ even between two np.fft calls:
+        # compare the values and the signs of zero instead
+        for part in (np.real, np.imag):
+            a, b = part(got), part(want)
+            assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+# the input layouts the package passes, each of shape `shape`; models' W[:, rows]
+# gathers an inner axis, which numpy lays out first, so it is not C-contiguous
+LAYOUTS = {
+    "contiguous": lambda draw, shape: draw(shape),
+    "gather": lambda draw, shape: draw(shape[:1] + (7,) + shape[2:])[:, [4, 0, 6, 1, 3]],
+    "reversed": lambda draw, shape: draw(shape)[..., ::-1],
+    "transposed": lambda draw, shape: draw(shape[::-1]).T,
+    "read-only": lambda draw, shape: _read_only(draw(shape)),
+}
+
+_LEADS = pytest.mark.parametrize("lead", [(), (3,), (2, 5)], ids=["none", "3", "2x5"])
+
+
+def check_transforms(g, lead):
+    """g's transforms of random data stacked on lead are np.fft's bit for bit;
+    the inverse also takes spectra that are not Hermitian."""
+    rng = np.random.default_rng(g.n)
+    a = rng.standard_normal(lead + g.shape)
+    spec = rng.standard_normal(lead + g.rshape) + 1j * rng.standard_normal(lead + g.rshape)
+    rfft, irfft = numpy_transforms(g)
+    fwd, inv = g.rfft(a), g.irfft(spec)
+    assert_same_bits(fwd, rfft(a))
+    assert_same_bits(inv, irfft(spec))
+    assert fwd.shape == lead + g.rshape and inv.shape == lead + g.shape
+
+
 class TestTransforms:
+    @pytest.mark.parametrize("n", [8, 16, 64, 256, 1024])
+    @_LEADS
+    def test_d1_transforms_are_numpys_bit_for_bit(self, n, lead):
+        check_transforms(grid1(n=n), lead)
+
     @pytest.mark.parametrize("n", [8, 16, 32, 64])
-    @pytest.mark.parametrize("lead", [(), (3,), (2, 5)], ids=["none", "3", "2x5"])
+    @_LEADS
     def test_d2_transforms_are_numpys_nd_transforms_bit_for_bit(self, n, lead):
-        # d=2 transforms run rfftn's and irfftn's two 1-D passes themselves;
-        # the inverse also takes spectra that are not Hermitian
-        g = grid2(n=n, gamma=0.7)
-        rng = np.random.default_rng(n)
-        a = rng.standard_normal(lead + g.shape)
-        spec = rng.standard_normal(lead + g.rshape) + 1j * rng.standard_normal(
-            lead + g.rshape
+        # d=2 transforms run rfftn's and irfftn's two 1-D passes themselves
+        check_transforms(grid2(n=n, gamma=0.7), lead)
+
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    @pytest.mark.parametrize("real", [np.float64, np.longdouble], ids=["double", "extended"])
+    @pytest.mark.parametrize("d", [1, 2], ids=["d1", "d2"])
+    def test_layouts_and_precisions_are_numpys(self, d, real, layout):
+        # the output keeps the input's memory order and precision: the linear
+        # flat flows are probed in clongdouble, and a double output would
+        # round every probe to complex128
+        g = Grid(d, 64 if d == 1 else 16, 2 * np.pi)
+        rng = np.random.default_rng(d)
+        cplx = np.result_type(real, 1j)
+        a = LAYOUTS[layout](lambda s: rng.standard_normal(s).astype(real), (2, 5) + g.shape)
+        spec = LAYOUTS[layout](
+            lambda s: (rng.standard_normal(s) + 1j * rng.standard_normal(s)).astype(cplx),
+            (2, 5) + g.rshape,
         )
-        fwd, ref_fwd = g.rfft(a), np.fft.rfftn(a, axes=(-2, -1))
-        inv, ref_inv = g.irfft(spec), np.fft.irfftn(spec, s=g.shape, axes=(-2, -1))
-        assert np.array_equal(fwd, ref_fwd) and fwd.tobytes() == ref_fwd.tobytes()
-        assert np.array_equal(inv, ref_inv) and inv.tobytes() == ref_inv.tobytes()
-        assert fwd.shape == lead + g.rshape and inv.shape == lead + g.shape
+        rfft, irfft = numpy_transforms(g)
+        fwd, inv = g.rfft(a), g.irfft(spec)
+        assert fwd.dtype == cplx and inv.dtype == real
+        assert_same_bits(fwd, rfft(a))
+        assert_same_bits(inv, irfft(spec))
 
 
 def hs_norm(g, f, s, symbol=1.0):
