@@ -214,7 +214,9 @@ def _probe_mode_blocks(fn, grid: Grid, members: int) -> np.ndarray:
     structured Jacobians: Curtis, Powell & Reid, IMA J. Appl. Math. 13, 1974).
     A probe spans every mode at once, so it runs in extended precision: in
     double, the roundoff of a dispersive flow's large high-mode terms reaches
-    the small low-mode entries (7e-12 of max|L_k| for mbp at n = 256).
+    the small low-mode entries. For mbp at n = 256, mu = 0.5, L = 2 pi, a
+    double probe misses the blocks of the flow run one mode at a time by
+    2.5e-11 of |L_1| and 2.8e-13 of |L_5|, and this one by at most 1e-14.
     """
     ones = np.ones((members,) + grid.rshape, np.clongdouble)
     probes = np.moveaxis(np.multiply.outer(np.eye(1 + grid.d), ones), -grid.d - 1, 1)
@@ -463,7 +465,10 @@ def _batch_rhs(params: list, bath: Bathymetry, deltas: list, handles: list) -> R
         # neither (Tu)^2 nor Tu * d_x(Tu) aliases onto the kept band, so
         # d_x T((Tu)^2) / 2 = T(Tu * d_x(Tu)) there: the advective flow, to
         # rounding. One inverse transform gives Tu, one forward transform
-        # its square; d_x, -eps/2 and the mollifier fold into one coefficient
+        # its square; d_x, -eps/2 and the mollifier fold into one coefficient.
+        # In d = 1 the kept band is a prefix of the rfft layout, and irfft
+        # zero-pads a shorter spectrum, so Tu is the transform of that prefix
+        kept = int(mask.sum())
         coefs = {}
 
         def fn(W: np.ndarray, members=None) -> np.ndarray:
@@ -471,8 +476,10 @@ def _batch_rhs(params: list, bath: Bathymetry, deltas: list, handles: list) -> R
             if coef is None:
                 c = take(members)
                 coef = coefs[members] = -0.5 * c.eps * g.mik * c.m2
-            X = g.irfft(mask * W)
-            return coef * g.rfft(X * X)
+            X = g.irfft(W[..., :kept])
+            X *= X
+            P = g.rfft(X)
+            return np.multiply(coef, P, out=P)
 
         return RHSBundle(fn, g, tuple(params))
 

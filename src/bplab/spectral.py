@@ -231,7 +231,12 @@ class Grid:
 
     def irfft(self, spec: np.ndarray) -> np.ndarray:
         """Inverse of rfft: np.fft.irfft's (d=1) or irfftn's (d=2) result, bit
-        for bit; in d=2 irfftn's two 1-D passes, ifft then irfft."""
+        for bit; in d=2 irfftn's two 1-D passes, ifft then irfft.
+
+        A spectrum whose last axis is shorter than n//2 + 1 is zero-padded,
+        as np.fft.irfft(spec, n) pads it: the transform of its leading
+        columns alone is that of the spectrum zero above them.
+        """
         real, cplx, inv_n = self._precisions.get(spec.dtype) or self._precision(spec)
         if self.d == 2:
             out = np.empty_like(spec, dtype=cplx)

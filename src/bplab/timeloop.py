@@ -20,7 +20,11 @@ per-mode blocks L_k, on which one RK4 step is exactly W <- R(dt L_k) W
 with R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 its stability polynomial. Those
 runs advance from one record to the next by the cached power R(dt L)^n, n
 the output stride or the final remainder: the same scheme and the same
-records, without the stage evaluations in between.
+records, without the stage evaluations in between. Every other run takes
+the four stages of one RK4 step (_rk4), which binds each member's dt, dt/2
+and dt/6 once per set of active members and sums the stages in place, in
+the textbook expression's order, so its steps are that expression's bit
+for bit.
 
 run also advances a batch: members over one bottom with equal batch_key
 (the model, whether eps is zero, and the recording policy) step as one
@@ -120,12 +124,36 @@ class Trajectory:
         return len(self.times)
 
 
-def _rk4_step(fn, W, dt):
-    k1 = fn(W)
-    k2 = fn(W + 0.5 * dt * k1)
-    k3 = fn(W + 0.5 * dt * k2)
-    k4 = fn(W + dt * k3)
-    return W + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4(dt):
+    """step(fn, W) -> one classical RK4 step of dW/dt = fn(W) at step dt.
+
+    dt is a number or a per-member column; dt/2 and dt/6 are bound here,
+    once per set of members. The step takes the textbook expression's
+    operations in its own order, so its result is that expression's bit
+    for bit, but it accumulates in place into arrays it has just made:
+    never into W, a stage input fn has seen, or anything fn returned.
+    """
+    half, sixth = 0.5 * dt, dt / 6.0
+
+    def stage(W, c, k):
+        Y = c * k
+        Y += W
+        return Y
+
+    def step(fn, W):
+        k1 = fn(W)
+        k2 = fn(stage(W, half, k1))
+        k3 = fn(stage(W, half, k2))
+        k4 = fn(stage(W, dt, k3))
+        S = 2.0 * k2
+        S += k1
+        S += 2.0 * k3
+        S += k4
+        S *= sixth
+        S += W
+        return S
+
+    return step
 
 
 def _propagator(blocks: np.ndarray, dt: np.ndarray):
@@ -136,8 +164,7 @@ def _propagator(blocks: np.ndarray, dt: np.ndarray):
     over the members' stack at once and cached by (n, members).
     """
     eye = np.broadcast_to(np.eye(blocks.shape[-1]), blocks.shape)
-    dt = dt.reshape((-1,) + (1,) * (blocks.ndim - 1))
-    one_step = _rk4_step(lambda X: blocks @ X, eye, dt)
+    one_step = _rk4(dt.reshape((-1,) + (1,) * (blocks.ndim - 1)))(lambda X: blocks @ X, eye)
     powers = {}
 
     def propagate(W: np.ndarray, n: int, members: tuple) -> np.ndarray:
@@ -288,6 +315,7 @@ def _run_batch(states: list, params: list, bath: Bathymetry, configs: list, hand
     dts = np.array([m.dt for m in members])
     last = np.array([m.n_steps for m in members])
     propagate = None
+    steps = {}  # active members -> their RK4 step, dt bound per member
     if bundle.blocks is not None:
         propagate = _propagator(bundle.blocks, dts)
     history = bundle.history  # each member's last CG solves, which warm-start its next
@@ -345,13 +373,15 @@ def _run_batch(states: list, params: list, bath: Bathymetry, configs: list, hand
         else:
             active = tuple(ids.tolist())
             fn = partial(bundle.fn, members=active)
-            dt = dts[ids].reshape((-1,) + (1,) * (W.ndim - 1))
+            step = steps.get(active)
+            if step is None:
+                step = steps[active] = _rk4(dts[ids].reshape((-1,) + (1,) * (W.ndim - 1)))
             stop = int(target.min())
             try:
                 while s < stop:
                     if history is not None:
                         saved = dict(history)
-                    W = _rk4_step(fn, W, dt)
+                    W = step(fn, W)
                     s += 1
             except (DryStateError, SolverDivergenceError) as e:
                 name = "dry" if isinstance(e, DryStateError) else "solver_failure"

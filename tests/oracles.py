@@ -4,11 +4,12 @@ Derivatives come from centered stencils, eigen-extrema from scipy's dense
 eigensolver, reference trajectories from a plain RK4 loop over a flow
 evaluated on nodes, dealiased products from the plain 2/3-rule
 projection, the rotated gradient and divergence from their plain
-multipliers, and H^s norms from nodal quadrature of Lambda^s f. The
-batched fast paths are checked bit for bit against their explicit form:
-the nodal factors built factor by factor, and the operator audit's trials
-drawn and applied one at a time. None of this runs in the package; it only
-checks it.
+multipliers, and H^s norms from nodal quadrature of Lambda^s f. The fast
+paths are checked bit for bit against their explicit form: the nodal
+factors built factor by factor, the operator audit's trials drawn and
+applied one at a time, the RK4 step as the textbook writes it, and the
+Burgers flux transformed over the whole masked spectrum. None of this runs
+in the package; it only checks it.
 """
 
 from __future__ import annotations
@@ -101,6 +102,27 @@ def reference_trajectory(initial, rhs, t_end: float, dt_fine: float):
         k4 = rhs(u + dt_fine * k3)
         u = u + (dt_fine / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return u
+
+
+def rk4_step_reference(fn, W, dt):
+    """One classical RK4 step as the textbook writes it, each combination a
+    new array; dt is a number or a column that broadcasts against W."""
+    k1 = fn(W)
+    k2 = fn(W + 0.5 * dt * k1)
+    k3 = fn(W + 0.5 * dt * k2)
+    k4 = fn(W + dt * k3)
+    return W + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def burgers_flux_reference(grid: Grid, W: np.ndarray, eps, deltas) -> np.ndarray:
+    """The Burgers flow coef * rfft(irfft(mask * W) ** 2) of a member stack
+    W (K, 1, n//2 + 1), the whole masked spectrum transformed; eps and deltas
+    hold one value per member, and coef = -eps/2 * (band-limited d_x) *
+    (1 - delta*d_xx)^-2."""
+    col = (-1, 1, 1)
+    m2 = grid.mollifier(np.reshape(deltas, col), -2)
+    coef = -0.5 * np.reshape(eps, col) * grid.mik * m2
+    return coef * grid.rfft(grid.irfft(grid.dealias_mask * W) ** 2)
 
 
 def dprod(grid: Grid, a, b):

@@ -23,7 +23,13 @@ from bplab.models import (
 from bplab.operators import build_handle, get_weighted_ops
 from bplab.spectral import Grid, div_arr, grad_arr, mollify_arr, trunc_arr
 from bplab.timeloop import StepperConfig, run
-from oracles import dprod, nodal_factors_reference, nodal_rhs, reference_trajectory
+from oracles import (
+    burgers_flux_reference,
+    dprod,
+    nodal_factors_reference,
+    nodal_rhs,
+    reference_trajectory,
+)
 
 G1 = Grid(1, 64, 2.0 * np.pi)
 G2 = Grid(2, 16, 2.0 * np.pi, gamma=0.8)
@@ -191,7 +197,8 @@ def test_burgers_fn_makes_two_transforms(monkeypatch):
 
 
 def test_burgers_fn_inverse_transforms_one_row_per_member(monkeypatch):
-    # flux form: only T u goes to nodes, so the irfft carries K rows, not 2K
+    # flux form: only T u goes to nodes, so the irfft carries K rows, not 2K,
+    # each of them only the kept band, which irfft zero-pads
     seen = []
     irfft = Grid.irfft
 
@@ -203,7 +210,34 @@ def test_burgers_fn_inverse_transforms_one_row_per_member(monkeypatch):
     W = G1.rfft(np.stack([np.sin(G1.x[0]), np.cos(2 * G1.x[0])])[:, None])
     make_rhs(ModelParams(0.5, 0.0, "burgers"), FLAT1, delta=1e-2).fn(W[0])
     make_rhs([ModelParams(e, 0.0, "burgers") for e in (0.7, 0.3)], FLAT1).fn(W)
-    assert seen == [(1, 1, G1.n // 2 + 1), (2, 1, G1.n // 2 + 1)]
+    kept = int(G1.dealias_mask.sum())
+    assert seen == [(1, 1, kept), (2, 1, kept)]
+
+
+@pytest.mark.parametrize("n", [64, 512])
+@pytest.mark.parametrize("K", [1, 3])
+@pytest.mark.parametrize("delta", [0.0, 1e-2])
+def test_burgers_flow_is_the_full_spectrum_flux_bit_for_bit(delta, K, n):
+    # the flow transforms the kept band alone; the oracle masks the whole
+    # spectrum, which irfft would zero-pad to the same nodes
+    g = Grid(1, n, 2.0 * np.pi)
+    rng = np.random.default_rng(K * n)
+    eps = [0.7, 0.3, 0.5][:K]
+    deltas = [delta, 0.0, 2.0 * delta][:K]
+    W = g.rfft(rng.standard_normal((K, 1, n)))
+    bath = build_bathymetry(g, "flat", 0.0)
+    if K == 1:
+        got = make_rhs(ModelParams(eps[0], 0.0, "burgers"), bath, delta).fn(W[0])[None]
+    else:
+        got = make_rhs([ModelParams(e, 0.0, "burgers") for e in eps], bath, deltas).fn(W)
+    want = burgers_flux_reference(g, W, eps, deltas)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # noise on the modes above the band changes nothing
+    noisy = W.copy()
+    top = ~g.dealias_mask
+    noisy[..., top] = rng.standard_normal(noisy[..., top].shape) * (1 + 1j)
+    fn = make_rhs([ModelParams(e, 0.0, "burgers") for e in eps], bath, deltas).fn
+    assert fn(noisy).tobytes() == got.tobytes()
 
 
 @settings(max_examples=25, deadline=None)

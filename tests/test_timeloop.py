@@ -10,8 +10,8 @@ from bplab.diagnostics import build_records
 from bplab.errors import CFLWarning
 from bplab.models import ModelParams, ModelState, build_handles, make_rhs
 from bplab.spectral import Grid
-from bplab.timeloop import CFL_LIMIT, Batch, StepperConfig, _rk4_step, run
-from oracles import nodal_rhs, reference_trajectory
+from bplab.timeloop import CFL_LIMIT, Batch, StepperConfig, _rk4, run
+from oracles import nodal_rhs, reference_trajectory, rk4_step_reference
 
 G1 = Grid(1, 64, 2.0 * np.pi)
 G2 = Grid(2, 16, 2.0 * np.pi, gamma=0.7)
@@ -64,10 +64,54 @@ def test_cfl_limit_lies_inside_rk4_stability():
 
     y = np.linspace(0.0, CFL_LIMIT, 10001)
     z = 1j * y
-    step = _rk4_step(lambda W: z * W, np.ones_like(z), 1.0)
+    step = _rk4(1.0)(lambda W: z * W, np.ones_like(z))
     assert np.abs(step - R(z)).max() <= 1e-14
     assert np.abs(R(z)).max() <= 1 + 1e-12
     assert abs(R(2.9j)) > 1
+
+
+# the step over a three-member stack: one dt for all, or a column of three
+_STEP_DTS = [1e-2, np.array([1e-2, 3e-3, 7e-3]).reshape(3, 1, 1)]
+
+
+@pytest.mark.parametrize("dt", _STEP_DTS, ids=["scalar", "column"])
+@pytest.mark.parametrize("model,bath", [("burgers", FLAT1), ("mbp", BUMP1)])
+def test_rk4_step_is_the_textbook_step_bit_for_bit(model, bath, dt):
+    params = [ModelParams(eps, 0.3 if model == "mbp" else 0.0, model) for eps in (0.2, 0.5, 0.3)]
+    bundle = make_rhs(params, bath, [1e-2, 0.0, 3e-2])
+    rng = np.random.default_rng(17)
+    rows = 1 if model == "burgers" else 1 + G1.d
+    W = bundle.encode(0.1 * rng.standard_normal((3, rows) + G1.shape))
+    W0 = W.copy()
+    got = _rk4(dt)(bundle.fn, W)
+    want = rk4_step_reference(bundle.fn, W, dt)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert W.tobytes() == W0.tobytes()
+
+
+@pytest.mark.parametrize("dt", _STEP_DTS, ids=["scalar", "column"])
+@pytest.mark.parametrize("returns", ["argument", "cached", "alternating"])
+def test_rk4_step_writes_only_into_its_own_arrays(returns, dt):
+    # a flow may hand back its argument or an array it keeps: the step must
+    # leave W, every stage input and every k it was given as they came
+    rng = np.random.default_rng(3)
+    W = rng.standard_normal((3, 2, 9)) + 1j * rng.standard_normal((3, 2, 9))
+    cached = rng.standard_normal(W.shape) + 1j * rng.standard_normal(W.shape)
+    seen = []  # (array, its bytes when the flow saw or returned it)
+
+    def fn(X):
+        # "alternating" hands back the cached array at calls 1 and 3, X at 2 and 4
+        from_cache = returns == "cached" or (returns == "alternating" and len(seen) % 4 == 0)
+        out = cached if from_cache else X
+        seen.extend([(X, X.tobytes()), (out, out.tobytes())])
+        return out
+
+    W0 = W.tobytes()
+    got = _rk4(dt)(fn, W)
+    assert W.tobytes() == W0 and len(seen) == 8
+    for a, before in seen:
+        assert a.tobytes() == before
+    assert got.tobytes() == rk4_step_reference(fn, W, dt).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +181,9 @@ def _stage_records(bundle, U0, dt, n_steps, stride):
     """Explicit RK4 stage loop over bundle.fn: (step, W) at each record step."""
     W = bundle.encode(U0)
     out = [(0, W)]
+    step = _rk4(dt)
     for s in range(1, n_steps + 1):
-        W = _rk4_step(bundle.fn, W, dt)
+        W = step(bundle.fn, W)
         if s % stride == 0 or s == n_steps:
             out.append((s, W))
     return out
