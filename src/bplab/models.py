@@ -228,17 +228,21 @@ def _probe_mode_blocks(fn, grid: Grid, members: int) -> np.ndarray:
 class _Coefs:
     """Per-member coefficients of a batch flow, for one set of active members.
 
-    Arrays carry the members on their leading axis as (K, 1, ...) columns; a
-    plain number is shared by every member, as for time_derivative_stack's
-    single member. smooth picks the members with delta > 0, which get the
-    mollifier sandwich around their solve: a slice over all of them, an
-    index array, or None when no member smooths. history is the flow's
-    RHSBundle.history, shared by every set of members.
+    Arrays carry the members on their leading axis as (K, 1, ...) columns;
+    m1 and m2 are a plain 1.0 when no member smooths. eps_mask and eps_hb
+    are eps times the 2/3 mask and times h_b, bound once: the mask is 0 or
+    1, and eps * h_b * x already evaluates as (eps * h_b) * x, so the flows
+    get the bits of the products written out. smooth picks the members with
+    delta > 0, which get the mollifier sandwich around their solve: a slice
+    over all of them, an index array, or None when no member smooths.
+    history is the flow's RHSBundle.history, shared by every set of members.
     """
 
     ids: tuple
-    eps: object
-    mu: object
+    eps: np.ndarray
+    eps_mask: np.ndarray
+    eps_hb: np.ndarray
+    mu: np.ndarray
     m1: object
     m2: object
     smooth: object
@@ -246,8 +250,9 @@ class _Coefs:
     history: Optional[dict]
 
 
-def _member_coefs(params: list, grid: Grid, deltas: list, handles: list, history):
+def _member_coefs(params: list, bath: Bathymetry, deltas: list, handles: list, history):
     """members -> _Coefs of those members (all when None), built once per set."""
+    grid = bath.grid
     K = len(params)
     col = (-1,) + (1,) * (1 + grid.d)  # broadcasts over (K, rows, *shape or *rshape)
     eps = np.array([p.eps for p in params]).reshape(col)
@@ -265,8 +270,9 @@ def _member_coefs(params: list, grid: Grid, deltas: list, handles: list, history
             pick = (lambda a: a[idx] if np.ndim(a) else a)
             on = delta[idx] > 0
             smooth = slice(None) if on.all() else (np.flatnonzero(on) if on.any() else None)
+            e = eps[idx]
             view = views[members] = _Coefs(
-                tuple(idx), pick(eps), pick(mu), pick(m1), pick(m2),
+                tuple(idx), e, e * grid.dealias_mask, e * bath.hb, mu[idx], pick(m1), pick(m2),
                 smooth, [handles[i] for i in idx], history,
             )
         return view
@@ -285,31 +291,38 @@ def _sandwich(g: Grid, y: np.ndarray, c: _Coefs) -> np.ndarray:
     return y
 
 
-def _negated(c: _Coefs, scalar: np.ndarray, vel: np.ndarray, m_vel) -> np.ndarray:
-    """The rows [-m2 * scalar; -m_vel * vel], each water flow's last step; a
-    plain negation when no member smooths, since both scales are then 1."""
+def _negated(c: _Coefs, R: np.ndarray, m_vel) -> np.ndarray:
+    """R's rows [scalar; vel] turned in place into [-m2 * scalar; -m_vel * vel],
+    each water flow's last step; a plain negation when no member smooths,
+    since both scales are then 1."""
     if c.smooth is None:
-        return -np.concatenate([scalar, vel], axis=1)
-    return np.concatenate([-c.m2 * scalar, -m_vel * vel], axis=1)
+        return np.negative(R, out=R)
+    np.multiply(-c.m2, R[:, :1], out=R[:, :1])
+    np.multiply(-m_vel, R[:, 1:], out=R[:, 1:])
+    return R
 
 
-def _solve_each(y: np.ndarray, c: _Coefs) -> np.ndarray:
-    """Each member's weighted velocity solve through its own handle.
+def _solve_each(y: np.ndarray, c: _Coefs, out: np.ndarray) -> np.ndarray:
+    """Each member's weighted velocity solve through its own handle, into out.
 
-    A member with an entry in c.history warm-starts from its past solves
-    and adds this one, keeping the last CG_HISTORY. A stalled solve names
-    its member on the SolverDivergenceError.
+    A member without an entry in c.history solves straight into its rows of
+    out, which must be C-contiguous, as a row slice of a new stack's are; a
+    dense handle writes its product there. A member with an entry
+    warm-starts from its past solves and adds this one, keeping the last
+    CG_HISTORY. A stalled solve names its member on the
+    SolverDivergenceError.
     """
-    out = np.empty_like(y)
     for i, (member, handle, rhs) in enumerate(zip(c.ids, c.handles, y)):
         prior = None if c.history is None else c.history.get(member)
         try:
+            if prior is None:
+                handle.solve_weighted_arrays(rhs, out=out[i])
+                continue
             x = handle.solve_weighted_arrays(rhs, prior)
         except SolverDivergenceError as e:
             e.members = (member,)
             raise
-        if prior is not None:
-            c.history[member] = (prior + ((x, rhs),))[-CG_HISTORY:]
+        c.history[member] = (prior + ((x, rhs),))[-CG_HISTORY:]
         out[i] = x
     return out
 
@@ -354,53 +367,81 @@ def _nodal_factors(g: Grid, W: np.ndarray, scalar: bool, gradq: bool, jac: bool)
     return (nod[:, :1] if scalar else None), nod[:, i : i + 1 + d], F
 
 
-def _v_dot_grad(g: Grid, Vt: np.ndarray, F: np.ndarray) -> np.ndarray:
+def _v_dot_grad(g: Grid, Vt: np.ndarray, F: np.ndarray, out=None) -> np.ndarray:
     """sum_j Vt_j F[..., r, j, :] for every gradient row r: V.grad q for the
     row T grad q, (V.grad)V for the rows of J, both at once for [T grad q; J].
 
     Leading axes of Vt are a batch matched by F's, which the Taylor-jet
-    recurrences sum over for their Cauchy products.
+    recurrences sum over for their Cauchy products. In d = 1 the sum has
+    one term, so it is that product; in d = 2 it is one addition, as
+    numpy's sum over two terms makes it. out, if given, receives the result.
     """
+    if g.d == 1:
+        return np.multiply(Vt, F[..., 0, :], out=out)
     lead = Vt.ndim - g.d - 1  # Vt's component axis, under F's row axis
-    return (Vt.reshape(Vt.shape[:lead] + (1,) + Vt.shape[lead:]) * F).sum(axis=-(g.d + 1))
+    prod = Vt.reshape(Vt.shape[:lead] + (1,) + Vt.shape[lead:]) * F
+    return np.add(prod[..., 0, :, :], prod[..., 1, :, :], out=out)
+
+
+def _div(g: Grid, spec: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The band-limited divergence sum_j mik_j spec[:, j] of a member stack
+    of vector spectra, into out, (K, 1, *rshape); in d = 1 the sum has one
+    term, so it is that product, and in d = 2 it is one addition."""
+    if g.d == 1:
+        return np.multiply(g.mik, spec, out=out)
+    prod = g.mik * spec
+    return np.add(prod[:, :1], prod[:, 1:], out=out)
 
 
 def _mbp_flow(bath: Bathymetry):
     """The mbp tendency, on rfft coefficients, from its nodal factors.
 
-    tendency(c, Vt, zeta, adv) takes a member stack of the band-limited
-    velocity, the nodal surface and, unless eps = 0, the stacked products
-    [V.grad q; (V.grad)V] that _v_dot_grad forms in one multiply-sum;
-    c.eps multiplies the advective terms, and members with delta > 0 get
-    the mollifier sandwich, which is skipped when none smooths.
-    h_b A grad zeta goes through the bottom's phi-only chain (w_hba).
+    Returns (inputs, tendency). inputs(Vt, nonlinear) is a new nodal stack
+    S = [h_bt V; zeta; adv] for a member stack of the band-limited velocity,
+    its first d rows filled; the caller writes the nodal surface into row d
+    and, unless eps = 0, the products [V.grad q; (V.grad)V] that
+    _v_dot_grad forms in one multiply-sum into the rows after it.
+    tendency(c, S) reads eps = 0 off S's row count. eps multiplies the
+    advective terms (through c.eps_mask and c.eps_hb), and members with
+    delta > 0 get the mollifier sandwich, which is skipped when none
+    smooths. h_b A grad zeta goes through the bottom's phi-only chain
+    (w_hba). Each transform's input is one new stack written in place, and
+    the result is the last transform's output, negated in place.
     """
     g = bath.grid
     d = g.d
     mask = g.dealias_mask
     ops = get_weighted_ops(bath)
-    hb = bath.hb
-    hbt = trunc_arr(g, hb)
+    hbt = trunc_arr(g, bath.hb)
 
-    def tendency(c: _Coefs, Vt, zeta, adv=None):
-        nonlinear = adv is not None
-        rows = [hbt * Vt, zeta] + ([adv] if nonlinear else [])
-        P = g.rfft(np.concatenate(rows, axis=1))
-        back = [(g.mik * P[:, :d]).sum(axis=1, keepdims=True), g.ik_stack * P[:, d : d + 1]]
+    def inputs(Vt: np.ndarray, nonlinear: bool) -> np.ndarray:
+        S = np.empty(Vt.shape[:1] + (2 + 2 * d if nonlinear else 1 + d,) + g.shape, Vt.dtype)
+        np.multiply(hbt, Vt, out=S[:, :d])
+        return S
+
+    def tendency(c: _Coefs, S: np.ndarray) -> np.ndarray:
+        nonlinear = S.shape[1] > 1 + d
+        K = S.shape[0]
+        P = g.rfft(S)
+        # T div(h_b V), grad zeta, T (V.grad)V
+        back = np.empty((K, 1 + d + d * nonlinear) + g.rshape, P.dtype)
+        _div(g, P[:, :d], back[:, :1])
+        np.multiply(g.ik_stack, P[:, d : d + 1], out=back[:, 1 : 1 + d])
         if nonlinear:
-            back.append(mask * P[:, d + 2 :])
-        nod = g.irfft(np.concatenate(back, axis=1))  # T div(h_b V), grad zeta, T adv
+            np.multiply(mask, P[:, d + 2 :], out=back[:, 1 + d :])
+        nod = g.irfft(back)
         w = ops.w_hba(nod[:, 1 : 1 + d], c.mu)
         if nonlinear:
-            w = w + c.eps * hb * nod[:, 1 + d :]
-        x = _solve_each(_sandwich(g, w, c), c)
-        R = g.rfft(np.concatenate([bath.inv_hb * nod[:, :1], x], axis=1))
-        dq = R[:, :1]
+            w += c.eps_hb * nod[:, 1 + d :]
+        E = np.empty((K, 1 + d) + g.shape, nod.dtype)
+        np.multiply(bath.inv_hb, nod[:, :1], out=E[:, :1])
+        _solve_each(_sandwich(g, w, c), c, E[:, 1:])
+        R = g.rfft(E)
         if nonlinear:
-            dq = dq + c.eps * (mask * P[:, d + 1 : d + 2])
-        return _negated(c, dq, R[:, 1:], c.m1)
+            R[:, :1] += c.eps_mask * P[:, d + 1 : d + 2]
+        return _negated(c, R, c.m1)
 
-    return tendency
+    return inputs, tendency
 
 
 def make_rhs(
@@ -458,7 +499,7 @@ def _batch_rhs(params: list, bath: Bathymetry, deltas: list, handles: list) -> R
     solvers = _member_handles(kind, params, bath, handles) if kind else [None] * K
     # the members share the bottom, so all of their handles solve by CG or none
     history = {} if kind and solvers[0].strategy == "pcg" else None
-    take = _member_coefs(params, g, deltas, solvers, history)
+    take = _member_coefs(params, bath, deltas, solvers, history)
 
     if model == "burgers":
         # stepped in flux form -eps/2 d_x T((Tu)^2). Under the 2/3 rule
@@ -485,14 +526,17 @@ def _batch_rhs(params: list, bath: Bathymetry, deltas: list, handles: list) -> R
 
     if model == "mbp":
         # primary variable is q, surface recovered pointwise
-        tendency = _mbp_flow(bath)
+        inputs, tendency = _mbp_flow(bath)
 
         def fn(W: np.ndarray, members=None) -> np.ndarray:
             c = take(members)
             q, Ut, F = _nodal_factors(g, W, True, nonlinear, nonlinear)
             Vt = Ut[:, 1:]
-            adv = _v_dot_grad(g, Vt, F) if nonlinear else None
-            return tendency(c, Vt, q_to_zeta_arr(q, c.eps if nonlinear else 0.0, bath), adv)
+            S = inputs(Vt, nonlinear)
+            S[:, d : d + 1] = q_to_zeta_arr(q, c.eps if nonlinear else 0.0, bath)
+            if nonlinear:
+                _v_dot_grad(g, Vt, F, S[:, d + 1 :])
+            return tendency(c, S)
 
     else:
         hb = bath.hb
@@ -505,19 +549,22 @@ def _batch_rhs(params: list, bath: Bathymetry, deltas: list, handles: list) -> R
             if nonlinear:
                 _check_wet(hb, hmin_static, c, zeta)
             Vt = Ut[:, 1:]
-            prods = [(hbt + c.eps * Ut[:, :1]) * Vt]
+            K = W.shape[0]
+            S = np.empty((K, d + d * nonlinear) + g.shape, Ut.dtype)  # [h V; (V.grad)V]
+            np.multiply(hbt + c.eps * Ut[:, :1], Vt, out=S[:, :d])
             if nonlinear:
-                prods.append(_v_dot_grad(g, Vt, J))
-            P = g.rfft(np.concatenate(prods, axis=1))
-            div = (g.mik * P[:, :d]).sum(axis=1, keepdims=True)
-            w = g.ik_stack * W[:, :1]
+                _v_dot_grad(g, Vt, J, S[:, d:])
+            P = g.rfft(S)
+            R = np.empty((K, 1 + d) + g.rshape, P.dtype)  # [div(h V); w]
+            _div(g, P[:, :d], R[:, :1])
+            w = np.multiply(g.ik_stack, W[:, :1], out=R[:, 1:])
             if nonlinear:
-                w = w + c.eps * (mask * P[:, d:])
+                w += c.eps_mask * P[:, d:]
             if model == "sw":
-                return _negated(c, div, w, c.m2)
+                return _negated(c, R, c.m2)
             y = hb * g.irfft(w)  # the I_plus_muTb equation in its weighted form
-            x = _solve_each(_sandwich(g, y, c), c)
-            return _negated(c, div, g.rfft(x), c.m1)
+            R[:, 1:] = g.rfft(_solve_each(_sandwich(g, y, c), c, np.empty_like(y)))
+            return _negated(c, R, c.m1)
 
     if nonlinear or not bath.is_flat:
         return RHSBundle(fn, g, tuple(params), history=history)
@@ -582,8 +629,9 @@ def time_derivative_stack(
     if U.shape != (1 + g.d,) + g.shape:
         raise ValueError(f"mbp state must be (1 + d, *grid.shape), got {U.shape}")
     handle = _checked_handle("hb_B", params.mu, bath, handles)
-    tendency = _mbp_flow(bath)
-    coefs = _Coefs((0,), eps, params.mu, 1.0, 1.0, None, [handle], None)
+    inputs, tendency = _mbp_flow(bath)
+    coefs = _member_coefs([params], bath, [0.0], [handle], None)()
+    d = g.d
 
     # Taylor coefficients on rfft coefficients, with their nodal factors
     # (Vt, [T grad q; J]) and the nodal q, surface and exp(eps*q) jets, each
@@ -595,11 +643,12 @@ def time_derivative_stack(
     q_c, z_c, e_c = [q0], [q_to_zeta_arr(q0, eps, bath)], [np.exp(eps * q0)]
 
     for m in range(k_max):
-        adv = None
+        S = inputs(F[m][0], nonlinear)
+        S[:, d : d + 1] = z_c[m]
         if nonlinear:  # Cauchy sums over the pairs (a, m - a)
             Vts = np.stack([f[0] for f in F])
-            adv = _v_dot_grad(g, Vts, np.stack([f[1] for f in F[::-1]])).sum(axis=0)
-        W_c.append(tendency(coefs, F[m][0], z_c[m], adv) / (m + 1))
+            S[:, d + 1 :] = _v_dot_grad(g, Vts, np.stack([f[1] for f in F[::-1]])).sum(axis=0)
+        W_c.append(tendency(coefs, S) / (m + 1))
         q, Ut, grads = _nodal_factors(g, W_c[-1], True, nonlinear, nonlinear)
         q_c.append(q)
         F.append((Ut[:, 1:], grads))

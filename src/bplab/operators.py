@@ -517,28 +517,37 @@ class OperatorHandle:
         y = self.ops.hb * rhs if self.kind == "I_plus_muTb" else rhs
         return self.solve_weighted_arrays(y)
 
-    def solve_weighted_arrays(self, y: np.ndarray, prior=None) -> np.ndarray:
+    def solve_weighted_arrays(self, y: np.ndarray, prior=None, out=None) -> np.ndarray:
         """Solve the weighted SPD form W x = y directly.
 
         prior, used by pcg only, holds the caller's past (x, W x) solves of
         this handle for a single right-hand side; CG warm-starts from them
-        (see _pcg). Without it every solve starts from zero.
+        (see _pcg). Without it every solve starts from zero. out, a
+        C-contiguous array of y's shape, receives x and is returned; the
+        dense solve writes its product straight into it.
         """
-        if self.strategy == "spectral":
-            return self.grid.irfft(self._flat_inv(self.grid.rfft(y)))
         if self.strategy == "dense":
+            x = np.empty(y.shape, np.result_type(self._inv, y)) if out is None else out
             # one matmul over the batch: columns are the flattened right-hand sides
-            return (self._inv @ y.reshape(-1, self.size).T).T.reshape(y.shape)
-        grid, scale = self.grid, self._precond_scale
-        return _pcg(
-            lambda p: self.apply_weighted_arrays(p),
-            lambda r: scale * grid.irfft(self._precond_spec(grid.rfft(scale * r))),
-            y,
-            CG_TOL,
-            CG_MAXITER,
-            len(self._shape),
-            prior,
-        )
+            np.matmul(self._inv, y.reshape(-1, self.size).T, out=x.reshape(-1, self.size).T)
+            return x
+        if self.strategy == "spectral":
+            x = self.grid.irfft(self._flat_inv(self.grid.rfft(y)))
+        else:
+            grid, scale = self.grid, self._precond_scale
+            x = _pcg(
+                lambda p: self.apply_weighted_arrays(p),
+                lambda r: scale * grid.irfft(self._precond_spec(grid.rfft(scale * r))),
+                y,
+                CG_TOL,
+                CG_MAXITER,
+                len(self._shape),
+                prior,
+            )
+        if out is None:
+            return x
+        out[...] = x
+        return out
 
 
 def build_handle(kind: str, mu: float, bath: Bathymetry) -> OperatorHandle:
