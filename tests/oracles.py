@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from bplab.errors import NotSPDError
-from bplab.operators import DENSE_AUDIT_LIMIT, _gram_apply, dense_matrix
+from bplab.operators import DENSE_AUDIT_LIMIT, _gram_apply, _lower_inverse, dense_matrix
 from bplab.spectral import Grid, lambda_arr, trunc_arr
 
 
@@ -186,7 +186,8 @@ def nodal_factors_reference(grid: Grid, W: np.ndarray, scalar: bool, gradq: bool
 
 
 def coercivity_report_per_trial(handle, trials: int = 8, rng=None) -> dict:
-    """operators.coercivity_report with one draw and two applies per trial."""
+    """operators.coercivity_report with one draw and two applies per trial; its
+    dense eigen-extrema are the report's own, through the same whitening."""
     rng = rng or np.random.default_rng(0)
     grid = handle.grid
     report = {
@@ -220,7 +221,7 @@ def coercivity_report_per_trial(handle, trials: int = 8, rng=None) -> dict:
         G = dense_matrix(lambda V: _gram_apply(grid, handle.kind, handle.mu, V), grid)
         W = 0.5 * (W + W.T)
         G = 0.5 * (G + G.T)
-        Linv = np.linalg.inv(np.linalg.cholesky(G))
+        Linv = _lower_inverse(np.linalg.cholesky(G))
         eigs = np.linalg.eigvalsh(Linv @ W @ Linv.T)
         report["min_quotient"] = float(eigs[0])
         report["max_quotient"] = float(eigs[-1])
