@@ -42,7 +42,13 @@ At the presets' sizes (n <= 256, a few members) one evaluation costs its
 numpy calls more than its arithmetic, so the flows make as few as they
 can without changing a floating-point operation: stacked factors come from
 one table, stacked products from one multiply-sum, and unit coefficients
-are skipped rather than multiplied.
+are skipped rather than multiplied. Each transform's input is one new
+stack that the products write into with out= (no concatenates), d = 1
+skips sums over its one velocity component, eps times the 2/3 mask and
+eps times h_b are bound once per member set, a dense member's solve writes
+its matmul straight into the next transform's input, and the last
+transform's output is negated in place and returned. Every call returns a
+new array, which the stepper may accumulate into.
 """
 
 from __future__ import annotations

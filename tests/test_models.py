@@ -537,6 +537,32 @@ def test_batch_flow_is_each_members_flow(model, bath, eps):
             assert np.array_equal(batch.blocks[k], solo[k].blocks)
 
 
+# bump-2d-pcg's grid and bottom: 2048 unknowns, so its velocity solves run CG
+PCG_BUMP = build_bathymetry(Grid(2, 32, 8.0 * np.pi, gamma=0.8), "gaussian_bump", 0.5)
+
+
+@pytest.mark.parametrize("deltas", [(0.0, 0.0), (1e-2, 0.0)], ids=["plain", "smoothing"])
+@pytest.mark.parametrize("model", ["sw", "bp", "mbp"])
+@pytest.mark.parametrize("bath", [BUMP1, PCG_BUMP], ids=["d1-dense", "d2-pcg"])
+def test_flow_outputs_are_fresh_arrays(bath, model, deltas):
+    # the RK4 step accumulates in place into what it allocates, so a flow
+    # must return a new array on every call and keep no reference to it
+    g = bath.grid
+    params = [ModelParams(0.1, mu, model) for mu in (0.2, 0.3)]
+    if model != "sw":
+        handle = build_handles(params[0], bath)[models._HANDLE_KIND[model]]
+        assert handle.strategy == ("dense" if g.d == 1 else "pcg")
+    bundle = make_rhs(params, bath, list(deltas))
+    rng = np.random.default_rng(47)
+    W1, W2 = (g.rfft(np.stack([_random_state(g, rng) for _ in params])) for _ in range(2))
+    first = bundle.fn(W1)
+    kept = first.copy()
+    bundle.fn(W2)
+    assert np.array_equal(first, kept)
+    first[...] = np.nan
+    assert np.array_equal(bundle.fn(W1), kept)
+
+
 @pytest.mark.parametrize("dtype", [np.complex128, np.clongdouble], ids=["c128", "clong"])
 @pytest.mark.parametrize("grid", [G1, G2], ids=["d1", "d2-gamma0.8"])
 def test_nodal_factors_table_matches_factor_by_factor(grid, dtype):

@@ -19,6 +19,7 @@ from bplab.operators import (
     KINDS,
     _WeightedOps,
     _gram_apply,
+    _lower_inverse,
     build_handle,
     coercivity_report,
     dense_matrix,
@@ -32,6 +33,8 @@ from bplab.spectral import (
     grad_arr,
     trunc_arr,
 )
+from bplab.models import ModelParams, build_handles
+from bplab.scenarios import load_config
 from bplab.verification import assemble_dense
 from oracles import eig_extrema, perp_div_arr, perp_grad_arr
 
@@ -645,6 +648,71 @@ class TestDenseBlocks:
         monkeypatch.undo()
         assemble_dense("hb_B", 0.1, bath)
         assert ops._blocks.keys() == {"T", "G"}
+
+
+# the dense handles of the presets that run d=1 bump bottoms: (config,
+# model, swept eps = mu values), each run at eps = mu
+PRESET_DENSE_HANDLES = [
+    ("consistency", "bp", ("eps_mu",)),
+    ("consistency", "mbp", ("eps_mu",)),
+    ("longtime", "mbp", ("eps_mu", "contrast_eps_mu")),
+    ("mollifier_study", "mbp", ()),
+]
+
+
+class TestCholeskyInverse:
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200, 256, 1024])
+    def test_inverse_from_the_factor_matches_lu_and_is_exactly_symmetric(self, n):
+        # sizes on both sides of every halving down to the directly inverted blocks
+        rng = np.random.default_rng(n)
+        M = rng.standard_normal((n, n))
+        W = M @ M.T + n * np.eye(n)
+        L = np.linalg.cholesky(W)
+        X = _lower_inverse(L)
+        assert np.abs(X - np.linalg.inv(L)).max() <= 1e-12 * np.abs(X).max()
+        assert not np.triu(X, 1).any()
+        inv = X.T @ X
+        ref = np.linalg.inv(W)
+        assert np.abs(inv - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.array_equal(inv, inv.T)
+
+    @pytest.mark.parametrize(
+        "preset,model,axes",
+        PRESET_DENSE_HANDLES,
+        ids=[f"{p}-{m}" for p, m, _ in PRESET_DENSE_HANDLES],
+    )
+    def test_preset_dense_handles_round_trip(self, preset, model, axes):
+        config = load_config(Path(__file__).resolve().parents[1] / "configs" / f"{preset}.yaml")
+        bath = config.build_bath()
+        values = [v for axis in axes for v in config.sweep[axis]] or [config.params.mu]
+        rng = np.random.default_rng(17)
+        for v in values:
+            (handle,) = build_handles(ModelParams(eps=v, mu=v, model=model), bath).values()
+            assert handle.strategy == "dense"
+            assert np.array_equal(handle._inv, handle._inv.T)
+            r = rng.standard_normal((handle.grid.d,) + handle.grid.shape)
+            back = handle.apply_arrays(handle.solve_arrays(r))
+            assert np.abs(back - r).max() <= 1e-13 * np.abs(r).max()
+
+    @pytest.mark.parametrize("bath", [BUMP1, BUMP2], ids=["d1", "d2"])
+    def test_dense_solve_into_out_is_one_matmul_bit_for_bit(self, bath):
+        # a dense solve writes inv @ y into out; for one right-hand side the
+        # (n, n) @ (n, 1) product, the matrix-vector product and a stacked
+        # matmul give the same bits, and a batch is one product over its columns
+        handle = build_handle("hb_B", 0.1, bath)
+        inv, size = handle._inv, handle.size
+        rng = np.random.default_rng(19)
+        y = rng.standard_normal((3, bath.grid.d) + bath.grid.shape)
+        for rhs in (y[0], y):
+            out = np.empty_like(rhs)
+            assert handle.solve_weighted_arrays(rhs, out=out) is out
+            cols = rhs.reshape(-1, size).T
+            assert np.array_equal(out, (inv @ cols).T.reshape(rhs.shape))
+            assert np.array_equal(out, handle.solve_weighted_arrays(rhs))
+        one = y[0].reshape(size)
+        assert np.array_equal(inv @ one[:, None], (inv @ one)[:, None])
+        stacked = np.matmul(inv, np.stack([one, one])[:, :, None])
+        assert np.array_equal(stacked[1, :, 0], inv @ one)
 
 
 def test_cold_start_and_dense_paths_never_import_scipy():
