@@ -89,7 +89,7 @@ def energy_bp(zeta: np.ndarray, V: np.ndarray, mu: float, bath: Bathymetry):
     g = bath.grid
     lead, U = _records(g, zeta, V)
     zeta, V = U[:, 0], U[:, 1:]
-    wv = get_weighted_ops(bath).w_imutb(V, mu)
+    wv = get_weighted_ops(bath).weighted("I_plus_muTb", V, mu)
     kinetic = (wv * V).reshape(V.shape[0], -1).sum(axis=1)
     potential = (zeta * zeta).reshape(zeta.shape[0], -1).sum(axis=1)
     return _per_record(0.5 * (potential + kinetic) * g.dx**g.d, lead)

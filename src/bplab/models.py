@@ -410,9 +410,10 @@ def _mbp_flow(bath: Bathymetry):
     tendency(c, S) reads eps = 0 off S's row count. eps multiplies the
     advective terms (through c.eps_mask and c.eps_hb), and members with
     delta > 0 get the mollifier sandwich, which is skipped when none
-    smooths. h_b A grad zeta goes through the bottom's phi-only chain
-    (w_hba). Each transform's input is one new stack written in place, and
-    the result is the last transform's output, negated in place.
+    smooths. h_b A grad zeta is the weighted hb_A apply over a mu column,
+    the phi part of the operators' one chain. Each transform's input is one
+    new stack written in place, and the result is the last transform's
+    output, negated in place.
     """
     g = bath.grid
     d = g.d
@@ -436,7 +437,7 @@ def _mbp_flow(bath: Bathymetry):
         if nonlinear:
             np.multiply(mask, P[:, d + 2 :], out=back[:, 1 + d :])
         nod = g.irfft(back)
-        w = ops.w_hba(nod[:, 1 : 1 + d], c.mu)
+        w = ops.weighted("hb_A", nod[:, 1 : 1 + d], c.mu)
         if nonlinear:
             w += c.eps_hb * nod[:, 1 + d :]
         E = np.empty((K, 1 + d) + g.shape, nod.dtype)

@@ -16,16 +16,19 @@ zero-order coefficient multiplies stay plain pointwise products, and the
 grad-div block of A uses plain h_b products so that solutions of
 h_b*A u = h_b*grad f are exact discrete gradients.
 
-The applies stay in rfft space between products: each one runs four
-stacked transforms (inputs forward, band-limited divergences back,
-coefficient products forward, output spectra back), and takes a leading
-batch axis, so dense_matrix assembles DENSE_BLOCK identity columns per call.
+The applies stay in rfft space between products: one chain,
+_WeightedOps._parts, runs four stacked transforms (inputs forward,
+band-limited divergences back, coefficient products forward, output
+spectra back) and takes a leading batch axis, so dense_matrix assembles
+DENSE_BLOCK identity columns per call.
 
-Each weighted form is h_b plus mu times a mu-free operator of the bottom:
-h_b*Tb for h_b(I + mu*Tb), grad phi for h_b*A, and both (with the d=2 perp
-block) for h_b*B. So a bottom's dense matrices, for every kind and mu, are
-elementwise combinations of at most three mu-free dense blocks, which
-_WeightedOps.dense assembles once per bottom and reuses.
+Each weighted form is h_b*V plus mu times mu-free parts of the bottom:
+T = h_b*Tb for h_b(I + mu*Tb), G = grad phi for h_b*A, and both (with the
+d=2 perp block in T) for h_b*B. _combine states each form once over h_b, V,
+T and G. The applies take it over a field and its parts; a bottom's dense
+matrices, for every kind and mu, take it over the identity and the dense
+blocks of the same parts, which _WeightedOps.dense assembles once per
+bottom and reuses.
 """
 
 from __future__ import annotations
@@ -71,14 +74,44 @@ def _stack_rows(parts: list) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
+def _sum_rows(x: np.ndarray) -> np.ndarray:
+    """Sum over the component axis 1, kept; d = 1's one term is that term."""
+    return x if x.shape[1] == 1 else x.sum(axis=1, keepdims=True)
+
+
+def _combine(kind: str, mu, hb, V, T, G):
+    """Each weighted form, stated once, over h_b, V and the parts (T, G):
+    a field stack and its _parts in weighted, h_b as a column, the identity
+    and the mu-free blocks in dense, so a matrix is its apply's formula."""
+    if kind == "I_plus_muTb":
+        return hb * V + mu * T
+    if kind == "hb_A":
+        return hb * (V - mu * G)
+    return hb * V + mu * (T - hb * G)
+
+
+class _Identity:
+    """dense's V: h_b * I is np.diag(h_b), I - X one np.eye written in place."""
+
+    __array_ufunc__ = None  # ndarray operators defer to the methods below
+
+    def __rmul__(self, hb: np.ndarray) -> np.ndarray:
+        return np.diag(hb.ravel())
+
+    def __sub__(self, X: np.ndarray) -> np.ndarray:
+        out = np.eye(len(X))
+        out -= X
+        return out
+
+
 class _WeightedOps:
     """Array-level cores of the weighted operators for one bathymetry.
 
     Caches the band-limited coefficient fields once. All methods take and
     return stacked (..., d, *shape) arrays; leading axes are a batch.
-    Every apply runs four stacked transforms: the inputs forward, the
-    band-limited divergences and V back, their coefficient products
-    forward, and the assembled output spectra back.
+    _parts is the one transform chain and _combine the one formula of each
+    kind: weighted applies the formula to a field's parts, dense to the
+    bottom's cached mu-free blocks of the same parts.
     """
 
     def __init__(self, bath: Bathymetry):
@@ -92,6 +125,8 @@ class _WeightedOps:
         self.invhb_t = trunc_arr(g, self.inv_hb)
         self.beta2_hbz = self.beta**2 * self.hb * self.z
         self._blocks = {}  # mu-free dense blocks by name; see _dense_blocks
+        # the (tb, phi, perp) parts of _parts that each kind reads
+        self.flags = {k: (k != "hb_A", k != "I_plus_muTb", k == "hb_B" and g.d == 2) for k in KINDS}
 
     def _parts(self, V: np.ndarray, tb: bool, phi: bool, perp: bool):
         """Fused transforms behind every weighted apply.
@@ -107,22 +142,25 @@ class _WeightedOps:
         """
         g = self.grid
         d = g.d
-        out_shape = V.shape
-        V = V.reshape((-1, d) + g.shape)
+        shape = V.shape
+        reshaped = V.ndim != d + 2  # the stacks below have one batch axis
+        if reshaped:
+            V = V.reshape((-1, d) + g.shape)
         mask, mik, beta = g.dealias_mask, g.mik, self.beta
         twist = tb and beta != 0.0
 
-        ins = ([V] if tb else []) + ([self._phi_in(V)] if phi else [])
+        # phi's rows close every stack, which holds them alone without tb
+        ins = ([V] if tb else []) + ([self.hb * V] if phi else [])
         spec = g.rfft(_stack_rows(ins))
-        Vs, HVs = spec[:, :d], spec[:, -d:]
 
         back = []
         if tb:
-            back.append((mik * Vs).sum(axis=1, keepdims=True))
+            Vs = spec[:, :d]
+            back.append(_sum_rows(mik * Vs))
             if twist:
                 back.append(mask * Vs)
         if phi:
-            back.append(self._phi_div(HVs))
+            back.append(_sum_rows(mik * (spec[:, -d:] if tb else spec)))
         nod = g.irfft(_stack_rows(back))
 
         prods = []
@@ -130,10 +168,10 @@ class _WeightedOps:
             dv_t = nod[:, :1]
             prods.append(self.hb3_t * dv_t)
             if twist:
-                prods.append((self.u_t * nod[:, 1 : 1 + d]).sum(axis=1, keepdims=True))
+                prods.append(_sum_rows(self.u_t * nod[:, 1 : 1 + d]))
                 prods.append(self.u_t * dv_t)
         if phi:
-            prods.append(self._phi_coef(nod[:, -1:]))
+            prods.append(self.invhb_t * (nod[:, -1:] if tb else nod))
         P = g.rfft(_stack_rows(prods))
 
         outs = []
@@ -143,85 +181,46 @@ class _WeightedOps:
                 t_s = t_s + 0.5 * beta * (mik * P[:, 1:2] - mask * P[:, 2 : 2 + d])
             if perp:
                 pk = g.ik_perp
-                t_s = t_s - pk * (pk * Vs).sum(axis=1, keepdims=True)
+                t_s = t_s - pk * _sum_rows(pk * Vs)
             outs.append(t_s)
         if phi:
-            outs.append(self._phi_grad(P[:, -1:]))
+            outs.append(mik * (P[:, -1:] if tb else P))
         res = g.irfft(_stack_rows(outs))
 
-        T, G = res[:, :d], res[:, -d:]
-        if twist:
-            T = T + self.beta2_hbz * (self.z * V).sum(axis=1, keepdims=True)
-        T = T.reshape(out_shape) if tb else None
-        return T, G.reshape(out_shape) if phi else None
+        T = G = None
+        if tb:
+            T = res[:, :d]
+            if twist:
+                T = T + self.beta2_hbz * _sum_rows(self.z * V)
+        if phi:
+            G = res[:, -d:] if tb else res
+        if reshaped:
+            T, G = (None if x is None else x.reshape(shape) for x in (T, G))
+        return T, G
 
-    # the grad-div block phi, stage by stage between its four transforms:
-    # gradphi runs the chain alone, _parts stacks it with Tb's
+    def weighted(self, kind: str, V: np.ndarray, mu) -> np.ndarray:
+        """Weighted apply of a kind; mu may be a column over V's batch axes."""
+        return _combine(kind, mu, self.hb, V, *self._parts(V, *self.flags[kind]))
 
-    def _phi_in(self, V: np.ndarray) -> np.ndarray:
-        return self.hb * V
+    def _dense_blocks(self, tb: bool, phi: bool, perp: bool) -> tuple:
+        """Dense (T, G) of _parts(., tb, phi, perp), None where not asked for.
 
-    def _phi_div(self, spec: np.ndarray) -> np.ndarray:
-        return (self.grid.mik * spec).sum(axis=-(self.grid.d + 1), keepdims=True)
-
-    def _phi_coef(self, div: np.ndarray) -> np.ndarray:
-        return self.invhb_t * div
-
-    def _phi_grad(self, spec: np.ndarray) -> np.ndarray:
-        return self.grid.mik * spec
-
-    def tb(self, V: np.ndarray) -> np.ndarray:
-        """h_b*Tb in its symmetric divergence form."""
-        return self._parts(V, True, False, False)[0]
-
-    def gradphi(self, V: np.ndarray) -> np.ndarray:
-        """grad of phi(V) = T((1/h_b)_t * T D(h_b V)), the grad-div block.
-
-        Runs the phi chain alone, without _parts' stacking, so h_b*A costs
-        its four transforms and four products over any leading axes.
+        T is the matrix of h_b*Tb, kept as Tp with the d=2 perp block
+        subtracted, and G the matrix of grad phi. The missing blocks come
+        from one dense_matrix pass over _parts. They are kept, read-only,
+        only on grids of at most SOLVER_DENSE_LIMIT unknowns (8 MB a block
+        at most); larger (audit) grids assemble them for this call alone.
         """
-        g = self.grid
-        div = g.irfft(self._phi_div(g.rfft(self._phi_in(V))))
-        return g.irfft(self._phi_grad(g.rfft(self._phi_coef(div))))
-
-    def w_imutb(self, V: np.ndarray, mu: float) -> np.ndarray:
-        """Weighted apply h_b(I + mu*Tb)V."""
-        return self.hb * V + mu * self.tb(V)
-
-    def w_hba(self, V: np.ndarray, mu: float) -> np.ndarray:
-        """Weighted apply h_b*A V = h_b*(V - mu*gradphi(V))."""
-        return self.hb * (V - mu * self.gradphi(V))
-
-    def w_hbb(self, V: np.ndarray, mu: float) -> np.ndarray:
-        """Weighted apply h_b*B V; the perp block is a plain multiplier."""
-        T, G = self._parts(V, True, True, self.grid.d == 2)
-        return self.hb * V + mu * (T - self.hb * G)
-
-    def weighted(self, kind: str, V: np.ndarray, mu: float) -> np.ndarray:
-        if kind == "I_plus_muTb":
-            return self.w_imutb(V, mu)
-        if kind == "hb_A":
-            return self.w_hba(V, mu)
-        return self.w_hbb(V, mu)
-
-    def _dense_blocks(self, names: tuple) -> list:
-        """The named mu-free dense blocks, the missing ones from one sweep.
-
-        T is the matrix of h_b*Tb, Tp the same with the d=2 perp block
-        subtracted, G the matrix of grad phi; names lists T or Tp before G.
-        The missing blocks come from one dense_matrix pass over _parts.
-        They are kept, read-only, only on grids of at most SOLVER_DENSE_LIMIT
-        unknowns (8 MB a block at most); larger (audit) grids assemble them
-        for this call alone.
-        """
+        t_name = "Tp" if perp else "T"
+        names = [t_name] * tb + ["G"] * phi
         with _LOCK:
             found = {name: self._blocks[name] for name in names if name in self._blocks}
             missing = [name for name in names if name not in found]
             if missing:
-                tb, phi, perp = missing[0] != "G", "G" in missing, "Tp" in missing
+                flags = missing[0] != "G", "G" in missing, "Tp" in missing
 
                 def parts(V):
-                    return _stack_rows([P for P in self._parts(V, tb, phi, perp) if P is not None])
+                    return _stack_rows([P for P in self._parts(V, *flags) if P is not None])
 
                 M = dense_matrix(parts, self.grid)
                 M.flags.writeable = False
@@ -230,25 +229,15 @@ class _WeightedOps:
                     found[name] = M[i * size : (i + 1) * size]
                     if size <= SOLVER_DENSE_LIMIT:
                         self._blocks[name] = found[name]
-        return [found[name] for name in names]
+        return (found[t_name] if tb else None), (found["G"] if phi else None)
 
     def dense(self, kind: str, mu: float) -> np.ndarray:
-        """Dense matrix of weighted(kind, ., mu), a new array on every call.
-
-        diag(h_b) + mu*T, h_b*(I - mu*G) or diag(h_b) + mu*(T - h_b*G), taken
-        elementwise in weighted's operation order, so it equals the matrix
-        dense_matrix assembles from weighted itself bit for bit.
-        """
+        """Dense matrix of weighted(kind, ., mu), a new array on every call,
+        bit for bit the matrix dense_matrix assembles from weighted itself."""
         g = self.grid
-        hb = np.broadcast_to(self.hb, (g.d,) + g.shape).ravel()
-        if kind == "I_plus_muTb":
-            (T,) = self._dense_blocks(("T",))
-            return np.diag(hb) + mu * T
-        if kind == "hb_A":
-            (G,) = self._dense_blocks(("G",))
-            return hb[:, None] * (np.eye(hb.size) - mu * G)
-        T, G = self._dense_blocks(("Tp" if g.d == 2 else "T", "G"))
-        return np.diag(hb) + mu * (T - hb[:, None] * G)
+        hb = np.broadcast_to(self.hb, (g.d,) + g.shape).reshape(-1, 1)
+        T, G = self._dense_blocks(*self.flags[kind])
+        return _combine(kind, mu, hb, _Identity(), T, G)
 
 
 # guards the ops cache and block assembly: scenario batches run on pool threads

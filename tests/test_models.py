@@ -294,7 +294,7 @@ def _nodal_reference_rhs(params, bath, delta, handle, U):
     div_part = bath.inv_hb * div_arr(g, T(T(hb) * Vt))
     dq = moll(-eps * advq - div_part, -2)
     zeta = q_to_zeta_arr(q, eps, bath)
-    w = get_weighted_ops(bath).w_hba(grad_arr(g, zeta), mu) + eps * hb * adv
+    w = get_weighted_ops(bath).weighted("hb_A", grad_arr(g, zeta), mu) + eps * hb * adv
     dV = -moll(handle.solve_weighted_arrays(moll(w, -1)), -1)
     return np.concatenate([dq[None], dV])
 
@@ -446,7 +446,7 @@ def test_fused_mbp_matches_primitive_assembly():
     dq = -div_arr(G2, flux)
     zeta = q_to_zeta_arr(U[0], 0.0, FLAT2)
     gz = np.stack(grad_arr(G2, zeta))
-    w = get_weighted_ops(FLAT2).w_hba(gz, mu)
+    w = get_weighted_ops(FLAT2).weighted("hb_A", gz, mu)
     dV = -handle.solve_weighted_arrays(w)
     assert np.abs(got[0] - dq).max() < 1e-12
     assert np.abs(got[1:] - dV).max() < 1e-12
