@@ -43,6 +43,7 @@ its solves, too, are those of its run alone.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
@@ -94,6 +95,8 @@ class StepperConfig:
             raise ValueError("dt must be finite and positive")
         if not 0 <= self.t_end < np.inf:
             raise ValueError("t_end must be finite and nonnegative")
+        if not isinstance(self.output_stride, numbers.Integral):
+            raise ValueError(f"output_stride must be an integer, not {self.output_stride!r}")
         if self.output_stride < 1:
             raise ValueError("output_stride must be at least 1")
         if not self.blowup_threshold > 0:

@@ -49,6 +49,15 @@ def test_config_validation():
         StepperConfig(dt=1e-2, t_end=1.0, delta=-1e-4)
 
 
+def test_config_refuses_a_stride_that_is_not_an_integer():
+    # records fall at whole step counts: 2.5 made run crash in record, and a
+    # float 2.0 would count the recorded steps in floats
+    for bad in (2.5, 2.0, "2"):
+        with pytest.raises(ValueError, match="output_stride must be an integer"):
+            StepperConfig(dt=1e-2, t_end=1.0, output_stride=bad)
+    assert StepperConfig(dt=1e-2, t_end=1.0, output_stride=np.int64(2)).output_stride == 2
+
+
 def test_config_rejects_non_finite_values():
     for bad in (np.nan, np.inf):
         for key in ("dt", "t_end", "delta"):
