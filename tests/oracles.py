@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from bplab.errors import NotSPDError
-from bplab.operators import DENSE_AUDIT_LIMIT, _gram_apply, _lower_inverse, dense_matrix
+from bplab.operators import _gram_apply, coercivity_report
 from bplab.spectral import Grid, lambda_arr, trunc_arr
 
 
@@ -186,18 +186,14 @@ def nodal_factors_reference(grid: Grid, W: np.ndarray, scalar: bool, gradq: bool
 
 
 def coercivity_report_per_trial(handle, trials: int = 8, rng=None) -> dict:
-    """operators.coercivity_report with one draw and two applies per trial; its
-    dense eigen-extrema are the report's own, through the same whitening."""
+    """operators.coercivity_report with one draw and two applies per trial.
+
+    Only the trial fields are computed here; the header and the dense
+    eigen-extrema, which no trial touches, are the report's own.
+    """
     rng = rng or np.random.default_rng(0)
     grid = handle.grid
-    report = {
-        "kind": handle.kind,
-        "d": grid.d,
-        "n": grid.n,
-        "mu": handle.mu,
-        "beta": handle.bath.beta,
-        "strategy": handle.strategy,
-    }
+    report = coercivity_report(handle, trials=1)
     quotients = []
     sym = 0.0
     for _ in range(trials):
@@ -216,15 +212,6 @@ def coercivity_report_per_trial(handle, trials: int = 8, rng=None) -> dict:
     report["trial_min_quotient"] = min(quotients)
     report["trial_max_quotient"] = max(quotients)
     report["symmetry_residual"] = sym
-    if handle.size <= DENSE_AUDIT_LIMIT:
-        W = handle.ops.dense(handle.kind, handle.mu)
-        G = dense_matrix(lambda V: _gram_apply(grid, handle.kind, handle.mu, V), grid)
-        W = 0.5 * (W + W.T)
-        G = 0.5 * (G + G.T)
-        Linv = _lower_inverse(np.linalg.cholesky(G))
-        eigs = np.linalg.eigvalsh(Linv @ W @ Linv.T)
-        report["min_quotient"] = float(eigs[0])
-        report["max_quotient"] = float(eigs[-1])
     return report
 
 

@@ -500,8 +500,20 @@ class TestFusedCore:
         got = handle.apply_weighted_arrays(batch)
         assert got.shape == batch.shape
         for k in range(3):
-            want = handle.apply_weighted_arrays(batch[k])
-            assert np.max(np.abs(got[k] - want)) <= 1e-14 * np.max(np.abs(want))
+            assert np.array_equal(got[k], handle.apply_weighted_arrays(batch[k]))
+
+    @pytest.mark.parametrize("bath", [BUMP1, BUMP2], ids=["d1", "d2"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_member_mu_column_gives_each_members_apply(self, bath, kind):
+        # the mbp flow passes its members' mu as a (K, 1, ...) column
+        grid = bath.grid
+        ops = get_weighted_ops(bath)
+        mu = np.array([0.0, 0.05, 0.3])
+        batch = np.random.default_rng(13).standard_normal((3, grid.d) + grid.shape)
+        got = ops.weighted(kind, batch, mu.reshape((3,) + (1,) * (grid.d + 1)))
+        assert got.shape == batch.shape
+        for k in range(3):
+            assert np.array_equal(got[k], ops.weighted(kind, batch[k], mu[k]))
 
     @pytest.mark.parametrize("bath", [BUMP1, BUMP2], ids=["d1", "d2"])
     @pytest.mark.parametrize("kind", ["I_plus_muTb", "hb_B", "hb_A", "gram_X0", "gram_H1"])
