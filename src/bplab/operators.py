@@ -200,7 +200,8 @@ class _WeightedOps:
 
     def weighted(self, kind: str, V: np.ndarray, mu) -> np.ndarray:
         """Weighted apply of a kind; mu may be a column over V's batch axes."""
-        return _combine(kind, mu, self.hb, V, *self._parts(V, *self.flags[kind]))
+        T, G = self._parts(V, *self.flags[kind])
+        return _combine(kind, mu, self.hb, V, T, G)
 
     def _dense_blocks(self, tb: bool, phi: bool, perp: bool) -> tuple:
         """Dense (T, G) of _parts(., tb, phi, perp), None where not asked for.
