@@ -218,10 +218,10 @@ class _WeightedOps:
             found = {name: self._blocks[name] for name in names if name in self._blocks}
             missing = [name for name in names if name not in found]
             if missing:
-                flags = missing[0] != "G", "G" in missing, "Tp" in missing
+                sweep = missing[0] != "G", "G" in missing, "Tp" in missing
 
                 def parts(V):
-                    return _stack_rows([P for P in self._parts(V, *flags) if P is not None])
+                    return _stack_rows([P for P in self._parts(V, *sweep) if P is not None])
 
                 M = dense_matrix(parts, self.grid)
                 M.flags.writeable = False
