@@ -138,7 +138,10 @@ def build_records(traj, bath: Bathymetry, N: float = 3.0) -> list:
     The log-variable scalar is converted to the surface before every
     energy; Burgers has no surface or velocity, so its E_bp is NaN and its
     other energies use the profile alone. Records are evaluated in stacked
-    chunks of about RECORD_CHUNK_POINTS grid values.
+    chunks of about RECORD_CHUNK_POINTS grid values, each with one forward
+    transform of its nodal states; the record objects are then built in one
+    pass over the columns' tolist() floats, which are the values float()
+    gives, with each record's mode amplitudes a row of one abs().
     """
     g = traj.grid
     model = traj.params.model
@@ -157,23 +160,13 @@ def build_records(traj, bath: Bathymetry, N: float = 3.0) -> list:
             U[:, 0] = q_to_zeta_arr(U[:, 0], eps, bath)
         en[lo:hi], ethm[lo:hi] = _energies(g, g.rfft(U), mu, N)
         ebp[lo:hi] = np.nan if U.shape[1] == 1 else energy_bp(U[:, 0], U[:, 1:], mu, bath)
-    out = []
-    for i in range(n_rec):
-        amps = None
-        if traj.mode_history is not None:
-            amps = np.abs(traj.mode_history[i])
-        out.append(
-            DiagnosticsRecord(
-                time=float(traj.times[i]),
-                EN=float(en[i]),
-                E_bp=float(ebp[i]),
-                E_thm=float(ethm[i]),
-                sup_U=float(traj.sup_u[i]),
-                sup_gradU=float(traj.sup_grad_u[i]),
-                mode_amplitudes=amps,
-            )
-        )
-    return out
+    cols = zip(
+        traj.times.tolist(), en.tolist(), ebp.tolist(), ethm.tolist(),
+        traj.sup_u.tolist(), traj.sup_grad_u.tolist(),
+    )
+    if traj.mode_history is None:
+        return [DiagnosticsRecord(*c) for c in cols]
+    return [DiagnosticsRecord(*c, a) for c, a in zip(cols, np.abs(traj.mode_history))]
 
 
 # ---------------------------------------------------------------------------

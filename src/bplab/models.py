@@ -206,10 +206,40 @@ def _member_handles(kind: str, params: list, bath: Bathymetry, handles: list) ->
     return out
 
 
-def apply_mode_blocks(blocks: np.ndarray, W: np.ndarray) -> np.ndarray:
+def split_mode_blocks(blocks: np.ndarray) -> tuple:
+    """Per-mode blocks (K, *rshape, m, m) as the pair (Re L, i Im L) that
+    apply_mode_blocks takes: two complex arrays laid out (K, i, j, *rshape)."""
+    P = np.moveaxis(blocks, (-2, -1), (1, 2))
+    re = np.zeros(P.shape, complex)
+    im = np.zeros(P.shape, complex)
+    re.real = P.real
+    im.imag = P.imag
+    return re, im
+
+
+def apply_mode_blocks(split: tuple, W: np.ndarray) -> np.ndarray:
     """Per-member, per-mode block product over a leading member axis k:
-    out[k, i, m] = sum_j blocks[k, m, i, j] * W[k, j, m]."""
-    return np.einsum("k...ij,kj...->ki...", blocks, W)
+    out[k, i] = sum_j L[k, ..., i, j] * W[k, j] on every mode, for
+    split = split_mode_blocks(L).
+
+    On finite input this is np.einsum("k...ij,kj...->ki...", L, W), bit for
+    bit. einsum rounds each term's parts as Re L Re W - Im L Im W and
+    Re L Im W + Im L Re W, and sums the terms over j from +0.0. Probed blocks
+    carry roundoff-sized parts beside their real or imaginary entries, and
+    numpy's complex multiply may fuse a part's two products into one
+    rounding. Re L and i Im L each have a zero part, so their products round
+    each part once, and their sum is einsum's term. The terms are summed in
+    j's order, and adding 0.0 turns a zero sum's -0.0 into einsum's +0.0.
+    """
+    re, im = split
+    Wj = W[:, None]
+    T = re * Wj
+    T += im * Wj
+    out = T[:, :, 0] + T[:, :, 1]
+    for j in range(2, T.shape[2]):
+        out += T[:, :, j]
+    out += 0.0
+    return out
 
 
 def _probe_mode_blocks(fn, grid: Grid, members: int) -> np.ndarray:
@@ -577,9 +607,11 @@ def _batch_rhs(params: list, bath: Bathymetry, deltas: list, handles: list) -> R
         return RHSBundle(fn, g, tuple(params), history=history)
     # eps = 0 over a flat bottom: the flow is linear and acts mode by mode
     blocks = _probe_mode_blocks(fn, g, K)
+    split = split_mode_blocks(blocks)
 
     def linear_fn(W: np.ndarray, members=None) -> np.ndarray:
-        return apply_mode_blocks(blocks if members is None else blocks[list(members)], W)
+        take = split if members is None else tuple(p[list(members)] for p in split)
+        return apply_mode_blocks(take, W)
 
     return RHSBundle(linear_fn, g, tuple(params), blocks)
 

@@ -20,7 +20,6 @@ byte for byte after dropping them.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -1073,25 +1072,26 @@ CSV_COLUMNS = ("t", "EN", "E_bp", "E_thm", "sup_U", "sup_gradU")
 
 
 def _mode_column(m) -> str:
-    if isinstance(m, tuple):
+    if isinstance(m, (tuple, list)):
         return f"mode_k{m[0]}_{m[1]}"
     return f"mode_k{m}"
 
 
 def write_run_csv(path: Path, records, track_modes=()) -> None:
-    """One diagnostics row per record; header only when nothing was recorded."""
+    """One diagnostics row per record; header only when nothing was recorded.
+
+    Each value is written as repr(float(v)), one row at a time. No column
+    name and no float's repr holds a comma, quote or line break, so these
+    are the bytes csv.writer writes for the same rows.
+    """
     header = list(CSV_COLUMNS) + [_mode_column(m) for m in track_modes]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
+        fh.write(",".join(header) + "\n")
         for r in records:
-            row = [
-                repr(float(v))
-                for v in (r.time, r.EN, r.E_bp, r.E_thm, r.sup_U, r.sup_gradU)
-            ]
+            row = [r.time, r.EN, r.E_bp, r.E_thm, r.sup_U, r.sup_gradU]
             if r.mode_amplitudes is not None:
-                row.extend(repr(float(a)) for a in r.mode_amplitudes)
-            w.writerow(row)
+                row.extend(r.mode_amplitudes)
+            fh.write(",".join(map(repr, map(float, row))) + "\n")
 
 
 def write_snapshot(base: Path, U: np.ndarray, grid: Grid, time: float, model: str):

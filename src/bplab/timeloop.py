@@ -6,7 +6,8 @@ output_stride steps, and stops early when the run leaves the valid regime.
 Termination is one of
 
     completed       reached t_end
-    blowup          a recorded sup passed blowup_threshold, or NaN/Inf
+    blowup          a recorded sup passed blowup_threshold or was NaN/Inf,
+                    or a step overflowed or made a NaN
     dry             the free surface touched the bottom mid-step
     solver_failure  the velocity solve stopped converging
 
@@ -20,20 +21,31 @@ per-mode blocks L_k, on which one RK4 step is exactly W <- R(dt L_k) W
 with R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 its stability polynomial. Those
 runs advance from one record to the next by the cached power R(dt L)^n, n
 the output stride or the final remainder: the same scheme and the same
-records, without the stage evaluations in between. Every other run takes
-the four stages of one RK4 step (_rk4), which binds each member's dt, dt/2
-and dt/6 once per set of active members and sums the stages in place, in
-the textbook expression's order, so its steps are that expression's bit
-for bit.
+records, without the stage evaluations in between. When every member's
+next record falls on one step, one block product advances the whole
+stack; members whose horizons end apart advance in groups. Every other
+run takes the four stages of one RK4 step (_rk4), which binds each
+member's dt, dt/2 and dt/6 once per set of active members and sums the
+stages in place, in the textbook expression's order, so its steps are
+that expression's bit for bit. Its steps between two records run under
+numpy's overflow and invalid-value errors, so a state that overflows or
+turns NaN ends as blowup at that step, with its last finite state as its
+last record, instead of stepping on to the next record.
+
+A record decodes the stack [W; ik W] of its members with one inverse
+transform, takes every member's sup norms and blow-up test at once, and
+copies the decoded states once: each member keeps its own row of that
+copy.
 
 run also advances a batch: members over one bottom with equal batch_key
 (the model, whether eps is zero, and the recording policy) step as one
 stack (K, rows, *rshape) through one flow, each with its own start, eps,
 mu, delta, dt and t_end. A member leaves the stack at its own termination:
-blowup at a record, dry or solver_failure in a step (which the others then
-retake without it), completed at its own last step. Its records, steps
-and termination are those of its run alone. A single run is a batch of
-one.
+blowup at a record, or blowup, dry or solver_failure in a step (which the
+others then retake without it), completed at its own last step. A step
+that overflows is retaken by each member alone to find the member that
+failed. Its records, steps and termination are those of its run alone. A
+single run is a batch of one.
 
 Each member's CG velocity solves warm-start from its own last solves,
 kept in the flow's history (models.RHSBundle). A retaken step restarts
@@ -59,6 +71,7 @@ from .models import (
     apply_mode_blocks,
     make_rhs,
     max_linear_frequency,
+    split_mode_blocks,
     state_rows,
 )
 from .spectral import Grid
@@ -164,17 +177,19 @@ def _propagator(blocks: np.ndarray, dt: np.ndarray):
 
     blocks is (K, *rshape, m, m) and dt one step per member. One RK4 step
     applied to the identity blocks yields R(dt L) itself. Powers are taken
-    over the members' stack at once and cached by (n, members).
+    over the members' stack at once and cached by (n, members), split as
+    apply_mode_blocks takes them.
     """
     eye = np.broadcast_to(np.eye(blocks.shape[-1]), blocks.shape)
     one_step = _rk4(dt.reshape((-1,) + (1,) * (blocks.ndim - 1)))(lambda X: blocks @ X, eye)
     powers = {}
 
     def propagate(W: np.ndarray, n: int, members: tuple) -> np.ndarray:
-        key = (n, members)
-        if key not in powers:
-            powers[key] = np.linalg.matrix_power(one_step[list(members)], n)
-        return apply_mode_blocks(powers[key], W)
+        split = powers.get((n, members))
+        if split is None:
+            power = np.linalg.matrix_power(one_step[list(members)], n)
+            split = powers[n, members] = split_mode_blocks(power)
+        return apply_mode_blocks(split, W)
 
     return propagate
 
@@ -275,8 +290,8 @@ def _run_batch(states: list, params: list, bath: Bathymetry, configs: list, hand
     """Step the members as one stack; each leaves it at its own termination.
 
     All active members have taken the same number of steps. A member leaves
-    at a record that passes its blow-up threshold, at a step whose stage
-    finds it dry or its solve stalled (the batch then retakes that step
+    at a record that passes its blow-up threshold, at a step that overflows
+    it, finds it dry or stalls its solve (the batch then retakes that step
     without it), or at its own last step. Each member's arithmetic is that
     of its run alone, so its records, steps and termination are too.
     """
@@ -312,8 +327,9 @@ def _run_batch(states: list, params: list, bath: Bathymetry, configs: list, hand
         members.append(_Member(p, c, n_steps, dt))
 
     stride = first.output_stride
-    threshold = first.blowup_threshold
+    limit = min(first.blowup_threshold, np.finfo(float).max)  # finite, or a blowup
     W = bundle.encode(np.stack([state.stack() for state in states]))
+    rows = W.shape[1]
     ids = np.arange(K)  # the active members, in stack order
     dts = np.array([m.dt for m in members])
     last = np.array([m.n_steps for m in members])
@@ -324,6 +340,10 @@ def _run_batch(states: list, params: list, bath: Bathymetry, configs: list, hand
     history = bundle.history  # each member's last CG solves, which warm-start its next
     if history is not None:
         history.update(dict.fromkeys(range(K), ()))
+    # the tracked modes of row 0, gathered from a member stack by one index
+    modes_at = None
+    if mode_idx:
+        modes_at = (slice(None), 0) + tuple(np.array(k) for k in zip(*mode_idx))
 
     def drop(pos) -> None:
         nonlocal W, ids
@@ -331,73 +351,119 @@ def _run_batch(states: list, params: list, bath: Bathymetry, configs: list, hand
             keep = np.setdiff1d(np.arange(len(ids)), pos)
             W, ids = W[keep], ids[keep]
 
-    def record(pos: np.ndarray, steps: np.ndarray) -> None:
-        """Record the active members at pos, each at its own step count;
-        a member out of bounds, or at its last step, leaves the batch."""
-        Wr = W if len(pos) == len(ids) else W[pos]
-        rows = Wr.shape[1]
+    def record(pos: np.ndarray, at: np.ndarray) -> list:
+        """Record the active members at pos, each at its own step count; return
+        the positions of those that leave: out of bounds, or at their last step."""
+        P = len(pos)
+        Wr = W if P == len(ids) else W[pos]
         # the state and every twisted first derivative of every row, one irfft
-        dW = (g.ik_stack[:, None] * Wr[:, None]).reshape((len(pos), -1) + g.rshape)
-        nod = g.irfft(np.concatenate([Wr, dW], axis=1))
-        U = nod[:, :rows]
-        su = np.abs(U).reshape(len(pos), -1).max(axis=1)
-        sg = np.abs(nod[:, rows:]).reshape(len(pos), -1).max(axis=1)
+        S = np.empty((1 + g.d,) + Wr.shape, W.dtype)
+        S[0] = Wr
+        np.multiply(g.ik_stack[:, None, None], Wr, out=S[1:])
+        nod = g.irfft(S)
+        sup = np.maximum.reduce(np.abs(nod).reshape(1 + g.d, P, -1), axis=2)
+        su, sg = sup[0], np.maximum.reduce(sup[1:])
+        ok = np.maximum(su, sg) <= limit  # False at NaN or inf
+        U = nod[0].copy()  # each member keeps its own row
+        modes = Wr[modes_at] if modes_at else None
         gone = []
-        for j, (p, s) in enumerate(zip(pos, steps.tolist())):
+        for j, (p, s, a, b, fine) in enumerate(
+            zip(pos.tolist(), at.tolist(), su.tolist(), sg.tolist(), ok.tolist())
+        ):
             m = members[ids[p]]
             m.times.append(s * m.dt)
-            m.sup_u.append(float(su[j]))
-            m.sup_grad_u.append(float(sg[j]))
-            m.states.append(np.array(U[j], copy=True))
-            if mode_idx:
-                m.modes.append(np.array([Wr[j][0][ix] for ix in mode_idx]))
-            if not (np.isfinite(su[j]) and np.isfinite(sg[j])) or max(su[j], sg[j]) > threshold:
+            m.sup_u.append(a)
+            m.sup_grad_u.append(b)
+            m.states.append(U[j])
+            if modes is not None:
+                m.modes.append(modes[j])
+            if not fine:
                 m.end("blowup", s * m.dt, s)
             elif s == m.n_steps:
                 m.end("completed", m.config.t_end, s)
             else:
                 continue
             gone.append(p)
-        drop(gone)
+        return gone
+
+    def fails_alone(active: tuple, saved: Optional[dict]) -> dict:
+        """member -> its termination, for the members whose next step fails
+        when each takes it alone, from the history the step began with."""
+        failed = {}
+        for j, k in enumerate(active):
+            step = _rk4(dts[[k]].reshape((-1,) + (1,) * (W.ndim - 1)))
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    step(partial(bundle.fn, members=(k,)), W[j : j + 1])
+            except FloatingPointError:
+                failed[k] = "blowup"
+            except DryStateError:
+                failed[k] = "dry"
+            except SolverDivergenceError:
+                failed[k] = "solver_failure"
+            if history is not None:
+                history.update(saved)
+        return failed or dict.fromkeys(active, "blowup")
+
+    def leave(failed: dict, s: int) -> None:
+        """End the failed members in step s + 1. A blowup keeps its last finite
+        state, the one at step s, as its last record."""
+        pos = np.flatnonzero(np.isin(ids, list(failed)))
+        names = [failed[k] for k in ids[pos].tolist()]
+        blown = [p for p, name in zip(pos.tolist(), names) if name == "blowup"]
+        ended = ()
+        if blown and s % stride:  # step s was not recorded yet
+            ended = record(np.array(blown), np.full(len(blown), s))
+        for p, name in zip(pos.tolist(), names):
+            if p not in ended:
+                m = members[ids[p]]
+                m.end(name, (s + 1) * m.dt, s)
+        drop(pos)
 
     s = 0  # steps completed by every active member
-    record(np.arange(K), np.zeros(K, dtype=int))
+    drop(record(np.arange(K), np.zeros(K, dtype=int)))
 
     # records fall every output_stride steps and on each member's last step
     while ids.size:
         target = np.minimum((s // stride + 1) * stride, last[ids])
+        stop = int(target.min())
+        uniform = stop == int(target.max())  # every member's next record is at stop
+        active = tuple(ids.tolist())
         if propagate is not None:
-            for n in np.unique(target - s):
-                pos = np.flatnonzero(target - s == n)
-                part = W if len(pos) == len(ids) else W[pos]
-                W[pos] = propagate(part, int(n), tuple(ids[pos].tolist()))
-            reached = target
+            if uniform:
+                W = propagate(W, stop - s, active)
+            else:
+                for n in np.unique(target - s):
+                    pos = np.flatnonzero(target - s == n)
+                    W[pos] = propagate(W[pos], int(n), tuple(ids[pos].tolist()))
             s = int(target.max())  # where every member that stays active is
+            due = np.arange(len(ids))
         else:
-            active = tuple(ids.tolist())
             fn = partial(bundle.fn, members=active)
             step = steps.get(active)
             if step is None:
                 step = steps[active] = _rk4(dts[ids].reshape((-1,) + (1,) * (W.ndim - 1)))
-            stop = int(target.min())
+            saved = None
             try:
-                while s < stop:
-                    if history is not None:
-                        saved = dict(history)
-                    W = step(fn, W)
-                    s += 1
-            except (DryStateError, SolverDivergenceError) as e:
-                name = "dry" if isinstance(e, DryStateError) else "solver_failure"
-                gone = getattr(e, "members", active)
-                for k in gone:
-                    members[k].end(name, (s + 1) * members[k].dt, s)
-                drop(np.flatnonzero(np.isin(ids, gone)))
+                # an overflow or NaN ends the run at its step, not at the next record
+                with np.errstate(over="raise", invalid="raise"):
+                    while s < stop:
+                        if history is not None:
+                            saved = dict(history)
+                        W = step(fn, W)
+                        s += 1
+            except (DryStateError, SolverDivergenceError, FloatingPointError) as e:
                 if history is not None:
                     history.update(saved)  # as the step began, as in each run alone
+                if isinstance(e, FloatingPointError):
+                    failed = fails_alone(active, saved)
+                else:
+                    name = "dry" if isinstance(e, DryStateError) else "solver_failure"
+                    failed = dict.fromkeys(getattr(e, "members", active), name)
+                leave(failed, s)
                 continue  # the others retake step s + 1
-            reached = np.full(len(ids), s)
-        due = np.flatnonzero(reached == target)
-        record(due, reached[due])
+            due = np.arange(len(ids)) if uniform else np.flatnonzero(target == s)
+        drop(record(due, target[due]))
 
     return [
         Trajectory(

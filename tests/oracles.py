@@ -7,12 +7,15 @@ projection, the rotated gradient and divergence from their plain
 multipliers, and H^s norms from nodal quadrature of Lambda^s f. The fast
 paths are checked bit for bit against their explicit form: the nodal
 factors built factor by factor, the operator audit's trials drawn and
-applied one at a time, the RK4 step as the textbook writes it, and the
-Burgers flux transformed over the whole masked spectrum. None of this runs
-in the package; it only checks it.
+applied one at a time, the RK4 step as the textbook writes it, the
+Burgers flux transformed over the whole masked spectrum, the per-mode
+block product as np.einsum forms it, and the diagnostics CSV as csv.writer
+writes it. None of this runs in the package; it only checks it.
 """
 
 from __future__ import annotations
+
+import csv
 
 import numpy as np
 
@@ -112,6 +115,27 @@ def rk4_step_reference(fn, W, dt):
     k3 = fn(W + 0.5 * dt * k2)
     k4 = fn(W + dt * k3)
     return W + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def mode_blocks_reference(blocks: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """out[k, i] = sum_j L[k, ..., i, j] * W[k, j] per mode, as np.einsum
+    forms it, for blocks L (K, *rshape, m, m) and a member stack W."""
+    return np.einsum("k...ij,kj...->ki...", blocks, W)
+
+
+def write_run_csv_reference(path, records, track_modes=()) -> None:
+    """scenarios.write_run_csv through csv.writer: the header, then one row
+    of repr(float(v)) per record."""
+    from bplab.scenarios import CSV_COLUMNS, _mode_column
+
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(list(CSV_COLUMNS) + [_mode_column(m) for m in track_modes])
+        for r in records:
+            row = [repr(float(v)) for v in (r.time, r.EN, r.E_bp, r.E_thm, r.sup_U, r.sup_gradU)]
+            if r.mode_amplitudes is not None:
+                row.extend(repr(float(a)) for a in r.mode_amplitudes)
+            w.writerow(row)
 
 
 def burgers_flux_reference(grid: Grid, W: np.ndarray, eps, deltas) -> np.ndarray:

@@ -26,6 +26,7 @@ from bplab.timeloop import StepperConfig, run
 from oracles import (
     burgers_flux_reference,
     dprod,
+    mode_blocks_reference,
     nodal_factors_reference,
     nodal_rhs,
     reference_trajectory,
@@ -535,6 +536,31 @@ def test_batch_flow_is_each_members_flow(model, bath, eps):
         assert batch.blocks.shape == (3,) + g.rshape + (1 + g.d, 1 + g.d)
         for k in range(3):
             assert np.array_equal(batch.blocks[k], solo[k].blocks)
+
+
+@pytest.mark.parametrize("smooth", [False, True], ids=["plain", "one-smoothing"])
+@pytest.mark.parametrize("K", [1, 2, 3])
+@pytest.mark.parametrize("model", ["sw", "bp", "mbp"])
+@pytest.mark.parametrize("bath", [FLAT1, FLAT2], ids=["d1", "d2"])
+def test_linear_flat_flow_is_the_einsum_block_product_bit_for_bit(bath, model, K, smooth):
+    # the probed blocks carry roundoff-sized parts beside their real or
+    # imaginary entries, which a fused complex multiply would round apart
+    g = bath.grid
+    params = [ModelParams(0.0, mu, model) for mu in (0.4, 0.1, 0.0)[:K]]
+    deltas = [1e-2 * smooth] + [0.0] * (K - 1)
+    bundle = make_rhs(params, bath, deltas)
+    L = bundle.blocks
+    assert np.any((L.real != 0) & (L.imag != 0))
+    W = g.rfft(np.random.default_rng(41).standard_normal((K, 1 + g.d) + g.shape))
+    W[..., 0] = complex(-0.0, 0.0)  # einsum sums from +0.0, so its zero sums are +0.0
+    expected = mode_blocks_reference(L, W)
+    got = bundle.fn(W)
+    assert np.array_equal(got, expected) and got.tobytes() == expected.tobytes()
+    split = models.split_mode_blocks(L)
+    assert models.apply_mode_blocks(split, W).tobytes() == expected.tobytes()
+    if K > 1:
+        sub = bundle.fn(W[[0, K - 1]], (0, K - 1))
+        assert sub.tobytes() == mode_blocks_reference(L[[0, K - 1]], W[[0, K - 1]]).tobytes()
 
 
 # bump-2d-pcg's grid and bottom: 2048 unknowns, so its velocity solves run CG

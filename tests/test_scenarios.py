@@ -35,7 +35,11 @@ from bplab.operators import KINDS, build_handle, coercivity_report
 from bplab.spectral import Grid, mollify_arr
 from bplab.timeloop import run
 from bplab.verification import assemble_dense
-from oracles import audit_round_trip_per_trial, coercivity_report_per_trial
+from oracles import (
+    audit_round_trip_per_trial,
+    coercivity_report_per_trial,
+    write_run_csv_reference,
+)
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -539,6 +543,46 @@ def test_write_run_csv_header_only(tmp_path):
     path = tmp_path / "diag.csv"
     write_run_csv(path, [])
     assert path.read_text() == "t,EN,E_bp,E_thm,sup_U,sup_gradU\n"
+
+
+def _csv_records(values, amps):
+    from bplab.diagnostics import DiagnosticsRecord
+
+    return [DiagnosticsRecord(*row, a) for row, a in zip(values, amps)]
+
+
+# the writer's rows against csv.writer's: floats whose repr is not plain
+# digits, numpy scalars and arrays, and every header shape
+_CSV_VALUES = [
+    (0.0, float("nan"), float("inf"), float("-inf"), -0.0, 1e-05),
+    (1e16, np.float64(0.1), np.float64(-2.5e-300), 1e300, 5e-324, np.float64(1.0 / 3.0)),
+    (np.float64(7.0), np.nan, -np.inf, np.float64(-0.0), 123456789.125, 2.0**-1074),
+]
+
+
+@pytest.mark.parametrize(
+    "track_modes,amps",
+    [
+        ((), [None] * 3),
+        ((1, 4), [np.array([1e-05, np.nan]), np.array([-0.0, 1e16]), np.array([np.inf, 0.5])]),
+        (((1, 0), (-2, 3)), [np.array([2e-3, 1e-17])] * 3),
+    ],
+    ids=["no-modes", "d1", "d2"],
+)
+def test_write_run_csv_is_csv_writers_bytes(tmp_path, track_modes, amps):
+    recs = _csv_records(_CSV_VALUES, amps)
+    write_run_csv(tmp_path / "got.csv", recs, track_modes)
+    write_run_csv_reference(tmp_path / "ref.csv", recs, track_modes)
+    got = (tmp_path / "got.csv").read_bytes()
+    assert got == (tmp_path / "ref.csv").read_bytes()
+    assert got.count(b"\n") == 1 + len(recs) and b'"' not in got
+
+
+@pytest.mark.parametrize("track_modes", [(), (1, 2, 3), ((0, 1), (-3, 2))], ids=["none", "d1", "d2"])
+def test_write_run_csv_of_no_records_is_csv_writers_header(tmp_path, track_modes):
+    write_run_csv(tmp_path / "got.csv", [], track_modes)
+    write_run_csv_reference(tmp_path / "ref.csv", [], track_modes)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_write_snapshot_round_trip(tmp_path):

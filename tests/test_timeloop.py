@@ -1,5 +1,6 @@
 """Stepper accuracy, recording bookkeeping, and failure terminations."""
 
+import warnings
 from functools import partial
 
 import numpy as np
@@ -10,8 +11,9 @@ from bplab.diagnostics import build_records
 from bplab.errors import CFLWarning
 from bplab.models import ModelParams, ModelState, build_handles, make_rhs
 from bplab.spectral import Grid
-from bplab.timeloop import CFL_LIMIT, Batch, StepperConfig, _rk4, run
-from oracles import nodal_rhs, reference_trajectory, rk4_step_reference
+from bplab import timeloop
+from bplab.timeloop import CFL_LIMIT, Batch, StepperConfig, _propagator, _rk4, run
+from oracles import mode_blocks_reference, nodal_rhs, reference_trajectory, rk4_step_reference
 
 G1 = Grid(1, 64, 2.0 * np.pi)
 G2 = Grid(2, 16, 2.0 * np.pi, gamma=0.7)
@@ -238,6 +240,32 @@ def test_propagator_stride_remainder(bath):
     assert np.abs(traj.mode_history - ref_modes).max() <= 1e-12 * np.abs(ref_modes).max()
     for got, (_, W) in zip(traj.states, ref):
         assert np.abs(got - g.irfft(W)).max() <= 1e-12 * np.abs(got).max()
+
+
+@pytest.mark.parametrize("model", ["sw", "bp", "mbp"])
+@pytest.mark.parametrize("bath", [FLAT1, FLAT2], ids=["d1", "d2"])
+def test_propagator_is_the_einsum_of_the_step_power_bit_for_bit(bath, model):
+    # a full stride and a remainder, over the stack and over a subset of it,
+    # with one smoothing member
+    g = bath.grid
+    params = [ModelParams(0.0, mu, model) for mu in (0.4, 0.1, 0.0)]
+    bundle = make_rhs(params, bath, [1e-2, 0.0, 0.0])
+    dts = np.array([1e-2, 3e-3, 7e-3])
+    propagate = _propagator(bundle.blocks, dts)
+    eye = np.broadcast_to(np.eye(1 + g.d), bundle.blocks.shape)
+    one_step = rk4_step_reference(
+        lambda X: bundle.blocks @ X, eye, dts.reshape((-1,) + (1,) * (bundle.blocks.ndim - 1))
+    )
+    W = g.rfft(np.random.default_rng(43).standard_normal((3, 1 + g.d) + g.shape))
+    W[..., 0] = complex(-0.0, 0.0)  # einsum sums from +0.0, so its zero sums are +0.0
+    for n, members in ((7, (0, 1, 2)), (6, (0, 1, 2)), (7, (0, 2)), (6, (1,))):
+        part = W[list(members)]
+        expected = mode_blocks_reference(
+            np.linalg.matrix_power(one_step[list(members)], n), part
+        )
+        for _ in range(2):  # computed, then cached
+            got = propagate(part, n, members)
+            assert np.array_equal(got, expected) and got.tobytes() == expected.tobytes()
 
 
 def test_propagator_over_cfl_blowup_matches_stage_loop():
@@ -574,6 +602,108 @@ def test_linear_flat_batch_per_member_mu(bath):
     states = [_random_state(g, seed=s, amp=1e-3) for s in (1, 2, 3)]
     batch = _batch_matches_solo(states, params, bath, configs)
     assert [t.steps_taken for t in batch] == [100, 83, 100]
+
+
+@pytest.mark.parametrize("bath", [FLAT1, FLAT2], ids=["d1", "d2"])
+def test_linear_flat_batch_takes_both_stride_paths(bath, monkeypatch):
+    # horizons that end off the stride and apart: one stride propagates the
+    # members in groups, the others propagate the whole stack at once
+    g = bath.grid
+    modes = (1, 3) if g.d == 1 else ((1, 0), (-2, 3))
+    params = [ModelParams(0.0, mu, "mbp") for mu in (0.2, 0.1, 0.05)]
+    configs = [
+        StepperConfig(dt=1e-2, t_end=t, output_stride=5, track_modes=modes, delta=dl)
+        for t, dl in ((0.6, 0.0), (0.43, 1e-2), (0.57, 0.0))
+    ]
+    states = [_random_state(g, seed=s, amp=1e-3) for s in (4, 5, 6)]
+    sizes = []
+    apply = timeloop.apply_mode_blocks
+
+    def counted(split, W):
+        sizes.append(W.shape[0])
+        return apply(split, W)
+
+    monkeypatch.setattr(timeloop, "apply_mode_blocks", counted)
+    batch = run(states, params, bath, configs)
+    # eight full-stack strides to step 40, then steps 43 (member 1 alone) and
+    # 45 (the others), 50 and 55, then 57 and 60 as groups of one
+    assert sizes[:8] == [3] * 8 and sorted(sizes[8:10]) == [1, 2]
+    assert sizes[10:12] == [2, 2] and sizes[12:] == [1, 1]
+    monkeypatch.setattr(timeloop, "apply_mode_blocks", apply)
+    for got, state, p, c in zip(batch, states, params, configs):
+        _assert_same_run(got, run(state, p, bath, c))
+    assert [t.steps_taken for t in batch] == [60, 43, 57]
+
+
+def test_nonlinear_batch_member_blows_up_at_a_record():
+    # Burgers with tracked modes: the eps = 0.4 member passes the threshold at
+    # a record, while the others step on to their own horizons
+    grid = Grid(1, 128, 2.0 * np.pi)
+    bath = build_bathymetry(grid, "flat", 0.0)
+    state = ModelState(grid, np.sin(grid.x[0])[None])
+    params = [ModelParams(e, 0.0, "burgers") for e in (0.1, 0.4, 0.2)]
+    configs = [
+        StepperConfig(dt=1e-2, t_end=t, output_stride=6, blowup_threshold=20.0, track_modes=(1, 2))
+        for t in (2.0, 4.0, 1.57)
+    ]
+    batch = _batch_matches_solo([state] * 3, params, bath, configs)
+    assert [t.termination for t in batch] == ["completed", "blowup", "completed"]
+    assert batch[1].sup_grad_u[-1] > 20.0 and batch[1].steps_taken % 6 == 0
+    assert batch[1].termination_time < 4.0 and batch[1].mode_history.shape == (batch[1].n_records, 2)
+
+
+@pytest.mark.parametrize("bath", [FLAT1, BUMP1], ids=["linear-flat", "nonlinear-bump"])
+def test_recorded_states_are_each_members_own(bath):
+    g = bath.grid
+    eps = 0.0 if bath.is_flat else 0.1
+    params = [ModelParams(eps, mu, "bp") for mu in (0.2, 0.3)]
+    configs = [StepperConfig(dt=1e-2, t_end=0.2, output_stride=5)] * 2
+    states = [_random_state(g, seed=s, amp=1e-2) for s in (7, 8)]
+    batch = run(states, params, bath, configs)
+    before = [[U.copy() for U in t.states] for t in batch]
+    batch[0].states[2][...] = 7.0
+    assert (batch[0].states[2] == 7.0).all()
+    for t, saved in zip(batch, before):
+        for i, (U, V) in enumerate(zip(t.states, saved)):
+            assert t is batch[0] and i == 2 or np.array_equal(U, V)
+
+
+def _burgers_overflow_run(eps, stride, t_end=2.0):
+    # dt = 0.1 at n = 512: the eps = 0.4 profile passes threshold 100 at step
+    # 9 and overflows in step 12, between records at stride 20
+    grid = Grid(1, 512, 2.0 * np.pi)
+    bath = build_bathymetry(grid, "flat", 0.0)
+    state = ModelState(grid, np.sin(grid.x[0])[None])
+    params = [ModelParams(e, 0.0, "burgers") for e in eps]
+    config = StepperConfig(dt=0.1, t_end=t_end, output_stride=stride, blowup_threshold=100.0)
+    return [state] * len(eps), params, bath, [config] * len(eps)
+
+
+def test_blowup_between_records_ends_at_its_step():
+    states, params, bath, configs = _burgers_overflow_run([0.4], stride=20)
+    with pytest.warns(CFLWarning) as caught:
+        traj = run(states[0], params[0], bath, configs[0])
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert traj.termination == "blowup" and traj.termination_time <= 1.2
+    assert traj.steps_taken <= 12 and np.isfinite(traj.states[-1]).all()
+    assert np.isfinite(traj.sup_u).all() and np.isfinite(traj.sup_grad_u).all()
+    assert traj.times[-1] == traj.steps_taken * traj.dt
+    # at stride 1 the threshold catches it at a record first
+    states, params, bath, configs = _burgers_overflow_run([0.4], stride=1)
+    with pytest.warns(CFLWarning):
+        first = run(states[0], params[0], bath, configs[0])
+    assert first.termination_time < traj.termination_time
+
+
+def test_batch_member_overflowing_between_records_leaves_alone():
+    # the others step on, bit for bit as alone, after the step is retaken
+    states, params, bath, configs = _burgers_overflow_run([0.1, 0.4, 0.05], stride=20)
+    with warnings.catch_warnings(), pytest.warns(CFLWarning):
+        warnings.simplefilter("error", RuntimeWarning)
+        batch = _batch_matches_solo(states, params, bath, configs)
+    assert [t.termination for t in batch] == ["completed", "blowup", "completed"]
+    assert batch[0].steps_taken == batch[2].steps_taken == 20
+    assert batch[1].steps_taken <= 12
 
 
 def test_batch_members_must_share_the_stepper_and_the_flow():
