@@ -607,11 +607,13 @@ def _batch_rhs(params: list, bath: Bathymetry, deltas: list, handles: list) -> R
         return RHSBundle(fn, g, tuple(params), history=history)
     # eps = 0 over a flat bottom: the flow is linear and acts mode by mode
     blocks = _probe_mode_blocks(fn, g, K)
-    split = split_mode_blocks(blocks)
+
+    @functools.cache
+    def split(members) -> tuple:  # built on first use: a run steps by its powers
+        return split_mode_blocks(blocks if members is None else blocks[list(members)])
 
     def linear_fn(W: np.ndarray, members=None) -> np.ndarray:
-        take = split if members is None else tuple(p[list(members)] for p in split)
-        return apply_mode_blocks(take, W)
+        return apply_mode_blocks(split(members), W)
 
     return RHSBundle(linear_fn, g, tuple(params), blocks)
 
