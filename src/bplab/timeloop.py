@@ -21,13 +21,13 @@ per-mode blocks L_k, on which one RK4 step is exactly W <- R(dt L_k) W
 with R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 its stability polynomial. Those
 runs advance from one record to the next by the cached power R(dt L)^n, n
 the output stride or the final remainder: the same scheme and the same
-records, without the stage evaluations in between. When every member's
-next record falls on one step, one block product advances the whole
-stack; members whose horizons end apart advance in groups. Every other
-run takes the four stages of one RK4 step (_rk4), which binds each
-member's dt, dt/2 and dt/6 once per set of active members and sums the
-stages in place, in the textbook expression's order, so its steps are
-that expression's bit for bit. Its steps between two records run under
+records, without the stage evaluations in between. Members whose next
+records fall on the same step advance by one block product, so a stack
+whose horizons end together advances at once. Every other run takes the
+four stages of one RK4 step (_rk4), which binds each member's dt, dt/2
+and dt/6 once per set of active members and sums the stages in place, in
+the textbook expression's order, so its steps are that expression's bit
+for bit. Its steps between two records run under
 numpy's overflow and invalid-value errors, so a state that overflows or
 turns NaN ends as blowup at that step, with its last finite state as its
 last record, instead of stepping on to the next record.
@@ -329,7 +329,6 @@ def _run_batch(states: list, params: list, bath: Bathymetry, configs: list, hand
     stride = first.output_stride
     limit = min(first.blowup_threshold, np.finfo(float).max)  # finite, or a blowup
     W = bundle.encode(np.stack([state.stack() for state in states]))
-    rows = W.shape[1]
     ids = np.arange(K)  # the active members, in stack order
     dts = np.array([m.dt for m in members])
     last = np.array([m.n_steps for m in members])
@@ -403,7 +402,7 @@ def _run_batch(states: list, params: list, bath: Bathymetry, configs: list, hand
                 failed[k] = "solver_failure"
             if history is not None:
                 history.update(saved)
-        return failed or dict.fromkeys(active, "blowup")
+        return failed
 
     def leave(failed: dict, s: int) -> None:
         """End the failed members in step s + 1. A blowup keeps its last finite
@@ -426,23 +425,20 @@ def _run_batch(states: list, params: list, bath: Bathymetry, configs: list, hand
     # records fall every output_stride steps and on each member's last step
     while ids.size:
         target = np.minimum((s // stride + 1) * stride, last[ids])
-        stop = int(target.min())
-        uniform = stop == int(target.max())  # every member's next record is at stop
-        active = tuple(ids.tolist())
         if propagate is not None:
-            if uniform:
-                W = propagate(W, stop - s, active)
-            else:
-                for n in np.unique(target - s):
-                    pos = np.flatnonzero(target - s == n)
-                    W[pos] = propagate(W[pos], int(n), tuple(ids[pos].tolist()))
+            for n in np.unique(target - s):
+                pos = np.flatnonzero(target - s == n)
+                part = W if len(pos) == len(ids) else W[pos]
+                W[pos] = propagate(part, int(n), tuple(ids[pos].tolist()))
+            reached = target
             s = int(target.max())  # where every member that stays active is
-            due = np.arange(len(ids))
         else:
+            active = tuple(ids.tolist())
             fn = partial(bundle.fn, members=active)
             step = steps.get(active)
             if step is None:
                 step = steps[active] = _rk4(dts[ids].reshape((-1,) + (1,) * (W.ndim - 1)))
+            stop = int(target.min())
             saved = None
             try:
                 # an overflow or NaN ends the run at its step, not at the next record
@@ -457,13 +453,16 @@ def _run_batch(states: list, params: list, bath: Bathymetry, configs: list, hand
                     history.update(saved)  # as the step began, as in each run alone
                 if isinstance(e, FloatingPointError):
                     failed = fails_alone(active, saved)
+                    if not failed:
+                        raise  # the stack's step fails where no member's own does
                 else:
                     name = "dry" if isinstance(e, DryStateError) else "solver_failure"
                     failed = dict.fromkeys(getattr(e, "members", active), name)
                 leave(failed, s)
                 continue  # the others retake step s + 1
-            due = np.arange(len(ids)) if uniform else np.flatnonzero(target == s)
-        drop(record(due, target[due]))
+            reached = np.full(len(ids), s)
+        due = np.flatnonzero(reached == target)
+        drop(record(due, reached[due]))
 
     return [
         Trajectory(

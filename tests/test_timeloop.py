@@ -1,5 +1,6 @@
 """Stepper accuracy, recording bookkeeping, and failure terminations."""
 
+import dataclasses
 import warnings
 from functools import partial
 
@@ -605,9 +606,9 @@ def test_linear_flat_batch_per_member_mu(bath):
 
 
 @pytest.mark.parametrize("bath", [FLAT1, FLAT2], ids=["d1", "d2"])
-def test_linear_flat_batch_takes_both_stride_paths(bath, monkeypatch):
-    # horizons that end off the stride and apart: one stride propagates the
-    # members in groups, the others propagate the whole stack at once
+def test_linear_flat_batch_advances_in_groups_when_horizons_end_apart(bath, monkeypatch):
+    # horizons that end off the stride and apart: members whose next records
+    # fall on one step advance as one group, the whole stack while all do
     g = bath.grid
     modes = (1, 3) if g.d == 1 else ((1, 0), (-2, 3))
     params = [ModelParams(0.0, mu, "mbp") for mu in (0.2, 0.1, 0.05)]
@@ -704,6 +705,29 @@ def test_batch_member_overflowing_between_records_leaves_alone():
     assert [t.termination for t in batch] == ["completed", "blowup", "completed"]
     assert batch[0].steps_taken == batch[2].steps_taken == 20
     assert batch[1].steps_taken <= 12
+
+
+def test_stack_step_failing_where_no_member_fails_alone_raises(monkeypatch):
+    # a stack's step that overflows while every member's own step is finite
+    # is a fault of the batch arithmetic, not a blowup of any member
+    make = timeloop.make_rhs
+
+    def stack_only_overflow(*args, **kwargs):
+        bundle = make(*args, **kwargs)
+
+        def fn(W, members=None):
+            if members is None or len(members) > 1:
+                np.float64(1e308) * 10.0
+            return bundle.fn(W, members=members)
+
+        return dataclasses.replace(bundle, fn=fn)
+
+    monkeypatch.setattr(timeloop, "make_rhs", stack_only_overflow)
+    state = ModelState(G1, np.sin(G1.x[0])[None])
+    params = [ModelParams(e, 0.0, "burgers") for e in (0.1, 0.2)]
+    cfg = StepperConfig(dt=1e-2, t_end=0.1, output_stride=5)
+    with pytest.raises(FloatingPointError):
+        run([state] * 2, params, FLAT1, [cfg] * 2)
 
 
 def test_batch_members_must_share_the_stepper_and_the_flow():
