@@ -425,15 +425,18 @@ def _run_batch(states: list, params: list, bath: Bathymetry, configs: list, hand
     # records fall every output_stride steps and on each member's last step
     while ids.size:
         target = np.minimum((s // stride + 1) * stride, last[ids])
+        active = tuple(ids.tolist())
         if propagate is not None:
-            for n in np.unique(target - s):
-                pos = np.flatnonzero(target - s == n)
-                part = W if len(pos) == len(ids) else W[pos]
-                W[pos] = propagate(part, int(n), tuple(ids[pos].tolist()))
+            left = (target - s).tolist()
+            for n in sorted(set(left)):  # the members whose next records fall together
+                pos = [j for j, v in enumerate(left) if v == n]
+                if len(pos) == len(ids):
+                    W = propagate(W, n, active)
+                else:
+                    W[pos] = propagate(W[pos], n, tuple(active[j] for j in pos))
             reached = target
             s = int(target.max())  # where every member that stays active is
         else:
-            active = tuple(ids.tolist())
             fn = partial(bundle.fn, members=active)
             step = steps.get(active)
             if step is None:
