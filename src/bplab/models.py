@@ -54,7 +54,6 @@ new array, which the stepper may accumulate into.
 from __future__ import annotations
 
 import functools
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -74,7 +73,6 @@ __all__ = [
     "RHSBundle",
     "build_handles",
     "make_rhs",
-    "time_derivative_stack",
     "max_linear_frequency",
 ]
 
@@ -185,24 +183,19 @@ def build_handles(params: ModelParams, bath: Bathymetry) -> dict:
     return {kind: build_handle(kind, params.mu, bath)}
 
 
-def _checked_handle(kind: str, mu: float, bath: Bathymetry, handles: Optional[dict]):
-    """The prebuilt handle of this kind from handles, or a new one."""
-    handle = (handles or {}).get(kind) or build_handle(kind, mu, bath)
-    if handle.kind != kind or handle.grid != bath.grid or handle.mu != mu:
-        raise ValueError("supplied handle does not match model/grid/mu")
-    return handle
-
-
 def _member_handles(kind: str, params: list, bath: Bathymetry, handles: list) -> list:
-    """One checked handle per member: its own prebuilt one, or one built per mu."""
+    """One handle per member: its own prebuilt one, checked, or one built per mu."""
     built = {}
     out = []
     for p, given in zip(params, handles):
-        if not (given or {}).get(kind):
+        handle = (given or {}).get(kind)
+        if not handle:
             if p.mu not in built:
                 built[p.mu] = build_handle(kind, p.mu, bath)
-            given = {kind: built[p.mu]}
-        out.append(_checked_handle(kind, p.mu, bath, given))
+            handle = built[p.mu]
+        elif handle.kind != kind or handle.grid != bath.grid or handle.mu != p.mu:
+            raise ValueError("supplied handle does not match model/grid/mu")
+        out.append(handle)
     return out
 
 
@@ -403,20 +396,17 @@ def _nodal_factors(g: Grid, W: np.ndarray, scalar: bool, gradq: bool, jac: bool)
     return (nod[:, :1] if scalar else None), nod[:, i : i + 1 + d], F
 
 
-def _v_dot_grad(g: Grid, Vt: np.ndarray, F: np.ndarray, out=None) -> np.ndarray:
-    """sum_j Vt_j F[..., r, j, :] for every gradient row r: V.grad q for the
-    row T grad q, (V.grad)V for the rows of J, both at once for [T grad q; J].
-
-    Leading axes of Vt are a batch matched by F's, which the Taylor-jet
-    recurrences sum over for their Cauchy products. In d = 1 the sum has
-    one term, so it is that product; in d = 2 it is one addition, as
-    numpy's sum over two terms makes it. out, if given, receives the result.
+def _v_dot_grad(g: Grid, Vt: np.ndarray, F: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sum_j Vt[:, j] F[:, r, j] for every gradient row r of a member stack,
+    into out: V.grad q for the row T grad q, (V.grad)V for the rows of J,
+    both at once for [T grad q; J]. In d = 1 the sum has one term, so it is
+    that product; in d = 2 it is one addition, as numpy's sum over two
+    terms makes it.
     """
     if g.d == 1:
-        return np.multiply(Vt, F[..., 0, :], out=out)
-    lead = Vt.ndim - g.d - 1  # Vt's component axis, under F's row axis
-    prod = Vt.reshape(Vt.shape[:lead] + (1,) + Vt.shape[lead:]) * F
-    return np.add(prod[..., 0, :, :], prod[..., 1, :, :], out=out)
+        return np.multiply(Vt, F[:, :, 0], out=out)
+    prod = Vt[:, None] * F
+    return np.add(prod[:, :, 0], prod[:, :, 1], out=out)
 
 
 def _div(g: Grid, spec: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -427,58 +417,6 @@ def _div(g: Grid, spec: np.ndarray, out: np.ndarray) -> np.ndarray:
         return np.multiply(g.mik, spec, out=out)
     prod = g.mik * spec
     return np.add(prod[:, :1], prod[:, 1:], out=out)
-
-
-def _mbp_flow(bath: Bathymetry):
-    """The mbp tendency, on rfft coefficients, from its nodal factors.
-
-    Returns (inputs, tendency). inputs(Vt, nonlinear) is a new nodal stack
-    S = [h_bt V; zeta; adv] for a member stack of the band-limited velocity,
-    its first d rows filled; the caller writes the nodal surface into row d
-    and, unless eps = 0, the products [V.grad q; (V.grad)V] that
-    _v_dot_grad forms in one multiply-sum into the rows after it.
-    tendency(c, S) reads eps = 0 off S's row count. eps multiplies the
-    advective terms (through c.eps_mask and c.eps_hb), and members with
-    delta > 0 get the mollifier sandwich, which is skipped when none
-    smooths. h_b A grad zeta is the weighted hb_A apply over a mu column,
-    the phi part of the operators' one chain. Each transform's input is one
-    new stack written in place, and the result is the last transform's
-    output, negated in place.
-    """
-    g = bath.grid
-    d = g.d
-    mask = g.dealias_mask
-    ops = get_weighted_ops(bath)
-    hbt = trunc_arr(g, bath.hb)
-
-    def inputs(Vt: np.ndarray, nonlinear: bool) -> np.ndarray:
-        S = np.empty(Vt.shape[:1] + (2 + 2 * d if nonlinear else 1 + d,) + g.shape, Vt.dtype)
-        np.multiply(hbt, Vt, out=S[:, :d])
-        return S
-
-    def tendency(c: _Coefs, S: np.ndarray) -> np.ndarray:
-        nonlinear = S.shape[1] > 1 + d
-        K = S.shape[0]
-        P = g.rfft(S)
-        # T div(h_b V), grad zeta, T (V.grad)V
-        back = np.empty((K, 1 + d + d * nonlinear) + g.rshape, P.dtype)
-        _div(g, P[:, :d], back[:, :1])
-        np.multiply(g.ik_stack, P[:, d : d + 1], out=back[:, 1 : 1 + d])
-        if nonlinear:
-            np.multiply(mask, P[:, d + 2 :], out=back[:, 1 + d :])
-        nod = g.irfft(back)
-        w = ops.weighted("hb_A", nod[:, 1 : 1 + d], c.mu)
-        if nonlinear:
-            w += c.eps_hb * nod[:, 1 + d :]
-        E = np.empty((K, 1 + d) + g.shape, nod.dtype)
-        np.multiply(bath.inv_hb, nod[:, :1], out=E[:, :1])
-        _solve_each(_sandwich(g, w, c), c, E[:, 1:])
-        R = g.rfft(E)
-        if nonlinear:
-            R[:, :1] += c.eps_mask * P[:, d + 1 : d + 2]
-        return _negated(c, R, c.m1)
-
-    return inputs, tendency
 
 
 def make_rhs(
@@ -561,23 +499,45 @@ def _batch_rhs(params: list, bath: Bathymetry, deltas: list, handles: list) -> R
 
         return RHSBundle(fn, g, tuple(params))
 
+    hbt = trunc_arr(g, bath.hb)
     if model == "mbp":
-        # primary variable is q, surface recovered pointwise
-        inputs, tendency = _mbp_flow(bath)
+        # primary variable is q, surface recovered pointwise; h_b A grad zeta
+        # is the weighted hb_A apply over a mu column, the phi part of the
+        # operators' one chain
+        ops = get_weighted_ops(bath)
 
         def fn(W: np.ndarray, members=None) -> np.ndarray:
             c = take(members)
             q, Ut, F = _nodal_factors(g, W, True, nonlinear, nonlinear)
             Vt = Ut[:, 1:]
-            S = inputs(Vt, nonlinear)
+            K = W.shape[0]
+            # [h_b V; zeta; V.grad q; (V.grad)V]
+            S = np.empty((K, 1 + d + (1 + d) * nonlinear) + g.shape, Ut.dtype)
+            np.multiply(hbt, Vt, out=S[:, :d])
             S[:, d : d + 1] = q_to_zeta_arr(q, c.eps if nonlinear else 0.0, bath)
             if nonlinear:
                 _v_dot_grad(g, Vt, F, S[:, d + 1 :])
-            return tendency(c, S)
+            P = g.rfft(S)
+            # [T div(h_b V); grad zeta; T (V.grad)V]
+            back = np.empty((K, 1 + d + d * nonlinear) + g.rshape, P.dtype)
+            _div(g, P[:, :d], back[:, :1])
+            np.multiply(g.ik_stack, P[:, d : d + 1], out=back[:, 1 : 1 + d])
+            if nonlinear:
+                np.multiply(mask, P[:, d + 2 :], out=back[:, 1 + d :])
+            nod = g.irfft(back)
+            w = ops.weighted("hb_A", nod[:, 1 : 1 + d], c.mu)
+            if nonlinear:
+                w += c.eps_hb * nod[:, 1 + d :]
+            E = np.empty((K, 1 + d) + g.shape, nod.dtype)  # [div(h_b V) / h_b; solved V]
+            np.multiply(bath.inv_hb, nod[:, :1], out=E[:, :1])
+            _solve_each(_sandwich(g, w, c), c, E[:, 1:])
+            R = g.rfft(E)
+            if nonlinear:
+                R[:, :1] += c.eps_mask * P[:, d + 1 : d + 2]
+            return _negated(c, R, c.m1)
 
     else:
         hb = bath.hb
-        hbt = trunc_arr(g, hb)
         hmin_static = bath.h_min
 
         def fn(W: np.ndarray, members=None) -> np.ndarray:
@@ -635,76 +595,6 @@ def _check_wet(hb: np.ndarray, hmin_static: float, c: _Coefs, zeta: np.ndarray) 
         err = DryStateError("free surface reached the bottom")
         err.members = tuple(dry)
         raise err
-
-
-# ---------------------------------------------------------------------------
-# iterated time derivatives of the mbp flow (Taylor-jet recurrences)
-
-
-def time_derivative_stack(
-    U: np.ndarray,
-    params: ModelParams,
-    bath: Bathymetry,
-    k_max: int = 1,
-    handles: Optional[dict] = None,
-) -> list[np.ndarray]:
-    """Stacks u_k = (eps d_t)^k (q, V) for k = 0..k_max along the mbp flow.
-
-    Works with Taylor coefficients c_j = (d_t^j u)/j! so products of series
-    become Cauchy convolutions with no binomial bookkeeping; the surface
-    jet rides along through zeta = h_b*(exp(eps*q) - 1)/eps, whose
-    coefficients satisfy (m+1) e_{m+1} = eps*sum (j+1) q_{j+1} e_{m-j}.
-    Each coefficient goes through the flow's own tendency, with its
-    products replaced by their Cauchy sums, so k = 1 equals eps times the
-    plain right-hand side.
-    """
-    if params.model != "mbp":
-        raise ValueError("time_derivative_stack is defined along the mbp flow")
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
-    g = bath.grid
-    eps = params.eps
-    nonlinear = eps != 0.0
-    hb = bath.hb
-
-    if U.shape != (1 + g.d,) + g.shape:
-        raise ValueError(f"mbp state must be (1 + d, *grid.shape), got {U.shape}")
-    handle = _checked_handle("hb_B", params.mu, bath, handles)
-    inputs, tendency = _mbp_flow(bath)
-    coefs = _member_coefs([params], bath, [0.0], [handle], None)()
-    d = g.d
-
-    # Taylor coefficients on rfft coefficients, with their nodal factors
-    # (Vt, [T grad q; J]) and the nodal q, surface and exp(eps*q) jets, each
-    # as a batch of one member
-    W_c = [g.rfft(U)[None]]
-    _, Ut, grads = _nodal_factors(g, W_c[0], False, nonlinear, nonlinear)
-    F = [(Ut[:, 1:], grads)]
-    q0 = U[None, :1]
-    q_c, z_c, e_c = [q0], [q_to_zeta_arr(q0, eps, bath)], [np.exp(eps * q0)]
-
-    for m in range(k_max):
-        S = inputs(F[m][0], nonlinear)
-        S[:, d : d + 1] = z_c[m]
-        if nonlinear:  # Cauchy sums over the pairs (a, m - a)
-            Vts = np.stack([f[0] for f in F])
-            S[:, d + 1 :] = _v_dot_grad(g, Vts, np.stack([f[1] for f in F[::-1]])).sum(axis=0)
-        W_c.append(tendency(coefs, S) / (m + 1))
-        q, Ut, grads = _nodal_factors(g, W_c[-1], True, nonlinear, nonlinear)
-        q_c.append(q)
-        F.append((Ut[:, 1:], grads))
-        if nonlinear:
-            acc = sum(j * q_c[j] * e_c[m + 1 - j] for j in range(1, m + 2))
-            e_c.append(eps * acc / (m + 1))
-            z_c.append(hb * e_c[m + 1] / eps)
-        else:
-            z_c.append(hb * q_c[m + 1])
-
-    out = [np.array(U, dtype=float)]
-    if k_max:
-        nodal = g.irfft(np.concatenate(W_c[1:]))
-        out += [eps**k * math.factorial(k) * nodal[k - 1] for k in range(1, k_max + 1)]
-    return out
 
 
 # ---------------------------------------------------------------------------

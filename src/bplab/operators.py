@@ -41,15 +41,13 @@ import numpy as np
 
 from .bathymetry import Bathymetry
 from .errors import NotSPDError, SolverDivergenceError
-from .spectral import Grid, div_arr, grad_arr, hs_norms, lambda_arr, trunc_arr
+from .spectral import Grid, div_arr, grad_arr, lambda_arr, trunc_arr
 
 __all__ = [
     "KINDS",
     "OperatorHandle",
     "build_handle",
     "coercivity_report",
-    "gradient_control_report",
-    "perp_structure_residual",
     "dense_matrix",
 ]
 
@@ -539,8 +537,11 @@ class OperatorHandle:
         this handle for a single right-hand side; CG warm-starts from them
         (see _pcg). Without it every solve starts from zero. out, a
         C-contiguous array of y's shape, receives x and is returned; the
-        dense solve writes its product straight into it.
+        dense solve writes its product straight into it. Any other out is
+        refused with a ValueError.
         """
+        if out is not None and not out.flags.c_contiguous:
+            raise ValueError("out must be a C-contiguous array")
         if self.strategy == "dense":
             x = np.empty(y.shape, np.result_type(self._inv, y)) if out is None else out
             # one matmul over the batch: columns are the flattened right-hand sides
@@ -641,45 +642,3 @@ def coercivity_report(
         report["min_quotient"] = float(eigs[0])
         report["max_quotient"] = float(eigs[-1])
     return report
-
-
-def gradient_control_report(
-    handle: OperatorHandle,
-    s: float = 1.0,
-    trials: int = 8,
-    rng: np.random.Generator | None = None,
-) -> dict:
-    """Measured constant in sqrt(mu)*|(h_b A)^{-1} grad g|_{X^s} <= C |g|_{H^s}.
-
-    Trials draw smooth random g (spectrally filtered noise); the report logs
-    every ratio and the max, it does not assert a bound.
-    """
-    if handle.kind != "hb_A":
-        raise ValueError("gradient control audit requires an hb_A handle")
-    rng = rng or np.random.default_rng(0)
-    grid = handle.grid
-    mu = handle.mu
-    ratios = []
-    for _ in range(trials):
-        G = grid.bessel(-4.0) * grid.rfft(rng.standard_normal(grid.shape))
-        U = grid.rfft(handle.solve_arrays(grad_arr(grid, grid.irfft(G))))
-        # |u|_{X^s}^2 = |u|_{H^s}^2 + mu*|div u|_{H^s}^2
-        xs2 = hs_norms(grid, U[None], s) ** 2
-        xs2 += mu * hs_norms(grid, (grid.ik_stack * U).sum(axis=0)[None], s) ** 2
-        ratios.append(float(np.sqrt(mu) * np.sqrt(xs2[0]) / hs_norms(grid, G[None], s)[0]))
-    return {"s": s, "mu": mu, "ratios": ratios, "max_ratio": max(ratios)}
-
-
-def perp_structure_residual(handle: OperatorHandle, f: np.ndarray) -> float:
-    """|perp_div u|_2 / |u|_{H^1} for u = (h_b A)^{-1}(h_b grad f).
-
-    Such u are exact discrete gradients, so the residual is roundoff-level;
-    identically zero in d=1.
-    """
-    if handle.kind != "hb_A":
-        raise ValueError("perp structure audit requires an hb_A handle")
-    grid = handle.grid
-    U = grid.rfft(handle.solve_arrays(handle.ops.hb * grad_arr(grid, f)))[None]
-    num = hs_norms(grid, (grid.ik_perp * U).sum(axis=1), 0.0)[0] if grid.d == 2 else 0.0
-    den = hs_norms(grid, U, 1.0)[0]
-    return float(num / den) if den > 0 else 0.0

@@ -92,6 +92,11 @@ TERMINATIONS = ("completed", "blowup", "dry", "solver_failure")
 CFL_LIMIT = 2.8
 
 
+def _is_integer(x) -> bool:
+    # bool is an Integral, but True is neither a stride nor a mode
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class StepperConfig:
     """Step size, horizon and recording policy for one run."""
@@ -108,10 +113,13 @@ class StepperConfig:
             raise ValueError("dt must be finite and positive")
         if not 0 <= self.t_end < np.inf:
             raise ValueError("t_end must be finite and nonnegative")
-        if not isinstance(self.output_stride, numbers.Integral):
+        if not _is_integer(self.output_stride):
             raise ValueError(f"output_stride must be an integer, not {self.output_stride!r}")
         if self.output_stride < 1:
             raise ValueError("output_stride must be at least 1")
+        for mode in self.track_modes:
+            if not all(map(_is_integer, mode if isinstance(mode, (tuple, list)) else (mode,))):
+                raise ValueError(f"track_modes entries must be integers or pairs, not {mode!r}")
         if not self.blowup_threshold > 0:
             raise ValueError("blowup_threshold must be positive")
         if not 0 <= self.delta < np.inf:

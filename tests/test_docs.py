@@ -1,10 +1,13 @@
 """The README's library example runs as written, its config table is current,
-and only spectral.Grid transforms or builds Fourier symbols."""
+every exported name resolves, and only spectral.Grid transforms or builds
+Fourier symbols."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
+import bplab
 from bplab.scenarios import SCENARIOS, SHARED_THRESHOLDS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -58,6 +61,18 @@ def test_readme_states_shared_thresholds():
     text = " ".join(README.read_text().split())
     for key, default in SHARED_THRESHOLDS.items():
         assert f"`{key}` (default {default})" in text
+
+
+def test_every_exported_name_resolves():
+    # a deletion that leaves its name in an __all__ fails here
+    modules = [bplab] + [
+        importlib.import_module(f"bplab.{path.stem}")
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "__init__"
+    ]
+    for module in modules:
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)
 
 
 def test_only_spectral_transforms_or_builds_symbols():

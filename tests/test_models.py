@@ -1,4 +1,4 @@
-"""Flow evaluations: closed forms, model relations, jets, guards."""
+"""Flow evaluations: closed forms, model relations, guards."""
 
 from functools import partial
 
@@ -18,7 +18,6 @@ from bplab.models import (
     build_handles,
     make_rhs,
     max_linear_frequency,
-    time_derivative_stack,
 )
 from bplab.operators import build_handle, get_weighted_ops
 from bplab.spectral import Grid, div_arr, grad_arr, mollify_arr, trunc_arr
@@ -715,78 +714,11 @@ def test_handle_mismatch_rejected():
     wrong = build_handle("I_plus_muTb", 0.5, BUMP1)  # different mu
     with pytest.raises(ValueError):
         make_rhs(params, BUMP1, handles={"I_plus_muTb": wrong})
-
-
-# ---------------------------------------------------------------------------
-# iterated time derivatives
-
-
-def _mbp_setup(eps=0.4, mu=0.4):
-    rng = np.random.default_rng(17)
-    params = ModelParams(eps, mu, "mbp")
-    U = _random_state(G1, rng, amp=0.08)
-    return params, U
-
-
-def test_jet_order_zero_is_state():
-    params, U = _mbp_setup()
-    stack = time_derivative_stack(U, params, BUMP1, k_max=0)
-    assert len(stack) == 1
-    assert np.array_equal(stack[0][0], U[0])
-    assert np.array_equal(stack[0][1:], U[1:])
-
-
-def test_jet_first_order_matches_rhs():
-    params, U = _mbp_setup()
-    stack = time_derivative_stack(U, params, BUMP1, k_max=1)
-    u1 = stack[1]
-    dU = nodal_rhs(make_rhs(params, BUMP1), U)
-    assert np.abs(u1[0] - params.eps * dU[0]).max() < 1e-13
-    assert np.abs(u1[1:] - params.eps * dU[1:]).max() < 1e-13
-
-
-def test_jet_against_time_differences():
-    """u_1 and u_2 against centered differences of a fine reference run."""
-    params, U = _mbp_setup()
-    eps = params.eps
-    stack = time_derivative_stack(U, params, BUMP1, k_max=2)
-    rhs = partial(nodal_rhs, make_rhs(params, BUMP1))
-    dt = 2e-3
-    up = reference_trajectory(U, rhs, dt, dt / 8.0)
-    um = reference_trajectory(U, rhs, -dt, -dt / 8.0)
-    d1 = (up - um) / (2.0 * dt)
-    d2 = (up - 2.0 * U + um) / dt**2
-    # u_k = (eps*d_t)^k u, so u_1 = eps*d_t u and u_2 = eps^2 * d_t^2 u
-    u1, u2 = stack[1], stack[2]
-    scale1 = np.abs(u1).max()
-    scale2 = max(np.abs(u2).max(), 1e-3)
-    assert np.abs(u1 - eps * d1).max() < 1e-4 * scale1
-    assert np.abs(u2 - eps**2 * d2).max() < 1e-3 * scale2
-
-
-def test_jet_vanishes_for_linear_flow():
-    # at eps = 0 the operator (eps*d_t)^k annihilates every k >= 1
-    params = ModelParams(0.0, 0.4, "mbp")
-    rng = np.random.default_rng(19)
-    stack = time_derivative_stack(_random_state(G1, rng), params, BUMP1, k_max=3)
-    for k in (1, 2, 3):
-        assert np.abs(stack[k][0]).max() == 0.0
-
-
-def test_jet_rejects_mismatched_handle():
-    # as make_rhs does: a handle factorized for another mu is not used
-    params, U = _mbp_setup()
-    wrong = build_handle("hb_B", 0.1, BUMP1)
+    mbp = ModelParams(0.4, 0.4, "mbp")
     with pytest.raises(ValueError):
-        time_derivative_stack(U, params, BUMP1, k_max=1, handles={"hb_B": wrong})
-
-
-def test_jet_requires_mbp():
-    U = _at_rest(G1, np.zeros(G1.shape))
-    with pytest.raises(ValueError):
-        time_derivative_stack(U, ModelParams(0.1, 0.1, "bp"), BUMP1)
-    with pytest.raises(ValueError):  # the mbp state carries a velocity
-        time_derivative_stack(U[:1], ModelParams(0.1, 0.1, "mbp"), BUMP1)
+        make_rhs(mbp, BUMP1, handles={"hb_B": build_handle("hb_B", 0.1, BUMP1)})
+    with pytest.raises(ValueError):  # a batch member's handle is checked too
+        make_rhs([mbp, mbp], BUMP1, handles=[None, {"hb_B": build_handle("hb_B", 0.1, BUMP1)}])
 
 
 # ---------------------------------------------------------------------------

@@ -55,10 +55,19 @@ def test_config_validation():
 def test_config_refuses_a_stride_that_is_not_an_integer():
     # records fall at whole step counts: 2.5 made run crash in record, and a
     # float 2.0 would count the recorded steps in floats
-    for bad in (2.5, 2.0, "2"):
+    for bad in (2.5, 2.0, "2", True):
         with pytest.raises(ValueError, match="output_stride must be an integer"):
             StepperConfig(dt=1e-2, t_end=1.0, output_stride=bad)
     assert StepperConfig(dt=1e-2, t_end=1.0, output_stride=np.int64(2)).output_stride == 2
+
+
+def test_config_refuses_track_modes_that_are_not_integers():
+    # int() would track mode 1 for both 1.5 and True
+    for bad in ((1.5,), (True,), ("1",), ((1, 0.5),), ((False, 1),)):
+        with pytest.raises(ValueError, match="track_modes entries must be integers"):
+            StepperConfig(dt=1e-2, t_end=1.0, track_modes=bad)
+    for good in ((1, np.int64(3)), ((1, 0), (-2, np.int64(3))), ([1, 0],)):
+        assert StepperConfig(dt=1e-2, t_end=1.0, track_modes=good).track_modes == good
 
 
 def test_config_rejects_non_finite_values():
