@@ -156,10 +156,15 @@ class RHSBundle:
     of the listed members (all of them when None), in the listed order.
 
     history, set only for flows whose velocity solves run CG, maps a member
-    id to that member's last CG_HISTORY solves, (x, y) pairs oldest first.
-    A member with an entry warm-starts each CG solve from it and adds the
-    solve; a member without one (every member, as make_rhs returns it)
-    solves from zero. timeloop.run enters its members.
+    id to that member's last CG_HISTORY solves, (x, W x) pairs oldest first.
+    Each image is the one CG holds when it stops, y - r: W x to rounding
+    plus what it inherits from the images its start combined, which the
+    warm start keeps to a fifth of CG_TOL (operators._warm_start). So a
+    warm start takes its residual from the images without an apply and
+    still ends within CG_TOL of the true residual. A member with an entry
+    warm-starts each CG solve from it and adds the solve; a member without
+    one (every member, as make_rhs returns it) solves from zero.
+    timeloop.run enters its members.
     """
 
     fn: Callable[..., np.ndarray]
@@ -337,9 +342,10 @@ def _solve_each(y: np.ndarray, c: _Coefs, out: np.ndarray) -> np.ndarray:
     A member without an entry in c.history solves straight into its rows of
     out, which must be C-contiguous, as a row slice of a new stack's are; a
     dense handle writes its product there. A member with an entry
-    warm-starts from its past solves and adds this one, keeping the last
-    CG_HISTORY. A stalled solve names its member on the
-    SolverDivergenceError.
+    warm-starts from its past solves and adds this one as the pair (x, W x)
+    the solve returns, keeping the last CG_HISTORY. The image is CG's own
+    y - r (see RHSBundle.history), so the next warm start needs no apply. A
+    stalled solve names its member on the SolverDivergenceError.
     """
     for i, (member, handle, rhs) in enumerate(zip(c.ids, c.handles, y)):
         prior = None if c.history is None else c.history.get(member)
@@ -347,11 +353,11 @@ def _solve_each(y: np.ndarray, c: _Coefs, out: np.ndarray) -> np.ndarray:
             if prior is None:
                 handle.solve_weighted_arrays(rhs, out=out[i])
                 continue
-            x = handle.solve_weighted_arrays(rhs, prior)
+            x, image = handle.solve_weighted_arrays(rhs, prior)
         except SolverDivergenceError as e:
             e.members = (member,)
             raise
-        c.history[member] = (prior + ((x, rhs),))[-CG_HISTORY:]
+        c.history[member] = (prior + ((x, image),))[-CG_HISTORY:]
         out[i] = x
     return out
 

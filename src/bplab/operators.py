@@ -57,7 +57,7 @@ SOLVER_DENSE_LIMIT = 1024  # unknowns at or below this get a dense inverse
 CG_TOL = 1e-10
 CG_MAXITER = 500
 CG_HISTORY = 4  # past solves of one member that warm-start its next CG solve
-CG_HISTORY_DROP = 1e-10  # A-Gram-Schmidt keeps a direction above this share of its A-norm^2
+CG_HISTORY_DROP = 1e-8  # A-Gram-Schmidt keeps a direction above this share of its A-norm^2
 DENSE_BLOCK = 64  # identity columns per batched apply in dense_matrix
 DENSE_AUDIT_LIMIT = 4096  # unknowns at or below this get dense audit matrices
 TRIANGULAR_BLOCK = 64  # _lower_inverse inverts blocks of at most this many rows directly
@@ -353,69 +353,84 @@ def _lower_inverse(L: np.ndarray) -> np.ndarray:
     return X
 
 
-def _warm_start(y: np.ndarray, prior) -> np.ndarray | None:
+def _warm_start(y: np.ndarray, prior) -> tuple | None:
     """A-norm projection of the solution of W x = y onto past solutions' span.
 
-    prior holds (x_i, y_i) pairs, oldest first, with W x_i = y_i to CG_TOL,
-    so the right-hand sides stand in for the images and no apply is needed
-    (Fischer, CMAME 163, 1998). The span is A-orthonormalized afresh on every
-    call by modified Gram-Schmidt, newest solve first; a direction left with
-    less than CG_HISTORY_DROP of its own A-norm^2, or a non-finite one, is
-    dropped. Returns None when no direction survives.
+    prior holds (x_i, w_i) pairs, oldest first, with w_i the image W x_i
+    that _pcg returned, so neither the projection nor its image needs an
+    apply (Fischer, CMAME 163, 1998). The span is A-orthonormalized afresh
+    on every call by modified Gram-Schmidt, newest solve first; a direction
+    left with at most CG_HISTORY_DROP of its own A-norm^2, or a non-finite
+    one, is dropped. Returns (x0, w0), x0 = sum c_i q_i and w0 = sum c_i W q_i
+    over the orthonormal pairs, or None when no direction survives.
+
+    w0 inherits the images' errors, magnified by the coefficients that
+    combine the past solutions, and the solve's image inherits them from
+    w0. Those coefficients grow as the solutions become dependent, as the
+    solves of a slowly varying right-hand side do, until their direction is
+    dropped, so CG_HISTORY_DROP also bounds the errors: at 1e-8 the images
+    of d=2 bp and mbp runs over a bump (dt 0.025-0.1, mu 0.01-0.2) stayed
+    within 2e-11 |y| of W x, a fifth of CG_TOL, and within 7e-12 |y| over
+    4,000 steps, where 1e-10 let them drift to 3e-10 |y|.
     """
     basis = []
-    for x_i, y_i in reversed(prior):
-        v, Av = x_i, y_i
+    for x_i, w_i in reversed(prior):
+        v, Av = x_i, w_i
         for q, Aq in basis:
             c = float(np.vdot(q, Av).real)
             v = v - c * q
             Av = Av - c * Aq
         n2 = float(np.vdot(v, Av).real)
-        if not n2 > CG_HISTORY_DROP * float(np.vdot(x_i, y_i).real):
+        if not n2 > CG_HISTORY_DROP * float(np.vdot(x_i, w_i).real):
             continue
         s = 1.0 / math.sqrt(n2)
         basis.append((s * v, s * Av))
     if not basis:
         return None
-    x0 = np.zeros_like(y)
-    for q, _ in basis:
-        x0 += float(np.vdot(q, y).real) * q
-    return x0
+    x0, w0 = np.zeros_like(y), np.zeros_like(y)
+    for q, Aq in basis:
+        c = float(np.vdot(q, y).real)
+        x0 += c * q
+        w0 += c * Aq
+    return x0, w0
 
 
-def _pcg(apply_w, precond, y: np.ndarray, tol: float, maxiter: int, ndim: int, prior=None):
+def _pcg(apply_w, precond, y: np.ndarray, tol: float, maxiter: int, prior):
     """Preconditioned conjugate gradients on the weighted SPD operator.
 
-    The trailing ndim axes of y hold one right-hand side. Leading axes are a
-    batch, solved member by member so that each member stops on its own
-    relative residual: batch-wide inner products would stop a small member
-    far above tol. A member whose right-hand side or residual norm is not
-    finite comes back as NaN at once, as a dense or spectral solve of it
-    would, instead of iterating to maxiter.
+    Solves W x = y for one right-hand side and returns (x, image): image is
+    y - r for CG's last residual r, which a caller keeps to warm-start its
+    next solve. From zero, the recurrence residual and the true one part
+    only by rounding, a few times 1e-13 of |y| on the benchmark's d=2 bump
+    (van der Vorst and Ye, SIAM J. Sci. Comput. 22, 2000), so the image is
+    W x to rounding; from a warm start it also carries the error of the
+    start's image w0, which _warm_start keeps to a fifth of CG_TOL. A
+    right-hand side or residual norm that is not finite comes back as NaN
+    at once, as a dense or spectral solve of it would, instead of iterating
+    to maxiter.
 
-    prior, for a single right-hand side, holds past (x_i, y_i) solves of the
-    same operator. CG then starts from _warm_start's projection x0 instead of
-    zero: one apply gives the true residual y - W x0, x0 returns at once if
-    that meets tol, and otherwise the iteration below runs unchanged from it.
+    prior holds past (x_i, W x_i) solves of the same operator; when it is
+    None or empty, CG starts from zero. Otherwise CG starts from
+    _warm_start's projection x0 and takes its starting residual y - w0 from
+    the images, with no apply. x0 returns at once if that meets tol, and
+    otherwise the iteration below runs unchanged from it, so every apply of
+    a solve is a CG iteration.
     """
-    if y.ndim > ndim:
-        x = np.empty_like(y)
-        for i, member in enumerate(y):
-            x[i] = _pcg(apply_w, precond, member, tol, maxiter, ndim)
-        return x
     norm_y = float(np.sqrt(np.vdot(y, y).real))
     if norm_y == 0.0:
-        return np.zeros_like(y)
+        return np.zeros_like(y), np.zeros_like(y)
     if not math.isfinite(norm_y):
-        return np.full_like(y, np.nan)
-    x = _warm_start(y, prior) if prior else None
-    if x is None:
+        nan = np.full_like(y, np.nan)
+        return nan, nan
+    start = _warm_start(y, prior) if prior else None
+    if start is None:
         x = np.zeros_like(y)
         r = y.copy()
     else:
-        r = y - apply_w(x)
+        x, w0 = start
+        r = y - w0
         if float(np.sqrt(np.vdot(r, r).real)) <= tol * norm_y:
-            return x
+            return x, w0
     z = precond(r)
     p = z.copy()
     rz = float(np.vdot(r, z).real)
@@ -429,9 +444,10 @@ def _pcg(apply_w, precond, y: np.ndarray, tol: float, maxiter: int, ndim: int, p
         r -= alpha * Ap
         norm_r = float(np.sqrt(np.vdot(r, r).real))
         if norm_r <= tol * norm_y:
-            return x
+            return x, y - r
         if not math.isfinite(norm_r):
-            return np.full_like(y, np.nan)
+            nan = np.full_like(y, np.nan)
+            return nan, nan
         z = precond(r)
         rz_new = float(np.vdot(r, z).real)
         p *= rz_new / rz
@@ -463,10 +479,13 @@ class OperatorHandle:
     count from growing as the depth varies.
     The operators are time-independent, so the factorization is built once
     and shared by every step of a run. The handle keeps no state between
-    solves: a run's flow keeps each member's last CG_HISTORY solutions and
-    passes them to solve_weighted_arrays, which warm-starts CG from them,
-    and restores them when a batch retakes a step. Every other solve starts
-    from zero.
+    solves: a run's flow keeps each member's last CG_HISTORY solutions with
+    their images W x, passes them to solve_weighted_arrays, which
+    warm-starts CG from them with no apply and returns the new pair, and
+    restores them when a batch retakes a step. Each image is CG's own y - r,
+    W x to within a fifth of CG_TOL (see _warm_start), so a warm solve ends
+    near CG_TOL on its true residual, as a cold one does. Every other
+    solve starts from zero.
     """
 
     def __init__(self, kind: str, mu: float, bath: Bathymetry):
@@ -530,40 +549,63 @@ class OperatorHandle:
         y = self.ops.hb * rhs if self.kind == "I_plus_muTb" else rhs
         return self.solve_weighted_arrays(y)
 
-    def solve_weighted_arrays(self, y: np.ndarray, prior=None, out=None) -> np.ndarray:
+    def solve_weighted_arrays(self, y: np.ndarray, prior=None, out=None):
         """Solve the weighted SPD form W x = y directly.
 
-        prior, used by pcg only, holds the caller's past (x, W x) solves of
-        this handle for a single right-hand side; CG warm-starts from them
-        (see _pcg). Without it every solve starts from zero. out, a
-        C-contiguous array of y's shape, receives x and is returned; the
-        dense solve writes its product straight into it. Any other out is
+        Leading axes of y are a batch. CG solves it member by member, so
+        that each member stops on its own relative residual: batch-wide
+        inner products would stop a small member far above CG_TOL.
+
+        prior, for a single right-hand side only (a batched y with a prior
+        is refused with a ValueError), holds the caller's past (x, W x)
+        solves of this handle, possibly none, and asks for the pair
+        (x, W x) back: the solve returns that pair instead of x, ready to
+        be kept for the next solve. CG warm-starts from the pairs and
+        returns the image it holds when it stops (see _pcg and
+        _warm_start). Dense and spectral solves ignore the pairs and
+        return y as the image, which a direct solve meets to rounding.
+        Without prior every solve starts from zero and returns x alone.
+        out, a C-contiguous array of y's shape, receives x; the dense
+        solve writes its product straight into it. Any other out is
         refused with a ValueError.
         """
         if out is not None and not out.flags.c_contiguous:
             raise ValueError("out must be a C-contiguous array")
+        batched = y.ndim > len(self._shape)
+        if prior is not None and batched:
+            raise ValueError("prior warm-starts a single right-hand side, not a batch")
+        image = y
         if self.strategy == "dense":
             x = np.empty(y.shape, np.result_type(self._inv, y)) if out is None else out
             # one matmul over the batch: columns are the flattened right-hand sides
             np.matmul(self._inv, y.reshape(-1, self.size).T, out=x.reshape(-1, self.size).T)
-            return x
+            return x if prior is None else (x, image)
         if self.strategy == "spectral":
             x = self.grid.irfft(self._flat_inv(self.grid.rfft(y)))
         else:
             grid, scale = self.grid, self._precond_scale
-            x = _pcg(
-                lambda p: self.apply_weighted_arrays(p),
-                lambda r: scale * grid.irfft(self._precond_spec(grid.rfft(scale * r))),
-                y,
-                CG_TOL,
-                CG_MAXITER,
-                len(self._shape),
-                prior,
-            )
-        if out is None:
-            return x
-        out[...] = x
-        return out
+
+            def solve(rhs):
+                return _pcg(
+                    lambda p: self.apply_weighted_arrays(p),
+                    lambda r: scale * grid.irfft(self._precond_spec(grid.rfft(scale * r))),
+                    rhs,
+                    CG_TOL,
+                    CG_MAXITER,
+                    prior,
+                )
+
+            if batched:
+                x = np.empty(y.shape, y.dtype)
+                xs = x.reshape((-1,) + self._shape)
+                for i, rhs in enumerate(y.reshape(xs.shape)):
+                    xs[i] = solve(rhs)[0]
+            else:
+                x, image = solve(y)
+        if out is not None:
+            out[...] = x
+            x = out
+        return x if prior is None else (x, image)
 
 
 def build_handle(kind: str, mu: float, bath: Bathymetry) -> OperatorHandle:

@@ -23,7 +23,9 @@ runs advance from one record to the next by the cached power R(dt L)^n, n
 the output stride or the final remainder: the same scheme and the same
 records, without the stage evaluations in between. Members whose next
 records fall on the same step advance by one block product, so a stack
-whose horizons end together advances at once. Every other run takes the
+whose horizons end together advances at once. A member whose power is not
+finite (a step past RK4's stability limit and a long stride) takes that
+stride's steps one at a time, as below. Every other run takes the
 four stages of one RK4 step (_rk4), which binds each member's dt, dt/2
 and dt/6 once per set of active members and sums the stages in place, in
 the textbook expression's order, so its steps are that expression's bit
@@ -48,9 +50,11 @@ failed. Its records, steps and termination are those of its run alone. A
 single run is a batch of one.
 
 Each member's CG velocity solves warm-start from its own last solves,
-kept in the flow's history (models.RHSBundle). A retaken step restarts
-every remaining member from the history it held when that step began, so
-its solves, too, are those of its run alone.
+kept in the flow's history (models.RHSBundle) as solutions with the
+images W x that CG returns with them, so a warm start makes no apply
+beyond its CG iterations. A retaken step restarts every remaining
+member from the history it held when that step began, so its solves, too,
+are those of its run alone.
 """
 
 from __future__ import annotations
@@ -181,23 +185,58 @@ def _rk4(dt):
 
 
 def _propagator(blocks: np.ndarray, dt: np.ndarray):
-    """(W, n, members) -> R(dt L)^n W for the members' per-mode blocks L.
+    """(W, n, members) -> (R(dt L)^n W, lost) for the members' per-mode blocks L.
 
     blocks is (K, *rshape, m, m) and dt one step per member. One RK4 step
     applied to the identity blocks yields R(dt L) itself. Powers are taken
     over the members' stack at once and cached by (n, members), split as
-    apply_mode_blocks takes them.
+    apply_mode_blocks takes them, and each member's power is checked for
+    finiteness once, when it is cached. A member whose power is not finite
+    (dt past RK4's stability limit, n large) takes its n RK4 steps one at a
+    time instead, stage by stage under numpy's overflow and invalid-value
+    errors, as every other run steps: lost maps each such member whose step
+    overflows to the steps it completed, and its row of the result holds its
+    last finite state.
     """
     eye = np.broadcast_to(np.eye(blocks.shape[-1]), blocks.shape)
     one_step = _rk4(dt.reshape((-1,) + (1,) * (blocks.ndim - 1)))(lambda X: blocks @ X, eye)
     powers = {}
 
-    def propagate(W: np.ndarray, n: int, members: tuple) -> np.ndarray:
-        split = powers.get((n, members))
-        if split is None:
-            power = np.linalg.matrix_power(one_step[list(members)], n)
-            split = powers[n, members] = split_mode_blocks(power)
-        return apply_mode_blocks(split, W)
+    def stepwise(X: np.ndarray, n: int, k: int) -> tuple:
+        """Up to n RK4 steps of member k alone: (last finite state, steps taken)."""
+        fn = partial(apply_mode_blocks, split_mode_blocks(blocks[[k]]))
+        step = _rk4(dt[k])
+        with np.errstate(over="raise", invalid="raise"):
+            for done in range(n):
+                try:
+                    X = step(fn, X)
+                except FloatingPointError:
+                    return X, done
+        return X, n
+
+    def propagate(W: np.ndarray, n: int, members: tuple) -> tuple:
+        # (split power of the members whose power is finite, their positions,
+        # the positions of the others), computed once per (n, members)
+        entry = powers.get((n, members))
+        if entry is None:
+            with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+                P = np.linalg.matrix_power(one_step[list(members)], n)
+            fine = np.isfinite(P).reshape(len(members), -1).all(axis=1)
+            ok = slice(None) if fine.all() else np.flatnonzero(fine)
+            entry = powers[n, members] = (split_mode_blocks(P[ok]), ok, np.flatnonzero(~fine))
+        split, ok, bad = entry
+        if not len(bad):
+            return apply_mode_blocks(split, W), {}
+        out = np.empty_like(W)
+        if ok.size:
+            out[ok] = apply_mode_blocks(split, W[ok])
+        lost = {}
+        for j in bad.tolist():
+            X, done = stepwise(W[j : j + 1], n, members[j])
+            out[j] = X[0]
+            if done < n:
+                lost[members[j]] = done
+        return out, lost
 
     return propagate
 
@@ -434,15 +473,19 @@ def _run_batch(states: list, params: list, bath: Bathymetry, configs: list, hand
     while ids.size:
         target = np.minimum((s // stride + 1) * stride, last[ids])
         active = tuple(ids.tolist())
+        overflowed = {}  # member -> its last finite step, where its stepwise stride overflowed
         if propagate is not None:
             left = (target - s).tolist()
             for n in sorted(set(left)):  # the members whose next records fall together
                 pos = [j for j, v in enumerate(left) if v == n]
                 if len(pos) == len(ids):
-                    W = propagate(W, n, active)
+                    W, lost = propagate(W, n, active)
                 else:
-                    W[pos] = propagate(W[pos], n, tuple(active[j] for j in pos))
+                    W[pos], lost = propagate(W[pos], n, tuple(active[j] for j in pos))
+                overflowed.update((k, s + done) for k, done in lost.items())
             reached = target
+            if overflowed:  # they leave below, each at its own step
+                reached = np.where(np.isin(ids, list(overflowed)), -1, target)
             s = int(target.max())  # where every member that stays active is
         else:
             fn = partial(bundle.fn, members=active)
@@ -473,7 +516,10 @@ def _run_batch(states: list, params: list, bath: Bathymetry, configs: list, hand
                 continue  # the others retake step s + 1
             reached = np.full(len(ids), s)
         due = np.flatnonzero(reached == target)
-        drop(record(due, reached[due]))
+        if due.size:
+            drop(record(due, reached[due]))
+        for k, at in overflowed.items():
+            leave({k: "blowup"}, at)
 
     return [
         Trajectory(

@@ -358,25 +358,28 @@ class TestSolves:
 
     def test_pcg_warm_start_from_a_past_solve(self):
         # the projection onto a solve of the same right-hand side is that
-        # solve: one apply confirms its residual and CG returns at once
+        # solve: its image gives the starting residual, which meets the
+        # tolerance, so CG returns at once without an apply
         handle = build_handle("hb_B", 0.05, PCG_BUMP)
         apply_w = handle.apply_weighted_arrays
         rng = np.random.default_rng(29)
         y = rng.standard_normal((GP.d,) + GP.shape)
-        x = handle.solve_weighted_arrays(y)
+        past = handle.solve_weighted_arrays(y, ())
+        assert np.array_equal(past[0], handle.solve_weighted_arrays(y))
         calls = _count_applies(handle)
-        warm = handle.solve_weighted_arrays(y, ((x, y),))
-        assert len(calls) == 1
+        warm, image = handle.solve_weighted_arrays(y, (past,))
+        assert len(calls) == 0
         assert np.linalg.norm(apply_w(warm) - y) <= CG_TOL * np.linalg.norm(y)
+        assert np.linalg.norm(apply_w(warm) - image) <= 1e-2 * CG_TOL * np.linalg.norm(y)
         # a nearby right-hand side starts close and needs fewer iterations
         y2 = y + 1e-3 * rng.standard_normal(y.shape)
-        calls.clear()
         cold = handle.solve_weighted_arrays(y2)
         n_cold = len(calls)
         calls.clear()
-        warm = handle.solve_weighted_arrays(y2, ((x, y),))
+        warm, image = handle.solve_weighted_arrays(y2, (past,))
         assert len(calls) < n_cold
         assert np.linalg.norm(apply_w(warm) - y2) <= CG_TOL * np.linalg.norm(y2)
+        assert np.linalg.norm(apply_w(warm) - image) <= 1e-2 * CG_TOL * np.linalg.norm(y2)
         assert np.abs(warm - cold).max() <= 1e-8 * np.abs(cold).max()
 
     def test_pcg_warm_start_drops_useless_directions(self):
@@ -385,17 +388,34 @@ class TestSolves:
         handle = build_handle("I_plus_muTb", 0.05, PCG_BUMP)
         y = np.random.default_rng(31).standard_normal((GP.d,) + GP.shape)
         zero, nan = np.zeros_like(y), np.full_like(y, np.nan)
-        prior = ((zero, zero), (nan, nan))
-        assert np.array_equal(
-            handle.solve_weighted_arrays(y, prior), handle.solve_weighted_arrays(y)
-        )
+        x, image = handle.solve_weighted_arrays(y, ((zero, zero), (nan, nan)))
+        cold, cold_image = handle.solve_weighted_arrays(y, ())
+        assert np.array_equal(x, cold) and np.array_equal(image, cold_image)
+        assert np.array_equal(x, handle.solve_weighted_arrays(y))
 
     @pytest.mark.parametrize("bath", [BUMP1, FLAT2], ids=["dense", "spectral"])
     def test_prior_leaves_direct_solves_alone(self, bath):
         handle = build_handle("hb_B", 0.05, bath)
         y = np.random.default_rng(37).standard_normal((bath.grid.d,) + bath.grid.shape)
         x = handle.solve_weighted_arrays(y)
-        assert np.array_equal(handle.solve_weighted_arrays(y, ((x, y),)), x)
+        got, image = handle.solve_weighted_arrays(y, ((x, handle.apply_weighted_arrays(x)),))
+        assert np.array_equal(got, x) and np.array_equal(image, y)
+
+    @pytest.mark.parametrize(
+        "bath,strategy",
+        [(FLAT2, "spectral"), (BUMP2, "dense"), (PCG_BUMP, "pcg")],
+        ids=["spectral", "dense", "pcg"],
+    )
+    def test_prior_with_a_batched_rhs_is_refused(self, bath, strategy):
+        # a prior warm-starts one right-hand side; a batch would drop it and
+        # solve every member cold, so it is refused rather than ignored
+        handle = build_handle("hb_B", 0.05, bath)
+        assert handle.strategy == strategy
+        y = np.random.default_rng(41).standard_normal((bath.grid.d,) + bath.grid.shape)
+        past = handle.solve_weighted_arrays(y, ())
+        for prior in ((past,), ()):
+            with pytest.raises(ValueError, match="single right-hand side"):
+                handle.solve_weighted_arrays(np.stack([y, y]), prior)
 
 
 class TestCoercivity:

@@ -11,6 +11,7 @@ from bplab.bathymetry import build_bathymetry
 from bplab.diagnostics import build_records
 from bplab.errors import CFLWarning
 from bplab.models import ModelParams, ModelState, build_handles, make_rhs
+from bplab.operators import CG_TOL
 from bplab.spectral import Grid
 from bplab import timeloop
 from bplab.timeloop import CFL_LIMIT, Batch, StepperConfig, _propagator, _rk4, run
@@ -274,8 +275,9 @@ def test_propagator_is_the_einsum_of_the_step_power_bit_for_bit(bath, model):
             np.linalg.matrix_power(one_step[list(members)], n), part
         )
         for _ in range(2):  # computed, then cached
-            got = propagate(part, n, members)
+            got, lost = propagate(part, n, members)
             assert np.array_equal(got, expected) and got.tobytes() == expected.tobytes()
+            assert lost == {}
 
 
 def test_propagator_over_cfl_blowup_matches_stage_loop():
@@ -835,9 +837,9 @@ def test_pcg_warm_started_solves_meet_the_round_trip_bound():
     seen = []
 
     def watched(y, prior=None):
-        x = solve(y, prior)
+        x, image = solve(y, prior)
         seen.append((y, x, len(prior or ())))
-        return x
+        return x, image
 
     handle.solve_weighted_arrays = watched
     traj = run(_pcg_hump(0.3), params, PCG_BUMP, StepperConfig(dt=0.05, t_end=0.5), handles)
@@ -850,3 +852,115 @@ def test_pcg_warm_started_solves_meet_the_round_trip_bound():
         np.linalg.norm(y - handle.apply_weighted_arrays(x)) / np.linalg.norm(y) for y, x in warm
     )
     assert worst <= 1e-9
+
+
+@pytest.mark.parametrize("model,kind", [("bp", "I_plus_muTb"), ("mbp", "hb_B")])
+def test_pcg_run_keeps_images_and_applies_only_in_cg_iterations(model, kind):
+    # the history keeps each solve's image W x, so a warm start takes its
+    # residual from the images: over a short run they stay within rounding
+    # of a true apply, the true residual meets CG_TOL as a cold one does,
+    # and every apply inside a solve is a CG iteration
+    params = ModelParams(eps=0.05, mu=0.05, model=model)
+    handles = build_handles(params, PCG_BUMP)
+    handle = handles[kind]
+    assert handle.strategy == "pcg"
+    apply_w, solve = handle.apply_weighted_arrays, handle.solve_weighted_arrays
+    applies, seen = [], []
+
+    def counted(V):
+        AV = apply_w(V)
+        applies.append((V.copy(), AV))  # CG updates its direction in place
+        return AV
+
+    def watched(y, prior=None):
+        applies.clear()
+        x, image = solve(y, prior)
+        seen.append((y, x, image, len(prior), list(applies)))
+        return x, image
+
+    handle.apply_weighted_arrays = counted
+    handle.solve_weighted_arrays = watched
+    traj = run(_pcg_hump(0.3), params, PCG_BUMP, StepperConfig(dt=0.05, t_end=0.5), handles)
+    assert traj.termination == "completed" and len(seen) == 40
+    assert sum(1 for *_, n, _ in seen if n) == 39
+    for y, x, image, n, directions in seen:
+        norm_y = np.linalg.norm(y)
+        true = apply_w(x)
+        assert np.linalg.norm(true - image) <= 1e-2 * CG_TOL * norm_y
+        assert np.linalg.norm(y - true) <= 1.01 * CG_TOL * norm_y
+        # CG's directions are W-conjugate; an apply to the start x0 would not be
+        for i, (p, Ap) in enumerate(directions):
+            for q, Aq in directions[:i]:
+                assert abs(np.vdot(p, Aq)) <= 1e-6 * np.sqrt(np.vdot(p, Ap) * np.vdot(q, Aq))
+
+
+def test_pcg_images_stay_a_fraction_of_the_tolerance_over_a_long_run():
+    # a warm start combines past images with coefficients that grow as the
+    # past solutions become dependent, and each image inherits its start's
+    # errors; dropping directions below CG_HISTORY_DROP of their A-norm^2
+    # bounds them: 150 steps leave them near 6e-12 |y| at the drop 1e-8, and
+    # near 4e-11 |y| at 1e-10
+    params = ModelParams(eps=0.05, mu=0.05, model="mbp")
+    handles = build_handles(params, PCG_BUMP)
+    handle = handles["hb_B"]
+    solve = handle.solve_weighted_arrays
+    seen = []
+
+    def watched(y, prior=None):
+        x, image = solve(y, prior)
+        seen.append((y, x, image))
+        return x, image
+
+    handle.solve_weighted_arrays = watched
+    cfg = StepperConfig(dt=0.025, t_end=3.75, output_stride=150)
+    traj = run(_pcg_hump(0.3), params, PCG_BUMP, cfg, handles)
+    assert traj.termination == "completed" and traj.steps_taken == 150 and len(seen) == 600
+    worst = max(
+        np.linalg.norm(handle.apply_weighted_arrays(x) - image) / np.linalg.norm(y)
+        for y, x, image in seen[-40:]
+    )
+    assert worst <= 0.2 * CG_TOL
+
+
+def _over_cfl_sw(dt_omega: float, stride: int):
+    """A linear flat sw run over FLAT1 at dt*omega on the top kept mode, from
+    a random start, for one stride of steps at blow-up threshold 1e300."""
+    kmax = float(np.sqrt((G1.k2deriv * G1.dealias_mask).max()))
+    dt = dt_omega / kmax
+    cfg = StepperConfig(dt=dt, t_end=stride * dt, output_stride=stride, blowup_threshold=1e300)
+    return _random_state(G1, seed=13), ModelParams(0.0, 0.0, "sw"), cfg
+
+
+def test_propagator_power_overflowing_ends_at_the_failing_step():
+    # dt*omega = 3.1 lies past RK4's stability limit, so R(dt L)^5000 is not
+    # finite: the stride advances one step at a time and the run ends as
+    # blowup where its state overflows, its last record finite, without a
+    # RuntimeWarning from the power
+    state, params, cfg = _over_cfl_sw(3.1, 5000)
+    with warnings.catch_warnings(), pytest.warns(CFLWarning):
+        warnings.simplefilter("error", RuntimeWarning)
+        traj = run(state, params, FLAT1, cfg)
+    assert traj.termination == "blowup"
+    assert 0 < traj.steps_taken < 5000
+    # the last finite state is recorded, and it passes the threshold there
+    assert traj.termination_time == traj.times[-1] == traj.steps_taken * traj.dt
+    assert np.isfinite(traj.sup_u).all() and np.isfinite(traj.sup_grad_u).all()
+    assert np.isfinite(traj.states[-1]).all() and traj.sup_u[-1] > 1e300
+    # the run ends at the failing step, not before it: the next RK4 step
+    # from the last record overflows
+    bundle = make_rhs(params, FLAT1)
+    with np.errstate(over="raise", invalid="raise"), pytest.raises(FloatingPointError):
+        _rk4(traj.dt)(bundle.fn, bundle.encode(traj.states[-1]))
+
+
+def test_propagator_overflowing_member_leaves_the_batch_alone():
+    # a stable member shares the stride with the overflowing one: each is
+    # its run alone, bit for bit
+    runs = [_over_cfl_sw(v, 5000) for v in (3.1, 1.0, 3.2)]
+    states, params, configs = (list(part) for part in zip(*runs))
+    with warnings.catch_warnings(), pytest.warns(CFLWarning):
+        warnings.simplefilter("error", RuntimeWarning)
+        batch = _batch_matches_solo(states, params, FLAT1, configs)
+    assert [t.termination for t in batch] == ["blowup", "completed", "blowup"]
+    assert batch[1].steps_taken == 5000
+    assert batch[2].steps_taken < batch[0].steps_taken < 5000
