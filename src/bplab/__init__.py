@@ -5,7 +5,7 @@ Peregrine model family, the elliptic operators their velocity equations
 invert, energy diagnostics, and a small scenario driver for reproducible
 experiments. Grid functions are plain numpy arrays throughout; a model
 state is one stacked array U = (zeta or q, V) of shape (1 + d,
-*grid.shape), held with its grid and time by ModelState. The usual entry
+*grid.shape), held with its grid by ModelState. The usual entry
 points:
 
     from bplab import Grid, ModelParams, ModelState, StepperConfig, run

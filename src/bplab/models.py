@@ -2,7 +2,7 @@
 
 State is a stacked array U of shape (m, *grid.shape): row 0 is the primary
 scalar (surface zeta, log-depth q, or the Burgers profile u), rows 1..d the
-velocity; ModelState holds one with its grid and time. The systems, over
+velocity; ModelState holds one with its grid. The systems, over
 depth h_b = 1 - beta*b and h = h_b + eps*zeta:
 
     sw       d_t zeta = -div(h V)
@@ -115,7 +115,6 @@ class ModelState:
 
     grid: Grid
     U: np.ndarray
-    time: float = 0.0
 
     def __post_init__(self):
         U = np.array(self.U, dtype=float, copy=True)
@@ -131,8 +130,8 @@ class ModelState:
         return self.U
 
     @classmethod
-    def from_stack(cls, grid: Grid, U: np.ndarray, time: float = 0.0) -> "ModelState":
-        return cls(grid, U, time)
+    def from_stack(cls, grid: Grid, U: np.ndarray) -> "ModelState":
+        return cls(grid, U)
 
 
 def state_rows(model: str, grid: Grid) -> int:
@@ -147,8 +146,8 @@ class RHSBundle:
     Every flow steps on the coefficients and goes to nodes only for its
     pointwise products; decode is the inverse transform. blocks, set only
     for linear flat-bottom flows, holds the per-mode generators L_k, shape
-    (*grid.rshape, 1+d, 1+d), probed from the general flow; fn(W) = L W
-    then applies them directly.
+    (*grid.rshape, 1+d, 1+d), probed from fn, which is the model's flow for
+    every bundle; the stepper applies the blocks' RK4 powers itself.
 
     A batch bundle (make_rhs given a sequence of ModelParams) carries one
     member per params entry: params is that tuple, blocks gains a leading
@@ -204,42 +203,6 @@ def _member_handles(kind: str, params: list, bath: Bathymetry, handles: list) ->
     return out
 
 
-def split_mode_blocks(blocks: np.ndarray) -> tuple:
-    """Per-mode blocks (K, *rshape, m, m) as the pair (Re L, i Im L) that
-    apply_mode_blocks takes: two complex arrays laid out (K, i, j, *rshape)."""
-    P = np.moveaxis(blocks, (-2, -1), (1, 2))
-    re = np.zeros(P.shape, complex)
-    im = np.zeros(P.shape, complex)
-    re.real = P.real
-    im.imag = P.imag
-    return re, im
-
-
-def apply_mode_blocks(split: tuple, W: np.ndarray) -> np.ndarray:
-    """Per-member, per-mode block product over a leading member axis k:
-    out[k, i] = sum_j L[k, ..., i, j] * W[k, j] on every mode, for
-    split = split_mode_blocks(L).
-
-    On finite input this is np.einsum("k...ij,kj...->ki...", L, W), bit for
-    bit. einsum rounds each term's parts as Re L Re W - Im L Im W and
-    Re L Im W + Im L Re W, and sums the terms over j from +0.0. Probed blocks
-    carry roundoff-sized parts beside their real or imaginary entries, and
-    numpy's complex multiply may fuse a part's two products into one
-    rounding. Re L and i Im L each have a zero part, so their products round
-    each part once, and their sum is einsum's term. The terms are summed in
-    j's order, and adding 0.0 turns a zero sum's -0.0 into einsum's +0.0.
-    """
-    re, im = split
-    Wj = W[:, None]
-    T = re * Wj
-    T += im * Wj
-    out = T[:, :, 0] + T[:, :, 1]
-    for j in range(2, T.shape[2]):
-        out += T[:, :, j]
-    out += 0.0
-    return out
-
-
 def _probe_mode_blocks(fn, grid: Grid, members: int) -> np.ndarray:
     """Per-member, per-mode blocks L_k of a linear flow that acts mode by mode.
 
@@ -251,11 +214,28 @@ def _probe_mode_blocks(fn, grid: Grid, members: int) -> np.ndarray:
     the small low-mode entries. For mbp at n = 256, mu = 0.5, L = 2 pi, a
     double probe misses the blocks of the flow run one mode at a time by
     2.5e-11 of |L_1| and 2.8e-13 of |L_5|, and this one by at most 1e-14.
+
+    Every linear flat flow is exactly i times a real block that couples only
+    the scalar row to the velocity rows, so the probe's real parts are its
+    roundoff (below 1e-16 of entries up to 31). The blocks keep only their
+    imaginary parts, with +0.0 real parts: each entry of a block, and of each
+    RK4 power of one, then has one nonzero part, and a single complex product
+    rounds it once. A real part above 1e-12 of a member's largest entry is a
+    real term of the flow, such as damping, and raises a ValueError.
     """
     ones = np.ones((members,) + grid.rshape, np.clongdouble)
     probes = np.moveaxis(np.multiply.outer(np.eye(1 + grid.d), ones), -grid.d - 1, 1)
-    blocks = np.stack([fn(e) for e in probes], axis=-1)
-    return np.moveaxis(blocks, 1, -2).astype(complex)
+    blocks = np.moveaxis(np.stack([fn(e) for e in probes], axis=-1), 1, -2)
+    size = np.abs(blocks).reshape(members, -1).max(axis=1)
+    real = np.abs(blocks.real).reshape(members, -1).max(axis=1)
+    if np.any(real > 1e-12 * size):
+        raise ValueError(
+            f"linear flat flow has real parts up to {float(real.max()):.3g} beside entries"
+            f" up to {float(size.max()):.3g}; its blocks must be i times a real matrix"
+        )
+    out = np.zeros(blocks.shape, complex)
+    out.imag = blocks.imag
+    return out
 
 
 @dataclass
@@ -266,9 +246,9 @@ class _Coefs:
     m1 and m2 are a plain 1.0 when no member smooths. eps_mask and eps_hb
     are eps times the 2/3 mask and times h_b, bound once: the mask is 0 or
     1, and eps * h_b * x already evaluates as (eps * h_b) * x, so the flows
-    get the bits of the products written out. smooth picks the members with
-    delta > 0, which get the mollifier sandwich around their solve: a slice
-    over all of them, an index array, or None when no member smooths.
+    get the bits of the products written out. smooth indexes the members
+    with delta > 0, which get the mollifier sandwich around their solve, or
+    is None when no member smooths.
     history is the flow's RHSBundle.history, shared by every set of members.
     """
 
@@ -303,7 +283,7 @@ def _member_coefs(params: list, bath: Bathymetry, deltas: list, handles: list, h
             idx = list(range(K)) if members is None else list(members)
             pick = (lambda a: a[idx] if np.ndim(a) else a)
             on = delta[idx] > 0
-            smooth = slice(None) if on.all() else (np.flatnonzero(on) if on.any() else None)
+            smooth = np.flatnonzero(on) if on.any() else None
             e = eps[idx]
             view = views[members] = _Coefs(
                 tuple(idx), e, e * grid.dealias_mask, e * bath.hb, mu[idx], pick(m1), pick(m2),
@@ -318,8 +298,6 @@ def _sandwich(g: Grid, y: np.ndarray, c: _Coefs) -> np.ndarray:
     """(1 - delta*Lap_g)^-1 applied to the members that smooth, the rest untouched."""
     if c.smooth is None:
         return y
-    if isinstance(c.smooth, slice):
-        return g.irfft(c.m1 * g.rfft(y))
     y = y.copy()
     y[c.smooth] = g.irfft(c.m1[c.smooth] * g.rfft(y[c.smooth]))
     return y
@@ -569,19 +547,9 @@ def _batch_rhs(params: list, bath: Bathymetry, deltas: list, handles: list) -> R
             R[:, 1:] = g.rfft(_solve_each(_sandwich(g, y, c), c, np.empty_like(y)))
             return _negated(c, R, c.m1)
 
-    if nonlinear or not bath.is_flat:
-        return RHSBundle(fn, g, tuple(params), history=history)
     # eps = 0 over a flat bottom: the flow is linear and acts mode by mode
-    blocks = _probe_mode_blocks(fn, g, K)
-
-    @functools.cache
-    def split(members) -> tuple:  # built on first use: a run steps by its powers
-        return split_mode_blocks(blocks if members is None else blocks[list(members)])
-
-    def linear_fn(W: np.ndarray, members=None) -> np.ndarray:
-        return apply_mode_blocks(split(members), W)
-
-    return RHSBundle(linear_fn, g, tuple(params), blocks)
+    blocks = None if nonlinear or not bath.is_flat else _probe_mode_blocks(fn, g, K)
+    return RHSBundle(fn, g, tuple(params), blocks, history)
 
 
 def _check_wet(hb: np.ndarray, hmin_static: float, c: _Coefs, zeta: np.ndarray) -> None:

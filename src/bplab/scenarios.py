@@ -749,10 +749,12 @@ def _grade_longtime(config: ExperimentConfig, bath, results: list):
     factor = config.thresholds["energy_bound_factor"]
     for res in results:
         is_contrast = res.values["contrast"]
+        if (msg := _failure(res)) and not is_contrast:
+            failures.append(msg)  # a graded run that raised or ended early
+            graded_ok = False
         if res.error:
-            failures.append(f"{res.tag}: {res.error}")
-            if not is_contrast:
-                graded_ok = False
+            if is_contrast:
+                failures.append(msg)
             continue
         en = np.array([r.EN for r in res.records])
         ratio = float(en.max() / en[0]) if en[0] > 0 else np.inf
@@ -767,11 +769,8 @@ def _grade_longtime(config: ExperimentConfig, bath, results: list):
                 "EN_ratio": ratio,
             }
         )
-        if not is_contrast:
-            if res.traj.termination != "completed":
-                graded_ok = False
-            if not ratio <= factor:
-                bounded = False
+        if not is_contrast and not ratio <= factor:
+            bounded = False
     verdicts = {
         "longtime_completed": graded_ok,
         "energy_bounded": bool(graded_ok and bounded),

@@ -21,7 +21,9 @@ per-mode blocks L_k, on which one RK4 step is exactly W <- R(dt L_k) W
 with R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 its stability polynomial. Those
 runs advance from one record to the next by the cached power R(dt L)^n, n
 the output stride or the final remainder: the same scheme and the same
-records, without the stage evaluations in between. Members whose next
+records, without the stage evaluations in between. The stepper applies
+each power itself, as one complex product per block entry
+(apply_mode_blocks), and never calls such a run's flow. Members whose next
 records fall on the same step advance by one block product, so a stack
 whose horizons end together advances at once. A member whose power is not
 finite (a step past RK4's stability limit and a long stride) takes that
@@ -69,15 +71,7 @@ import numpy as np
 
 from .bathymetry import Bathymetry
 from .errors import CFLWarning, DryStateError, SolverDivergenceError
-from .models import (
-    ModelParams,
-    ModelState,
-    apply_mode_blocks,
-    make_rhs,
-    max_linear_frequency,
-    split_mode_blocks,
-    state_rows,
-)
+from .models import ModelParams, ModelState, make_rhs, max_linear_frequency, state_rows
 from .spectral import Grid
 
 __all__ = [
@@ -184,19 +178,45 @@ def _rk4(dt):
     return step
 
 
+def _mode_major(blocks: np.ndarray) -> np.ndarray:
+    """Per-mode blocks (K, *rshape, m, m) laid out as apply_mode_blocks takes
+    them: one C-contiguous array (K, i, j, *rshape)."""
+    return np.ascontiguousarray(np.moveaxis(blocks, (-2, -1), (1, 2)))
+
+
+def apply_mode_blocks(P: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Per-member, per-mode block product over a leading member axis k:
+    out[k, i] = sum_j L[k, ..., i, j] * W[k, j] on every mode, for
+    P = _mode_major(L).
+
+    On finite input this is np.einsum("k...ij,kj...->ki...", L, W), bit for
+    bit, for blocks whose entries each have one nonzero part, as probed
+    blocks and their RK4 powers do (models._probe_mode_blocks): each term's
+    parts are then rounded once, as einsum rounds them. The terms are summed
+    in j's order, and adding 0.0 turns a zero sum's -0.0 into einsum's +0.0.
+    """
+    T = P * W[:, None]
+    out = T[:, :, 0] + T[:, :, 1]
+    for j in range(2, T.shape[2]):
+        out += T[:, :, j]
+    out += 0.0
+    return out
+
+
 def _propagator(blocks: np.ndarray, dt: np.ndarray):
     """(W, n, members) -> (R(dt L)^n W, lost) for the members' per-mode blocks L.
 
     blocks is (K, *rshape, m, m) and dt one step per member. One RK4 step
     applied to the identity blocks yields R(dt L) itself. Powers are taken
-    over the members' stack at once and cached by (n, members), split as
+    over the members' stack at once and cached by (n, members), laid out as
     apply_mode_blocks takes them, and each member's power is checked for
     finiteness once, when it is cached. A member whose power is not finite
     (dt past RK4's stability limit, n large) takes its n RK4 steps one at a
     time instead, stage by stage under numpy's overflow and invalid-value
     errors, as every other run steps: lost maps each such member whose step
     overflows to the steps it completed, and its row of the result holds its
-    last finite state.
+    last finite state. This and that fallback are the only code that applies
+    blocks; a linear flat run never calls its bundle's flow.
     """
     eye = np.broadcast_to(np.eye(blocks.shape[-1]), blocks.shape)
     one_step = _rk4(dt.reshape((-1,) + (1,) * (blocks.ndim - 1)))(lambda X: blocks @ X, eye)
@@ -204,7 +224,7 @@ def _propagator(blocks: np.ndarray, dt: np.ndarray):
 
     def stepwise(X: np.ndarray, n: int, k: int) -> tuple:
         """Up to n RK4 steps of member k alone: (last finite state, steps taken)."""
-        fn = partial(apply_mode_blocks, split_mode_blocks(blocks[[k]]))
+        fn = partial(apply_mode_blocks, _mode_major(blocks[[k]]))
         step = _rk4(dt[k])
         with np.errstate(over="raise", invalid="raise"):
             for done in range(n):
@@ -215,21 +235,21 @@ def _propagator(blocks: np.ndarray, dt: np.ndarray):
         return X, n
 
     def propagate(W: np.ndarray, n: int, members: tuple) -> tuple:
-        # (split power of the members whose power is finite, their positions,
-        # the positions of the others), computed once per (n, members)
+        # (laid-out power of the members whose power is finite, their
+        # positions, the positions of the others), once per (n, members)
         entry = powers.get((n, members))
         if entry is None:
             with np.errstate(over="ignore", invalid="ignore"):  # checked just below
                 P = np.linalg.matrix_power(one_step[list(members)], n)
             fine = np.isfinite(P).reshape(len(members), -1).all(axis=1)
             ok = slice(None) if fine.all() else np.flatnonzero(fine)
-            entry = powers[n, members] = (split_mode_blocks(P[ok]), ok, np.flatnonzero(~fine))
-        split, ok, bad = entry
+            entry = powers[n, members] = (_mode_major(P[ok]), ok, np.flatnonzero(~fine))
+        power, ok, bad = entry
         if not len(bad):
-            return apply_mode_blocks(split, W), {}
+            return apply_mode_blocks(power, W), {}
         out = np.empty_like(W)
         if ok.size:
-            out[ok] = apply_mode_blocks(split, W[ok])
+            out[ok] = apply_mode_blocks(power, W[ok])
         lost = {}
         for j in bad.tolist():
             X, done = stepwise(W[j : j + 1], n, members[j])
@@ -244,24 +264,22 @@ def _propagator(blocks: np.ndarray, dt: np.ndarray):
 def _check_modes(grid: Grid, track) -> list:
     """rfft indices of tracked modes, given as signed wavenumbers.
 
-    d=1 modes are 0 <= k <= n/2; d=2 pairs (k1, k2) take -n/2 <= k1 < n/2,
-    whose negative values index the rfft rows from the end, and 0 <= k2 <= n/2.
+    A d=1 mode is one integer 0 <= k <= n/2; a d=2 mode is a pair (k1, k2)
+    with -n/2 <= k1 < n/2, whose negative values index the rfft rows from
+    the end, and 0 <= k2 <= n/2. Any other shape raises a ValueError.
     """
     idx = []
     half = grid.n // 2
+    span = "0 <= k <= n/2" if grid.d == 1 else "-n/2 <= k1 < n/2, 0 <= k2 <= n/2"
     for item in track:
-        if grid.d == 1:
-            k = int(item)
-            if not 0 <= k <= half:
-                raise ValueError(f"mode {k} outside rfft layout")
-            idx.append((k,))
-        else:
-            k1, k2 = (int(item[0]), int(item[1]))
-            if not (-half <= k1 < half and 0 <= k2 <= half):
-                raise ValueError(
-                    f"mode {(k1, k2)} outside -n/2 <= k1 < n/2, 0 <= k2 <= n/2"
-                )
-            idx.append((k1, k2))
+        parts = item if grid.d == 2 and isinstance(item, (tuple, list)) else (item,)
+        if len(parts) != grid.d or not all(map(_is_integer, parts)):
+            shape = "one integer" if grid.d == 1 else "a pair of integers"
+            raise ValueError(f"mode {item!r} is not {shape}, as a d={grid.d} mode must be")
+        *ks, last = map(int, parts)
+        if not (all(-half <= k < half for k in ks) and 0 <= last <= half):
+            raise ValueError(f"mode {item!r} outside {span}")
+        idx.append((*ks, last))
     return idx
 
 

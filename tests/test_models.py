@@ -1,5 +1,6 @@
 """Flow evaluations: closed forms, model relations, guards."""
 
+from dataclasses import fields
 from functools import partial
 
 import numpy as np
@@ -21,7 +22,7 @@ from bplab.models import (
 )
 from bplab.operators import build_handle, get_weighted_ops
 from bplab.spectral import Grid, div_arr, grad_arr, mollify_arr, trunc_arr
-from bplab.timeloop import StepperConfig, run
+from bplab.timeloop import StepperConfig, apply_mode_blocks, _mode_major, run
 from oracles import (
     burgers_flux_reference,
     dprod,
@@ -115,10 +116,11 @@ def test_build_handles_kinds():
 def test_state_stack_round_trip():
     rng = np.random.default_rng(7)
     U = rng.standard_normal((3,) + G2.shape)
-    st = ModelState.from_stack(G2, U, time=1.5)
+    st = ModelState.from_stack(G2, U)
     assert st.stack().shape == (3,) + G2.shape
     assert np.array_equal(st.stack(), U)
-    assert st.time == 1.5
+    # a state carries no time: every run records from t = 0
+    assert [f.name for f in fields(ModelState)] == ["grid", "U"]
     u1 = ModelState.from_stack(G1, rng.standard_normal((1,) + G1.shape))
     assert u1.stack().shape == (1,) + G1.shape
 
@@ -542,24 +544,36 @@ def test_batch_flow_is_each_members_flow(model, bath, eps):
 @pytest.mark.parametrize("model", ["sw", "bp", "mbp"])
 @pytest.mark.parametrize("bath", [FLAT1, FLAT2], ids=["d1", "d2"])
 def test_linear_flat_flow_is_the_einsum_block_product_bit_for_bit(bath, model, K, smooth):
-    # the probed blocks carry roundoff-sized parts beside their real or
-    # imaginary entries, which a fused complex multiply would round apart
+    # the probed blocks are i times a real matrix, with +0.0 real parts, so
+    # one complex product per entry rounds each part once, as einsum does;
+    # the bundle's flow is the model's own, which they match to rounding
     g = bath.grid
     params = [ModelParams(0.0, mu, model) for mu in (0.4, 0.1, 0.0)[:K]]
     deltas = [1e-2 * smooth] + [0.0] * (K - 1)
     bundle = make_rhs(params, bath, deltas)
     L = bundle.blocks
-    assert np.any((L.real != 0) & (L.imag != 0))
+    assert not np.any(L.real) and not np.signbit(L.real).any()
     W = g.rfft(np.random.default_rng(41).standard_normal((K, 1 + g.d) + g.shape))
     W[..., 0] = complex(-0.0, 0.0)  # einsum sums from +0.0, so its zero sums are +0.0
     expected = mode_blocks_reference(L, W)
-    got = bundle.fn(W)
+    got = apply_mode_blocks(_mode_major(L), W)
     assert np.array_equal(got, expected) and got.tobytes() == expected.tobytes()
-    split = models.split_mode_blocks(L)
-    assert models.apply_mode_blocks(split, W).tobytes() == expected.tobytes()
+    flow = bundle.fn(W)
+    assert np.abs(flow - expected).max() <= 1e-12 * np.abs(expected).max()
     if K > 1:
-        sub = bundle.fn(W[[0, K - 1]], (0, K - 1))
+        sub = apply_mode_blocks(_mode_major(L[[0, K - 1]]), W[[0, K - 1]])
         assert sub.tobytes() == mode_blocks_reference(L[[0, K - 1]], W[[0, K - 1]]).tobytes()
+        assert np.array_equal(bundle.fn(W[[0, K - 1]], (0, K - 1)), flow[[0, K - 1]])
+
+
+def test_probe_refuses_a_linear_flow_with_a_real_term():
+    # a small damping term -nu W puts a real part on every diagonal entry,
+    # which zeroing the probe's roundoff would silently drop
+    bundle = make_rhs([ModelParams(0.0, 0.2, "bp")] * 2, FLAT1)
+    probe = partial(models._probe_mode_blocks, grid=G1, members=2)
+    assert np.array_equal(probe(bundle.fn), bundle.blocks)
+    with pytest.raises(ValueError, match="real parts"):
+        probe(lambda W: bundle.fn(W) - 1e-6 * W)
 
 
 # bump-2d-pcg's grid and bottom: 2048 unknowns, so its velocity solves run CG

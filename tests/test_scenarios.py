@@ -920,6 +920,25 @@ def test_burgers_without_a_shock_fails_its_verdict(tmp_path, capsys):
     assert "note  eps0.4: NoShockError" in capsys.readouterr().out
 
 
+def test_longtime_names_graded_runs_that_end_early(tmp_path, capsys):
+    # every start passes the threshold, so each run ends blowup at t = 0; the
+    # graded runs are named as dispersion names them, the contrast run is not
+    text = TINY_LONGTIME.replace("eps_mu: [0.02, 0.5]", "eps_mu: [0.2, 0.1]") + (
+        "  contrast_eps_mu: [0.5]\n"
+        "initial: {shape: gaussian, amplitude: 0.4, width: 1.0}\n"
+        "stepper: {dt: 1.0e-2, t_end: 1.0, blowup_threshold: 0.1}\n"
+        "scenario_params: {horizon_over_eps: 0.02}\n"
+    )
+    p = _write(tmp_path, text)
+    result = run_scenario(load_config(p, out=str(tmp_path / "o")))
+    summary = result.summary
+    assert [r["termination"] for r in summary["runs"]] == ["blowup"] * 3
+    assert summary["failures"] == ["epsmu0.2: blowup", "epsmu0.1: blowup"]
+    assert summary["verdicts"]["longtime_completed"] is False and not result.passed
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "o2")]) == 1
+    assert "note  epsmu0.1: blowup" in capsys.readouterr().out
+
+
 # the benchmark's audit cases: the preset's, with the d=2 case at n=8
 BENCH_AUDIT_CASES = [
     {"d": 1, "n": 32, "L": "2pi", "profile": "gaussian_bump", "beta": 0.5, "mu": 0.1},

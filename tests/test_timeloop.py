@@ -280,6 +280,27 @@ def test_propagator_is_the_einsum_of_the_step_power_bit_for_bit(bath, model):
             assert lost == {}
 
 
+@pytest.mark.parametrize("model", ["sw", "bp", "mbp"])
+@pytest.mark.parametrize("bath", [FLAT1, FLAT2], ids=["d1", "d2"])
+def test_cached_powers_have_one_nonzero_part_per_entry(bath, model, monkeypatch):
+    # R(dt L)^n keeps L's parity: real scalar-scalar and velocity-velocity
+    # entries, imaginary couplings, so one complex product rounds each once
+    g = bath.grid
+    params = [ModelParams(0.0, mu, model) for mu in (0.4, 0.1, 0.0)]
+    bundle = make_rhs(params, bath, [1e-2, 0.0, 0.0])
+    propagate = _propagator(bundle.blocks, np.array([1e-2, 3e-3, 7e-3]))
+    applied = []
+    apply = timeloop.apply_mode_blocks
+    monkeypatch.setattr(timeloop, "apply_mode_blocks", lambda P, W: applied.append(P) or apply(P, W))
+    W = g.rfft(np.random.default_rng(47).standard_normal((3, 1 + g.d) + g.shape))
+    for n, members in ((1, (0, 1, 2)), (7, (0, 1, 2)), (20, (0, 2)), (250, (1,))):
+        propagate(W[list(members)], n, members)
+    assert len(applied) == 4
+    for P in applied:
+        assert not np.any((P.real != 0) & (P.imag != 0))
+        assert np.any(P.real) and np.any(P.imag)
+
+
 def test_propagator_over_cfl_blowup_matches_stage_loop():
     # dt*omega = 3.1 on the top kept mode lies past rk4's stability
     # boundary 2.83, so that mode grows from 1e-6 to the threshold
@@ -357,6 +378,20 @@ def test_record_times_and_modes():
     assert traj.mode_history[-1][1] == pytest.approx(spec[3])
     # mode 3 never excited by a linear run from a pure mode-2 state
     assert np.abs(traj.mode_history[:, 1]).max() < 1e-10
+
+
+@pytest.mark.parametrize(
+    "bath,bad",
+    [(FLAT1, (1,)), (FLAT1, [2]), (FLAT2, 5), (FLAT2, (1,)), (FLAT2, (1, 2, 3)), (FLAT2, [1])],
+    ids=["d1-1-tuple", "d1-1-list", "d2-int", "d2-1-tuple", "d2-triple", "d2-1-list"],
+)
+def test_tracked_mode_of_the_wrong_shape_is_refused(bath, bad):
+    # a d=1 mode is one integer and a d=2 mode a pair; (1, 2, 3) in d=2 was
+    # tracked as (1, 2), and the others raised TypeError or IndexError
+    cfg = StepperConfig(dt=1e-2, t_end=0.1, track_modes=(bad,))
+    state = _mode_state(bath.grid)
+    with pytest.raises(ValueError, match=r"mode .* is not (one integer|a pair of integers)"):
+        run(state, ModelParams(0.0, 0.4, "bp"), bath, cfg)
 
 
 def test_final_step_always_recorded():
@@ -631,9 +666,9 @@ def test_linear_flat_batch_advances_in_groups_when_horizons_end_apart(bath, monk
     sizes = []
     apply = timeloop.apply_mode_blocks
 
-    def counted(split, W):
+    def counted(P, W):
         sizes.append(W.shape[0])
-        return apply(split, W)
+        return apply(P, W)
 
     monkeypatch.setattr(timeloop, "apply_mode_blocks", counted)
     batch = run(states, params, bath, configs)
