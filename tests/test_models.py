@@ -22,7 +22,7 @@ from bplab.models import (
 )
 from bplab.operators import build_handle, get_weighted_ops
 from bplab.spectral import Grid, div_arr, grad_arr, mollify_arr, trunc_arr
-from bplab.timeloop import StepperConfig, apply_mode_blocks, _mode_major, run
+from bplab.timeloop import StepperConfig, _mode_major, apply_mode_blocks, run
 from oracles import (
     burgers_flux_reference,
     dprod,
