@@ -54,8 +54,16 @@ __all__ = [
 
 
 def _records(grid: Grid, zeta: np.ndarray, V: Optional[np.ndarray]):
-    """(lead, U): the record axes, and (zeta, V) stacked as (R, rows, *shape)."""
+    """(lead, U): the record axes, and (zeta, V) stacked as (R, rows, *shape).
+
+    zeta's trailing axes must be grid.shape and V's (d, *grid.shape): a
+    field of another size is refused, not read as more or fewer records.
+    """
     lead = zeta.shape[: zeta.ndim - grid.d]
+    if zeta.shape[len(lead) :] != grid.shape or (
+        V is not None and V.shape[V.ndim - grid.d - 1 :] != (grid.d, *grid.shape)
+    ):
+        raise ValueError(f"fields do not lie on the d={grid.d} n={grid.n} grid")
     rows = [zeta.reshape((-1, 1) + grid.shape)]
     if V is not None:
         rows.append(V.reshape((-1, grid.d) + grid.shape))

@@ -25,9 +25,10 @@ records, without the stage evaluations in between. The stepper applies
 each power itself, as one complex product per block entry
 (apply_mode_blocks), and never calls such a run's flow. Members whose next
 records fall on the same step advance by one block product, so a stack
-whose horizons end together advances at once. A member whose power is not
-finite (a step past RK4's stability limit and a long stride) takes that
-stride's steps one at a time, as below. Every other run takes the
+whose horizons end together advances at once. A member whose stride
+result is not finite (a step past RK4's stability limit, a power or a
+state that overflows) retakes that stride from its state before it, one
+step at a time, as below. Every other run takes the
 four stages of one RK4 step (_rk4), which binds each member's dt, dt/2
 and dt/6 once per set of active members and sums the stages in place, in
 the textbook expression's order, so its steps are that expression's bit
@@ -63,7 +64,7 @@ from __future__ import annotations
 
 import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
@@ -178,6 +179,32 @@ def _rk4(dt):
     return step
 
 
+# the termination a failure of a step names
+_FAILURES = {
+    FloatingPointError: "blowup",
+    DryStateError: "dry",
+    SolverDivergenceError: "solver_failure",
+}
+
+
+def _termination(e: Exception) -> str:
+    return next(name for kind, name in _FAILURES.items() if isinstance(e, kind))
+
+
+def _alone(fn, W: np.ndarray, dt, n: int) -> tuple:
+    """Up to n RK4 steps of one member W (1, rows, *rshape) under numpy's
+    overflow and invalid-value errors: (last good state, steps completed,
+    the termination of the step that failed, or None)."""
+    step = _rk4(dt)
+    with np.errstate(over="raise", invalid="raise"):
+        for done in range(n):
+            try:
+                W = step(fn, W)
+            except tuple(_FAILURES) as e:
+                return W, done, _termination(e)
+    return W, n, None
+
+
 def _mode_major(blocks: np.ndarray) -> np.ndarray:
     """Per-mode blocks (K, *rshape, m, m) laid out as apply_mode_blocks takes
     them: one C-contiguous array (K, i, j, *rshape)."""
@@ -209,53 +236,39 @@ def _propagator(blocks: np.ndarray, dt: np.ndarray):
     blocks is (K, *rshape, m, m) and dt one step per member. One RK4 step
     applied to the identity blocks yields R(dt L) itself. Powers are taken
     over the members' stack at once and cached by (n, members), laid out as
-    apply_mode_blocks takes them, and each member's power is checked for
-    finiteness once, when it is cached. A member whose power is not finite
-    (dt past RK4's stability limit, n large) takes its n RK4 steps one at a
-    time instead, stage by stage under numpy's overflow and invalid-value
-    errors, as every other run steps: lost maps each such member whose step
-    overflows to the steps it completed, and its row of the result holds its
-    last finite state. This and that fallback are the only code that applies
-    blocks; a linear flat run never calls its bundle's flow.
+    apply_mode_blocks takes them. Each member's result is checked for
+    finiteness; a non-finite power entry makes its row of the product
+    non-finite too. A member whose result is not finite (dt past RK4's
+    stability limit and n large, or a state that overflows) retakes the
+    stride from its state before it, one step at a time (_alone), as every
+    other run steps: lost maps each such member whose step overflows to the
+    steps it completed, and its row of the result holds its last finite
+    state. This is the only code that applies blocks; a linear flat run
+    never calls its bundle's flow.
     """
     eye = np.broadcast_to(np.eye(blocks.shape[-1]), blocks.shape)
     one_step = _rk4(dt.reshape((-1,) + (1,) * (blocks.ndim - 1)))(lambda X: blocks @ X, eye)
     powers = {}
 
-    def stepwise(X: np.ndarray, n: int, k: int) -> tuple:
-        """Up to n RK4 steps of member k alone: (last finite state, steps taken)."""
-        fn = partial(apply_mode_blocks, _mode_major(blocks[[k]]))
-        step = _rk4(dt[k])
-        with np.errstate(over="raise", invalid="raise"):
-            for done in range(n):
-                try:
-                    X = step(fn, X)
-                except FloatingPointError:
-                    return X, done
-        return X, n
-
     def propagate(W: np.ndarray, n: int, members: tuple) -> tuple:
-        # (laid-out power of the members whose power is finite, their
-        # positions, the positions of the others), once per (n, members)
-        entry = powers.get((n, members))
-        if entry is None:
-            with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-                P = np.linalg.matrix_power(one_step[list(members)], n)
-            fine = np.isfinite(P).reshape(len(members), -1).all(axis=1)
-            ok = slice(None) if fine.all() else np.flatnonzero(fine)
-            entry = powers[n, members] = (_mode_major(P[ok]), ok, np.flatnonzero(~fine))
-        power, ok, bad = entry
-        if not len(bad):
-            return apply_mode_blocks(power, W), {}
-        out = np.empty_like(W)
-        if ok.size:
-            out[ok] = apply_mode_blocks(power, W[ok])
+        with np.errstate(over="ignore", invalid="ignore"):  # results checked below
+            P = powers.get((n, members))
+            if P is None:
+                P = powers[n, members] = _mode_major(
+                    np.linalg.matrix_power(one_step[list(members)], n)
+                )
+            out = apply_mode_blocks(P, W)
         lost = {}
-        for j in bad.tolist():
-            X, done = stepwise(W[j : j + 1], n, members[j])
+        fine = np.isfinite(out)
+        if fine.all():
+            return out, lost
+        for j in np.flatnonzero(~fine.reshape(len(members), -1).all(axis=1)).tolist():
+            k = members[j]
+            fn = partial(apply_mode_blocks, _mode_major(blocks[[k]]))
+            X, done, failure = _alone(fn, W[j : j + 1], dt[k], n)
             out[j] = X[0]
-            if done < n:
-                lost[members[j]] = done
+            if failure is not None:
+                lost[k] = done
         return out, lost
 
     return propagate
@@ -296,27 +309,6 @@ class Batch(tuple):
     @property
     def n_records(self) -> int:
         return sum(t.n_records for t in self)
-
-
-@dataclass
-class _Member:
-    """One member's schedule and what has been recorded of it so far."""
-
-    params: ModelParams
-    config: StepperConfig
-    n_steps: int
-    dt: float
-    times: list = field(default_factory=list)
-    sup_u: list = field(default_factory=list)
-    sup_grad_u: list = field(default_factory=list)
-    modes: list = field(default_factory=list)
-    states: list = field(default_factory=list)
-    termination: str = "completed"
-    termination_time: Optional[float] = None
-    steps_taken: int = 0
-
-    def end(self, termination: str, time: float, steps: int) -> None:
-        self.termination, self.termination_time, self.steps_taken = termination, time, steps
 
 
 def batch_key(params: ModelParams, config: StepperConfig) -> tuple:
@@ -369,12 +361,14 @@ def _run_batch(states: list, params: list, bath: Bathymetry, configs: list, hand
     if any(batch_key(p, c) != key for p, c in zip(params, configs)):
         raise ValueError("batch members must share their batch_key")
     for state, p in zip(states, params):
+        if state.grid != g:
+            raise ValueError(f"a start state on {state.grid} does not lie on the bottom's {g}")
         if state.stack().shape[0] != state_rows(p.model, g):
             raise ValueError("state rows do not match the model")
     bundle = make_rhs(params, bath, [c.delta for c in configs], handles)
     mode_idx = _check_modes(g, first.track_modes)
 
-    members = []
+    trajs, last = [], []  # each member's record, filled as it runs, and its step count
     for state, p, c in zip(states, params, configs):
         if c.t_end == 0.0:
             n_steps, dt = 0, c.dt
@@ -389,14 +383,15 @@ def _run_batch(states: list, params: list, bath: Bathymetry, configs: list, hand
                 CFLWarning,
                 stacklevel=3,
             )
-        members.append(_Member(p, c, n_steps, dt))
+        trajs.append(Trajectory(g, p, c, dt, [], [], [], [], [], "completed", None, 0))
+        last.append(n_steps)
 
     stride = first.output_stride
     limit = min(first.blowup_threshold, np.finfo(float).max)  # finite, or a blowup
     W = bundle.encode(np.stack([state.stack() for state in states]))
     ids = np.arange(K)  # the active members, in stack order
-    dts = np.array([m.dt for m in members])
-    last = np.array([m.n_steps for m in members])
+    dts = np.array([t.dt for t in trajs])
+    last = np.array(last)
     propagate = None
     steps = {}  # active members -> their RK4 step, dt bound per member
     if bundle.blocks is not None:
@@ -414,6 +409,9 @@ def _run_batch(states: list, params: list, bath: Bathymetry, configs: list, hand
         if len(pos):
             keep = np.setdiff1d(np.arange(len(ids)), pos)
             W, ids = W[keep], ids[keep]
+
+    def end(t: Trajectory, termination: str, time: float, steps: int) -> None:
+        t.termination, t.termination_time, t.steps_taken = termination, time, steps
 
     def record(pos: np.ndarray, at: np.ndarray) -> list:
         """Record the active members at pos, each at its own step count; return
@@ -434,17 +432,18 @@ def _run_batch(states: list, params: list, bath: Bathymetry, configs: list, hand
         for j, (p, s, a, b, fine) in enumerate(
             zip(pos.tolist(), at.tolist(), su.tolist(), sg.tolist(), ok.tolist())
         ):
-            m = members[ids[p]]
-            m.times.append(s * m.dt)
-            m.sup_u.append(a)
-            m.sup_grad_u.append(b)
-            m.states.append(U[j])
+            k = ids[p]
+            t = trajs[k]
+            t.times.append(s * t.dt)
+            t.sup_u.append(a)
+            t.sup_grad_u.append(b)
+            t.states.append(U[j])
             if modes is not None:
-                m.modes.append(modes[j])
+                t.mode_history.append(modes[j])
             if not fine:
-                m.end("blowup", s * m.dt, s)
-            elif s == m.n_steps:
-                m.end("completed", m.config.t_end, s)
+                end(t, "blowup", s * t.dt, s)
+            elif s == last[k]:
+                end(t, "completed", t.config.t_end, s)
             else:
                 continue
             gone.append(p)
@@ -455,16 +454,9 @@ def _run_batch(states: list, params: list, bath: Bathymetry, configs: list, hand
         when each takes it alone, from the history the step began with."""
         failed = {}
         for j, k in enumerate(active):
-            step = _rk4(dts[[k]].reshape((-1,) + (1,) * (W.ndim - 1)))
-            try:
-                with np.errstate(over="raise", invalid="raise"):
-                    step(partial(bundle.fn, members=(k,)), W[j : j + 1])
-            except FloatingPointError:
-                failed[k] = "blowup"
-            except DryStateError:
-                failed[k] = "dry"
-            except SolverDivergenceError:
-                failed[k] = "solver_failure"
+            failure = _alone(partial(bundle.fn, members=(k,)), W[j : j + 1], dts[k], 1)[2]
+            if failure is not None:
+                failed[k] = failure
             if history is not None:
                 history.update(saved)
         return failed
@@ -480,8 +472,8 @@ def _run_batch(states: list, params: list, bath: Bathymetry, configs: list, hand
             ended = record(np.array(blown), np.full(len(blown), s))
         for p, name in zip(pos.tolist(), names):
             if p not in ended:
-                m = members[ids[p]]
-                m.end(name, (s + 1) * m.dt, s)
+                t = trajs[ids[p]]
+                end(t, name, (s + 1) * t.dt, s)
         drop(pos)
 
     s = 0  # steps completed by every active member
@@ -491,7 +483,7 @@ def _run_batch(states: list, params: list, bath: Bathymetry, configs: list, hand
     while ids.size:
         target = np.minimum((s // stride + 1) * stride, last[ids])
         active = tuple(ids.tolist())
-        overflowed = {}  # member -> its last finite step, where its stepwise stride overflowed
+        overflowed = {}  # member -> its last finite step, where its retaken stride overflowed
         if propagate is not None:
             left = (target - s).tolist()
             for n in sorted(set(left)):  # the members whose next records fall together
@@ -520,7 +512,7 @@ def _run_batch(states: list, params: list, bath: Bathymetry, configs: list, hand
                             saved = dict(history)
                         W = step(fn, W)
                         s += 1
-            except (DryStateError, SolverDivergenceError, FloatingPointError) as e:
+            except tuple(_FAILURES) as e:
                 if history is not None:
                     history.update(saved)  # as the step began, as in each run alone
                 if isinstance(e, FloatingPointError):
@@ -528,8 +520,7 @@ def _run_batch(states: list, params: list, bath: Bathymetry, configs: list, hand
                     if not failed:
                         raise  # the stack's step fails where no member's own does
                 else:
-                    name = "dry" if isinstance(e, DryStateError) else "solver_failure"
-                    failed = dict.fromkeys(getattr(e, "members", active), name)
+                    failed = dict.fromkeys(getattr(e, "members", active), _termination(e))
                 leave(failed, s)
                 continue  # the others retake step s + 1
             reached = np.full(len(ids), s)
@@ -539,20 +530,7 @@ def _run_batch(states: list, params: list, bath: Bathymetry, configs: list, hand
         for k, at in overflowed.items():
             leave({k: "blowup"}, at)
 
-    return [
-        Trajectory(
-            grid=g,
-            params=m.params,
-            config=m.config,
-            dt=m.dt,
-            times=np.array(m.times),
-            sup_u=np.array(m.sup_u),
-            sup_grad_u=np.array(m.sup_grad_u),
-            mode_history=np.array(m.modes) if m.modes else None,
-            states=m.states,
-            termination=m.termination,
-            termination_time=m.termination_time,
-            steps_taken=m.steps_taken,
-        )
-        for m in members
-    ]
+    for t in trajs:
+        t.times, t.sup_u, t.sup_grad_u = map(np.array, (t.times, t.sup_u, t.sup_grad_u))
+        t.mode_history = np.array(t.mode_history) if t.mode_history else None
+    return trajs

@@ -116,6 +116,22 @@ def test_energy_EN_mu_zero_drops_gradient_blocks():
     assert abs(got - expected) < 1e-12
 
 
+@pytest.mark.parametrize("energy", ["EN", "theorem", "bp"])
+def test_energies_refuse_a_field_of_another_size(energy):
+    # cos x sampled at 128 points on a 64-point grid is not two records
+    fine = Grid(1, 128, 2.0 * np.pi)
+    zeta, vel = np.cos(fine.x[0]), np.zeros((1,) + fine.shape)
+    calls = {
+        "EN": lambda z, v: energy_EN(G1, z, v, 0.1),
+        "theorem": lambda z, v: energy_theorem_E(G1, z, v, 0.1),
+        "bp": lambda z, v: energy_bp(z, v, 0.1, FLAT1),
+    }
+    for z, v in ((zeta, vel), (zeta[::2], vel), (zeta, vel[..., ::2])):
+        with pytest.raises(ValueError, match="grid"):
+            calls[energy](z, v)
+    assert calls[energy](zeta[::2], vel[..., ::2]) > 0.0
+
+
 # ---------------------------------------------------------------------------
 # energy_theorem_E
 

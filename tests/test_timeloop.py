@@ -435,6 +435,24 @@ def test_state_rows_must_match_model():
         run(_mode_state(G1), params, FLAT1, cfg)  # has a velocity row
 
 
+@pytest.mark.parametrize(
+    "grid, bath",
+    [(Grid(1, 32, 2.0 * np.pi), FLAT1), (G1, build_bathymetry(Grid(1, 64, 4.0 * np.pi), "flat", 0.0))],
+    ids=["n", "L"],
+)
+def test_start_state_off_the_bottoms_grid_is_refused(grid, bath):
+    # the stepper would step it on the bottom's grid: zero-padded, or stretched
+    params = ModelParams(0.0, 0.4, "bp")
+    cfg = StepperConfig(dt=1e-2, t_end=0.1)
+    off = _mode_state(grid, k=1.0, amp=0.05)
+    with pytest.raises(ValueError, match="bottom"):
+        run(off, params, bath, cfg)
+    on = _mode_state(bath.grid, k=1.0, amp=0.05)
+    with pytest.raises(ValueError, match="bottom"):
+        run([on, off], [params] * 2, bath, [cfg] * 2)
+    assert run(on, params, bath, cfg).termination == "completed"
+
+
 # ---------------------------------------------------------------------------
 # terminations
 
@@ -999,3 +1017,47 @@ def test_propagator_overflowing_member_leaves_the_batch_alone():
     assert [t.termination for t in batch] == ["blowup", "completed", "blowup"]
     assert batch[1].steps_taken == 5000
     assert batch[2].steps_taken < batch[0].steps_taken < 5000
+
+
+def _overflowing_strides_sw(dt_omega: float = 2.84):
+    """A linear flat sw run over FLAT1 whose mode 21 steps at dt*omega just
+    past RK4's stability limit: each stride's power R(dt L)^2000 is finite,
+    but the state grows across strides until it overflows, at blow-up
+    threshold inf."""
+    x = G1.x[0]
+    zeta = 1e-3 * np.cos(21 * x) + 1e-3 * np.cos(x)
+    state = ModelState(G1, np.stack([zeta, np.zeros(G1.shape)]))
+    dt = dt_omega / 21
+    cfg = StepperConfig(dt=dt, t_end=200_000 * dt, output_stride=2000, blowup_threshold=np.inf)
+    return state, ModelParams(0.0, 0.0, "sw"), cfg
+
+
+def test_propagator_state_overflowing_across_strides_ends_at_the_failing_step():
+    # the stride's product is not finite though its power is: the stride is
+    # retaken one step at a time, and the run ends at the step that overflows
+    state, params, cfg = _overflowing_strides_sw()
+    with warnings.catch_warnings(), pytest.warns(CFLWarning):
+        warnings.simplefilter("error", RuntimeWarning)
+        traj = run(state, params, FLAT1, cfg)
+    assert traj.termination == "blowup"
+    assert 0 < traj.steps_taken < 200_000 and traj.steps_taken % cfg.output_stride
+    # its last finite state is recorded; it ends in the step after it
+    assert traj.times[-1] == traj.steps_taken * traj.dt
+    assert traj.termination_time == (traj.steps_taken + 1) * traj.dt
+    assert np.isfinite(traj.sup_u).all() and np.isfinite(traj.sup_grad_u).all()
+    assert np.isfinite(traj.states[-1]).all()
+    bundle = make_rhs(params, FLAT1)
+    with np.errstate(over="raise", invalid="raise"), pytest.raises(FloatingPointError):
+        _rk4(traj.dt)(bundle.fn, bundle.encode(traj.states[-1]))
+
+
+def test_propagator_state_overflowing_across_strides_leaves_the_batch_alone():
+    runs = [_overflowing_strides_sw(v) for v in (2.84, 1.0, 2.9)]
+    states, params, configs = (list(part) for part in zip(*runs))
+    configs[1] = dataclasses.replace(configs[1], t_end=20_000 * configs[1].dt)
+    with warnings.catch_warnings(), pytest.warns(CFLWarning):
+        warnings.simplefilter("error", RuntimeWarning)
+        batch = _batch_matches_solo(states, params, FLAT1, configs)
+    assert [t.termination for t in batch] == ["blowup", "completed", "blowup"]
+    assert batch[1].steps_taken == 20_000
+    assert all(t.steps_taken % 2000 and np.isfinite(t.states[-1]).all() for t in batch[::2])
