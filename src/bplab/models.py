@@ -19,6 +19,18 @@ multiplied by (1 - delta*Lap_g)^{-2}, and the velocity solve is sandwiched
 as (1 - delta*Lap_g)^{-1} Solve (1 - delta*Lap_g)^{-1} applied to the
 weighted residual. delta = 0 is the plain system.
 
+Each velocity equation is the hydrostatic one plus an O(mu) correction.
+With -d_t V = V0 + u, where V0 is the hydrostatic velocity tendency
+(negated) and T = h_b*Tb,
+
+    bp       V0 = grad zeta + eps (V.grad)V,   h_b(I + mu*Tb) u = -mu T V0
+    mbp      V0 = grad zeta,                   h_b*B u = eps h_b (V.grad)V - mu T V0
+
+since h_b*B and h_b*A share their grad-div part, and B's d=2 perp block
+vanishes on a gradient. A member whose solves run CG and that does not
+smooth solves for u, warm-started from its past corrections
+(_solve_each); the others solve for V0 + u whole.
+
 make_rhs returns a bundle whose flow takes and returns rfft coefficients
 W = rfft(U). Every system steps on them and goes to nodes only for its
 pointwise products, through one stacked inverse transform of the factors
@@ -43,7 +55,8 @@ numpy calls more than its arithmetic, so the flows make as few as they
 can without changing a floating-point operation: stacked factors come from
 one table, stacked products from one multiply-sum, and unit coefficients
 are skipped rather than multiplied. Each transform's input is one new
-stack that the products write into with out= (no concatenates), d = 1
+stack that the products write into with out= (no concatenates, but the
+one that appends the band rows of T V0 where members split), d = 1
 skips sums over its one velocity component, eps times the 2/3 mask and
 eps times h_b are bound once per member set, a dense member's solve writes
 its matmul straight into the next transform's input, and the last
@@ -155,9 +168,11 @@ class RHSBundle:
     of the listed members (all of them when None), in the listed order.
 
     history, set only for flows whose velocity solves run CG, maps a member
-    id to that member's last CG_HISTORY solves, (x, W x) pairs oldest first.
-    Each image is the one CG holds when it stops, y - r: W x to rounding
-    plus what it inherits from the images its start combined, which the
+    id to that member's last CG_HISTORY solves, (x, W x) pairs oldest first:
+    corrections u to the hydrostatic velocity for a member that does not
+    smooth (_solve_each), whole velocities for one that does, both pairs of
+    the same W. Each image is the one CG holds when it stops, y - r: W x to
+    rounding plus what it inherits from the images its start combined, which the
     warm start keeps to a fifth of CG_TOL (operators._warm_start). So a
     warm start takes its residual from the images without an apply and
     still ends within CG_TOL of the true residual. A member with an entry
@@ -248,7 +263,10 @@ class _Coefs:
     1, and eps * h_b * x already evaluates as (eps * h_b) * x, so the flows
     get the bits of the products written out. smooth indexes the members
     with delta > 0, which get the mollifier sandwich around their solve, or
-    is None when no member smooths.
+    is None when no member smooths. split marks, per member, those that
+    solve for the correction to their hydrostatic velocity (_solve_each):
+    every member that does not smooth, when the flow's solves run CG; it is
+    None when no member splits.
     history is the flow's RHSBundle.history, shared by every set of members.
     """
 
@@ -260,6 +278,7 @@ class _Coefs:
     m1: object
     m2: object
     smooth: object
+    split: object
     handles: list
     history: Optional[dict]
 
@@ -284,10 +303,11 @@ def _member_coefs(params: list, bath: Bathymetry, deltas: list, handles: list, h
             pick = (lambda a: a[idx] if np.ndim(a) else a)
             on = delta[idx] > 0
             smooth = np.flatnonzero(on) if on.any() else None
+            split = None if history is None or on.all() else ~on
             e = eps[idx]
             view = views[members] = _Coefs(
                 tuple(idx), e, e * grid.dealias_mask, e * bath.hb, mu[idx], pick(m1), pick(m2),
-                smooth, [handles[i] for i in idx], history,
+                smooth, split, [handles[i] for i in idx], history,
             )
         return view
 
@@ -314,30 +334,89 @@ def _negated(c: _Coefs, R: np.ndarray, m_vel) -> np.ndarray:
     return R
 
 
-def _solve_each(y: np.ndarray, c: _Coefs, out: np.ndarray) -> np.ndarray:
-    """Each member's weighted velocity solve through its own handle, into out.
+def _solve_each(y, c: _Coefs, out: np.ndarray, split=None) -> np.ndarray:
+    """Each member's weighted velocity solve W x = y through its own handle,
+    into out.
+
+    split, given when some members split (c.split), is the stack triple
+    (V0, r, ref): V0 the members' hydrostatic velocity, r = y - W V0 and ref
+    a norm with ref <= |y| (see the flows). A member that splits solves the
+    correction W u = r, stopping CG at CG_TOL * ref, and takes x = V0 + u,
+    so that |y - W x| <= CG_TOL |y| as for a solve of y itself; the others
+    solve y, which is None when every member splits. V0 is the bulk of x,
+    so a correction needs fewer CG iterations than x, from the same kind of
+    warm start.
 
     A member without an entry in c.history solves straight into its rows of
     out, which must be C-contiguous, as a row slice of a new stack's are; a
     dense handle writes its product there. A member with an entry
     warm-starts from its past solves and adds this one as the pair (x, W x)
-    the solve returns, keeping the last CG_HISTORY. The image is CG's own
-    y - r (see RHSBundle.history), so the next warm start needs no apply. A
-    stalled solve names its member on the SolverDivergenceError.
+    the solve returns, keeping the last CG_HISTORY: corrections for a member
+    that splits. The image is CG's own y - r (see RHSBundle.history), so the
+    next warm start needs no apply. A stalled solve names its member on the
+    SolverDivergenceError.
     """
-    for i, (member, handle, rhs) in enumerate(zip(c.ids, c.handles, y)):
+    for i, (member, handle) in enumerate(zip(c.ids, c.handles)):
         prior = None if c.history is None else c.history.get(member)
+        part = split is not None and c.split[i]
+        rhs, ref = (split[1][i], float(split[2][i])) if part else (y[i], None)
         try:
             if prior is None:
-                handle.solve_weighted_arrays(rhs, out=out[i])
-                continue
-            x, image = handle.solve_weighted_arrays(rhs, prior)
+                handle.solve_weighted_arrays(rhs, out=out[i], ref=ref)
+            else:
+                x, image = handle.solve_weighted_arrays(rhs, prior, ref=ref)
+                c.history[member] = (prior + ((x, image),))[-CG_HISTORY:]
+                out[i] = x
         except SolverDivergenceError as e:
             e.members = (member,)
             raise
-        c.history[member] = (prior + ((x, image),))[-CG_HISTORY:]
-        out[i] = x
+        if part:
+            out[i] += split[0][i]
     return out
+
+
+def _norms(a: np.ndarray) -> np.ndarray:
+    """Each member's 2-norm of a member stack (K, ...)."""
+    flat = a.reshape(len(a), -1)
+    return np.sqrt(np.einsum("ij,ij->i", flat, flat))
+
+
+def _mbp_split(ops, positive: bool, c: _Coefs, V0, N, band) -> tuple:
+    """(V0, r, ref) of _solve_each for the mbp velocity h_b B x = y.
+
+    y = h_b A V0 + eps h_b N with V0 = grad zeta and N = T (V.grad)V (None
+    when eps = 0), and band the inverse transform of V0's band_rows. With W
+    = h_b B = h_b + mu (T - h_b G) less the d=2 perp block, which vanishes
+    on a gradient, the G parts cancel: r = y - W V0 = eps h_b N - mu T V0,
+    so y itself is never formed.
+
+    ref = max(<h_b (V0 + eps N), V0>, 0) / |V0|. It is at most <y, V0> /
+    |V0| <= |y|, since h_b A - h_b = -mu h_b G is positive semi-definite
+    when the band-limited 1/h_b is positive, as positive says of the
+    bottom: <-h_b G v, v> is <(1/h_b)_t s, s> for s = T D(h_b v). A member
+    takes the exact |y|, from one h_b A apply, where the bottom is not
+    positive or where its ref is below |r|, as when grad zeta is near zero:
+    CG would then have to take r further below CG_TOL than a solve of its
+    own does.
+    """
+    T = ops.close(V0, band, None, True, False)[0]
+    r = np.multiply(-c.mu, T, out=T)
+    lead = ops.hb * V0
+    if N is not None:
+        eN = c.eps_hb * N
+        r += eN
+        lead += eN
+    K = len(V0)
+    dot = np.einsum("ij,ij->i", lead.reshape(K, -1), V0.reshape(K, -1))
+    size = _norms(V0)
+    ref = np.maximum(dot, 0.0) / np.where(size > 0.0, size, 1.0)
+    exact = np.flatnonzero(ref < _norms(r)) if positive else np.arange(K)
+    if exact.size:
+        y = ops.weighted("hb_A", V0[exact], c.mu[exact])
+        if N is not None:
+            y += c.eps_hb[exact] * N[exact]
+        ref[exact] = _norms(y)
+    return V0, r, ref
 
 
 @functools.lru_cache(maxsize=64)
@@ -484,11 +563,12 @@ def _batch_rhs(params: list, bath: Bathymetry, deltas: list, handles: list) -> R
         return RHSBundle(fn, g, tuple(params))
 
     hbt = trunc_arr(g, bath.hb)
+    ops = get_weighted_ops(bath) if kind else None  # the handles' own, built with them
     if model == "mbp":
         # primary variable is q, surface recovered pointwise; h_b A grad zeta
         # is the weighted hb_A apply over a mu column, the phi part of the
-        # operators' one chain
-        ops = get_weighted_ops(bath)
+        # operators' one chain, for the members that solve y whole
+        positive = bool(ops.invhb_t.min() > 0.0)
 
         def fn(W: np.ndarray, members=None) -> np.ndarray:
             c = take(members)
@@ -508,13 +588,22 @@ def _batch_rhs(params: list, bath: Bathymetry, deltas: list, handles: list) -> R
             np.multiply(g.ik_stack, P[:, d : d + 1], out=back[:, 1 : 1 + d])
             if nonlinear:
                 np.multiply(mask, P[:, d + 2 :], out=back[:, 1 + d :])
+            if c.split is not None:  # and grad zeta's band rows, for its T
+                back = np.concatenate([back, *ops.band_rows(back[:, 1 : 1 + d], True, False)], 1)
             nod = g.irfft(back)
-            w = ops.weighted("hb_A", nod[:, 1 : 1 + d], c.mu)
-            if nonlinear:
-                w += c.eps_hb * nod[:, 1 + d :]
+            V0 = nod[:, 1 : 1 + d]
+            N = nod[:, 1 + d : 1 + 2 * d] if nonlinear else None
+            w = split = None
+            if c.split is None or c.smooth is not None:  # some member solves y whole
+                w = ops.weighted("hb_A", V0, c.mu)
+                if nonlinear:
+                    w += c.eps_hb * N
+                w = _sandwich(g, w, c)
+            if c.split is not None:
+                split = _mbp_split(ops, positive, c, V0, N, nod[:, 1 + d + d * nonlinear :])
             E = np.empty((K, 1 + d) + g.shape, nod.dtype)  # [div(h_b V) / h_b; solved V]
             np.multiply(bath.inv_hb, nod[:, :1], out=E[:, :1])
-            _solve_each(_sandwich(g, w, c), c, E[:, 1:])
+            _solve_each(w, c, E[:, 1:], split)
             R = g.rfft(E)
             if nonlinear:
                 R[:, :1] += c.eps_mask * P[:, d + 1 : d + 2]
@@ -543,8 +632,19 @@ def _batch_rhs(params: list, bath: Bathymetry, deltas: list, handles: list) -> R
                 w += c.eps_mask * P[:, d:]
             if model == "sw":
                 return _negated(c, R, c.m2)
-            y = hb * g.irfft(w)  # the I_plus_muTb equation in its weighted form
-            R[:, 1:] = g.rfft(_solve_each(_sandwich(g, y, c), c, np.empty_like(y)))
+            split = None
+            if c.split is None:
+                y = hb * g.irfft(w)  # the I_plus_muTb equation in its weighted form
+            else:
+                # the hydrostatic velocity V0 and its band rows, one transform:
+                # y = h_b V0, and W = h_b + mu T leaves r = y - W V0 = -mu T V0
+                nod = g.irfft(np.concatenate([w, *ops.band_rows(w, True, False)], 1))
+                V0 = nod[:, :d]
+                y = hb * V0
+                T = ops.close(V0, nod[:, d:], None, True, False)[0]
+                split = (V0, np.multiply(-c.mu, T, out=T), _norms(y))
+            x = _solve_each(_sandwich(g, y, c), c, np.empty_like(y), split)
+            R[:, 1:] = g.rfft(x)
             return _negated(c, R, c.m1)
 
     # eps = 0 over a flat bottom: the flow is linear and acts mode by mode

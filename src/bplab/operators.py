@@ -20,7 +20,9 @@ The applies stay in rfft space between products: one chain,
 _WeightedOps._parts, runs four stacked transforms (inputs forward,
 band-limited divergences back, coefficient products forward, output
 spectra back) and takes a leading batch axis, so dense_matrix assembles
-DENSE_BLOCK identity columns per call.
+DENSE_BLOCK identity columns per call. Its halves, band_rows and close,
+let a flow that holds a velocity's spectrum take h_b*Tb of it in the last
+two transforms, with the band rows in the flow's own inverse transform.
 
 Each weighted form is h_b*V plus mu times mu-free parts of the bottom:
 T = h_b*Tb for h_b(I + mu*Tb), G = grad phi for h_b*A, and both (with the
@@ -137,6 +139,11 @@ class _WeightedOps:
         - (beta/2)[<u_t.Tv, TDw> + <u_t.Tw, TDv>]. The h_b products of phi
         stay plain so h_b*A u = h_b*grad f forces u = grad(f + mu*phi(u))
         exactly.
+
+        The chain is its two halves: the inputs' spectrum goes to
+        band_rows, their inverse transform to close. A flow that already
+        holds V's spectrum enters T's half at band_rows, with no forward
+        transform, and stacks those rows into its own inverse transform.
         """
         g = self.grid
         d = g.d
@@ -144,22 +151,44 @@ class _WeightedOps:
         reshaped = V.ndim != d + 2  # the stacks below have one batch axis
         if reshaped:
             V = V.reshape((-1, d) + g.shape)
-        mask, mik, beta = g.dealias_mask, g.mik, self.beta
-        twist = tb and beta != 0.0
 
         # phi's rows close every stack, which holds them alone without tb
         ins = ([V] if tb else []) + ([self.hb * V] if phi else [])
         spec = g.rfft(_stack_rows(ins))
+        nod = g.irfft(_stack_rows(self.band_rows(spec, tb, phi)))
+        T, G = self.close(V, nod, spec[:, :d] if perp else None, tb, phi)
+        if reshaped:
+            T, G = (None if x is None else x.reshape(shape) for x in (T, G))
+        return T, G
 
-        back = []
+    def band_rows(self, spec: np.ndarray, tb: bool, phi: bool) -> list:
+        """The band-limited spectral rows that _parts takes back to nodes.
+
+        spec stacks rfft(V) (when tb) and rfft(h_b V) (when phi), (K, rows,
+        *rshape). The rows are T D V, then T V where the bottom twists
+        (beta != 0), then T D(h_b V): one (K, rows, *rshape) part each.
+        """
+        g = self.grid
+        d = g.d
+        rows = []
         if tb:
             Vs = spec[:, :d]
-            back.append(_sum_rows(mik * Vs))
-            if twist:
-                back.append(mask * Vs)
+            rows.append(_sum_rows(g.mik * Vs))
+            if self.beta != 0.0:
+                rows.append(g.dealias_mask * Vs)
         if phi:
-            back.append(_sum_rows(mik * (spec[:, -d:] if tb else spec)))
-        nod = g.irfft(_stack_rows(back))
+            rows.append(_sum_rows(g.mik * (spec[:, -d:] if tb else spec)))
+        return rows
+
+    def close(self, V: np.ndarray, nod: np.ndarray, perp_spec, tb: bool, phi: bool):
+        """(T, G) of _parts from the stack V, (K, d, *shape), and nod, the
+        inverse transform of band_rows' rows stacked in order: two stacked
+        transforms. perp_spec, rfft(V) or None, subtracts the d=2 perp
+        block from T."""
+        g = self.grid
+        d = g.d
+        mask, mik, beta = g.dealias_mask, g.mik, self.beta
+        twist = tb and beta != 0.0
 
         prods = []
         if tb:
@@ -177,9 +206,9 @@ class _WeightedOps:
             t_s = mik * (-(1.0 / 3.0) * P[:, :1])
             if twist:
                 t_s = t_s + 0.5 * beta * (mik * P[:, 1:2] - mask * P[:, 2 : 2 + d])
-            if perp:
+            if perp_spec is not None:
                 pk = g.ik_perp
-                t_s = t_s - pk * _sum_rows(pk * Vs)
+                t_s = t_s - pk * _sum_rows(pk * perp_spec)
             outs.append(t_s)
         if phi:
             outs.append(mik * (P[:, -1:] if tb else P))
@@ -192,8 +221,6 @@ class _WeightedOps:
                 T = T + self.beta2_hbz * _sum_rows(self.z * V)
         if phi:
             G = res[:, -d:] if tb else res
-        if reshaped:
-            T, G = (None if x is None else x.reshape(shape) for x in (T, G))
         return T, G
 
     def weighted(self, kind: str, V: np.ndarray, mu) -> np.ndarray:
@@ -395,26 +422,29 @@ def _warm_start(y: np.ndarray, prior) -> tuple | None:
     return x0, w0
 
 
-def _pcg(apply_w, precond, y: np.ndarray, tol: float, maxiter: int, prior):
+def _pcg(apply_w, precond, y: np.ndarray, tol: float, maxiter: int, prior, ref=None):
     """Preconditioned conjugate gradients on the weighted SPD operator.
 
     Solves W x = y for one right-hand side and returns (x, image): image is
     y - r for CG's last residual r, which a caller keeps to warm-start its
-    next solve. From zero, the recurrence residual and the true one part
-    only by rounding, a few times 1e-13 of |y| on the benchmark's d=2 bump
-    (van der Vorst and Ye, SIAM J. Sci. Comput. 22, 2000), so the image is
-    W x to rounding; from a warm start it also carries the error of the
-    start's image w0, which _warm_start keeps to a fifth of CG_TOL. A
-    right-hand side or residual norm that is not finite comes back as NaN
-    at once, as a dense or spectral solve of it would, instead of iterating
-    to maxiter.
+    next solve. CG stops once |r| <= tol * ref, with ref = |y| when None; a
+    caller that solves for the correction to a known part of a larger
+    solution passes a lower bound of that solution's right-hand side norm
+    (see solve_weighted_arrays). From zero, the recurrence residual and the
+    true one part only by rounding, a few times 1e-13 of |y| on the
+    benchmark's d=2 bump (van der Vorst and Ye, SIAM J. Sci. Comput. 22,
+    2000), so the image is W x to rounding; from a warm start it also
+    carries the error of the start's image w0, which _warm_start keeps to
+    a fifth of CG_TOL. A right-hand side or residual norm that is not
+    finite comes back as NaN at once, as a dense or spectral solve of it
+    would, instead of iterating to maxiter.
 
     prior holds past (x_i, W x_i) solves of the same operator; when it is
     None or empty, CG starts from zero. Otherwise CG starts from
     _warm_start's projection x0 and takes its starting residual y - w0 from
-    the images, with no apply. x0 returns at once if that meets tol, and
-    otherwise the iteration below runs unchanged from it, so every apply of
-    a solve is a CG iteration.
+    the images, with no apply. The start returns at once if its residual
+    meets the stop, and otherwise the iteration below runs unchanged from
+    it, so every apply of a solve is a CG iteration.
     """
     norm_y = float(np.sqrt(np.vdot(y, y).real))
     if norm_y == 0.0:
@@ -422,15 +452,16 @@ def _pcg(apply_w, precond, y: np.ndarray, tol: float, maxiter: int, prior):
     if not math.isfinite(norm_y):
         nan = np.full_like(y, np.nan)
         return nan, nan
+    stop = tol * (norm_y if ref is None else ref)
     start = _warm_start(y, prior) if prior else None
     if start is None:
-        x = np.zeros_like(y)
+        x, w0 = np.zeros_like(y), np.zeros_like(y)
         r = y.copy()
     else:
         x, w0 = start
         r = y - w0
-        if float(np.sqrt(np.vdot(r, r).real)) <= tol * norm_y:
-            return x, w0
+    if float(np.sqrt(np.vdot(r, r).real)) <= stop:
+        return x, w0
     z = precond(r)
     p = z.copy()
     rz = float(np.vdot(r, z).real)
@@ -443,7 +474,7 @@ def _pcg(apply_w, precond, y: np.ndarray, tol: float, maxiter: int, prior):
         x += alpha * p
         r -= alpha * Ap
         norm_r = float(np.sqrt(np.vdot(r, r).real))
-        if norm_r <= tol * norm_y:
+        if norm_r <= stop:
             return x, y - r
         if not math.isfinite(norm_r):
             nan = np.full_like(y, np.nan)
@@ -485,7 +516,9 @@ class OperatorHandle:
     restores them when a batch retakes a step. Each image is CG's own y - r,
     W x to within a fifth of CG_TOL (see _warm_start), so a warm solve ends
     near CG_TOL on its true residual, as a cold one does. Every other
-    solve starts from zero.
+    solve starts from zero. A flow that solves for the correction to a
+    known part of its velocity passes the norm of the whole right-hand
+    side, or a lower bound of it, as ref (models._solve_each).
     """
 
     def __init__(self, kind: str, mu: float, bath: Bathymetry):
@@ -549,7 +582,7 @@ class OperatorHandle:
         y = self.ops.hb * rhs if self.kind == "I_plus_muTb" else rhs
         return self.solve_weighted_arrays(y)
 
-    def solve_weighted_arrays(self, y: np.ndarray, prior=None, out=None):
+    def solve_weighted_arrays(self, y: np.ndarray, prior=None, out=None, ref=None):
         """Solve the weighted SPD form W x = y directly.
 
         Leading axes of y are a batch. CG solves it member by member, so
@@ -568,12 +601,20 @@ class OperatorHandle:
         out, a C-contiguous array of y's shape, receives x; the dense
         solve writes its product straight into it. Any other out is
         refused with a ValueError.
+
+        ref, for a single right-hand side only, is the norm CG's residual
+        is measured against: CG stops at |y - W x| <= CG_TOL * ref, with ref
+        = |y| when None. A flow that splits its velocity x_full = g + x into
+        a known part g and a correction solves W x = y_full - W g and
+        passes ref <= |y_full|, so that x_full meets CG_TOL on its own
+        right-hand side (models._solve_each). Dense and spectral solves
+        ignore it.
         """
         if out is not None and not out.flags.c_contiguous:
             raise ValueError("out must be a C-contiguous array")
         batched = y.ndim > len(self._shape)
-        if prior is not None and batched:
-            raise ValueError("prior warm-starts a single right-hand side, not a batch")
+        if (prior is not None or ref is not None) and batched:
+            raise ValueError("prior and ref apply to a single right-hand side, not a batch")
         image = y
         if self.strategy == "dense":
             x = np.empty(y.shape, np.result_type(self._inv, y)) if out is None else out
@@ -593,6 +634,7 @@ class OperatorHandle:
                     CG_TOL,
                     CG_MAXITER,
                     prior,
+                    ref,
                 )
 
             if batched:

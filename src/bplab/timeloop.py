@@ -53,9 +53,10 @@ failed. Its records, steps and termination are those of its run alone. A
 single run is a batch of one.
 
 Each member's CG velocity solves warm-start from its own last solves,
-kept in the flow's history (models.RHSBundle) as solutions with the
-images W x that CG returns with them, so a warm start makes no apply
-beyond its CG iterations. A retaken step restarts every remaining
+kept in the flow's history (models.RHSBundle) as solutions (corrections
+to the hydrostatic velocity, see models) with the images W x that CG
+returns with them, so a warm start makes no apply beyond its CG
+iterations. A retaken step restarts every remaining
 member from the history it held when that step began, so its solves, too,
 are those of its run alone.
 """

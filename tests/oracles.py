@@ -4,7 +4,9 @@ Derivatives come from centered stencils, eigen-extrema from scipy's dense
 eigensolver, reference trajectories from a plain RK4 loop over a flow
 evaluated on nodes, dealiased products from the plain 2/3-rule
 projection, the rotated gradient and divergence from their plain
-multipliers, and H^s norms from nodal quadrature of Lambda^s f. The fast
+multipliers, H^s norms from nodal quadrature of Lambda^s f, and the bp and
+mbp velocity solves' right-hand sides written whole, as the flows stated
+them before they split off the hydrostatic velocity. The fast
 paths are checked bit for bit against their explicit form: the nodal
 factors built factor by factor, the operator audit's trials drawn and
 applied one at a time, the RK4 step as the textbook writes it, the
@@ -19,9 +21,10 @@ import csv
 
 import numpy as np
 
+from bplab.bathymetry import q_to_zeta_arr
 from bplab.errors import NotSPDError
-from bplab.operators import _gram_apply, coercivity_report
-from bplab.spectral import Grid, lambda_arr, trunc_arr
+from bplab.operators import _gram_apply, coercivity_report, get_weighted_ops
+from bplab.spectral import Grid, grad_arr, lambda_arr, trunc_arr
 
 
 def eig_extrema(M: np.ndarray, G: np.ndarray | None = None) -> tuple[float, float]:
@@ -207,6 +210,22 @@ def nodal_factors_reference(grid: Grid, W: np.ndarray, scalar: bool, gradq: bool
     gqt = nod[:, i : i + d] if gradq else None
     J = nod[:, i + d * gradq :].reshape((K, d, d) + grid.shape) if jac else None
     return (nod[:, :1] if scalar else None), Ut, gqt, J
+
+
+def velocity_rhs_reference(model: str, eps: float, mu: float, bath, W: np.ndarray):
+    """(V0, y) of the bp or mbp weighted velocity solve at one member's
+    spectrum W (rows, *rshape), written whole, as the flows solved it before
+    they split off V0: the hydrostatic velocity V0 is grad zeta + eps
+    T(V.grad)V for bp and grad zeta for mbp, and y is h_b V0 for bp and h_b A
+    grad zeta + eps h_b T(V.grad)V for mbp."""
+    g = bath.grid
+    _, Ut, _, J = nodal_factors_reference(g, W[None], False, False, True)
+    adv = trunc_arr(g, (Ut[0, 1:][None] * J[0]).sum(axis=1))  # dealiased (V.grad)V
+    if model == "bp":
+        V0 = g.irfft(g.ik_stack * W[:1]) + eps * adv
+        return V0, bath.hb * V0
+    V0 = grad_arr(g, q_to_zeta_arr(g.irfft(W[0]), eps, bath))
+    return V0, get_weighted_ops(bath).weighted("hb_A", V0, mu) + eps * bath.hb * adv
 
 
 def coercivity_report_per_trial(handle, trials: int = 8, rng=None) -> dict:

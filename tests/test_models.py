@@ -20,7 +20,7 @@ from bplab.models import (
     make_rhs,
     max_linear_frequency,
 )
-from bplab.operators import build_handle, get_weighted_ops
+from bplab.operators import CG_TOL, build_handle, get_weighted_ops
 from bplab.spectral import Grid, div_arr, grad_arr, mollify_arr, trunc_arr
 from bplab.timeloop import StepperConfig, _mode_major, apply_mode_blocks, run
 from oracles import (
@@ -30,6 +30,7 @@ from oracles import (
     nodal_factors_reference,
     nodal_rhs,
     reference_trajectory,
+    velocity_rhs_reference,
 )
 
 G1 = Grid(1, 64, 2.0 * np.pi)
@@ -600,6 +601,76 @@ def test_flow_outputs_are_fresh_arrays(bath, model, deltas):
     assert np.array_equal(first, kept)
     first[...] = np.nan
     assert np.array_equal(bundle.fn(W1), kept)
+
+
+# a d=1 grid of 2048 points also exceeds the dense limit, so its solves run CG
+PCG_BUMP1 = build_bathymetry(Grid(1, 2048, 16.0 * np.pi), "gaussian_bump", 0.5)
+
+
+def _watch_cold_solves(handle):
+    """Record (rhs, u, ref) of each solve a flow called outside a run makes."""
+    solve = handle.solve_weighted_arrays
+    seen = []
+
+    def watched(rhs, prior=None, out=None, ref=None):
+        assert prior is None
+        u = solve(rhs, out=out, ref=ref)
+        seen.append((rhs, u.copy(), ref))
+        return u
+
+    handle.solve_weighted_arrays = watched
+    return seen
+
+
+@pytest.mark.parametrize("bath", [PCG_BUMP1, PCG_BUMP], ids=["d1", "d2"])
+def test_mbp_stopping_reference_never_exceeds_the_whole_rhs(bath):
+    # a member that splits its velocity x = V0 + u stops CG at CG_TOL times
+    # ref <= |y|, so x meets CG_TOL on y itself: random states over a bump,
+    # where ref is the bound <h_b(V0 + eps N), V0> / |V0| or, where that
+    # falls below |r|, the exact |y|
+    g = bath.grid
+    params = [ModelParams(eps, mu, "mbp") for eps, mu in ((0.05, 0.05), (0.1, 0.2), (0.3, 0.05))]
+    handles = [build_handles(p, bath) for p in params]
+    assert all(h["hb_B"].strategy == "pcg" for h in handles)
+    seen = [_watch_cold_solves(h["hb_B"]) for h in handles]
+    bundle = make_rhs(params, bath, 0.0, handles)
+    rng = np.random.default_rng(53)
+    below = exact = 0
+    # (amplitude, surface scale): a nearly flat or flat surface under a
+    # moving velocity takes the fallback
+    for amp, surface in ((0.02, 1.0), (0.1, 1.0), (0.3, 1.0), (0.1, 1e-6), (0.1, 0.0)):
+        U = np.stack([_random_state(g, rng, amp) for _ in params])
+        U[:, 0] *= surface
+        W = g.rfft(U)
+        bundle.fn(W)
+        for k, (p, h) in enumerate(zip(params, handles)):
+            r, u, ref = seen[k][-1]
+            V0, y = velocity_rhs_reference("mbp", p.eps, p.mu, bath, W[k])
+            norm_y = np.linalg.norm(y)
+            assert ref <= norm_y * (1.0 + 1e-12)
+            below += ref < 0.999 * norm_y
+            exact += ref >= norm_y * (1.0 - 1e-12)
+            true = h["hb_B"].apply_weighted_arrays(V0 + u)
+            assert np.linalg.norm(y - true) <= 1.01 * CG_TOL * norm_y
+    assert below and exact  # the bound and the exact fallback were both in use
+
+
+@pytest.mark.parametrize("model", ["bp", "mbp"])
+@pytest.mark.parametrize("delta", [0.0, 1e-2], ids=["split", "smoothing"])
+def test_pcg_flow_matches_nodal_formula(model, delta):
+    # random data on every mode over the pcg bump: a member that does not
+    # smooth solves its correction to the hydrostatic velocity, one that
+    # smooths solves y itself; both give the nodal formula's solve of y to
+    # within what CG_TOL leaves
+    bath = PCG_BUMP
+    g = bath.grid
+    params = ModelParams(0.3, 0.4, model)
+    U = 0.1 * np.random.default_rng(23).standard_normal((1 + g.d,) + g.shape)
+    handles = build_handles(params, bath)
+    got = nodal_rhs(make_rhs(params, bath, delta=delta, handles=handles), U)
+    handle = next(iter(handles.values()))
+    expected = _nodal_reference_rhs(params, bath, delta, handle, U)
+    assert np.abs(got - expected).max() <= 1e-9 * np.abs(expected).max()
 
 
 @pytest.mark.parametrize("dtype", [np.complex128, np.clongdouble], ids=["c128", "clong"])
