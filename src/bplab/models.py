@@ -75,7 +75,7 @@ import numpy as np
 
 from .bathymetry import Bathymetry, q_to_zeta_arr
 from .diagnostics import exact_dispersion
-from .errors import DryStateError, RegimeWarning, SolverDivergenceError
+from .errors import DryStateError, RegimeWarning
 from .operators import CG_HISTORY, OperatorHandle, build_handle, get_weighted_ops
 from .spectral import Grid, trunc_arr
 
@@ -353,23 +353,19 @@ def _solve_each(y, c: _Coefs, out: np.ndarray, split=None) -> np.ndarray:
     warm-starts from its past solves and adds this one as the pair (x, W x)
     the solve returns, keeping the last CG_HISTORY: corrections for a member
     that splits. The image is CG's own y - r (see RHSBundle.history), so the
-    next warm start needs no apply. A stalled solve names its member on the
-    SolverDivergenceError.
+    next warm start needs no apply. A stalled solve raises its handle's
+    SolverDivergenceError, which the stepper retakes member by member.
     """
     for i, (member, handle) in enumerate(zip(c.ids, c.handles)):
         prior = None if c.history is None else c.history.get(member)
         part = split is not None and c.split[i]
         rhs, ref = (split[1][i], float(split[2][i])) if part else (y[i], None)
-        try:
-            if prior is None:
-                handle.solve_weighted_arrays(rhs, out=out[i], ref=ref)
-            else:
-                x, image = handle.solve_weighted_arrays(rhs, prior, ref=ref)
-                c.history[member] = (prior + ((x, image),))[-CG_HISTORY:]
-                out[i] = x
-        except SolverDivergenceError as e:
-            e.members = (member,)
-            raise
+        if prior is None:
+            handle.solve_weighted_arrays(rhs, out=out[i], ref=ref)
+        else:
+            x, image = handle.solve_weighted_arrays(rhs, prior, ref=ref)
+            c.history[member] = (prior + ((x, image),))[-CG_HISTORY:]
+            out[i] = x
         if part:
             out[i] += split[0][i]
     return out
@@ -653,22 +649,12 @@ def _batch_rhs(params: list, bath: Bathymetry, deltas: list, handles: list) -> R
 
 
 def _check_wet(hb: np.ndarray, hmin_static: float, c: _Coefs, zeta: np.ndarray) -> None:
-    """Raise DryStateError, naming the members, if a free surface reached the bottom."""
+    """Raise DryStateError if a member's free surface reached the bottom;
+    the stepper finds which member by retaking the step member by member."""
     # eps > 0 and rounding are monotone, so min(eps*zeta) is eps*min(zeta)
     # exactly: one reduction clears the whole stack in the common case
-    if hmin_static + (c.eps * zeta).min() > 0.0:
-        return
-    K = len(c.ids)
-    low = hmin_static + c.eps.reshape(K) * zeta.reshape(K, -1).min(axis=1)
-    dry = [
-        member
-        for i, member in enumerate(c.ids)
-        if low[i] <= 0.0 and (hb + c.eps[i] * zeta[i]).min() <= 0.0
-    ]
-    if dry:
-        err = DryStateError("free surface reached the bottom")
-        err.members = tuple(dry)
-        raise err
+    if hmin_static + (c.eps * zeta).min() <= 0.0 and (hb + c.eps * zeta).min() <= 0.0:
+        raise DryStateError("free surface reached the bottom")
 
 
 # ---------------------------------------------------------------------------

@@ -232,30 +232,27 @@ class _WeightedOps:
         """Dense (T, G) of _parts(., tb, phi, perp), None where not asked for.
 
         T is the matrix of h_b*Tb, kept as Tp with the d=2 perp block
-        subtracted, and G the matrix of grad phi. The missing blocks come
-        from one dense_matrix pass over _parts. They are kept, read-only,
-        only on grids of at most SOLVER_DENSE_LIMIT unknowns (8 MB a block
-        at most); larger (audit) grids assemble them for this call alone.
+        subtracted, and G the matrix of grad phi. Each missing block comes
+        from its own dense_matrix pass over _parts, so what building a
+        block costs does not depend on the kind that asks for it first.
+        They are kept, read-only, only on grids of at most
+        SOLVER_DENSE_LIMIT unknowns (8 MB a block at most); larger (audit)
+        grids assemble them for this call alone.
         """
-        t_name = "Tp" if perp else "T"
-        names = [t_name] * tb + ["G"] * phi
-        with _LOCK:
-            found = {name: self._blocks[name] for name in names if name in self._blocks}
-            missing = [name for name in names if name not in found]
-            if missing:
-                sweep = missing[0] != "G", "G" in missing, "Tp" in missing
 
-                def parts(V):
-                    return _stack_rows([P for P in self._parts(V, *sweep) if P is not None])
-
-                M = dense_matrix(parts, self.grid)
+        def block(name: str, part: int, flags: tuple) -> np.ndarray:
+            M = self._blocks.get(name)
+            if M is None:
+                M = dense_matrix(lambda V: self._parts(V, *flags)[part], self.grid)
                 M.flags.writeable = False
-                size = M.shape[1]
-                for i, name in enumerate(missing):
-                    found[name] = M[i * size : (i + 1) * size]
-                    if size <= SOLVER_DENSE_LIMIT:
-                        self._blocks[name] = found[name]
-        return (found[t_name] if tb else None), (found["G"] if phi else None)
+                if M.shape[1] <= SOLVER_DENSE_LIMIT:
+                    self._blocks[name] = M
+            return M
+
+        with _LOCK:
+            T = block("Tp" if perp else "T", 0, (True, False, perp)) if tb else None
+            G = block("G", 1, (False, True, False)) if phi else None
+        return T, G
 
     def dense(self, kind: str, mu: float) -> np.ndarray:
         """Dense matrix of weighted(kind, ., mu), a new array on every call,

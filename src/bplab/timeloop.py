@@ -27,15 +27,14 @@ each power itself, as one complex product per block entry
 records fall on the same step advance by one block product, so a stack
 whose horizons end together advances at once. A member whose stride
 result is not finite (a step past RK4's stability limit, a power or a
-state that overflows) retakes that stride from its state before it, one
-step at a time, as below. Every other run takes the
-four stages of one RK4 step (_rk4), which binds each member's dt, dt/2
-and dt/6 once per set of active members and sums the stages in place, in
-the textbook expression's order, so its steps are that expression's bit
-for bit. Its steps between two records run under
-numpy's overflow and invalid-value errors, so a state that overflows or
-turns NaN ends as blowup at that step, with its last finite state as its
-last record, instead of stepping on to the next record.
+state that overflows) fails that stride, as below. Every other run takes
+the four stages of one RK4 step (_rk4), which binds each member's dt,
+dt/2 and dt/6 once per set of active members and sums the stages in
+place, in the textbook expression's order, so its steps are that
+expression's bit for bit. Its steps run under numpy's overflow and
+invalid-value errors, so a state that overflows or turns NaN ends as
+blowup at that step, with its last finite state as its last record,
+instead of stepping on to the next record.
 
 A record decodes the stack [W; ik W] of its members with one inverse
 transform, takes every member's sup norms and blow-up test at once, and
@@ -46,19 +45,18 @@ run also advances a batch: members over one bottom with equal batch_key
 (the model, whether eps is zero, and the recording policy) step as one
 stack (K, rows, *rshape) through one flow, each with its own start, eps,
 mu, delta, dt and t_end. A member leaves the stack at its own termination:
-blowup at a record, or blowup, dry or solver_failure in a step (which the
-others then retake without it), completed at its own last step. A step
-that overflows is retaken by each member alone to find the member that
-failed. Its records, steps and termination are those of its run alone. A
-single run is a batch of one.
+blowup at a record, or blowup, dry or solver_failure in a step, completed
+at its own last step. One rule finds who failed: when the stack's step or
+stride fails, each member concerned retakes it alone and keeps its result,
+and those whose own step fails leave at it. Its records, steps and
+termination are those of its run alone. A single run is a batch of one.
 
 Each member's CG velocity solves warm-start from its own last solves,
 kept in the flow's history (models.RHSBundle) as solutions (corrections
 to the hydrostatic velocity, see models) with the images W x that CG
 returns with them, so a warm start makes no apply beyond its CG
-iterations. A retaken step restarts every remaining
-member from the history it held when that step began, so its solves, too,
-are those of its run alone.
+iterations. A retaken step starts each member from the history it held
+when that step began, so its solves, too, are those of its run alone.
 """
 
 from __future__ import annotations
@@ -232,45 +230,28 @@ def apply_mode_blocks(P: np.ndarray, W: np.ndarray) -> np.ndarray:
 
 
 def _propagator(blocks: np.ndarray, dt: np.ndarray):
-    """(W, n, members) -> (R(dt L)^n W, lost) for the members' per-mode blocks L.
+    """(W, n, members) -> R(dt L)^n W for the members' per-mode blocks L.
 
     blocks is (K, *rshape, m, m) and dt one step per member. One RK4 step
     applied to the identity blocks yields R(dt L) itself. Powers are taken
     over the members' stack at once and cached by (n, members), laid out as
-    apply_mode_blocks takes them. Each member's result is checked for
-    finiteness; a non-finite power entry makes its row of the product
-    non-finite too. A member whose result is not finite (dt past RK4's
-    stability limit and n large, or a state that overflows) retakes the
-    stride from its state before it, one step at a time (_alone), as every
-    other run steps: lost maps each such member whose step overflows to the
-    steps it completed, and its row of the result holds its last finite
-    state. This is the only code that applies blocks; a linear flat run
-    never calls its bundle's flow.
+    apply_mode_blocks takes them. A power past RK4's stability limit, or its
+    product with a state, need not be finite: the stepper checks each
+    member's result (_run_batch). A linear flat run never calls its
+    bundle's flow.
     """
     eye = np.broadcast_to(np.eye(blocks.shape[-1]), blocks.shape)
     one_step = _rk4(dt.reshape((-1,) + (1,) * (blocks.ndim - 1)))(lambda X: blocks @ X, eye)
     powers = {}
 
-    def propagate(W: np.ndarray, n: int, members: tuple) -> tuple:
-        with np.errstate(over="ignore", invalid="ignore"):  # results checked below
+    def propagate(W: np.ndarray, n: int, members: tuple) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):  # the stepper checks the result
             P = powers.get((n, members))
             if P is None:
                 P = powers[n, members] = _mode_major(
                     np.linalg.matrix_power(one_step[list(members)], n)
                 )
-            out = apply_mode_blocks(P, W)
-        lost = {}
-        fine = np.isfinite(out)
-        if fine.all():
-            return out, lost
-        for j in np.flatnonzero(~fine.reshape(len(members), -1).all(axis=1)).tolist():
-            k = members[j]
-            fn = partial(apply_mode_blocks, _mode_major(blocks[[k]]))
-            X, done, failure = _alone(fn, W[j : j + 1], dt[k], n)
-            out[j] = X[0]
-            if failure is not None:
-                lost[k] = done
-        return out, lost
+            return apply_mode_blocks(P, W)
 
     return propagate
 
@@ -348,10 +329,14 @@ def _run_batch(states: list, params: list, bath: Bathymetry, configs: list, hand
     """Step the members as one stack; each leaves it at its own termination.
 
     All active members have taken the same number of steps. A member leaves
-    at a record that passes its blow-up threshold, at a step that overflows
-    it, finds it dry or stalls its solve (the batch then retakes that step
-    without it), or at its own last step. Each member's arithmetic is that
-    of its run alone, so its records, steps and termination are too.
+    at a record that passes its blow-up threshold, at its own last step, or
+    where its own step fails. The stack's unit of work fails in two ways: a
+    stage-loop step raises one of _FAILURES, or a linear flat stride's
+    product has a non-finite row. Each member concerned then retakes that
+    unit alone (retake), from its state and the CG history the unit began
+    with, and keeps its result; a member whose own step fails leaves at it
+    (leave). Each member's arithmetic is that of its run alone, so its
+    records, steps and termination are too.
     """
     g = bath.grid
     K = len(states)
@@ -450,31 +435,34 @@ def _run_batch(states: list, params: list, bath: Bathymetry, configs: list, hand
             gone.append(p)
         return gone
 
-    def fails_alone(active: tuple, saved: Optional[dict]) -> dict:
-        """member -> its termination, for the members whose next step fails
-        when each takes it alone, from the history the step began with."""
-        failed = {}
-        for j, k in enumerate(active):
-            failure = _alone(partial(bundle.fn, members=(k,)), W[j : j + 1], dts[k], 1)[2]
+    def retake(W0: np.ndarray, members: tuple, n: int, lost: dict) -> np.ndarray:
+        """The members' results of a unit of n steps from step s that failed
+        in the stack, each member taking it alone, through its own blocks or
+        flow, from its row of W0. One whose own step fails keeps its last
+        good state, and lost maps it to (that state's step, the failed
+        step's termination)."""
+        out = np.empty_like(W0)
+        for j, k in enumerate(members):
+            if propagate is not None:
+                fn = partial(apply_mode_blocks, _mode_major(bundle.blocks[[k]]))
+            else:
+                fn = partial(bundle.fn, members=(k,))
+            X, done, failure = _alone(fn, W0[j : j + 1], dts[k], n)
+            out[j] = X[0]
             if failure is not None:
-                failed[k] = failure
-            if history is not None:
-                history.update(saved)
-        return failed
+                lost[k] = (s + done, failure)
+        return out
 
-    def leave(failed: dict, s: int) -> None:
-        """End the failed members in step s + 1. A blowup keeps its last finite
-        state, the one at step s, as its last record."""
-        pos = np.flatnonzero(np.isin(ids, list(failed)))
-        names = [failed[k] for k in ids[pos].tolist()]
-        blown = [p for p, name in zip(pos.tolist(), names) if name == "blowup"]
-        ended = ()
-        if blown and s % stride:  # step s was not recorded yet
-            ended = record(np.array(blown), np.full(len(blown), s))
-        for p, name in zip(pos.tolist(), names):
-            if p not in ended:
-                t = trajs[ids[p]]
-                end(t, name, (s + 1) * t.dt, s)
+    def leave(k: int, at: int, termination: str) -> None:
+        """End member k in step at + 1. A blowup keeps its last finite state,
+        the one at step at, as its last record."""
+        pos = np.flatnonzero(ids == k)
+        # a blowup records its last finite state unless step at was a record
+        # step; that record ends it there if the state passes its threshold
+        ended = termination == "blowup" and at % stride and record(pos, np.array([at]))
+        if not ended:
+            t = trajs[k]
+            end(t, termination, (at + 1) * t.dt, at)
         drop(pos)
 
     s = 0  # steps completed by every active member
@@ -484,52 +472,51 @@ def _run_batch(states: list, params: list, bath: Bathymetry, configs: list, hand
     while ids.size:
         target = np.minimum((s // stride + 1) * stride, last[ids])
         active = tuple(ids.tolist())
-        overflowed = {}  # member -> its last finite step, where its retaken stride overflowed
+        lost = {}  # member -> (its last good step, the termination of the step after it)
         if propagate is not None:
             left = (target - s).tolist()
             for n in sorted(set(left)):  # the members whose next records fall together
                 pos = [j for j, v in enumerate(left) if v == n]
+                members = tuple(active[j] for j in pos)
+                before = W if len(pos) == len(ids) else W[pos]
+                out = propagate(before, n, members)
+                if not np.isfinite(out).all():  # a power or a state past overflow
+                    bad = np.flatnonzero(~np.isfinite(out).reshape(len(pos), -1).all(axis=1))
+                    out[bad] = retake(before[bad], tuple(members[j] for j in bad.tolist()), n, lost)
                 if len(pos) == len(ids):
-                    W, lost = propagate(W, n, active)
+                    W = out
                 else:
-                    W[pos], lost = propagate(W[pos], n, tuple(active[j] for j in pos))
-                overflowed.update((k, s + done) for k, done in lost.items())
-            reached = target
-            if overflowed:  # they leave below, each at its own step
-                reached = np.where(np.isin(ids, list(overflowed)), -1, target)
+                    W[pos] = out
             s = int(target.max())  # where every member that stays active is
+            reached = target
         else:
             fn = partial(bundle.fn, members=active)
             step = steps.get(active)
             if step is None:
                 step = steps[active] = _rk4(dts[ids].reshape((-1,) + (1,) * (W.ndim - 1)))
             stop = int(target.min())
-            saved = None
-            try:
-                # an overflow or NaN ends the run at its step, not at the next record
-                with np.errstate(over="raise", invalid="raise"):
-                    while s < stop:
-                        if history is not None:
-                            saved = dict(history)
+            # an overflow or NaN ends the run at its step, not at the next record
+            with np.errstate(over="raise", invalid="raise"):
+                while s < stop and not lost:
+                    if history is not None:
+                        saved = dict(history)
+                    try:
                         W = step(fn, W)
-                        s += 1
-            except tuple(_FAILURES) as e:
-                if history is not None:
-                    history.update(saved)  # as the step began, as in each run alone
-                if isinstance(e, FloatingPointError):
-                    failed = fails_alone(active, saved)
-                    if not failed:
-                        raise  # the stack's step fails where no member's own does
-                else:
-                    failed = dict.fromkeys(getattr(e, "members", active), _termination(e))
-                leave(failed, s)
-                continue  # the others retake step s + 1
+                    except tuple(_FAILURES):
+                        if history is not None:
+                            history.update(saved)  # as the step began, as in each run alone
+                        W = retake(W, active, 1, lost)
+                        if not lost:
+                            raise  # the stack's step fails where no member's own does
+                    s += 1
             reached = np.full(len(ids), s)
+        if lost:  # they leave below, each at its own step
+            reached = np.where(np.isin(ids, list(lost)), -1, reached)
         due = np.flatnonzero(reached == target)
         if due.size:
             drop(record(due, reached[due]))
-        for k, at in overflowed.items():
-            leave({k: "blowup"}, at)
+        for k, (at, termination) in lost.items():
+            leave(k, at, termination)
 
     for t in trajs:
         t.times, t.sup_u, t.sup_grad_u = map(np.array, (t.times, t.sup_u, t.sup_grad_u))

@@ -737,17 +737,16 @@ def test_batch_members_share_a_handle_per_mu(monkeypatch):
     assert built == [0.2, 0.3]
 
 
-def test_batch_dry_error_names_its_members():
+def test_batch_dry_error_raises_for_any_dry_member():
+    # the flow names no member: the stepper retakes the step member by member
     params = [ModelParams(e, 0.2, "sw") for e in (0.1, 0.5, 0.5)]
     zeta = np.full(G1.shape, -2.5)  # dry at eps = 0.5 only
     W = G1.rfft(np.stack([_at_rest(G1, zeta)] * 3))
     bundle = make_rhs(params, FLAT1)
-    with pytest.raises(DryStateError) as info:
+    with pytest.raises(DryStateError):
         bundle.fn(W)
-    assert info.value.members == (1, 2)
-    with pytest.raises(DryStateError) as info:
+    with pytest.raises(DryStateError):
         bundle.fn(W[1:], (0, 2))  # positions in the stack map to member ids
-    assert info.value.members == (2,)
     assert np.isfinite(bundle.fn(W[:1], (0,))).all()
 
 

@@ -164,7 +164,7 @@ class TestDenseAgreement:
         np.testing.assert_allclose(eigs.imag, 0.0, atol=1e-10)
 
     def test_identity_kind(self):
-        M = assemble_dense("identity", 0.0, FLAT1)
+        M = dense_matrix(lambda V: V, G1)
         np.testing.assert_allclose(M, np.eye(G1.n), atol=0)
 
 
@@ -441,7 +441,7 @@ class TestCoercivity:
         kind, mu = "hb_B", 0.1
         rep = coercivity_report(build_handle(kind, mu, BUMP1))
         W = assemble_dense(kind, mu, BUMP1)
-        G = assemble_dense("gram_H1", mu, BUMP1)
+        G = dense_matrix(lambda V: _gram_apply(G1, "hb_B", mu, V), G1)
         lo, hi = eig_extrema(W, G)
         assert abs(lo - rep["min_quotient"]) < 1e-8 * max(1.0, abs(lo))
         assert abs(hi - rep["max_quotient"]) < 1e-8 * hi
@@ -563,11 +563,12 @@ class TestFusedCore:
     def test_blocked_dense_matches_column_assembly(self, bath, kind):
         # G1 has 32 unknowns (one partial block), G2 has 512 (eight full blocks)
         grid = bath.grid
-        M = assemble_dense(kind, 0.1, bath)
         if kind.startswith("gram"):
             gram_kind = "hb_A" if kind == "gram_X0" else "hb_B"
             apply_fn = lambda V: _gram_apply(grid, gram_kind, 0.1, V)  # noqa: E731
+            M = dense_matrix(apply_fn, grid)
         else:
+            M = assemble_dense(kind, 0.1, bath)
             apply_fn = build_handle(kind, 0.1, bath).apply_weighted_arrays
         size = M.shape[0]
         cols = np.empty_like(M)
@@ -595,7 +596,7 @@ def _reference_dense(ops, kind, mu):
 
 
 def _count_weighted_assemblies(monkeypatch) -> list:
-    """Wrap dense_matrix where operators and verification call it.
+    """Wrap dense_matrix where operators calls it.
 
     Returns a list that gets one entry, the number of blocks stacked in its
     matrix, per assembly that runs the weighted core; Gram assemblies do not
@@ -619,7 +620,6 @@ def _count_weighted_assemblies(monkeypatch) -> list:
 
     monkeypatch.setattr(_WeightedOps, "_parts", counted_parts)
     monkeypatch.setattr("bplab.operators.dense_matrix", counted_dense)
-    monkeypatch.setattr("bplab.verification.dense_matrix", counted_dense)
     return assemblies
 
 
@@ -691,6 +691,26 @@ class TestDenseBlocks:
         for handle in handles:
             alone = build_handle(handle.kind, 0.1, serial)
             assert np.array_equal(handle._inv, alone._inv)
+
+    @pytest.mark.parametrize("grid", [G1, G2_TWISTED], ids=["d1", "d2"])
+    def test_block_builds_transform_as_much_in_either_order(self, monkeypatch, grid):
+        # each missing block has its own pass, so two handles' builds make
+        # the same transforms whichever goes first, as on the pool threads
+        # of a consistency batch
+        transforms = []
+        for name in ("rfft", "irfft"):
+            call = getattr(Grid, name)
+            monkeypatch.setattr(
+                Grid, name, lambda g, a, call=call: transforms.append(1) or call(g, a)
+            )
+        counts = []
+        for order in (("I_plus_muTb", "hb_B"), ("hb_B", "I_plus_muTb")):
+            bath = _fresh_bottom(grid, "gaussian_bump")
+            before = len(transforms)
+            for kind in order:
+                assert build_handle(kind, 0.1, bath).strategy == "dense"
+            counts.append(len(transforms) - before)
+        assert counts[0] == counts[1] > 0
 
     def test_audit_grid_above_the_solver_limit_keeps_no_block(self, monkeypatch):
         bath = _fresh_bottom(G1, "gaussian_bump")

@@ -9,9 +9,9 @@ import pytest
 
 from bplab.bathymetry import build_bathymetry
 from bplab.diagnostics import build_records
-from bplab.errors import CFLWarning
+from bplab.errors import CFLWarning, SolverDivergenceError
 from bplab.models import ModelParams, ModelState, build_handles, make_rhs
-from bplab.operators import CG_TOL
+from bplab.operators import CG_TOL, OperatorHandle
 from bplab.spectral import Grid
 from bplab import timeloop
 from bplab.timeloop import CFL_LIMIT, Batch, StepperConfig, _propagator, _rk4, run
@@ -281,9 +281,8 @@ def test_propagator_is_the_einsum_of_the_step_power_bit_for_bit(bath, model):
             np.linalg.matrix_power(one_step[list(members)], n), part
         )
         for _ in range(2):  # computed, then cached
-            got, lost = propagate(part, n, members)
+            got = propagate(part, n, members)
             assert np.array_equal(got, expected) and got.tobytes() == expected.tobytes()
-            assert lost == {}
 
 
 @pytest.mark.parametrize("model", ["sw", "bp", "mbp"])
@@ -874,6 +873,30 @@ def test_pcg_bp_batch_member_goes_dry():
     assert [t.termination for t in batch] == ["completed", "dry", "completed"]
     assert 0 < batch[1].steps_taken < 30
     assert batch[0].steps_taken == batch[2].steps_taken == 30
+
+
+def test_pcg_bp_batch_member_stalls(monkeypatch):
+    # the mu = 0.1 member's velocity solve stalls once its right-hand side
+    # grows past a norm, a property of its state, so its retaken step stalls
+    # again: it ends solver_failure there, and the others step on from the
+    # CG history they held when that step began
+    solve = OperatorHandle.solve_weighted_arrays
+
+    def stalling(self, y, *args, **kwargs):
+        if self.mu == 0.1 and np.linalg.norm(y) > 0.009:
+            raise SolverDivergenceError("stalled")
+        return solve(self, y, *args, **kwargs)
+
+    monkeypatch.setattr(OperatorHandle, "solve_weighted_arrays", stalling)
+    state = _pcg_hump(0.3, outflow=0.5)
+    params = [ModelParams(0.1, mu, "bp") for mu in (0.05, 0.1, 0.2)]
+    cfg = StepperConfig(dt=0.05, t_end=0.5, output_stride=3)
+    batch = _batch_matches_solo([state] * 3, params, PCG_BUMP, [cfg] * 3)
+    assert build_handles(params[1], PCG_BUMP)["I_plus_muTb"].strategy == "pcg"
+    assert [t.termination for t in batch] == ["completed", "solver_failure", "completed"]
+    assert 0 < batch[1].steps_taken < 10
+    assert batch[1].termination_time == (batch[1].steps_taken + 1) * batch[1].dt
+    assert batch[0].steps_taken == batch[2].steps_taken == 10
 
 
 def test_pcg_flow_outside_a_run_solves_cold():

@@ -6,6 +6,7 @@ import pytest
 from bplab.bathymetry import build_bathymetry
 from bplab.errors import NotSPDError, SizeLimitError
 from bplab.diagnostics import energy_theorem_E
+from bplab.operators import _gram_apply, dense_matrix
 from bplab.spectral import Grid, grad_arr
 from bplab.verification import assemble_dense
 from oracles import eig_extrema, fd_derivative, fd_gradient, reference_trajectory
@@ -84,7 +85,7 @@ class TestAssembleDense:
         g = Grid(d=1, n=16, L=2 * np.pi)
         bath = build_bathymetry(g, "flat", beta=0.0)
         mu = 0.4
-        G = assemble_dense("gram_X0", mu, bath)
+        G = dense_matrix(lambda V: _gram_apply(g, "hb_A", mu, V), g)
         rng = np.random.default_rng(0)
         v = rng.standard_normal(g.shape)
         quad = float(v @ G @ v) * g.dx
