@@ -213,12 +213,16 @@ def fit_oscillation_frequency(times: np.ndarray, series: np.ndarray) -> float:
 
     Consecutive crossings of a cosine are pi/omega apart, so a straight
     line through (index, crossing time) gives omega = pi/slope. Requires
-    at least six crossings (three full periods).
+    at least six crossings (three full periods). A series with c(0) = 0
+    has no reference phase, and every record of it would count as a
+    crossing: it raises DegenerateFitError.
     """
     times = np.asarray(times, dtype=float)
     series = np.asarray(series)
     if times.shape != series.shape:
         raise ValueError("times and series must have matching shapes")
+    if series.size and series[0] == 0:
+        raise DegenerateFitError("the series starts at zero, so it has no phase to follow")
     y = np.real(series * np.conj(series[0]))
     crossings = _zero_crossings(times, y)
     if len(crossings) < 6:

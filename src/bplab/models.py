@@ -14,10 +14,10 @@ depth h_b = 1 - beta*b and h = h_b + eps*zeta:
              h_b*B d_t V = -eps h_b (V.grad)V - h_b*A grad zeta
     burgers  d_t u = -eps u u_x = -(eps/2) (u^2)_x    (d = 1 only)
 
-A smoothing parameter delta > 0 wraps each equation: the scalar flow is
-multiplied by (1 - delta*Lap_g)^{-2}, and the velocity solve is sandwiched
-as (1 - delta*Lap_g)^{-1} Solve (1 - delta*Lap_g)^{-1} applied to the
-weighted residual. delta = 0 is the plain system.
+A smoothing parameter ModelParams.delta > 0 wraps each equation: the
+scalar flow is multiplied by (1 - delta*Lap_g)^{-2}, and the velocity solve
+is sandwiched as (1 - delta*Lap_g)^{-1} Solve (1 - delta*Lap_g)^{-1}
+applied to the weighted residual. delta = 0 is the plain system.
 
 Each velocity equation is the hydrostatic one plus an O(mu) correction.
 With -d_t V = V0 + u, where V0 is the hydrostatic velocity tendency
@@ -97,17 +97,20 @@ _HANDLE_KIND = {"bp": "I_plus_muTb", "mbp": "hb_B"}
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Regime parameters shared by all systems: eps scales nonlinearity, mu dispersion."""
+    """The equations of one run: eps scales nonlinearity, mu dispersion, and
+    delta > 0 wraps the system in the mollifier (1 - delta*Lap_g)^{-1} (see
+    the module docstring); delta = 0 is the plain system."""
 
     eps: float
     mu: float
     model: str
+    delta: float = 0.0
 
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
-        if not (0 <= self.eps < np.inf and 0 <= self.mu < np.inf):
-            raise ValueError("eps and mu must be finite and nonnegative")
+        if not all(0 <= v < np.inf for v in (self.eps, self.mu, self.delta)):
+            raise ValueError("eps, mu and delta must be finite and nonnegative")
         if self.model in ("bp", "mbp") and self.eps > 10.0 * self.mu:
             warnings.warn(
                 f"eps={self.eps} far exceeds mu={self.mu}; the dispersive"
@@ -283,14 +286,15 @@ class _Coefs:
     history: Optional[dict]
 
 
-def _member_coefs(params: list, bath: Bathymetry, deltas: list, handles: list, history):
-    """members -> _Coefs of those members (all when None), built once per set."""
+def _member_coefs(params: list, bath: Bathymetry, handles: list, history):
+    """members -> _Coefs of those members (all when None), built once per set;
+    each member's eps, mu and delta are its params'."""
     grid = bath.grid
     K = len(params)
     col = (-1,) + (1,) * (1 + grid.d)  # broadcasts over (K, rows, *shape or *rshape)
     eps = np.array([p.eps for p in params]).reshape(col)
     mu = np.array([p.mu for p in params]).reshape(col)
-    delta = np.array(deltas, dtype=float)
+    delta = np.array([p.delta for p in params], dtype=float)
     m1 = m2 = 1.0  # plain ones when no member smooths; a member at delta = 0 gets ones
     if np.any(delta):
         m1, m2 = grid.mollifier(delta.reshape(col), -1), grid.mollifier(delta.reshape(col), -2)
@@ -478,43 +482,34 @@ def _div(g: Grid, spec: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.add(prod[:, :1], prod[:, 1:], out=out)
 
 
-def make_rhs(
-    params,
-    bath: Bathymetry,
-    delta=0.0,
-    handles=None,
-) -> RHSBundle:
+def make_rhs(params, bath: Bathymetry, *, handles=None) -> RHSBundle:
     """Build the flow for params.model over the given bathymetry.
 
     handles may carry prebuilt operator factorizations (from
     build_handles); missing ones are built here.
 
     params may also be a sequence of ModelParams, the members of a batch;
-    delta is then one value per member (or one for all) and handles one
-    dict or None per member. The members share the model and whether eps
-    is zero; eps, mu and delta are theirs. The bundle's fn acts on the
-    member stack: transforms and pointwise products run on the whole stack,
-    each member's velocity solve goes through its own handle, and members
-    with equal mu share a handle built here.
+    handles is then one dict or None per member. The members share the
+    model and whether eps is zero; eps, mu and delta are theirs. The
+    bundle's fn acts on the member stack: transforms and pointwise products
+    run on the whole stack, each member's velocity solve goes through its
+    own handle, and members with equal mu share a handle built here.
     """
     if isinstance(params, ModelParams):
-        bundle = _batch_rhs([params], bath, [delta], [handles])
+        bundle = _batch_rhs([params], bath, [handles])
         fn = bundle.fn
         blocks = None if bundle.blocks is None else bundle.blocks[0]
         return RHSBundle(lambda W: fn(W[None])[0], bundle.grid, params, blocks, bundle.history)
     K = len(params)
-    deltas = [delta] * K if np.ndim(delta) == 0 else list(delta)
     handles = [None] * K if handles is None else list(handles)
-    if not K or len(deltas) != K or len(handles) != K:
-        raise ValueError("a batch needs one delta and one handles entry per member")
-    return _batch_rhs(list(params), bath, deltas, handles)
+    if not K or len(handles) != K:
+        raise ValueError("a batch needs one handles entry per member")
+    return _batch_rhs(list(params), bath, handles)
 
 
-def _batch_rhs(params: list, bath: Bathymetry, deltas: list, handles: list) -> RHSBundle:
+def _batch_rhs(params: list, bath: Bathymetry, handles: list) -> RHSBundle:
     """make_rhs for a list of members; fn(W, members=None) acts on their stack."""
     K = len(params)
-    if any(dl < 0 for dl in deltas):
-        raise ValueError("delta must be nonnegative")
     p0 = params[0]
     nonlinear = p0.eps != 0.0
     for p in params:
@@ -533,7 +528,7 @@ def _batch_rhs(params: list, bath: Bathymetry, deltas: list, handles: list) -> R
     solvers = _member_handles(kind, params, bath, handles) if kind else [None] * K
     # the members share the bottom, so all of their handles solve by CG or none
     history = {} if kind and solvers[0].strategy == "pcg" else None
-    take = _member_coefs(params, bath, deltas, solvers, history)
+    take = _member_coefs(params, bath, solvers, history)
 
     if model == "burgers":
         # stepped in flux form -eps/2 d_x T((Tu)^2). Under the 2/3 rule

@@ -287,7 +287,7 @@ def load_config(
         src, "grid", "bathymetry", "bathymetry.profile",
     )
 
-    mt = _sub(tree, "model", src, keys=("name", "eps", "mu"))
+    mt = _sub(tree, "model", src, keys=("name", "eps", "mu", "delta"))
     name = mt.get("name")
     if name not in MODELS:
         raise _cfg_err(src, "model.name", f"unknown {name!r}, choose from {MODELS}")
@@ -299,6 +299,7 @@ def load_config(
             eps=_number(mt.get("eps", 0.0), src, "model.eps"),
             mu=_number(mt.get("mu", 0.0), src, "model.mu"),
             model=name,
+            delta=_number(mt.get("delta", 0.0), src, "model.delta"),
         )
     except (ValueError, TypeError) as e:
         raise _cfg_err(src, "model", str(e)) from None
@@ -320,7 +321,7 @@ def load_config(
     if shape == "burgers_sine" and grid.d != 1:
         raise _cfg_err(src, "initial.shape", "burgers_sine requires d=1")
 
-    defaults = {"dt": 1e-3, "t_end": 1.0, "output_stride": 1, "blowup_threshold": 1e3, "delta": 0.0}
+    defaults = {"dt": 1e-3, "t_end": 1.0, "output_stride": 1, "blowup_threshold": 1e3}
     st = _sub(tree, "stepper", src, required=False, keys=(*defaults, "track_modes", "scheme"))
     # the presets name their scheme; RK4 is the one the stepper runs
     if st.get("scheme", "rk4") != "rk4":
@@ -433,28 +434,29 @@ def build_initial_state(
 
     Velocities start from rest. For the log-variable system the surface is
     converted before stepping; modes, when given, excites one cosine per
-    entry instead of the single configured mode.
+    entry instead of the single configured mode. A run with params.delta > 0
+    starts from its own smoothing: the state mollified once by
+    (1 - delta*Lap_g)^{-1}.
     """
     spec = config.initial
     if spec.shape == "burgers_sine":
-        u0 = -spec.amplitude * np.sin(2.0 * np.pi * grid.x[0] / grid.L)
-        return ModelState(grid, u0[None])
-
-    if spec.shape == "gaussian":
-        zeta = _centered_gaussian(grid, spec.amplitude, spec.width)
+        U = -spec.amplitude * np.sin(2.0 * np.pi * grid.x[0] / grid.L)[None]
     else:
-        excite = modes if modes is not None else spec.mode
-        zeta = np.zeros(grid.shape)
-        for m in excite:
-            zeta = zeta + _mode_cos(grid, spec.amplitude, m)
-
-    if params.model == "mbp":
-        scalar = zeta_to_q_arr(zeta, params.eps, bath)
-    else:
-        scalar = zeta
-    if params.model == "burgers":
-        return ModelState(grid, scalar[None])
-    return ModelState(grid, np.stack([scalar] + [np.zeros(grid.shape)] * grid.d))
+        if spec.shape == "gaussian":
+            zeta = _centered_gaussian(grid, spec.amplitude, spec.width)
+        else:
+            excite = modes if modes is not None else spec.mode
+            zeta = np.zeros(grid.shape)
+            for m in excite:
+                zeta = zeta + _mode_cos(grid, spec.amplitude, m)
+        scalar = zeta_to_q_arr(zeta, params.eps, bath) if params.model == "mbp" else zeta
+        if params.model == "burgers":
+            U = scalar[None]
+        else:
+            U = np.stack([scalar] + [np.zeros(grid.shape)] * grid.d)
+    if params.delta > 0.0:
+        U = mollify_arr(grid, U, params.delta, -1)
+    return ModelState(grid, U)
 
 
 # ---------------------------------------------------------------------------
@@ -465,9 +467,9 @@ def build_initial_state(
 class RunSpec:
     """One run of a sweep, as plain data.
 
-    A time-stepping run starts from the configured initial state, exciting
-    modes (if given) in place of initial.mode and, if smooth_start, mollified
-    by its stepper's delta. An audit run holds (case index, case, seed).
+    A time-stepping run starts from the configured initial state
+    (build_initial_state), exciting modes (if given) in place of
+    initial.mode. An audit run holds (case index, case, seed).
     """
 
     tag: str
@@ -475,7 +477,6 @@ class RunSpec:
     params: Optional[ModelParams] = None
     stepper: Optional[StepperConfig] = None
     modes: Optional[tuple] = None
-    smooth_start: bool = False
     audit: Optional[tuple] = None
 
 
@@ -557,12 +558,6 @@ def _run_many(config: ExperimentConfig, bath, specs: list, jobs: int) -> list:
     """
     grid = config.grid
 
-    def start(spec):
-        state0 = build_initial_state(config, grid, spec.params, bath, modes=spec.modes)
-        if spec.smooth_start and spec.stepper.delta > 0.0:
-            state0 = ModelState(grid, mollify_arr(grid, state0.U, spec.stepper.delta, -1))
-        return state0
-
     def work(b):
         t0 = _time.perf_counter()
         batch = [specs[i] for i in batches[b]]
@@ -573,7 +568,8 @@ def _run_many(config: ExperimentConfig, bath, specs: list, jobs: int) -> list:
                 if spec.audit is not None:
                     res.reports = _audit_reports(config, *spec.audit)
                 else:
-                    stepping.append((res, spec, start(spec)))
+                    state0 = build_initial_state(config, grid, spec.params, bath, spec.modes)
+                    stepping.append((res, spec, state0))
             except BplabError as e:
                 res.error = f"{type(e).__name__}: {e}"
         if stepping:
@@ -637,7 +633,10 @@ def _dispersion_runs(config: ExperimentConfig) -> list:
 
 
 def _check_dispersion(config: ExperimentConfig, src: str) -> None:
-    """Its runs are linear (eps = 0), and it grades the tracked modes."""
+    """Its runs are linear (eps = 0) water waves, and it grades the tracked modes."""
+    if config.params.model == "burgers":
+        reason = "scenario 'dispersion' runs sw, bp or mbp, got 'burgers'"
+        raise _cfg_err(src, "model.name", reason)
     if config.params.eps != 0.0:
         raise _cfg_err(src, "model.eps", "scenario 'dispersion' runs at eps = 0")
     if not config.stepper.track_modes:
@@ -684,7 +683,7 @@ def _consistency_runs(config: ExperimentConfig) -> list:
     return [
         RunSpec(
             f"epsmu{_tagf(v)}_{model}", {"eps_mu": v, "model": model},
-            ModelParams(eps=v, mu=v, model=model), config.stepper,
+            replace(config.params, eps=v, mu=v, model=model), config.stepper,
         )
         for v in config.sweep["eps_mu"]
         for model in ("sw", "bp", "mbp")
@@ -736,7 +735,7 @@ def _longtime_runs(config: ExperimentConfig) -> list:
     return [
         RunSpec(
             f"epsmu{_tagf(v)}", {"eps_mu": v, "contrast": v in contrast},
-            ModelParams(eps=v, mu=v, model="mbp"), replace(config.stepper, t_end=horizon / v),
+            replace(config.params, eps=v, mu=v), replace(config.stepper, t_end=horizon / v),
         )
         for v in config.sweep["eps_mu"] + contrast
     ]
@@ -783,8 +782,7 @@ def _burgers_runs(config: ExperimentConfig) -> list:
     """One Burgers run per eps, each stepped until its gradient blows up."""
     return [
         RunSpec(
-            f"eps{_tagf(e)}", {"eps": e}, ModelParams(eps=e, mu=0.0, model="burgers"),
-            config.stepper,
+            f"eps{_tagf(e)}", {"eps": e}, replace(config.params, eps=e, mu=0.0), config.stepper,
         )
         for e in config.sweep["eps"]
     ]
@@ -957,10 +955,7 @@ def _grade_operator_audit(config: ExperimentConfig, bath, results: list):
 def _mollifier_runs(config: ExperimentConfig) -> list:
     """One run per delta, largest first, each started from its own smoothing."""
     return [
-        RunSpec(
-            f"delta{_tagf(d)}", {"delta": d}, config.params,
-            replace(config.stepper, delta=d), smooth_start=True,
-        )
+        RunSpec(f"delta{_tagf(d)}", {"delta": d}, replace(config.params, delta=d), config.stepper)
         for d in sorted(config.sweep["delta"], reverse=True)
     ]
 

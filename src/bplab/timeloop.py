@@ -43,13 +43,14 @@ copy.
 
 run also advances a batch: members over one bottom with equal batch_key
 (the model, whether eps is zero, and the recording policy) step as one
-stack (K, rows, *rshape) through one flow, each with its own start, eps,
-mu, delta, dt and t_end. A member leaves the stack at its own termination:
-blowup at a record, or blowup, dry or solver_failure in a step, completed
-at its own last step. One rule finds who failed: when the stack's step or
-stride fails, each member concerned retakes it alone and keeps its result,
-and those whose own step fails leave at it. Its records, steps and
-termination are those of its run alone. A single run is a batch of one.
+stack (K, rows, *rshape) through one flow, each with its own start,
+ModelParams (eps, mu and the mollifier's delta), dt and t_end. A member
+leaves the stack at its own termination: blowup at a record, or blowup,
+dry or solver_failure in a step, completed at its own last step. One rule
+finds who failed: when the stack's step or stride fails, each member
+concerned retakes it alone and keeps its result, and those whose own step
+fails leave at it. Its records, steps and termination are those of its
+run alone. A single run is a batch of one.
 
 Each member's CG velocity solves warm-start from its own last solves,
 kept in the flow's history (models.RHSBundle) as solutions (corrections
@@ -97,13 +98,13 @@ def _is_integer(x) -> bool:
 
 @dataclass(frozen=True)
 class StepperConfig:
-    """Step size, horizon and recording policy for one run."""
+    """Step size, horizon and recording policy for one run; the equations
+    stepped, the mollifier's delta among them, are its ModelParams'."""
 
     dt: float
     t_end: float
     output_stride: int = 1
     blowup_threshold: float = 1e3
-    delta: float = 0.0
     track_modes: tuple = ()
 
     def __post_init__(self):
@@ -120,8 +121,6 @@ class StepperConfig:
                 raise ValueError(f"track_modes entries must be integers or pairs, not {mode!r}")
         if not self.blowup_threshold > 0:
             raise ValueError("blowup_threshold must be positive")
-        if not 0 <= self.delta < np.inf:
-            raise ValueError("delta must be finite and nonnegative")
 
 
 @dataclass
@@ -297,8 +296,8 @@ def batch_key(params: ModelParams, config: StepperConfig) -> tuple:
     """What the members of one batch share: equal keys may step together.
 
     The model and whether eps is zero fix the flow; the stride, blow-up
-    threshold and tracked modes fix the records. eps, mu, delta, dt, t_end
-    and the start state are each member's own.
+    threshold and tracked modes fix the records. The rest of the params
+    (eps, mu, delta), dt, t_end and the start state are each member's own.
     """
     return (
         params.model, params.eps == 0.0,
@@ -316,8 +315,8 @@ def run(state0, params, bath: Bathymetry, config, handles=None):
     A batch passes sequences instead: one start state, ModelParams,
     StepperConfig and handles dict (or None) per member, and gets a Batch
     of one Trajectory per member. The members share the bottom and their
-    batch_key; eps, mu, delta, dt and t_end are their own. A single run is
-    a batch of one.
+    batch_key; the rest of their params (eps, mu, delta), dt and t_end are
+    their own. A single run is a batch of one.
     """
     if isinstance(state0, ModelState):
         return _run_batch([state0], [params], bath, [config], [handles])[0]
@@ -351,7 +350,7 @@ def _run_batch(states: list, params: list, bath: Bathymetry, configs: list, hand
             raise ValueError(f"a start state on {state.grid} does not lie on the bottom's {g}")
         if state.stack().shape[0] != state_rows(p.model, g):
             raise ValueError("state rows do not match the model")
-    bundle = make_rhs(params, bath, [c.delta for c in configs], handles)
+    bundle = make_rhs(params, bath, handles=handles)
     mode_idx = _check_modes(g, first.track_modes)
 
     trajs, last = [], []  # each member's record, filled as it runs, and its step count

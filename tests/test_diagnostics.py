@@ -244,6 +244,16 @@ def test_fit_rejects_short_window():
         fit_oscillation_frequency(times, np.cos(2.0 * np.pi * times * 0.5))
 
 
+def test_fit_refuses_a_series_that_starts_at_zero():
+    # Re <c(t), c(0)> would vanish at every record, each one a crossing, and
+    # the fit would read the record spacing as half a period
+    times = np.arange(0.0, 25.0, 0.01)
+    with pytest.raises(DegenerateFitError):
+        fit_oscillation_frequency(times, np.zeros(times.shape, complex))
+    with pytest.raises(DegenerateFitError):
+        fit_oscillation_frequency(times, 0.3 * np.sin(1.37 * times) + 0j)
+
+
 def _linear_bp_trajectory(k=2, mu=0.1, periods=5.0, n=64):
     grid = Grid(1, n, 2.0 * np.pi)
     bath = build_bathymetry(grid, "flat", 0.0)

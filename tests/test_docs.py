@@ -1,6 +1,6 @@
-"""The README's library example runs as written, its config table is current,
-every exported name resolves, and only spectral.Grid transforms or builds
-Fourier symbols."""
+"""The README's library example runs and its config example loads as
+written, its config table is current, every exported name resolves, and
+only spectral.Grid transforms or builds Fourier symbols."""
 
 import ast
 import importlib
@@ -8,7 +8,7 @@ import re
 from pathlib import Path
 
 import bplab
-from bplab.scenarios import SCENARIOS, SHARED_THRESHOLDS
+from bplab.scenarios import SCENARIOS, SHARED_THRESHOLDS, load_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bplab"
@@ -21,6 +21,15 @@ def test_readme_python_block_runs():
     exec(compile(blocks[0], str(README), "exec"), scope)
     assert scope["traj"].termination == "completed"
     assert len(scope["records"]) == scope["traj"].n_records
+
+
+def test_readme_yaml_block_loads(tmp_path):
+    blocks = re.findall(r"```yaml\n(.*?)```", README.read_text(), flags=re.S)
+    assert len(blocks) == 1
+    path = tmp_path / "readme.yaml"
+    path.write_text(blocks[0])
+    config = load_config(path, out=str(tmp_path))
+    assert config.scenario == "longtime" and config.params.delta == 0.0
 
 
 def _contract_table() -> dict:

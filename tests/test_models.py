@@ -81,6 +81,8 @@ def test_params_rejects_non_finite_scales():
             ModelParams(bad, 0.1, "sw")
         with pytest.raises(ValueError, match="finite"):
             ModelParams(0.1, bad, "sw")
+        with pytest.raises(ValueError, match="delta must be finite"):
+            ModelParams(0.1, 0.1, "sw", delta=bad)
 
 
 def test_regime_warning_when_dispersion_too_weak():
@@ -105,7 +107,10 @@ def test_burgers_needs_1d():
 
 def test_negative_delta_rejected():
     with pytest.raises(ValueError):
-        make_rhs(ModelParams(0.0, 0.1, "bp"), FLAT1, delta=-1e-3)
+        ModelParams(0.0, 0.1, "bp", delta=-1e-3)
+    # delta is the params'; a third positional argument is refused, not read as handles
+    with pytest.raises(TypeError):
+        make_rhs(ModelParams(0.0, 0.1, "bp"), FLAT1, 0.0)
 
 
 def test_build_handles_kinds():
@@ -167,7 +172,7 @@ def _burgers_five_transform_rhs(grid, u, eps, delta):
 def test_burgers_matches_nodal_formula(delta):
     # random grid data excites every mode, so both 2/3 projections matter
     u = np.random.default_rng(21).standard_normal(G1.shape)
-    bundle = make_rhs(ModelParams(0.7, 0.0, "burgers"), FLAT1, delta=delta)
+    bundle = make_rhs(ModelParams(0.7, 0.0, "burgers", delta), FLAT1)
     assert np.array_equal(bundle.encode(u[None]), G1.rfft(u[None]))
     got = nodal_rhs(bundle, u[None])
     expected = _burgers_five_transform_rhs(G1, u, 0.7, delta)
@@ -191,7 +196,7 @@ def test_burgers_run_matches_nodal_reference():
 def test_burgers_fn_makes_two_transforms(monkeypatch):
     # one stacked inverse transform and one forward transform per evaluation
     calls = _count_transforms(monkeypatch)
-    bundle = make_rhs(ModelParams(0.5, 0.0, "burgers"), FLAT1, delta=1e-2)
+    bundle = make_rhs(ModelParams(0.5, 0.0, "burgers", 1e-2), FLAT1)
     W = bundle.encode(np.sin(G1.x[0])[None])
     calls.clear()
     for _ in range(3):
@@ -211,7 +216,7 @@ def test_burgers_fn_inverse_transforms_one_row_per_member(monkeypatch):
 
     monkeypatch.setattr(Grid, "irfft", recording)
     W = G1.rfft(np.stack([np.sin(G1.x[0]), np.cos(2 * G1.x[0])])[:, None])
-    make_rhs(ModelParams(0.5, 0.0, "burgers"), FLAT1, delta=1e-2).fn(W[0])
+    make_rhs(ModelParams(0.5, 0.0, "burgers", 1e-2), FLAT1).fn(W[0])
     make_rhs([ModelParams(e, 0.0, "burgers") for e in (0.7, 0.3)], FLAT1).fn(W)
     kept = int(G1.dealias_mask.sum())
     assert seen == [(1, 1, kept), (2, 1, kept)]
@@ -227,19 +232,20 @@ def test_burgers_flow_is_the_full_spectrum_flux_bit_for_bit(delta, K, n):
     rng = np.random.default_rng(K * n)
     eps = [0.7, 0.3, 0.5][:K]
     deltas = [delta, 0.0, 2.0 * delta][:K]
+    params = [ModelParams(e, 0.0, "burgers", dl) for e, dl in zip(eps, deltas)]
     W = g.rfft(rng.standard_normal((K, 1, n)))
     bath = build_bathymetry(g, "flat", 0.0)
     if K == 1:
-        got = make_rhs(ModelParams(eps[0], 0.0, "burgers"), bath, delta).fn(W[0])[None]
+        got = make_rhs(params[0], bath).fn(W[0])[None]
     else:
-        got = make_rhs([ModelParams(e, 0.0, "burgers") for e in eps], bath, deltas).fn(W)
+        got = make_rhs(params, bath).fn(W)
     want = burgers_flux_reference(g, W, eps, deltas)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     # noise on the modes above the band changes nothing
     noisy = W.copy()
     top = ~g.dealias_mask
     noisy[..., top] = rng.standard_normal(noisy[..., top].shape) * (1 + 1j)
-    fn = make_rhs([ModelParams(e, 0.0, "burgers") for e in eps], bath, deltas).fn
+    fn = make_rhs(params, bath).fn
     assert fn(noisy).tobytes() == got.tobytes()
 
 
@@ -260,15 +266,15 @@ def test_burgers_flow_is_energy_neutral(seed, n):
     assert abs(inner(W, F)) <= 1e-13 * np.sqrt(inner(W, W) * inner(F, F))
 
 
-def _nodal_reference_rhs(params, bath, delta, handle, U):
+def _nodal_reference_rhs(params, bath, handle, U):
     """The sw/bp/mbp flows written on nodal stacks, primitive by primitive.
 
     Every product is dealiased by the 2/3 rule before it is differentiated
-    or solved for; delta > 0 smooths the scalar flow by m2 and sandwiches
-    the velocity solve as m1 Solve m1.
+    or solved for; params.delta > 0 smooths the scalar flow by m2 and
+    sandwiches the velocity solve as m1 Solve m1.
     """
     g = bath.grid
-    eps, mu = params.eps, params.mu
+    eps, mu, delta = params.eps, params.mu, params.delta
     hb = bath.hb
 
     def T(a):
@@ -319,14 +325,14 @@ _FLOW_CASES = [
 def test_nonlinear_bump_matches_nodal_formula(model, bath, eps, delta):
     # random data on every mode, so each 2/3 projection matters
     g = bath.grid
-    params = ModelParams(eps, 0.4, model)
+    params = ModelParams(eps, 0.4, model, delta)
     U = 0.1 * np.random.default_rng(23).standard_normal((1 + g.d,) + g.shape)
     handles = build_handles(params, bath)
-    bundle = make_rhs(params, bath, delta=delta, handles=handles)
+    bundle = make_rhs(params, bath, handles=handles)
     assert (bundle.blocks is not None) == (eps == 0.0)
     got = nodal_rhs(bundle, U)
     handle = next(iter(handles.values()), None)
-    expected = _nodal_reference_rhs(params, bath, delta, handle, U)
+    expected = _nodal_reference_rhs(params, bath, handle, U)
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
@@ -352,7 +358,7 @@ def test_sw_fn_makes_two_transforms(monkeypatch):
     # nonlinear sw over a bump: one stacked irfft of the nodal factors and
     # one rfft of the products; the mollifier is a spectral multiplier
     calls = _count_transforms(monkeypatch)
-    bundle = make_rhs(ModelParams(0.3, 0.0, "sw"), BUMP1, delta=1e-2)
+    bundle = make_rhs(ModelParams(0.3, 0.0, "sw", 1e-2), BUMP1)
     W = bundle.encode(_random_state(G1, np.random.default_rng(5)))
     calls.clear()
     for _ in range(3):
@@ -457,8 +463,7 @@ def test_fused_mbp_matches_primitive_assembly():
 
 def test_fused_sw_mollified_closed_form():
     delta, k = 2e-2, 3.0
-    params = ModelParams(0.0, 0.0, "sw")
-    bundle = make_rhs(params, FLAT1, delta=delta)
+    bundle = make_rhs(ModelParams(0.0, 0.0, "sw", delta), FLAT1)
     x = G1.x[0]
     U = np.zeros((2,) + G1.shape)
     U[1] = np.cos(k * x)
@@ -470,8 +475,7 @@ def test_fused_sw_mollified_closed_form():
 
 def test_fused_bp_mollified_closed_form():
     delta, mu, k = 1e-2, 0.3, 2.0
-    params = ModelParams(0.0, mu, "bp")
-    bundle = make_rhs(params, FLAT1, delta=delta)
+    bundle = make_rhs(ModelParams(0.0, mu, "bp", delta), FLAT1)
     x = G1.x[0]
     U = np.zeros((2,) + G1.shape)
     U[0] = np.cos(k * x)
@@ -519,15 +523,14 @@ _BATCH_CASES = [
 def test_batch_flow_is_each_members_flow(model, bath, eps):
     g = bath.grid
     params = [
-        ModelParams(eps * f, mu, model)
-        for f, mu in ((1.0, 0.4), (0.5, 0.2), (0.25, 0.4))
+        ModelParams(eps * f, mu, model, delta)
+        for f, mu, delta in ((1.0, 0.4, 1e-2), (0.5, 0.2, 0.0), (0.25, 0.4, 1e-3))
     ]
-    deltas = [1e-2, 0.0, 1e-3]
     rng = np.random.default_rng(31)
     W = g.rfft(0.1 * rng.standard_normal((3, 1 + g.d) + g.shape))
-    batch = make_rhs(params, bath, deltas)
+    batch = make_rhs(params, bath)
     assert batch.params == tuple(params)
-    solo = [make_rhs(p, bath, dl) for p, dl in zip(params, deltas)]
+    solo = [make_rhs(p, bath) for p in params]
     out = batch.fn(W)
     for k in range(3):
         assert np.array_equal(out[k], solo[k].fn(W[k]))
@@ -549,9 +552,9 @@ def test_linear_flat_flow_is_the_einsum_block_product_bit_for_bit(bath, model, K
     # one complex product per entry rounds each part once, as einsum does;
     # the bundle's flow is the model's own, which they match to rounding
     g = bath.grid
-    params = [ModelParams(0.0, mu, model) for mu in (0.4, 0.1, 0.0)[:K]]
     deltas = [1e-2 * smooth] + [0.0] * (K - 1)
-    bundle = make_rhs(params, bath, deltas)
+    params = [ModelParams(0.0, mu, model, dl) for mu, dl in zip((0.4, 0.1, 0.0), deltas)]
+    bundle = make_rhs(params, bath)
     L = bundle.blocks
     assert not np.any(L.real) and not np.signbit(L.real).any()
     W = g.rfft(np.random.default_rng(41).standard_normal((K, 1 + g.d) + g.shape))
@@ -588,11 +591,11 @@ def test_flow_outputs_are_fresh_arrays(bath, model, deltas):
     # the RK4 step accumulates in place into what it allocates, so a flow
     # must return a new array on every call and keep no reference to it
     g = bath.grid
-    params = [ModelParams(0.1, mu, model) for mu in (0.2, 0.3)]
+    params = [ModelParams(0.1, mu, model, dl) for mu, dl in zip((0.2, 0.3), deltas)]
     if model != "sw":
         handle = build_handles(params[0], bath)[models._HANDLE_KIND[model]]
         assert handle.strategy == ("dense" if g.d == 1 else "pcg")
-    bundle = make_rhs(params, bath, list(deltas))
+    bundle = make_rhs(params, bath)
     rng = np.random.default_rng(47)
     W1, W2 = (g.rfft(np.stack([_random_state(g, rng) for _ in params])) for _ in range(2))
     first = bundle.fn(W1)
@@ -633,7 +636,7 @@ def test_mbp_stopping_reference_never_exceeds_the_whole_rhs(bath):
     handles = [build_handles(p, bath) for p in params]
     assert all(h["hb_B"].strategy == "pcg" for h in handles)
     seen = [_watch_cold_solves(h["hb_B"]) for h in handles]
-    bundle = make_rhs(params, bath, 0.0, handles)
+    bundle = make_rhs(params, bath, handles=handles)
     rng = np.random.default_rng(53)
     below = exact = 0
     # (amplitude, surface scale): a nearly flat or flat surface under a
@@ -664,12 +667,12 @@ def test_pcg_flow_matches_nodal_formula(model, delta):
     # within what CG_TOL leaves
     bath = PCG_BUMP
     g = bath.grid
-    params = ModelParams(0.3, 0.4, model)
+    params = ModelParams(0.3, 0.4, model, delta)
     U = 0.1 * np.random.default_rng(23).standard_normal((1 + g.d,) + g.shape)
     handles = build_handles(params, bath)
-    got = nodal_rhs(make_rhs(params, bath, delta=delta, handles=handles), U)
+    got = nodal_rhs(make_rhs(params, bath, handles=handles), U)
     handle = next(iter(handles.values()))
-    expected = _nodal_reference_rhs(params, bath, delta, handle, U)
+    expected = _nodal_reference_rhs(params, bath, handle, U)
     assert np.abs(got - expected).max() <= 1e-9 * np.abs(expected).max()
 
 
@@ -707,19 +710,19 @@ def test_unit_coefficients_skipped_exactly(bath, model, eps):
     g = bath.grid
     rng = np.random.default_rng(43)
     W = g.rfft(0.1 * rng.standard_normal((2, 1 + g.d) + g.shape))
-    params = [ModelParams(eps, 0.2, model), ModelParams(eps, 0.3, model)]
-    alone = make_rhs(params[0], bath, 0.0).fn(W[0])
-    batch = make_rhs(params, bath, [0.0, 1e-2]).fn(W)
+    params = [ModelParams(eps, 0.2, model), ModelParams(eps, 0.3, model, 1e-2)]
+    alone = make_rhs(params[0], bath).fn(W[0])
+    batch = make_rhs(params, bath).fn(W)
     assert np.array_equal(batch[0], alone)
 
 
 def test_batch_burgers_flow_is_each_members_flow():
-    eps, deltas = (0.7, 0.3), (0.0, 2e-2)
+    params = [ModelParams(0.7, 0.0, "burgers"), ModelParams(0.3, 0.0, "burgers", 2e-2)]
     W = G1.rfft(np.stack([np.sin(G1.x[0]), np.cos(2 * G1.x[0])])[:, None])
-    batch = make_rhs([ModelParams(e, 0.0, "burgers") for e in eps], FLAT1, deltas)
+    batch = make_rhs(params, FLAT1)
     out = batch.fn(W)
     for k in range(2):
-        solo = make_rhs(ModelParams(eps[k], 0.0, "burgers"), FLAT1, deltas[k])
+        solo = make_rhs(params[k], FLAT1)
         assert np.array_equal(out[k], solo.fn(W[k]))
     assert np.array_equal(batch.fn(W[1:], (1,)), out[1:])
 
@@ -732,8 +735,8 @@ def test_batch_members_share_a_handle_per_mu(monkeypatch):
         return build_handle(kind, mu, bath)
 
     monkeypatch.setattr("bplab.models.build_handle", counting_build_handle)
-    params = [ModelParams(0.1, mu, "mbp") for mu in (0.2, 0.3, 0.2)]
-    make_rhs(params, BUMP1, [1e-2, 0.0, 0.0])
+    params = [ModelParams(0.1, mu, "mbp", dl) for mu, dl in ((0.2, 1e-2), (0.3, 0.0), (0.2, 0.0))]
+    make_rhs(params, BUMP1)
     assert built == [0.2, 0.3]
 
 
@@ -756,7 +759,7 @@ def test_batch_members_must_share_the_flow():
     with pytest.raises(ValueError):
         make_rhs([ModelParams(0.1, 0.1, "mbp"), ModelParams(0.1, 0.1, "bp")], BUMP1)
     with pytest.raises(ValueError):
-        make_rhs([ModelParams(0.1, 0.1, "bp")] * 2, BUMP1, delta=[0.0])
+        make_rhs([ModelParams(0.1, 0.1, "bp")] * 2, BUMP1, handles=[None])
 
 
 def test_dry_state_raises():

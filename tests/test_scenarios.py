@@ -222,6 +222,8 @@ def test_d2_mode_pairs_parse(tmp_path):
         (TINY_LONGTIME.replace("name: mbp", "name: bp"), "model.name"),
         (TINY_BURGERS.replace("name: burgers", "name: sw"), "model.name"),
         (TINY_DISPERSION.replace("eps: 0.0, mu: 0.0", "eps: 0.1, mu: 0.1"), "model.eps"),
+        # burgers has no dispersion relation to grade against
+        (TINY_DISPERSION.replace("name: bp", "name: burgers"), "model.name"),
         # numbers given as strings, refused as bathymetry.beta is
         (TINY_AUDIT.replace("beta: 0.4, mu: 0.1}", 'beta: 0.4, mu: "0.1"}'),
          "scenario_params.cases[0].mu"),
@@ -236,8 +238,8 @@ def test_d2_mode_pairs_parse(tmp_path):
          "stepper.output_stride"),
         (TINY_BURGERS.replace("blowup_threshold: 50.0", 'blowup_threshold: "50.0"'),
          "stepper.blowup_threshold"),
-        (TINY_DISPERSION.replace("  output_stride: 5\n", '  output_stride: 5\n  delta: "0"\n'),
-         "stepper.delta"),
+        (TINY_DISPERSION.replace("eps: 0.0, mu: 0.0}", 'eps: 0.0, mu: 0.0, delta: "0"}'),
+         "model.delta"),
         (TINY_LONGTIME.replace("n: 16", "n: .inf"), "grid.n"),
         # keys the scenario does not read: a typo, an axis it ignores
         (
@@ -281,6 +283,8 @@ def test_d2_mode_pairs_parse(tmp_path):
         (TINY_MOLLIFIER.replace("width: 3.0}", "widht: 3.0}"), "initial.widht"),
         (TINY_BURGERS.replace("output_stride: 5,", "ouptut_stride: 5,"),
          "stepper.ouptut_stride"),
+        (TINY_DISPERSION.replace("  output_stride: 5\n", "  output_stride: 5\n  delta: 0.0\n"),
+         "stepper.delta"),
         (TINY_DISPERSION + "output: {snapshot: none}\n", "output.snapshot"),
         (TINY_MOLLIFIER.replace("mu: 0.1}", "mu: 0.1, rescaled_time: true}"),
          "model.rescaled_time"),
@@ -296,8 +300,9 @@ def test_d2_mode_pairs_parse(tmp_path):
         "sweep_eps_mu_negative", "sweep_eps_negative", "sweep_contrast_negative",
         "longtime_eps_mu_zero", "longtime_contrast_zero", "burgers_eps_zero",
         "audit_trials_zero", "horizon_negative", "horizon_zero", "longtime_model_name",
-        "burgers_model_name", "dispersion_model_eps", "quoted_audit_mu", "quoted_model_mu",
-        "quoted_model_eps", "quoted_n", "quoted_d", "quoted_gamma", "quoted_t_end",
+        "burgers_model_name", "dispersion_model_eps", "dispersion_burgers",
+        "quoted_audit_mu", "quoted_model_mu", "quoted_model_eps", "quoted_n", "quoted_d",
+        "quoted_gamma", "quoted_t_end",
         "quoted_dt", "quoted_output_stride", "quoted_blowup_threshold", "quoted_delta",
         "infinite_n", "longtime_unread_param", "consistency_unread_axis",
         "dispersion_unread_param", "fractional_output_stride", "fractional_n",
@@ -306,8 +311,8 @@ def test_d2_mode_pairs_parse(tmp_path):
         "beta_nan", "sweep_nan", "threshold_inf", "width_zero", "width_negative",
         "bool_profile_param", "unread_profile_param",
         "unread_grid_key", "unread_model_key", "unread_bathymetry_key", "unread_initial_key",
-        "unread_stepper_key", "unread_output_key", "rescaled_time", "unread_quoted_rescaled_time",
-        "scheme_rk2",
+        "unread_stepper_key", "stepper_delta", "unread_output_key", "rescaled_time",
+        "unread_quoted_rescaled_time", "scheme_rk2",
     ],
 )
 def test_bad_value_rejected(tmp_path, capsys, text, key):
@@ -641,6 +646,23 @@ def test_d2_dispersion_grades_signed_modes(tmp_path):
     assert max(row["rel_err"] for row in rows) < 1e-4
 
 
+def test_dispersion_fails_modes_that_start_at_zero(tmp_path):
+    # a start at rest: every tracked coefficient starts at zero, so no fit
+    # has a phase to follow, and mode 0's exact frequency is 0
+    text = TINY_DISPERSION
+    for old, new in (("n: 64", "n: 32"), ("amplitude: 1.0e-3", "amplitude: 0.0"),
+                     ("t_end: 20.0", "t_end: 5.0"), ("track_modes: [1]", "track_modes: [0, 1]"),
+                     ("mu: [0.0]", "mu: [0.1]")):
+        text = text.replace(old, new)
+    cfg = load_config(_write(tmp_path, text), out=str(tmp_path))
+    result = run_scenario(cfg, jobs=1)
+    assert result.verdicts == {"dispersion_rel_err": False}
+    failures = result.summary["failures"]
+    assert [f.split(":")[0] for f in failures] == ["mu0.1 mode 0", "mu0.1 mode 1"]
+    assert all("DegenerateFitError" in f for f in failures)
+    assert result.summary["tables"]["dispersion"] == []
+
+
 def test_run_scenario_snapshot_policies(tmp_path):
     base = TINY_DISPERSION + "output: {snapshots: %s}\n"
     cfg = load_config(
@@ -878,9 +900,12 @@ def test_mollifier_batch_members_equal_their_runs_alone(tmp_path):
     assert [res.batch for res in results] == [0, 0, 0]
     assert len({res.runtime_s for res in results}) == 1  # the batch's seconds
     for spec, res in zip(specs, results):
-        state0 = build_initial_state(cfg, cfg.grid, spec.params, bath)
-        if spec.stepper.delta > 0:
-            state0 = ModelState(cfg.grid, mollify_arr(cfg.grid, state0.U, spec.stepper.delta, -1))
+        delta = spec.params.delta
+        state0 = build_initial_state(cfg, cfg.grid, replace(spec.params, delta=0.0), bath)
+        if delta > 0:
+            state0 = ModelState(cfg.grid, mollify_arr(cfg.grid, state0.U, delta, -1))
+        # the scenario starts each run from its own smoothing
+        assert np.array_equal(build_initial_state(cfg, cfg.grid, spec.params, bath).U, state0.U)
         solo = run(state0, spec.params, bath, spec.stepper)
         got = res.traj
         assert got.termination == solo.termination == "completed"

@@ -56,7 +56,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         StepperConfig(dt=1e-2, t_end=1.0, blowup_threshold=0.0)
     with pytest.raises(ValueError):
-        StepperConfig(dt=1e-2, t_end=1.0, delta=-1e-4)
+        ModelParams(0.0, 0.1, "bp", delta=-1e-4)
+    with pytest.raises(TypeError):  # delta is the params', not the stepper's
+        StepperConfig(dt=1e-2, t_end=1.0, delta=1e-4)
 
 
 def test_config_refuses_a_stride_that_is_not_an_integer():
@@ -79,9 +81,11 @@ def test_config_refuses_track_modes_that_are_not_integers():
 
 def test_config_rejects_non_finite_values():
     for bad in (np.nan, np.inf):
-        for key in ("dt", "t_end", "delta"):
+        for key in ("dt", "t_end"):
             with pytest.raises(ValueError, match=f"{key} must be finite"):
                 StepperConfig(**{"dt": 1e-2, "t_end": 1.0, key: bad})
+        with pytest.raises(ValueError, match="delta must be finite"):
+            ModelParams(0.0, 0.1, "bp", delta=bad)
 
 
 def test_cfl_limit_lies_inside_rk4_stability():
@@ -105,8 +109,10 @@ _STEP_DTS = [1e-2, np.array([1e-2, 3e-3, 7e-3]).reshape(3, 1, 1)]
 @pytest.mark.parametrize("dt", _STEP_DTS, ids=["scalar", "column"])
 @pytest.mark.parametrize("model,bath", [("burgers", FLAT1), ("mbp", BUMP1)])
 def test_rk4_step_is_the_textbook_step_bit_for_bit(model, bath, dt):
-    params = [ModelParams(eps, 0.3 if model == "mbp" else 0.0, model) for eps in (0.2, 0.5, 0.3)]
-    bundle = make_rhs(params, bath, [1e-2, 0.0, 3e-2])
+    mu = 0.3 if model == "mbp" else 0.0
+    members = ((0.2, 1e-2), (0.5, 0.0), (0.3, 3e-2))
+    params = [ModelParams(eps, mu, model, delta) for eps, delta in members]
+    bundle = make_rhs(params, bath)
     rng = np.random.default_rng(17)
     rows = 1 if model == "burgers" else 1 + G1.d
     W = bundle.encode(0.1 * rng.standard_normal((3, rows) + G1.shape))
@@ -222,15 +228,12 @@ def _stage_records(bundle, U0, dt, n_steps, stride):
 @pytest.mark.parametrize("bath", [FLAT1, FLAT2], ids=["d1", "d2"])
 def test_propagator_matches_stage_loop(bath, model, delta):
     g = bath.grid
-    params = ModelParams(0.0, 0.3, model)
+    params = ModelParams(0.0, 0.3, model, delta)
     state = _random_state(g, seed=5)
-    cfg = StepperConfig(
-        dt=1e-3, t_end=1.0, output_stride=250, delta=delta,
-        blowup_threshold=1e6,
-    )
+    cfg = StepperConfig(dt=1e-3, t_end=1.0, output_stride=250, blowup_threshold=1e6)
     traj = run(state, params, bath, cfg)
     assert traj.termination == "completed" and traj.steps_taken == 1000
-    bundle = make_rhs(params, bath, delta)
+    bundle = make_rhs(params, bath)
     ref = _stage_records(bundle, state.stack(), traj.dt, 1000, 250)
     assert traj.n_records == len(ref) == 5
     for got, (_, W) in zip(traj.states, ref):
@@ -265,8 +268,8 @@ def test_propagator_is_the_einsum_of_the_step_power_bit_for_bit(bath, model):
     # a full stride and a remainder, over the stack and over a subset of it,
     # with one smoothing member
     g = bath.grid
-    params = [ModelParams(0.0, mu, model) for mu in (0.4, 0.1, 0.0)]
-    bundle = make_rhs(params, bath, [1e-2, 0.0, 0.0])
+    params = [ModelParams(0.0, mu, model, dl) for mu, dl in ((0.4, 1e-2), (0.1, 0.0), (0.0, 0.0))]
+    bundle = make_rhs(params, bath)
     dts = np.array([1e-2, 3e-3, 7e-3])
     propagate = _propagator(bundle.blocks, dts)
     eye = np.broadcast_to(np.eye(1 + g.d), bundle.blocks.shape)
@@ -291,8 +294,8 @@ def test_cached_powers_have_one_nonzero_part_per_entry(bath, model, monkeypatch)
     # R(dt L)^n keeps L's parity: real scalar-scalar and velocity-velocity
     # entries, imaginary couplings, so one complex product rounds each once
     g = bath.grid
-    params = [ModelParams(0.0, mu, model) for mu in (0.4, 0.1, 0.0)]
-    bundle = make_rhs(params, bath, [1e-2, 0.0, 0.0])
+    params = [ModelParams(0.0, mu, model, dl) for mu, dl in ((0.4, 1e-2), (0.1, 0.0), (0.0, 0.0))]
+    bundle = make_rhs(params, bath)
     propagate = _propagator(bundle.blocks, np.array([1e-2, 3e-3, 7e-3]))
     applied = []
     apply = timeloop.apply_mode_blocks
@@ -651,11 +654,10 @@ def test_mbp_batch_per_member_mu_and_horizon(bath):
 
 def test_mbp_batch_per_member_delta():
     # mollifier-study's shape: one model, deltas with the plain run among them
-    deltas = (1e-2, 1e-3, 0.0)
-    params = ModelParams(0.2, 0.3, "mbp")
+    params = [ModelParams(0.2, 0.3, "mbp", d) for d in (1e-2, 1e-3, 0.0)]
     state = _mode_state(G1, k=1.0, amp=0.05)
-    configs = [StepperConfig(dt=5e-3, t_end=0.2, output_stride=7, delta=d) for d in deltas]
-    batch = _batch_matches_solo([state] * 3, [params] * 3, BUMP1, configs)
+    config = StepperConfig(dt=5e-3, t_end=0.2, output_stride=7)
+    batch = _batch_matches_solo([state] * 3, params, BUMP1, [config] * 3)
     assert all(t.termination == "completed" for t in batch)
 
 
@@ -680,10 +682,10 @@ def test_linear_flat_batch_advances_in_groups_when_horizons_end_apart(bath, monk
     # fall on one step advance as one group, the whole stack while all do
     g = bath.grid
     modes = (1, 3) if g.d == 1 else ((1, 0), (-2, 3))
-    params = [ModelParams(0.0, mu, "mbp") for mu in (0.2, 0.1, 0.05)]
+    params = [ModelParams(0.0, mu, "mbp", dl) for mu, dl in ((0.2, 0.0), (0.1, 1e-2), (0.05, 0.0))]
     configs = [
-        StepperConfig(dt=1e-2, t_end=t, output_stride=5, track_modes=modes, delta=dl)
-        for t, dl in ((0.6, 0.0), (0.43, 1e-2), (0.57, 0.0))
+        StepperConfig(dt=1e-2, t_end=t, output_stride=5, track_modes=modes)
+        for t in (0.6, 0.43, 0.57)
     ]
     states = [_random_state(g, seed=s, amp=1e-3) for s in (4, 5, 6)]
     sizes = []
@@ -860,6 +862,21 @@ def test_pcg_mbp_batch_per_member_mu_and_horizon():
     batch = _batch_matches_solo(states, params, PCG_BUMP, configs)
     assert build_handles(params[0], PCG_BUMP)["hb_B"].strategy == "pcg"
     assert [t.steps_taken for t in batch] == [4, 8, 6]
+
+
+@pytest.mark.parametrize("model", ["bp", "mbp"])
+def test_pcg_batch_mixing_smoothing_and_plain_members(model):
+    # the plain member solves for its correction to the hydrostatic velocity
+    # and keeps corrections in its CG history, the smoothing members solve
+    # and keep whole velocities: each as in its run alone
+    params = [ModelParams(0.1, 0.1, model, delta) for delta in (1e-2, 0.0, 1e-3)]
+    configs = [StepperConfig(dt=0.05, t_end=t, output_stride=3) for t in (0.3, 0.4, 0.2)]
+    state = _pcg_hump(0.2, outflow=0.3)
+    batch = _batch_matches_solo([state] * 3, params, PCG_BUMP, configs)
+    (handle,) = build_handles(params[0], PCG_BUMP).values()
+    assert handle.strategy == "pcg"
+    assert [t.termination for t in batch] == ["completed"] * 3
+    assert [t.steps_taken for t in batch] == [6, 8, 4]
 
 
 def test_pcg_bp_batch_member_goes_dry():
